@@ -35,23 +35,27 @@
 //! *allocation* changed (not just content-dirty ones), which is exactly
 //! what keeps the store equal to the oracle after weights shift.
 
-use apgre_bc::apgre::{run_sampled_subgraph_kernels_stats, ApgreOptions};
+use apgre_bc::apgre::{run_subgraph_kernels, ApgreOptions};
 use apgre_decomp::Decomposition;
 
 use crate::rng::{mix_seed, sample_roots};
+use crate::sample::{SampleBudget, SampleOptions};
 
 /// Default pilot sweep size (per-sub-graph roots used to estimate `σ_i`).
 pub const DEFAULT_PILOT: usize = 4;
 
-/// The resolved adaptive sampling plan for one decomposition generation.
+/// The resolved sampling plan for one decomposition generation: how many
+/// roots each sub-graph draws, and (adaptive budgets only) the pilot
+/// dispersions that decided it.
 #[derive(Clone, Debug)]
 pub struct AdaptivePlan {
     /// Per-sub-graph pilot dispersion of the per-root contributions — the
     /// square root of the summed per-vertex sample variances (the `σ_i` of
-    /// the allocation weight `|R_i|·σ_i`).
+    /// the allocation weight `|R_i|·σ_i`; 0 under a uniform cap).
     pub sigma: Vec<f64>,
     /// Allocated root-sample size per sub-graph (`min(pilot, |R_i|) ≤ k_i ≤
-    /// |R_i|`).
+    /// |R_i|` under an adaptive budget, `min(cap, |R_i|)` under a uniform
+    /// cap).
     pub k: Vec<usize>,
     /// Σ pilot roots swept while planning (only content-dirty sub-graphs
     /// pay this; cached `σ` is free).
@@ -173,6 +177,29 @@ pub fn allocate_budget(weights: &[f64], caps: &[usize], pilot: usize, total: usi
     k
 }
 
+/// The plan for `sopts` over `decomp`. A uniform cap is the allocation
+/// `k_i = min(cap, |R_i|)` with no pilot (`σ = 0`); an adaptive budget is
+/// [`plan_adaptive`], re-piloting only the sub-graphs whose `cached_sigma`
+/// is `None`.
+pub(crate) fn plan(
+    decomp: &Decomposition,
+    opts: &ApgreOptions,
+    sopts: &SampleOptions,
+    cached_sigma: &[Option<f64>],
+) -> AdaptivePlan {
+    match sopts.budget {
+        SampleBudget::Uniform { samples_per_subgraph } => AdaptivePlan {
+            sigma: vec![0.0; decomp.num_subgraphs()],
+            k: decomp.subgraphs.iter().map(|sg| sg.roots.len().min(samples_per_subgraph)).collect(),
+            pilot_roots: 0,
+            pilot_edges: 0,
+        },
+        SampleBudget::Adaptive { total_roots, pilot } => {
+            plan_adaptive(decomp, opts, sopts.seed, total_roots, pilot, cached_sigma)
+        }
+    }
+}
+
 /// Computes the adaptive plan for one decomposition: pilot `σ` for every
 /// sub-graph whose cached value is `None` (the incremental store passes its
 /// per-fingerprint cache; the oracle passes all-`None`), then the
@@ -207,12 +234,14 @@ pub fn plan_adaptive(
         .collect();
     let jobs: Vec<(usize, &[u32])> =
         pilot_draws.iter().map(|(i, roots)| (*i, roots.as_slice())).collect();
-    let runs = run_sampled_subgraph_kernels_stats(decomp, &jobs, opts);
+    let runs = run_subgraph_kernels(decomp, &jobs, opts, true);
     let mut pilot_roots = 0u64;
     let mut pilot_edges = 0u64;
     for run in &runs {
-        sigma[run.index] = pilot_sigma(&run.vertex_m2, run.roots);
-        pilot_roots += run.roots as u64;
+        if let Some(st) = &run.stats {
+            sigma[run.index] = pilot_sigma(&st.vertex_m2, st.roots);
+            pilot_roots += st.roots as u64;
+        }
         pilot_edges += run.edges;
     }
     let caps: Vec<usize> = decomp.subgraphs.iter().map(|sg| sg.roots.len()).collect();

@@ -33,14 +33,12 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use apgre_bc::apgre::{
-    run_sampled_subgraph_kernels, run_sampled_subgraph_kernels_stats, ApgreOptions,
-};
+use apgre_bc::apgre::{run_subgraph_kernels, ApgreOptions};
 use apgre_decomp::{decompose, Decomposition, SubGraph};
 use apgre_graph::Graph;
 use apgre_store::FoldStore;
 
-use crate::budget::{plan_adaptive, stderr_sq_span, AdaptivePlan, DEFAULT_PILOT};
+use crate::budget::{plan, stderr_sq_span, AdaptivePlan, DEFAULT_PILOT};
 use crate::rng::{mix_seed, sample_roots};
 
 /// How the per-sub-graph root-sample sizes are chosen.
@@ -185,51 +183,80 @@ pub fn bc_sampled_with_stderr_from_decomposition(
     opts: &ApgreOptions,
     sopts: &SampleOptions,
 ) -> (Vec<f64>, Vec<f64>) {
+    let plan = plan(decomp, opts, sopts, &vec![None; decomp.num_subgraphs()]);
+    let all: Vec<usize> = (0..decomp.num_subgraphs()).collect();
+    let (spans, _) = sample_spans(decomp, opts, sopts, &plan, &all);
     let mut out = vec![0.0f64; decomp.num_vertices];
     let mut err_sq = vec![0.0f64; decomp.num_vertices];
-    match sopts.budget {
-        SampleBudget::Uniform { samples_per_subgraph } => {
-            let draws: Vec<(Vec<u32>, f64)> = decomp
-                .subgraphs
-                .iter()
-                .map(|sg| draw_roots(sg, sopts.seed, samples_per_subgraph))
-                .collect();
-            let jobs: Vec<(usize, &[u32])> =
-                draws.iter().enumerate().map(|(i, d)| (i, d.0.as_slice())).collect();
-            let runs = run_sampled_subgraph_kernels(decomp, &jobs, opts);
-            for run in &runs {
-                let sg = &decomp.subgraphs[run.index];
-                let scale = draws[run.index].1;
-                for (local, &v) in sg.globals.iter().enumerate() {
-                    out[v as usize] += run.local[local] * scale;
-                }
-            }
-        }
-        SampleBudget::Adaptive { total_roots, pilot } => {
-            let cached = vec![None; decomp.num_subgraphs()];
-            let plan = plan_adaptive(decomp, opts, sopts.seed, total_roots, pilot, &cached);
-            let draws: Vec<(Vec<u32>, f64)> = decomp
-                .subgraphs
-                .iter()
-                .enumerate()
-                .map(|(i, sg)| draw_roots(sg, sopts.seed, plan.k[i]))
-                .collect();
-            let jobs: Vec<(usize, &[u32])> =
-                draws.iter().enumerate().map(|(i, d)| (i, d.0.as_slice())).collect();
-            let runs = run_sampled_subgraph_kernels_stats(decomp, &jobs, opts);
-            for run in &runs {
-                let sg = &decomp.subgraphs[run.index];
-                let scale = draws[run.index].1;
-                let se = stderr_sq_span(&run.vertex_m2, run.roots, sg.roots.len());
-                for (local, &v) in sg.globals.iter().enumerate() {
-                    out[v as usize] += run.local[local] * scale;
-                    err_sq[v as usize] += se[local];
-                }
-            }
+    for s in &spans {
+        let sg = &decomp.subgraphs[s.index];
+        for (local, &v) in sg.globals.iter().enumerate() {
+            out[v as usize] += s.span[local];
+            err_sq[v as usize] += s.err[local];
         }
     }
     let stderr = err_sq.into_iter().map(f64::sqrt).collect();
     (out, stderr)
+}
+
+/// One freshly sampled sub-graph span (local ids).
+struct SampledSpan {
+    index: usize,
+    /// The scaled estimate span (`|R_i| / k_i` times the swept roots'
+    /// Equation-7 contribution).
+    span: Vec<f64>,
+    /// Squared standard errors of `span` (all zero under a uniform cap).
+    err: Vec<f64>,
+    /// Roots swept.
+    roots: usize,
+}
+
+/// The draw → dispatch → scale body shared by the from-scratch oracle and
+/// [`SampleStore::refresh`], so the two cannot drift apart. Draws sub-graph
+/// `i`'s sample at `plan.k[i]` for every `i` in `indices` (ascending,
+/// distinct), sweeps all of them through one [`run_subgraph_kernels`] call
+/// — observed under an adaptive budget, whose per-root statistics yield the
+/// standard errors; the policy-chosen kernel and all-zero errors under a
+/// uniform cap — and scales each span. Returns the spans in `indices`
+/// order plus the kernels' edge count.
+fn sample_spans(
+    decomp: &Decomposition,
+    opts: &ApgreOptions,
+    sopts: &SampleOptions,
+    plan: &AdaptivePlan,
+    indices: &[usize],
+) -> (Vec<SampledSpan>, u64) {
+    let draws: Vec<(usize, Vec<u32>, f64)> = indices
+        .iter()
+        .map(|&i| {
+            let (roots, scale) = draw_roots(&decomp.subgraphs[i], sopts.seed, plan.k[i]);
+            (i, roots, scale)
+        })
+        .collect();
+    let jobs: Vec<(usize, &[u32])> =
+        draws.iter().map(|(i, roots, _)| (*i, roots.as_slice())).collect();
+    let runs = run_subgraph_kernels(decomp, &jobs, opts, sopts.is_adaptive());
+    assert_eq!(runs.len(), draws.len(), "one kernel run per sampled sub-graph");
+    let mut edges = 0u64;
+    let spans = draws
+        .iter()
+        .zip(runs)
+        .map(|((i, roots, scale), run)| {
+            // Both lists ascend by sub-graph index, so a mismatch means the
+            // kernel side reordered and would scale the wrong span.
+            assert_eq!(run.index, *i, "kernel runs out of job order");
+            edges += run.edges;
+            let err = match &run.stats {
+                Some(st) => {
+                    stderr_sq_span(&st.vertex_m2, st.roots, decomp.subgraphs[*i].roots.len())
+                }
+                None => vec![0.0f64; run.local.len()],
+            };
+            let span = run.local.iter().map(|&x| x * scale).collect();
+            SampledSpan { index: *i, span, err, roots: roots.len() }
+        })
+        .collect();
+    (spans, edges)
 }
 
 /// Convenience one-shot: decompose `g` and run the composed estimator.
@@ -419,77 +446,6 @@ impl SampleStore {
             self.pending.extend(0..self.meta.len());
             self.params = Some(sopts.clone());
         }
-        let mut report = match sopts.budget {
-            SampleBudget::Uniform { samples_per_subgraph } => {
-                self.refresh_uniform(decomp, opts, sopts.seed, samples_per_subgraph)
-            }
-            SampleBudget::Adaptive { total_roots, pilot } => {
-                self.refresh_adaptive(decomp, opts, sopts.seed, total_roots, pilot)
-            }
-        };
-        self.pending.clear();
-        report.wall = t.elapsed();
-        #[cfg(feature = "invariants")]
-        self.verify_against_scratch(decomp, opts, sopts)
-            .expect("incremental sampled estimates diverged from the from-scratch oracle");
-        report
-    }
-
-    /// The uniform-cap refresh: resamples exactly the pending set.
-    fn refresh_uniform(
-        &mut self,
-        decomp: &Decomposition,
-        opts: &ApgreOptions,
-        seed: u64,
-        cap: usize,
-    ) -> SampleRefresh {
-        let dirty: Vec<usize> = self.pending.iter().copied().collect();
-        // Keyed by sub-graph index so a kernel-side reorder (or a future
-        // dropped-empty-job optimization) can never scale the wrong span.
-        let mut draws: HashMap<usize, (u64, Vec<u32>, f64)> = HashMap::with_capacity(dirty.len());
-        for &i in &dirty {
-            let sg = &decomp.subgraphs[i];
-            let (roots, scale) = draw_roots(sg, seed, cap);
-            draws.insert(i, (sg.fingerprint(), roots, scale));
-        }
-        let jobs: Vec<(usize, &[u32])> =
-            dirty.iter().map(|&i| (i, draws[&i].1.as_slice())).collect();
-        let runs = run_sampled_subgraph_kernels(decomp, &jobs, opts);
-        assert_eq!(runs.len(), dirty.len(), "one kernel run per dirty sub-graph");
-        let mut report = SampleRefresh {
-            resampled: dirty.len(),
-            reused: self.meta.len() - dirty.len(),
-            ..SampleRefresh::default()
-        };
-        for run in runs {
-            let (fp, roots, scale) = draws
-                .remove(&run.index)
-                .expect("kernel returned a run for a sub-graph that was never dispatched");
-            let n = run.local.len();
-            let span: Vec<f64> = run.local.iter().map(|&x| x * scale).collect();
-            self.fold.set_values(run.index, Arc::from(span));
-            // The uniform estimator carries no error accumulators; its err
-            // spans are pinned to zero (this also scrubs stale spans after
-            // an adaptive → uniform parameter switch).
-            self.err.set_values(run.index, Arc::from(vec![0.0f64; n]));
-            self.meta[run.index] = Some(SampleMeta { fingerprint: fp, sigma: 0.0, k: roots.len() });
-            report.sampled_roots += roots.len() as u64;
-            report.edges += run.edges;
-        }
-        report
-    }
-
-    /// The adaptive refresh: pilots the content-dirty sub-graphs, re-plans
-    /// the global allocation, and resamples the union of the pending set
-    /// and the spans whose allocated `k` moved.
-    fn refresh_adaptive(
-        &mut self,
-        decomp: &Decomposition,
-        opts: &ApgreOptions,
-        seed: u64,
-        total_roots: usize,
-        pilot: usize,
-    ) -> SampleRefresh {
         let count = self.meta.len();
         // σ is content-pure, so clean sub-graphs reuse their cached value;
         // pending ones re-pilot (their content — or existence — changed).
@@ -502,7 +458,9 @@ impl SampleStore {
                 }
             })
             .collect();
-        let plan: AdaptivePlan = plan_adaptive(decomp, opts, seed, total_roots, pilot, &cached);
+        let plan = plan(decomp, opts, sopts, &cached);
+        // The pending set plus every span whose allocated `k` moved (a
+        // uniform cap never moves a clean span's `k`).
         let resample: Vec<usize> = (0..count)
             .filter(|&i| {
                 self.pending.contains(&i)
@@ -512,43 +470,36 @@ impl SampleStore {
                     }
             })
             .collect();
-        let mut draws: HashMap<usize, (u64, Vec<u32>, f64)> =
-            HashMap::with_capacity(resample.len());
-        for &i in &resample {
-            let sg = &decomp.subgraphs[i];
-            let (roots, scale) = draw_roots(sg, seed, plan.k[i]);
-            draws.insert(i, (sg.fingerprint(), roots, scale));
-        }
-        let jobs: Vec<(usize, &[u32])> =
-            resample.iter().map(|&i| (i, draws[&i].1.as_slice())).collect();
-        let runs = run_sampled_subgraph_kernels_stats(decomp, &jobs, opts);
-        assert_eq!(runs.len(), resample.len(), "one kernel run per resampled sub-graph");
+        let (spans, edges) = sample_spans(decomp, opts, sopts, &plan, &resample);
+        let (budget, allocated) = match sopts.budget {
+            SampleBudget::Uniform { .. } => (0, 0),
+            SampleBudget::Adaptive { total_roots, .. } => (total_roots, plan.allocated()),
+        };
         let mut report = SampleRefresh {
             resampled: resample.len(),
             reused: count - resample.len(),
             pilot_roots: plan.pilot_roots,
-            edges: plan.pilot_edges,
-            budget: total_roots,
-            allocated: plan.allocated(),
+            edges: plan.pilot_edges + edges,
+            budget,
+            allocated,
             ..SampleRefresh::default()
         };
-        for run in runs {
-            let (fp, roots, scale) = draws
-                .remove(&run.index)
-                .expect("kernel returned a run for a sub-graph that was never dispatched");
-            let sg = &decomp.subgraphs[run.index];
-            let span: Vec<f64> = run.local.iter().map(|&x| x * scale).collect();
-            let se = stderr_sq_span(&run.vertex_m2, run.roots, sg.roots.len());
-            self.fold.set_values(run.index, Arc::from(span));
-            self.err.set_values(run.index, Arc::from(se));
-            self.meta[run.index] = Some(SampleMeta {
-                fingerprint: fp,
-                sigma: plan.sigma[run.index],
-                k: plan.k[run.index],
+        for s in spans {
+            let i = s.index;
+            self.fold.set_values(i, Arc::from(s.span));
+            self.err.set_values(i, Arc::from(s.err));
+            self.meta[i] = Some(SampleMeta {
+                fingerprint: decomp.subgraphs[i].fingerprint(),
+                sigma: plan.sigma[i],
+                k: plan.k[i],
             });
-            report.sampled_roots += roots.len() as u64;
-            report.edges += run.edges;
+            report.sampled_roots += s.roots as u64;
         }
+        self.pending.clear();
+        report.wall = t.elapsed();
+        #[cfg(feature = "invariants")]
+        self.verify_against_scratch(decomp, opts, sopts)
+            .expect("incremental sampled estimates diverged from the from-scratch oracle");
         report
     }
 

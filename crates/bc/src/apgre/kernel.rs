@@ -27,27 +27,33 @@
 //! `δ^init_i2o` term at the root that Algorithm 2's `i != s` guard drops.
 //! Both corrections are pinned by the `apgre ≡ brandes` property tests.
 //!
-//! # Three kernels, one sweep
+//! # One entry point, three sweeps
 //!
-//! The module ships three interchangeable implementations, selected per
-//! sub-graph by [`super::KernelPolicy`] (see DESIGN.md §3.7):
+//! [`bc_in_subgraph`] is the module's only function. It sweeps an explicit
+//! root slice — callers pass `&sg.roots` for the exact kernel, a sample for
+//! the estimator — with the strategy [`super::KernelPolicy`] resolved for
+//! the sub-graph (see DESIGN.md §3.7):
 //!
-//! * [`bc_in_subgraph_seq`] — one thread, plain `f64`, the shared
-//!   [`sweep_root`] loop body;
-//! * [`bc_in_subgraph_root_par`] — coarse-grained **root-parallel**: roots are
-//!   split into fixed chunks, each chunk swept with the *same* sequential
-//!   sweep into a private partial score vector (zero atomics on the hot
-//!   path), and the partials are merged in chunk order — bitwise
-//!   deterministic regardless of scheduling;
-//! * [`bc_in_subgraph_level_sync`] — fine-grained **level-synchronous**: the
+//! * [`KernelChoice::Seq`] — one thread, plain `f64`, the shared
+//!   `sweep_root` loop body;
+//! * [`KernelChoice::RootParallel`] — coarse-grained **root-parallel**: roots
+//!   are split into fixed chunks, each chunk swept with the *same*
+//!   sequential body into a private partial score vector (zero atomics on
+//!   the hot path), and the partials are merged by a fixed-shape tree —
+//!   bitwise deterministic for a given pool size;
+//! * [`KernelChoice::LevelSync`] — fine-grained **level-synchronous**: the
 //!   paper's inner level of the two-level parallelization, for the
 //!   few-roots-but-huge sub-graph regime where root supply cannot feed the
 //!   workers.
 //!
-//! Every kernel has a `*_with` variant taking a caller-owned workspace so the
-//! driver's buffer pool can recycle the `O(n)` scratch arrays across
-//! sub-graphs instead of reallocating them per call.
+//! An optional per-root observer receives each root's own Equation-7
+//! contribution vector (the hook of the adaptive sampling estimator); it
+//! forces the sequential sweep, the only one that visits roots in slice
+//! order, and leaves `bc_local` bitwise identical to the unobserved sweep.
+//! The caller-owned [`SgWorkspace`] lets the driver's buffer pool recycle
+//! the `O(n)` scratch arrays across sub-graphs.
 
+use super::KernelChoice;
 use crate::sync::{AtomicU32, Ordering};
 use crate::util::{add_assign_scores, atomic_f64_vec, AtomicF64, Levels};
 use apgre_decomp::SubGraph;
@@ -55,38 +61,46 @@ use apgre_graph::{VertexId, UNREACHED};
 use rayon::prelude::*;
 use std::collections::VecDeque;
 
+/// Reusable scratch for [`bc_in_subgraph`]: the sequential sweep's arrays,
+/// built and grown on first use, and the level-synchronous sweep's atomic
+/// arrays, built only if that strategy ever runs. Cells keep the
+/// reset-clean invariant between calls, so one pooled workspace can serve
+/// sub-graphs of any size and any strategy.
+#[derive(Default)]
+pub struct SgWorkspace {
+    seq: SeqWs,
+    par: Option<ParWs>,
+}
+
+impl SgWorkspace {
+    fn par(&mut self, n: usize) -> &mut ParWs {
+        let ws = self.par.get_or_insert_with(|| ParWs::new(n));
+        ws.ensure(n);
+        ws
+    }
+}
+
 /// Sequential workspace for one sub-graph: the BFS and four-dependency
 /// arrays of Algorithm 2, sized for the sub-graph's vertex count and reset
 /// in `O(reached)` between roots so it can be reused across roots, chunks,
-/// and (via the driver's pool) whole sub-graphs.
-pub struct SgWorkspace {
+/// and whole sub-graphs. `contrib` is the observer's per-root contribution
+/// vector, grown only by observed sweeps.
+#[derive(Default)]
+struct SeqWs {
     dist: Vec<u32>,
     sigma: Vec<f64>,
     d_i2i: Vec<f64>,
     d_i2o: Vec<f64>,
     d_o2o: Vec<f64>,
+    contrib: Vec<f64>,
     order: Vec<VertexId>,
     queue: VecDeque<VertexId>,
 }
 
-impl SgWorkspace {
-    /// Workspace covering sub-graphs of up to `n` vertices.
-    pub fn new(n: usize) -> Self {
-        SgWorkspace {
-            dist: vec![UNREACHED; n],
-            sigma: vec![0.0; n],
-            d_i2i: vec![0.0; n],
-            d_i2o: vec![0.0; n],
-            d_o2o: vec![0.0; n],
-            order: Vec::with_capacity(n),
-            queue: VecDeque::new(),
-        }
-    }
-
+impl SeqWs {
     /// Grows the workspace to cover `n` vertices. Cells keep the reset-clean
-    /// invariant (`dist = UNREACHED`, everything else zero), so a pooled
-    /// workspace can serve sub-graphs of any size up to its capacity.
-    pub fn ensure(&mut self, n: usize) {
+    /// invariant (`dist = UNREACHED`, everything else zero).
+    fn ensure(&mut self, n: usize) {
         if self.dist.len() < n {
             self.dist.resize(n, UNREACHED);
             self.sigma.resize(n, 0.0);
@@ -108,28 +122,63 @@ impl SgWorkspace {
     }
 }
 
-/// One root's forward BFS plus backward four-dependency sweep — Algorithm 2's
-/// loop body, shared verbatim by the sequential and root-parallel kernels so
-/// they cannot drift apart. Accumulates into `bc_local`, returns the number
-/// of edges examined, and leaves `ws` reset for the next root.
-fn sweep_root(sg: &SubGraph, s: VertexId, ws: &mut SgWorkspace, bc_local: &mut [f64]) -> u64 {
-    let edges = sweep_root_core(sg, s, ws, bc_local, None);
-    ws.reset_touched();
-    edges
-}
-
-/// The sweep body proper. When `contrib` is given, the root's own Equation-7
-/// term for every touched vertex is *also* recorded there (`contrib[v] =
-/// term` before the `bc_local[v] += term` add, so the accumulated span stays
-/// bitwise identical to the unobserved sweep). Does **not** reset the
-/// workspace — the caller decides when, so an observer can still read
-/// `ws.order` / `contrib` after the sweep.
-fn sweep_root_core(
+/// Algorithm 2 over the roots `roots` of sub-graph `sg`, accumulating their
+/// exact Equation-7 contribution into `bc_local` (indexed by local vertex
+/// id, length `sg.num_vertices()`). Returns the number of edges examined
+/// (forward + backward scans). Pinned against serial Brandes (`bc_serial`)
+/// by the kernel table in `tests/kernel_policies.rs`.
+///
+/// * `roots` — compacted local ids of `sg`; `&sg.roots` for the exact
+///   kernel. Sweeping a subset yields that subset's exact contribution (the
+///   sampled estimator rescales it), and sweeping two halves in turn into
+///   the same `bc_local` sums to the full sweep.
+/// * `choice` — the strategy (normally [`super::KernelPolicy::choose`]'s
+///   resolution for this sub-graph).
+/// * `grain` — minimum roots per root-parallel chunk and minimum frontier
+///   width before the level-synchronous sweep forks a level.
+/// * `ws` — fresh (`SgWorkspace::default()`) or pooled; the root-parallel
+///   sweep builds one workspace per worker instead.
+/// * `observer` — when given, called once per root, in slice order, with
+///   that root's own dense contribution vector (`0` for vertices the root
+///   did not reach). Forces the sequential sweep; `bc_local` still receives
+///   exactly the unobserved sweep's single add per vertex and root, so the
+///   result is **bitwise identical** to a `Seq` run over the same roots.
+pub fn bc_in_subgraph(
     sg: &SubGraph,
-    s: VertexId,
+    roots: &[VertexId],
+    choice: KernelChoice,
+    grain: usize,
     ws: &mut SgWorkspace,
     bc_local: &mut [f64],
-    mut contrib: Option<&mut [f64]>,
+    observer: Option<&mut dyn FnMut(&[f64])>,
+) -> u64 {
+    let n = sg.num_vertices();
+    debug_assert_eq!(bc_local.len(), n);
+    let grain = grain.max(1);
+    match (observer, choice) {
+        (Some(observe), _) => sweep_roots_observed(sg, roots, &mut ws.seq, bc_local, observe),
+        (None, KernelChoice::Seq) => sweep_roots_seq(sg, roots, &mut ws.seq, bc_local),
+        (None, KernelChoice::RootParallel) => sweep_roots_par(sg, roots, bc_local, grain),
+        (None, KernelChoice::LevelSync) => {
+            sweep_roots_level_sync(sg, roots, ws.par(n), bc_local, grain)
+        }
+    }
+}
+
+/// One root's forward BFS plus backward four-dependency sweep — Algorithm 2's
+/// loop body, shared verbatim by the sequential, observed and root-parallel
+/// sweeps so they cannot drift apart. Accumulates into `bc_local` and
+/// returns the number of edges examined. With `RECORD`, the root's own
+/// Equation-7 term for every touched vertex is *also* written to
+/// `ws.contrib` (`contrib[v] = term` before the `bc_local[v] += term` add,
+/// so the accumulated span stays bitwise identical to the unrecorded
+/// sweep). Does **not** reset the workspace — the caller decides when, so
+/// an observer can still read `ws.order` / `ws.contrib` after the sweep.
+fn sweep_root<const RECORD: bool>(
+    sg: &SubGraph,
+    s: VertexId,
+    ws: &mut SeqWs,
+    bc_local: &mut [f64],
 ) -> u64 {
     let csr = sg.graph.csr();
     let directed = sg.graph.is_directed();
@@ -187,16 +236,16 @@ fn sweep_root_core(
         ws.d_o2o[vu] = o2o;
         if v != s {
             let term = (1.0 + gamma_s) * (i2i + i2o) + beta_s * i2i + o2o;
-            if let Some(c) = contrib.as_deref_mut() {
-                c[vu] = term;
+            if RECORD {
+                ws.contrib[vu] = term;
             }
             bc_local[vu] += term;
         } else if gamma_s > 0.0 {
             let alpha_s = if s_boundary { sg.alpha[vu] as f64 } else { 0.0 };
             let whisker_self = if directed { 0.0 } else { 1.0 };
             let term = gamma_s * ((i2i - whisker_self) + i2o + alpha_s);
-            if let Some(c) = contrib.as_deref_mut() {
-                c[vu] = term;
+            if RECORD {
+                ws.contrib[vu] = term;
             }
             bc_local[vu] += term;
         }
@@ -204,138 +253,85 @@ fn sweep_root_core(
     edges
 }
 
-/// Sequential Algorithm 2 over one sub-graph, with a freshly allocated
-/// workspace. Returns the number of edges examined (forward + backward
-/// scans). Pinned against serial Brandes by the zoo equivalence tests.
-pub fn bc_in_subgraph_seq(sg: &SubGraph, bc_local: &mut [f64]) -> u64 {
-    bc_in_subgraph_seq_with(sg, bc_local, &mut SgWorkspace::new(sg.num_vertices()))
-}
-
-/// [`bc_in_subgraph_seq`] with a caller-owned (typically pooled) workspace.
-pub fn bc_in_subgraph_seq_with(sg: &SubGraph, bc_local: &mut [f64], ws: &mut SgWorkspace) -> u64 {
-    bc_in_subgraph_seq_roots_with(sg, &sg.roots, bc_local, ws)
-}
-
-/// [`bc_in_subgraph_seq_with`] over an explicit root slice instead of the
-/// full `sg.roots` — the sampling entry point. Each root must be one of the
-/// sub-graph's compacted local ids; sweeping a subset yields that subset's
-/// exact Equation-7 contribution (the sampled estimator rescales it).
-pub fn bc_in_subgraph_seq_roots_with(
-    sg: &SubGraph,
-    roots: &[VertexId],
-    bc_local: &mut [f64],
-    ws: &mut SgWorkspace,
-) -> u64 {
-    let n = sg.num_vertices();
-    debug_assert_eq!(bc_local.len(), n);
-    ws.ensure(n);
+/// The sequential sweep: every root in slice order through [`sweep_root`].
+fn sweep_roots_seq(sg: &SubGraph, roots: &[VertexId], ws: &mut SeqWs, bc_local: &mut [f64]) -> u64 {
+    ws.ensure(sg.num_vertices());
     let mut edges = 0u64;
     for &s in roots {
-        edges += sweep_root(sg, s, ws, bc_local);
+        edges += sweep_root::<false>(sg, s, ws, bc_local);
+        ws.reset_touched();
     }
     edges
 }
 
-/// [`bc_in_subgraph_seq_roots_with`] that additionally surfaces each root's
-/// *own* Equation-7 contribution vector — the per-root hook of the adaptive
-/// sampling estimator. After every root's backward sweep, `observe` is
-/// called with the dense per-local-vertex contribution of that root alone
-/// (`contrib[v] == 0` for vertices the root did not reach); the kernel then
-/// zeroes the touched cells so `contrib` is clean for the next root.
-///
-/// `contrib` is caller scratch of length ≥ `sg.num_vertices()` that must
-/// arrive zeroed. `bc_local` receives exactly the same single per-vertex add
-/// per root as the unobserved sweep, so the accumulated span is **bitwise
-/// identical** to [`bc_in_subgraph_seq_roots_with`] over the same roots —
-/// observing costs an extra O(reached) store/reset per root, never a
-/// different rounding.
-///
-/// Roots are observed in slice order (the estimator draws them sorted
-/// ascending), which fixes the fold order of any streaming statistics the
-/// observer accumulates — the determinism anchor of the variance-guided
-/// budget allocator.
-pub fn bc_in_subgraph_seq_roots_observed(
+/// The observed sequential sweep: after every root's backward sweep,
+/// `observe` sees that root's dense contribution vector; the touched cells
+/// are then zeroed so `ws.contrib` is clean for the next root. Observing
+/// costs an extra O(reached) store/reset per root, never a different
+/// rounding. Roots are observed in slice order (the estimator draws them
+/// sorted ascending), which fixes the fold order of any streaming
+/// statistics the observer accumulates.
+fn sweep_roots_observed(
     sg: &SubGraph,
     roots: &[VertexId],
+    ws: &mut SeqWs,
     bc_local: &mut [f64],
-    ws: &mut SgWorkspace,
-    contrib: &mut [f64],
-    mut observe: impl FnMut(&[f64]),
+    observe: &mut dyn FnMut(&[f64]),
 ) -> u64 {
     let n = sg.num_vertices();
-    debug_assert_eq!(bc_local.len(), n);
-    debug_assert!(contrib.len() >= n);
     ws.ensure(n);
+    if ws.contrib.len() < n {
+        ws.contrib.resize(n, 0.0);
+    }
     let mut edges = 0u64;
-    // Audited: `contrib[..n]` is a length-n slice take with n ≤ contrib.len()
-    // asserted at entry; the reset loop writes only compacted ids the BFS
-    // pushed, all `< n ≤ contrib.len()`. lint:allow(hot_index)
+    // Audited: `contrib[..n]` is a length-n slice take with n ≤
+    // contrib.len() ensured above; the reset loop writes only compacted ids
+    // the BFS pushed, all `< n`. lint:allow(hot_index)
     for &s in roots {
-        edges += sweep_root_core(sg, s, ws, bc_local, Some(contrib));
-        observe(&contrib[..n]);
+        edges += sweep_root::<true>(sg, s, ws, bc_local);
+        observe(&ws.contrib[..n]);
         for &v in &ws.order {
-            contrib[v as usize] = 0.0;
+            ws.contrib[v as usize] = 0.0;
         }
         ws.reset_touched();
     }
     edges
 }
 
-/// Root-parallel Algorithm 2 — the coarse-grained inner kernel.
+/// The root-parallel sweep — the coarse-grained inner kernel.
 ///
-/// `sg.roots` is split into fixed contiguous chunks (boundaries depend only
-/// on `|roots|`, `grain` and the pool's worker count, never on scheduling).
-/// Each worker lazily creates one long-lived [`SgWorkspace`] (`map_init`) and
-/// sweeps whole chunks with the same sequential [`sweep_root`] body the
-/// sequential kernel uses, accumulating into a **private** plain-`f64`
-/// partial score vector — zero atomics, zero CAS traffic, zero per-level
-/// fork-join on the hot path. The per-chunk partials are then merged by a
-/// **pairwise tree reduction** of fixed shape: round `r` adds partial
-/// `2^r·(2k+1)` into partial `2^r·2k` for every `k`, in parallel across
-/// pairs, until one vector remains, which folds into `bc_local`. The tree's
-/// shape depends only on the chunk count — itself a function of `|roots|`,
-/// `grain`, and the pool's worker count — so the floating-point fold order
-/// is fixed and two runs on the same pool size produce bitwise-identical
-/// scores, while the merge drops from `O(chunks·n)` sequential work to
-/// `O(log(chunks))` parallel rounds.
+/// `roots` is split into fixed contiguous chunks (boundaries depend only on
+/// `|roots|`, `grain` and the pool's worker count, never on scheduling).
+/// Each worker lazily creates one long-lived workspace (`map_init`) and
+/// sweeps whole chunks with the same sequential [`sweep_root`] body,
+/// accumulating into a **private** plain-`f64` partial score vector — zero
+/// atomics, zero CAS traffic, zero per-level fork-join on the hot path. The
+/// per-chunk partials are then merged by a **pairwise tree reduction** of
+/// fixed shape: round `r` adds partial `2^r·(2k+1)` into partial `2^r·2k`
+/// for every `k`, in parallel across pairs, until one vector remains, which
+/// folds into `bc_local`. The tree's shape depends only on the chunk count,
+/// so the floating-point fold order is fixed and two runs on the same pool
+/// size produce bitwise-identical scores, while the merge drops from
+/// `O(chunks·n)` sequential work to `O(log(chunks))` parallel rounds.
 ///
-/// `grain` is the minimum number of roots per chunk; chunks also target ~4
-/// per worker so stealing can balance uneven sweep costs.
-pub fn bc_in_subgraph_root_par(sg: &SubGraph, bc_local: &mut [f64], grain: usize) -> u64 {
-    bc_in_subgraph_root_par_roots(sg, &sg.roots, bc_local, grain)
-}
-
-/// [`bc_in_subgraph_root_par`] over an explicit root slice — same fixed
-/// chunking and pairwise tree reduction, so for a given root slice, grain and
-/// pool size the result is bitwise deterministic.
-pub fn bc_in_subgraph_root_par_roots(
-    sg: &SubGraph,
-    roots: &[VertexId],
-    bc_local: &mut [f64],
-    grain: usize,
-) -> u64 {
+/// Chunks hold at least `grain` roots and target ~4 per worker so stealing
+/// can balance uneven sweep costs.
+fn sweep_roots_par(sg: &SubGraph, roots: &[VertexId], bc_local: &mut [f64], grain: usize) -> u64 {
     let n = sg.num_vertices();
-    debug_assert_eq!(bc_local.len(), n);
     if roots.is_empty() {
         return 0;
     }
     let threads = rayon::current_num_threads().max(1);
     // Fixed, deterministic chunking: at least `grain` roots per chunk (one
     // partial vector is allocated per chunk), at most ~4 chunks per worker.
-    let chunk = roots.len().div_ceil(4 * threads).max(grain.max(1));
+    let chunk = roots.len().div_ceil(4 * threads).max(grain);
     let mut partials: Vec<(Vec<f64>, u64)> = roots
         .par_chunks(chunk)
-        .map_init(
-            || SgWorkspace::new(n),
-            |ws, roots| {
-                let mut part = vec![0.0f64; n];
-                let mut edges = 0u64;
-                for &s in roots {
-                    edges += sweep_root(sg, s, ws, &mut part);
-                }
-                (part, edges)
-            },
-        )
+        .map_init(SeqWs::default, |ws, roots| {
+            let mut part = vec![0.0f64; n];
+            let edges = sweep_roots_seq(sg, roots, ws, &mut part);
+            (part, edges)
+        })
         .collect();
     // Pairwise tree reduction over the chunk partials. Each round pairs
     // neighbours — partial 2k absorbs 2k+1, the pair merges running in
@@ -365,13 +361,13 @@ pub fn bc_in_subgraph_root_par_roots(
     edges
 }
 
-/// Level-synchronous workspace: the parallel mirror of [`SgWorkspace`], plus
-/// the shared `bc` accumulation mirror (reused across every root of a call
+/// Level-synchronous workspace: the atomic mirror of [`SeqWs`], plus the
+/// shared `bc` accumulation mirror (reused across every root of a call
 /// instead of being rebuilt per call) and the back frontier buffer (`next`)
 /// of the double-buffered frontier — `levels.order` holds the settled front,
 /// `next` is refilled in place each level, so frontier expansion allocates
 /// nothing after warm-up.
-pub struct SgParWs {
+struct ParWs {
     dist: Vec<AtomicU32>,
     sigma: Vec<AtomicF64>,
     d_i2i: Vec<AtomicF64>,
@@ -382,10 +378,9 @@ pub struct SgParWs {
     levels: Levels,
 }
 
-impl SgParWs {
-    /// Workspace covering sub-graphs of up to `n` vertices.
-    pub fn new(n: usize) -> Self {
-        SgParWs {
+impl ParWs {
+    fn new(n: usize) -> Self {
+        ParWs {
             dist: (0..n).map(|_| AtomicU32::new(UNREACHED)).collect(),
             sigma: atomic_f64_vec(n),
             d_i2i: atomic_f64_vec(n),
@@ -400,7 +395,7 @@ impl SgParWs {
     /// Grows the workspace to cover `n` vertices (pool reuse across
     /// sub-graphs of different sizes); existing cells keep the reset-clean
     /// invariant.
-    pub fn ensure(&mut self, n: usize) {
+    fn ensure(&mut self, n: usize) {
         let len = self.dist.len();
         if len < n {
             self.dist.extend((len..n).map(|_| AtomicU32::new(UNREACHED)));
@@ -424,41 +419,18 @@ impl SgParWs {
     }
 }
 
-/// Level-synchronous parallel Algorithm 2 over one sub-graph, with a freshly
-/// allocated workspace — the paper's fine-grained inner level of the
-/// two-level parallelization. Forward σ is pulled per level (single writer
-/// per cell), the backward sweep scans successors; no locks anywhere,
-/// exactly as in Algorithm 2's successor method. Levels narrower than
-/// `grain` vertices run sequentially to dodge fork-join overhead. Returns
-/// the number of edges examined.
-pub fn bc_in_subgraph_level_sync(sg: &SubGraph, bc_local: &mut [f64], grain: usize) -> u64 {
-    bc_in_subgraph_level_sync_with(sg, bc_local, grain, &mut SgParWs::new(sg.num_vertices()))
-}
-
-/// [`bc_in_subgraph_level_sync`] with a caller-owned (typically pooled)
-/// workspace.
-pub fn bc_in_subgraph_level_sync_with(
-    sg: &SubGraph,
-    bc_local: &mut [f64],
-    grain: usize,
-    ws: &mut SgParWs,
-) -> u64 {
-    bc_in_subgraph_level_sync_roots_with(sg, &sg.roots, bc_local, grain, ws)
-}
-
-/// [`bc_in_subgraph_level_sync_with`] over an explicit root slice — the
-/// sampling entry point for the root-starved-but-huge regime.
-pub fn bc_in_subgraph_level_sync_roots_with(
+/// The level-synchronous sweep — the paper's fine-grained inner level of
+/// the two-level parallelization. Forward σ is pulled per level (single
+/// writer per cell), the backward sweep scans successors; no locks
+/// anywhere, exactly as in Algorithm 2's successor method. Levels narrower
+/// than `grain` vertices run sequentially to dodge fork-join overhead.
+fn sweep_roots_level_sync(
     sg: &SubGraph,
     roots: &[VertexId],
+    ws: &mut ParWs,
     bc_local: &mut [f64],
     grain: usize,
-    ws: &mut SgParWs,
 ) -> u64 {
-    let n = sg.num_vertices();
-    debug_assert_eq!(bc_local.len(), n);
-    ws.ensure(n);
-    let grain = grain.max(1);
     let csr = sg.graph.csr();
     let rev = sg.graph.rev_csr();
     let directed = sg.graph.is_directed();
@@ -475,7 +447,7 @@ pub fn bc_in_subgraph_level_sync_roots_with(
     for &s in roots {
         // Split borrows: the frontier is a slice of `levels.order`, the back
         // buffer `next` refills in place, the atomic arrays are shared.
-        let SgParWs { dist, sigma, d_i2i, d_i2o, d_o2o, bc, next, levels } = &mut *ws;
+        let ParWs { dist, sigma, d_i2i, d_i2o, d_o2o, bc, next, levels } = &mut *ws;
         let (dist, sigma) = (&*dist, &*sigma);
 
         // Phase 1: frontier discovery by CAS; σ pulled per level.
@@ -600,102 +572,4 @@ pub fn bc_in_subgraph_level_sync_roots_with(
         *dst = cell.load();
     }
     edges
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use apgre_decomp::{decompose, PartitionOptions};
-    use apgre_graph::generators;
-
-    const GRAIN: usize = 256;
-
-    /// All kernels must agree sub-graph by sub-graph, including pooled-
-    /// workspace variants with oversized (recycled) workspaces.
-    #[test]
-    fn all_kernels_agree() {
-        let g = generators::whiskered_community(&generators::WhiskeredCommunityParams {
-            core_vertices: 80,
-            core_attach: 3,
-            community_count: 6,
-            community_size: 12,
-            community_density: 1.8,
-            whiskers: 40,
-            seed: 21,
-        });
-        let d = decompose(&g, &PartitionOptions { merge_threshold: 8, ..Default::default() });
-        // Deliberately oversized pooled workspaces, shared across sub-graphs.
-        let mut pooled_seq = SgWorkspace::new(4);
-        let mut pooled_par = SgParWs::new(4);
-        for sg in &d.subgraphs {
-            let n = sg.num_vertices();
-            let mut seq = vec![0.0; n];
-            bc_in_subgraph_seq(sg, &mut seq);
-            for (name, got) in [
-                ("level_sync", {
-                    let mut v = vec![0.0; n];
-                    bc_in_subgraph_level_sync(sg, &mut v, GRAIN);
-                    v
-                }),
-                ("level_sync_tiny_grain", {
-                    let mut v = vec![0.0; n];
-                    bc_in_subgraph_level_sync_with(sg, &mut v, 1, &mut pooled_par);
-                    v
-                }),
-                ("root_par", {
-                    let mut v = vec![0.0; n];
-                    bc_in_subgraph_root_par(sg, &mut v, 1);
-                    v
-                }),
-                ("seq_pooled", {
-                    let mut v = vec![0.0; n];
-                    bc_in_subgraph_seq_with(sg, &mut v, &mut pooled_seq);
-                    v
-                }),
-            ] {
-                for l in 0..n {
-                    assert!(
-                        (seq[l] - got[l]).abs() <= 1e-7 * (1.0 + seq[l].abs()),
-                        "SG{} {name} local {l}: {} vs {}",
-                        sg.id,
-                        seq[l],
-                        got[l]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_edge_counts_match() {
-        let g = generators::lollipop(10, 30);
-        let d = decompose(&g, &PartitionOptions { merge_threshold: 8, ..Default::default() });
-        for sg in &d.subgraphs {
-            let mut a = vec![0.0; sg.num_vertices()];
-            let mut b = vec![0.0; sg.num_vertices()];
-            let mut c = vec![0.0; sg.num_vertices()];
-            let e_seq = bc_in_subgraph_seq(sg, &mut a);
-            let e_ls = bc_in_subgraph_level_sync(sg, &mut b, GRAIN);
-            let e_rp = bc_in_subgraph_root_par(sg, &mut c, 4);
-            // Connected undirected sub-graph: all kernels touch all local
-            // arcs twice per root.
-            assert_eq!(e_seq, e_ls, "SG{}", sg.id);
-            assert_eq!(e_seq, e_rp, "SG{}", sg.id);
-        }
-    }
-
-    /// The root-parallel kernel's fixed chunking + ordered reduction makes it
-    /// bitwise deterministic.
-    #[test]
-    fn root_par_is_bitwise_deterministic() {
-        let g = generators::erdos_renyi_undirected(140, 0.05, 9);
-        let d = decompose(&g, &PartitionOptions::default());
-        for sg in &d.subgraphs {
-            let mut a = vec![0.0; sg.num_vertices()];
-            let mut b = vec![0.0; sg.num_vertices()];
-            bc_in_subgraph_root_par(sg, &mut a, 2);
-            bc_in_subgraph_root_par(sg, &mut b, 2);
-            assert_eq!(a, b, "SG{}", sg.id);
-        }
-    }
 }

@@ -30,8 +30,8 @@
 
 pub mod kernel;
 
-use apgre_decomp::{decompose, Decomposition, PartitionOptions, SubGraph};
-use apgre_graph::Graph;
+use apgre_decomp::{decompose, Decomposition, PartitionOptions};
+use apgre_graph::{Graph, VertexId};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -52,20 +52,19 @@ pub const DEFAULT_GRAIN: usize = 256;
 /// [`Auto`]: KernelPolicy::Auto
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPolicy {
-    /// Always the sequential kernel ([`kernel::bc_in_subgraph_seq_with`]).
+    /// Always the sequential sweep ([`KernelChoice::Seq`]).
     Seq,
-    /// Always the root-parallel kernel
-    /// ([`kernel::bc_in_subgraph_root_par`]).
+    /// Always the root-parallel sweep ([`KernelChoice::RootParallel`]).
     RootParallel,
-    /// Always the level-synchronous kernel
-    /// ([`kernel::bc_in_subgraph_level_sync_with`]).
+    /// Always the level-synchronous sweep ([`KernelChoice::LevelSync`]).
     LevelSync,
     /// Choose per sub-graph — see [`KernelPolicy::choose`].
     Auto,
 }
 
 /// The kernel actually dispatched for one sub-graph (the resolution of a
-/// [`KernelPolicy`], reported in [`ApgreReport::kernel_counts`]).
+/// [`KernelPolicy`], passed to [`kernel::bc_in_subgraph`] and reported in
+/// [`ApgreReport::kernel_counts`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelChoice {
     /// Sequential sweep.
@@ -244,22 +243,14 @@ impl ApgreReport {
     }
 }
 
-/// Runs the sequential sub-graph kernel for the memoization layer
-/// (`crate::memo`); returns nothing extra — the memo cache stores only the
-/// local score vector.
-pub(crate) fn kernel_for_memo(sg: &SubGraph, bc_local: &mut [f64]) {
-    kernel::bc_in_subgraph_seq(sg, bc_local);
-}
-
 /// Reusable per-sub-graph buffers, shared by all workers of the outer
 /// parallel loop. Workers check a buffer out under a short lock, run a whole
-/// kernel on it lock-free, and return it; `ensure`/`resize` grows a recycled
-/// buffer in place when a larger sub-graph draws it. Score vectors come back
-/// through [`Merger::submit`] once their sub-graph has been scattered.
+/// kernel on it lock-free, and return it; a recycled workspace grows in
+/// place when a larger sub-graph draws it. Score vectors come back through
+/// [`Merger::submit`] once their sub-graph has been scattered.
 #[derive(Default)]
 struct BufferPool {
-    seq: Mutex<Vec<kernel::SgWorkspace>>,
-    par: Mutex<Vec<kernel::SgParWs>>,
+    workspaces: Mutex<Vec<kernel::SgWorkspace>>,
     locals: Mutex<Vec<Vec<f64>>>,
 }
 
@@ -278,43 +269,13 @@ impl BufferPool {
         self.locals.lock().unwrap_or_else(|p| p.into_inner()).push(v);
     }
 
-    fn take_seq(&self, n: usize) -> kernel::SgWorkspace {
-        let mut ws = self
-            .seq
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .pop()
-            .unwrap_or_else(|| kernel::SgWorkspace::new(n));
-        ws.ensure(n);
-        ws
+    fn take_ws(&self) -> kernel::SgWorkspace {
+        self.workspaces.lock().unwrap_or_else(|p| p.into_inner()).pop().unwrap_or_default()
     }
 
-    fn put_seq(&self, ws: kernel::SgWorkspace) {
-        self.seq.lock().unwrap_or_else(|p| p.into_inner()).push(ws);
+    fn put_ws(&self, ws: kernel::SgWorkspace) {
+        self.workspaces.lock().unwrap_or_else(|p| p.into_inner()).push(ws);
     }
-
-    fn take_par(&self, n: usize) -> kernel::SgParWs {
-        let mut ws = self
-            .par
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .pop()
-            .unwrap_or_else(|| kernel::SgParWs::new(n));
-        ws.ensure(n);
-        ws
-    }
-
-    fn put_par(&self, ws: kernel::SgParWs) {
-        self.par.lock().unwrap_or_else(|p| p.into_inner()).push(ws);
-    }
-}
-
-/// One finished sub-graph, waiting in the reorder buffer.
-struct SubResult {
-    local: Vec<f64>,
-    edges: u64,
-    time: Duration,
-    choice: KernelChoice,
 }
 
 /// Reorder-buffer merger: sub-graphs finish in completion order (largest
@@ -342,7 +303,7 @@ struct Merger<'a> {
 
 struct MergeState {
     next_index: usize,
-    pending: BTreeMap<usize, SubResult>,
+    pending: BTreeMap<usize, SubgraphKernelRun>,
     edges_traversed: u64,
     top_time: Duration,
     top_choice: Option<KernelChoice>,
@@ -365,16 +326,16 @@ impl<'a> Merger<'a> {
         }
     }
 
-    fn submit(&self, index: usize, result: SubResult, pool: &BufferPool) {
+    fn submit(&self, run: SubgraphKernelRun, pool: &BufferPool) {
         let mut st = self.state.lock().unwrap();
-        st.pending.insert(index, result);
+        st.pending.insert(run.index, run);
         loop {
             // Pop the ready prefix. Empty means either `next_index` hasn't
             // arrived yet or another worker popped it and is mid-scatter;
             // either way that worker re-checks `pending` after advancing,
             // so this one can leave.
             let start = st.next_index;
-            let mut batch: Vec<SubResult> = Vec::new();
+            let mut batch: Vec<SubgraphKernelRun> = Vec::new();
             while let Some(res) = st.pending.remove(&(start + batch.len())) {
                 batch.push(res);
             }
@@ -452,43 +413,14 @@ pub fn bc_from_decomposition(
     opts: &ApgreOptions,
 ) -> (Vec<f64>, ApgreReport) {
     let bc_start = Instant::now();
-    let threads = rayon::current_num_threads().max(1);
-    let grain = opts.grain.max(1);
-    // Largest-first order: the top sub-graph dominates (Table 4), so it must
-    // start immediately.
-    let mut order: Vec<usize> = (0..decomp.subgraphs.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(decomp.subgraphs[i].num_vertices()));
-
+    let jobs: Vec<(usize, &[VertexId])> =
+        decomp.subgraphs.iter().enumerate().map(|(i, sg)| (i, &sg.roots[..])).collect();
     let pool = BufferPool::default();
     let merger = Merger::new(decomp, g.num_vertices());
-    let run_one = |&i: &usize| {
-        let sg = &decomp.subgraphs[i];
-        let n = sg.num_vertices();
-        let t = Instant::now();
-        let mut local = pool.take_local(n);
-        let choice = opts.kernel.choose(sg.roots.len(), n, sg.num_edges(), threads, grain);
-        let edges = match choice {
-            KernelChoice::Seq => {
-                let mut ws = pool.take_seq(n);
-                let e = kernel::bc_in_subgraph_seq_with(sg, &mut local, &mut ws);
-                pool.put_seq(ws);
-                e
-            }
-            KernelChoice::RootParallel => kernel::bc_in_subgraph_root_par(sg, &mut local, grain),
-            KernelChoice::LevelSync => {
-                let mut ws = pool.take_par(n);
-                let e = kernel::bc_in_subgraph_level_sync_with(sg, &mut local, grain, &mut ws);
-                pool.put_par(ws);
-                e
-            }
-        };
-        merger.submit(i, SubResult { local, edges, time: t.elapsed(), choice }, &pool);
-    };
-    if opts.outer_parallel {
-        order.par_iter().for_each(run_one);
-    } else {
-        order.iter().for_each(run_one);
-    }
+    for_each_largest_first(decomp, &jobs, opts.outer_parallel, |(i, roots)| {
+        let local = pool.take_local(decomp.subgraphs[i].num_vertices());
+        merger.submit(run_job(decomp, i, roots, opts, false, &pool, local), &pool);
+    });
     let (bc, merged) = merger.finish();
     let bc_time = bc_start.elapsed();
 
@@ -510,185 +442,20 @@ pub fn bc_from_decomposition(
             .sum(),
         edges_traversed: merged.edges_traversed,
         kernel_policy: opts.kernel,
-        grain,
+        grain: opts.grain.max(1),
         top_subgraph_kernel: merged.top_choice,
         kernel_counts: merged.counts,
     };
     (bc, report)
 }
 
-/// The outcome of running one sub-graph's kernel through
-/// [`run_subgraph_kernels`]: the local score vector (indexed by local vertex
-/// id, scatter via `sg.globals`) plus per-run statistics.
-#[derive(Clone, Debug)]
-pub struct SubgraphKernelRun {
-    /// Index of the sub-graph within the decomposition.
-    pub index: usize,
-    /// Local BC contribution of this sub-graph (Equation 8 summand),
-    /// indexed by local vertex id.
-    pub local: Vec<f64>,
-    /// Edges examined by the kernel (forward + backward scans).
-    pub edges: u64,
-    /// The kernel actually dispatched.
-    pub choice: KernelChoice,
-    /// Wall clock of this sub-graph's kernel.
-    pub time: Duration,
-}
-
-/// Runs the per-sub-graph BC kernel for exactly the sub-graphs named by
-/// `indices`, returning their local score vectors **without** scattering
-/// them into a global vector.
-///
-/// This is step 2 of the pipeline factored out of [`bc_from_decomposition`]
-/// for callers that own the merge — the incremental engine stores each
-/// sub-graph's contribution so a later batch can replace just the dirty ones
-/// and refold. Scheduling matches the batch driver: largest-first dispatch,
-/// one shared [`BufferPool`] for kernel workspaces (score vectors are not
-/// pooled — they are the return value), `opts.kernel`/`opts.grain` policy
-/// resolution per sub-graph, and the outer rayon loop when
-/// `opts.outer_parallel`. Each returned vector is produced by the same
-/// kernel the batch driver would pick, so per-sub-graph results are bitwise
-/// identical to a batch run's (for `Seq`/`LevelSync` unconditionally; for
-/// `RootParallel` per pool size).
-///
-/// Results are sorted by ascending sub-graph index before returning, so a
-/// caller folding them in list order reproduces the batch driver's
-/// deterministic merge order.
-pub fn run_subgraph_kernels(
-    decomp: &Decomposition,
-    indices: &[usize],
-    opts: &ApgreOptions,
-) -> Vec<SubgraphKernelRun> {
-    let threads = rayon::current_num_threads().max(1);
-    let grain = opts.grain.max(1);
-    let mut order: Vec<usize> = indices.to_vec();
-    // Callers pass sub-graph ids taken from this same decomposition.
-    order.sort_by_key(|&i| std::cmp::Reverse(decomp.subgraphs[i].num_vertices())); // lint:allow(panic_path)
-
-    let pool = BufferPool::default();
-    let out: Mutex<Vec<SubgraphKernelRun>> = Mutex::new(Vec::with_capacity(order.len()));
-    let run_one = |&i: &usize| {
-        let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — same contract as the sort above
-        let n = sg.num_vertices();
-        let t = Instant::now();
-        let mut local = vec![0.0f64; n];
-        let choice = opts.kernel.choose(sg.roots.len(), n, sg.num_edges(), threads, grain);
-        let edges = match choice {
-            KernelChoice::Seq => {
-                let mut ws = pool.take_seq(n);
-                let e = kernel::bc_in_subgraph_seq_with(sg, &mut local, &mut ws);
-                pool.put_seq(ws);
-                e
-            }
-            KernelChoice::RootParallel => kernel::bc_in_subgraph_root_par(sg, &mut local, grain),
-            KernelChoice::LevelSync => {
-                let mut ws = pool.take_par(n);
-                let e = kernel::bc_in_subgraph_level_sync_with(sg, &mut local, grain, &mut ws);
-                pool.put_par(ws);
-                e
-            }
-        };
-        let run = SubgraphKernelRun { index: i, local, edges, choice, time: t.elapsed() };
-        // Recover from poisoning: a panicking sibling kernel must not turn
-        // into a second panic here — completed runs are still valid.
-        out.lock().unwrap_or_else(|p| p.into_inner()).push(run);
-    };
-    if opts.outer_parallel {
-        order.par_iter().for_each(run_one);
-    } else {
-        order.iter().for_each(run_one);
-    }
-    let mut runs = out.into_inner().unwrap_or_else(|p| p.into_inner());
-    runs.sort_by_key(|r| r.index);
-    runs
-}
-
-/// [`run_subgraph_kernels`] over explicit per-sub-graph root slices instead
-/// of each sub-graph's full `roots` — the engine of the sampled estimator.
-///
-/// Each job `(index, roots)` sweeps exactly `roots` (compacted local ids of
-/// sub-graph `index`) through the same kernel the batch driver would pick,
-/// with the policy resolved on the *sampled* root count, the same shared
-/// [`BufferPool`], largest-first dispatch, and the outer rayon loop when
-/// `opts.outer_parallel`. The returned local vectors are the exact
-/// Equation-7 contribution of those roots — unscaled; the caller applies the
-/// sampling scale. Results come back sorted by ascending sub-graph index, so
-/// a list-order fold reproduces the deterministic batch merge order, and for
-/// a given root slice the per-sub-graph vectors are bitwise reproducible
-/// (`Seq`/`LevelSync` unconditionally; `RootParallel` per pool size).
-pub fn run_sampled_subgraph_kernels(
-    decomp: &Decomposition,
-    jobs: &[(usize, &[apgre_graph::VertexId])],
-    opts: &ApgreOptions,
-) -> Vec<SubgraphKernelRun> {
-    let threads = rayon::current_num_threads().max(1);
-    let grain = opts.grain.max(1);
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    // Callers pass sub-graph ids taken from this same decomposition.
-    order.sort_by_key(|&j| std::cmp::Reverse(decomp.subgraphs[jobs[j].0].num_vertices())); // lint:allow(panic_path)
-
-    let pool = BufferPool::default();
-    let out: Mutex<Vec<SubgraphKernelRun>> = Mutex::new(Vec::with_capacity(order.len()));
-    let run_one = |&j: &usize| {
-        let (i, roots) = jobs[j]; // lint:allow(panic_path) — j comes from the order permutation
-        let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — same contract as the sort above
-        let n = sg.num_vertices();
-        let t = Instant::now();
-        let mut local = vec![0.0f64; n];
-        let choice = opts.kernel.choose(roots.len(), n, sg.num_edges(), threads, grain);
-        let edges = match choice {
-            KernelChoice::Seq => {
-                let mut ws = pool.take_seq(n);
-                let e = kernel::bc_in_subgraph_seq_roots_with(sg, roots, &mut local, &mut ws);
-                pool.put_seq(ws);
-                e
-            }
-            KernelChoice::RootParallel => {
-                kernel::bc_in_subgraph_root_par_roots(sg, roots, &mut local, grain)
-            }
-            KernelChoice::LevelSync => {
-                let mut ws = pool.take_par(n);
-                let e = kernel::bc_in_subgraph_level_sync_roots_with(
-                    sg, roots, &mut local, grain, &mut ws,
-                );
-                pool.put_par(ws);
-                e
-            }
-        };
-        let run = SubgraphKernelRun { index: i, local, edges, choice, time: t.elapsed() };
-        // Recover from poisoning: a panicking sibling kernel must not turn
-        // into a second panic here — completed runs are still valid.
-        out.lock().unwrap_or_else(|p| p.into_inner()).push(run);
-    };
-    if opts.outer_parallel {
-        order.par_iter().for_each(run_one);
-    } else {
-        order.iter().for_each(run_one);
-    }
-    let mut runs = out.into_inner().unwrap_or_else(|p| p.into_inner());
-    runs.sort_by_key(|r| r.index);
-    runs
-}
-
-/// [`run_sampled_subgraph_kernels`] plus per-root contribution statistics —
-/// the kernel side of the variance-guided budget allocator.
-///
-/// Each job's roots are swept by the *observed sequential* kernel
-/// ([`kernel::bc_in_subgraph_seq_roots_observed`]): per-root Welford
-/// accumulation needs the roots in a fixed order, and only the sequential
-/// sweep visits them in slice order, so the per-sub-graph statistics are a
-/// pure function of `(sub-graph content, root slice)` regardless of policy,
-/// thread count, or scheduling. Parallelism still applies *across* jobs
-/// (`opts.outer_parallel`), which is where the sampled workload's
-/// concurrency lives anyway. The returned `local` span is bitwise identical
-/// to a `KernelPolicy::Seq` run of [`run_sampled_subgraph_kernels`] over the
-/// same roots.
-#[derive(Clone, Debug)]
-pub struct SubgraphSampleStats {
-    /// Index of the sub-graph within the decomposition.
-    pub index: usize,
-    /// Unscaled Equation-7 contribution of the swept roots (local ids).
-    pub local: Vec<f64>,
+/// Per-root contribution statistics of one observed job — the kernel side
+/// of the variance-guided budget allocator. Welford accumulators over the
+/// job's roots in slice order, so they are a pure function of
+/// `(sub-graph content, root slice)` regardless of policy, thread count, or
+/// scheduling.
+#[derive(Clone, Debug, Default)]
+pub struct RootStats {
     /// Per-local-vertex Welford `M2` of the per-root contributions: the
     /// sample variance of root `r`'s contribution to vertex `v` is
     /// `vertex_m2[v] / (roots − 1)` (0 when fewer than two roots).
@@ -697,89 +464,142 @@ pub struct SubgraphSampleStats {
     pub mass_mean: f64,
     /// Welford `M2` of the per-root total contribution mass.
     pub mass_m2: f64,
-    /// Number of roots swept.
+    /// Number of roots observed.
     pub roots: usize,
-    /// Edges examined by the kernel (forward + backward scans).
-    pub edges: u64,
-    /// Wall clock of this sub-graph's kernel.
-    pub time: Duration,
 }
 
-/// Runs the observed sequential kernel over explicit per-sub-graph root
-/// slices, returning each sub-graph's span *and* the running per-root
-/// contribution statistics ([`SubgraphSampleStats`]). Results come back
-/// sorted by ascending sub-graph index, like every other dispatcher here.
-pub fn run_sampled_subgraph_kernels_stats(
-    decomp: &Decomposition,
-    jobs: &[(usize, &[apgre_graph::VertexId])],
-    opts: &ApgreOptions,
-) -> Vec<SubgraphSampleStats> {
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    // Callers pass sub-graph ids taken from this same decomposition.
-    order.sort_by_key(|&j| std::cmp::Reverse(decomp.subgraphs[jobs[j].0].num_vertices())); // lint:allow(panic_path)
+/// The outcome of one job of [`run_subgraph_kernels`]: the unscaled local
+/// score vector (indexed by local vertex id, scatter via `sg.globals`) plus
+/// per-run statistics.
+#[derive(Clone, Debug)]
+pub struct SubgraphKernelRun {
+    /// Index of the sub-graph within the decomposition.
+    pub index: usize,
+    /// Equation-7 contribution of the job's roots (the Equation-8 summand
+    /// for a full-roots job), indexed by local vertex id.
+    pub local: Vec<f64>,
+    /// Edges examined by the kernel (forward + backward scans).
+    pub edges: u64,
+    /// The kernel actually dispatched (`Seq` for observed jobs).
+    pub choice: KernelChoice,
+    /// Wall clock of this job's kernel.
+    pub time: Duration,
+    /// Per-root statistics, present exactly when the job was observed.
+    pub stats: Option<RootStats>,
+}
 
+/// Runs the per-sub-graph BC kernel for every job `(index, roots)`,
+/// returning the local score vectors **without** scattering them into a
+/// global vector — step 2 of the pipeline for callers that own the merge.
+/// The incremental engine passes `(i, &sg.roots[..])` for its dirty
+/// sub-graphs and stores each contribution so a later batch can replace
+/// just the dirty ones; the sampled estimator passes root samples and
+/// applies the sampling scale itself.
+///
+/// Scheduling matches [`bc_from_decomposition`]: largest-first dispatch,
+/// one shared workspace pool (score vectors are not pooled — they are the
+/// return value), `opts.kernel` resolved per job on the job's root count,
+/// and the outer rayon loop when `opts.outer_parallel`. Each vector comes
+/// from the same [`kernel::bc_in_subgraph`] call the batch driver makes, so
+/// full-roots results are bitwise identical to a batch run's (for
+/// `Seq`/`LevelSync` unconditionally; for `RootParallel` per pool size).
+///
+/// With `observe`, every job runs the observed sequential sweep and carries
+/// [`RootStats`]; its `local` span is bitwise identical to an unobserved
+/// `KernelPolicy::Seq` run over the same roots. Parallelism still applies
+/// *across* jobs.
+///
+/// Results come back sorted by ascending sub-graph index, so a list-order
+/// fold reproduces the batch driver's deterministic merge order.
+pub fn run_subgraph_kernels(
+    decomp: &Decomposition,
+    jobs: &[(usize, &[VertexId])],
+    opts: &ApgreOptions,
+    observe: bool,
+) -> Vec<SubgraphKernelRun> {
     let pool = BufferPool::default();
-    let out: Mutex<Vec<SubgraphSampleStats>> = Mutex::new(Vec::with_capacity(order.len()));
-    let run_one = |&j: &usize| {
-        let (i, roots) = jobs[j]; // lint:allow(panic_path) — j comes from the order permutation
-        let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — same contract as the sort above
-        let n = sg.num_vertices();
-        let t = Instant::now();
-        let mut local = vec![0.0f64; n];
-        let mut contrib = vec![0.0f64; n];
-        let mut mean = vec![0.0f64; n];
-        let mut vertex_m2 = vec![0.0f64; n];
-        let (mut mass_mean, mut mass_m2) = (0.0f64, 0.0f64);
-        let mut count = 0usize;
-        let mut ws = pool.take_seq(n);
-        let edges = kernel::bc_in_subgraph_seq_roots_observed(
-            sg,
-            roots,
-            &mut local,
-            &mut ws,
-            &mut contrib,
-            |c| {
-                count += 1;
-                let k = count as f64;
-                let mut mass = 0.0f64;
-                // Audited: `c` is the dense contribution vector of length n,
-                // and mean / vertex_m2 were allocated at n above.
-                // lint:allow(hot_index)
-                for v in 0..n {
-                    let x = c[v];
-                    mass += x;
-                    let d = x - mean[v];
-                    mean[v] += d / k;
-                    vertex_m2[v] += d * (x - mean[v]);
-                }
-                let d = mass - mass_mean;
-                mass_mean += d / k;
-                mass_m2 += d * (mass - mass_mean);
-            },
-        );
-        pool.put_seq(ws);
-        let run = SubgraphSampleStats {
-            index: i,
-            local,
-            vertex_m2,
-            mass_mean,
-            mass_m2,
-            roots: roots.len(),
-            edges,
-            time: t.elapsed(),
-        };
+    let out: Mutex<Vec<SubgraphKernelRun>> = Mutex::new(Vec::with_capacity(jobs.len()));
+    for_each_largest_first(decomp, jobs, opts.outer_parallel, |(i, roots)| {
+        let local = vec![0.0f64; decomp.subgraphs[i].num_vertices()]; // lint:allow(panic_path) — callers pass ids of this decomposition
+        let run = run_job(decomp, i, roots, opts, observe, &pool, local);
         // Recover from poisoning: a panicking sibling kernel must not turn
         // into a second panic here — completed runs are still valid.
         out.lock().unwrap_or_else(|p| p.into_inner()).push(run);
-    };
-    if opts.outer_parallel {
-        order.par_iter().for_each(run_one);
-    } else {
-        order.iter().for_each(run_one);
-    }
+    });
     let mut runs = out.into_inner().unwrap_or_else(|p| p.into_inner());
     runs.sort_by_key(|r| r.index);
     runs
+}
+
+/// Calls `run` on every job, largest sub-graph first — the top sub-graph
+/// dominates (Table 4), so it must start immediately — on the outer rayon
+/// loop when `outer_parallel`.
+fn for_each_largest_first<'a>(
+    decomp: &Decomposition,
+    jobs: &[(usize, &'a [VertexId])],
+    outer_parallel: bool,
+    run: impl Fn((usize, &'a [VertexId])) + Sync + Send,
+) {
+    let mut order: Vec<(usize, &[VertexId])> = jobs.to_vec();
+    // Callers pass sub-graph ids taken from this same decomposition.
+    order.sort_by_key(|&(i, _)| std::cmp::Reverse(decomp.subgraphs[i].num_vertices())); // lint:allow(panic_path)
+    if outer_parallel {
+        order.into_par_iter().for_each(run);
+    } else {
+        order.into_iter().for_each(run);
+    }
+}
+
+/// One job through [`kernel::bc_in_subgraph`] on a pooled workspace:
+/// resolves the policy (or forces the observed sequential sweep), folds the
+/// per-root Welford statistics when observing, and times the kernel.
+/// `local` arrives zeroed and sized to the sub-graph.
+fn run_job(
+    decomp: &Decomposition,
+    index: usize,
+    roots: &[VertexId],
+    opts: &ApgreOptions,
+    observe: bool,
+    pool: &BufferPool,
+    mut local: Vec<f64>,
+) -> SubgraphKernelRun {
+    let sg = &decomp.subgraphs[index]; // lint:allow(panic_path) — callers pass ids of this decomposition
+    let n = sg.num_vertices();
+    let t = Instant::now();
+    let grain = opts.grain.max(1);
+    let mut ws = pool.take_ws();
+    let (choice, edges, stats) = if observe {
+        let mut stats = RootStats { vertex_m2: vec![0.0; n], ..RootStats::default() };
+        let mut mean = vec![0.0f64; n];
+        let mut fold = |c: &[f64]| {
+            stats.roots += 1;
+            let k = stats.roots as f64;
+            let mut mass = 0.0f64;
+            // Audited: `c` is the dense contribution vector of length n,
+            // and mean / vertex_m2 were allocated at n above.
+            // lint:allow(hot_index)
+            for v in 0..n {
+                let x = c[v];
+                mass += x;
+                let d = x - mean[v];
+                mean[v] += d / k;
+                stats.vertex_m2[v] += d * (x - mean[v]);
+            }
+            let d = mass - stats.mass_mean;
+            stats.mass_mean += d / k;
+            stats.mass_m2 += d * (mass - stats.mass_mean);
+        };
+        let choice = KernelChoice::Seq;
+        let edges =
+            kernel::bc_in_subgraph(sg, roots, choice, grain, &mut ws, &mut local, Some(&mut fold));
+        (choice, edges, Some(stats))
+    } else {
+        let threads = rayon::current_num_threads().max(1);
+        let choice = opts.kernel.choose(roots.len(), n, sg.num_edges(), threads, grain);
+        (choice, kernel::bc_in_subgraph(sg, roots, choice, grain, &mut ws, &mut local, None), None)
+    };
+    pool.put_ws(ws);
+    SubgraphKernelRun { index, local, edges, choice, time: t.elapsed(), stats }
 }
 
 #[cfg(test)]
@@ -965,28 +785,37 @@ mod tests {
         assert!(report.edges_traversed < brandes_edges / 2);
     }
 
+    /// Every sub-graph's full root set as one job.
+    fn full_jobs(decomp: &Decomposition) -> Vec<(usize, &[VertexId])> {
+        decomp.subgraphs.iter().enumerate().map(|(i, sg)| (i, sg.roots.as_slice())).collect()
+    }
+
+    /// Scatters runs into a global vector in list order.
+    fn refold(n: usize, decomp: &Decomposition, runs: &[SubgraphKernelRun]) -> Vec<f64> {
+        let mut got = vec![0.0f64; n];
+        for run in runs {
+            let sg = &decomp.subgraphs[run.index];
+            for (l, &score) in run.local.iter().enumerate() {
+                got[sg.globals[l] as usize] += score;
+            }
+        }
+        got
+    }
+
     #[test]
     fn run_subgraph_kernels_refolds_to_batch_result() {
         for (name, g) in zoo() {
             let opts = ApgreOptions::default();
             let decomp = decompose(&g, &opts.partition);
             let (want, _) = bc_from_decomposition(&g, &decomp, &opts);
-            let runs = run_subgraph_kernels(
-                &decomp,
-                &(0..decomp.num_subgraphs()).collect::<Vec<_>>(),
-                &opts,
-            );
+            let runs = run_subgraph_kernels(&decomp, &full_jobs(&decomp), &opts, false);
             assert_eq!(runs.len(), decomp.num_subgraphs(), "{name}");
-            let mut got = vec![0.0f64; g.num_vertices()];
-            // Ascending-index fold = the Merger's scatter order, so the sums
-            // must be bitwise identical for deterministic kernels.
             for (k, run) in runs.iter().enumerate() {
                 assert_eq!(run.index, k, "{name}: sorted ascending");
-                let sg = &decomp.subgraphs[run.index];
-                for (l, &score) in run.local.iter().enumerate() {
-                    got[sg.globals[l] as usize] += score;
-                }
+                assert!(run.stats.is_none(), "{name}: unobserved runs carry no stats");
             }
+            // Ascending-index fold = the Merger's scatter order.
+            let got = refold(g.num_vertices(), &decomp, &runs);
             for v in 0..got.len() {
                 assert!(
                     (got[v] - want[v]).abs() <= 1e-9 * (1.0 + want[v].abs()),
@@ -1004,46 +833,16 @@ mod tests {
             let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
             let decomp = decompose(&g, &opts.partition);
             let (want, _) = bc_from_decomposition(&g, &decomp, &opts);
-            let all: Vec<usize> = (0..decomp.num_subgraphs()).collect();
-            let runs = run_subgraph_kernels(&decomp, &all, &opts);
-            let mut got = vec![0.0f64; g.num_vertices()];
-            for run in &runs {
-                let sg = &decomp.subgraphs[run.index];
-                for (l, &score) in run.local.iter().enumerate() {
-                    got[sg.globals[l] as usize] += score;
-                }
-            }
+            let runs = run_subgraph_kernels(&decomp, &full_jobs(&decomp), &opts, false);
+            let got = refold(g.num_vertices(), &decomp, &runs);
             assert_eq!(got, want, "{name}: forced-Seq refold must be bitwise");
         }
     }
 
     #[test]
-    fn run_sampled_subgraph_kernels_full_roots_is_bitwise_to_unsampled() {
-        for (name, g) in zoo() {
-            let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
-            let decomp = decompose(&g, &opts.partition);
-            let all: Vec<usize> = (0..decomp.num_subgraphs()).collect();
-            let want = run_subgraph_kernels(&decomp, &all, &opts);
-            let jobs: Vec<(usize, &[u32])> =
-                all.iter().map(|&i| (i, decomp.subgraphs[i].roots.as_slice())).collect();
-            let got = run_sampled_subgraph_kernels(&decomp, &jobs, &opts);
-            assert_eq!(got.len(), want.len(), "{name}");
-            for (a, b) in got.iter().zip(&want) {
-                assert_eq!(a.index, b.index, "{name}");
-                assert_eq!(
-                    a.local, b.local,
-                    "{name}: SG{} full-roots sample must be bitwise",
-                    a.index
-                );
-                assert_eq!(a.edges, b.edges, "{name}");
-            }
-        }
-    }
-
-    #[test]
-    fn sampled_root_subsets_sum_to_full_sweep() {
-        // Root additivity: sweeping a partition of the roots in two sampled
-        // calls folds (in slice order) to the full sequential sweep.
+    fn split_root_jobs_sum_to_full_sweep() {
+        // Root additivity at the dispatcher: two jobs on the same sub-graph,
+        // one per half of its roots, fold (in slice order) to the full sweep.
         let g = generators::whiskered_community(&generators::WhiskeredCommunityParams {
             core_vertices: 70,
             core_attach: 2,
@@ -1055,43 +854,40 @@ mod tests {
         });
         let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
         let decomp = decompose(&g, &opts.partition);
+        let full = run_subgraph_kernels(&decomp, &full_jobs(&decomp), &opts, false);
         for (i, sg) in decomp.subgraphs.iter().enumerate() {
-            let mid = sg.roots.len() / 2;
-            let (front, back) = sg.roots.split_at(mid);
-            let jobs = [(i, front), (i, back)];
-            let halves = run_sampled_subgraph_kernels(&decomp, &jobs, &opts);
+            let (front, back) = sg.roots.split_at(sg.roots.len() / 2);
+            let halves = run_subgraph_kernels(&decomp, &[(i, front), (i, back)], &opts, false);
             let mut folded = vec![0.0f64; sg.num_vertices()];
             for run in &halves {
                 for (l, &x) in run.local.iter().enumerate() {
                     folded[l] += x;
                 }
             }
-            let mut full = vec![0.0f64; sg.num_vertices()];
-            kernel::bc_in_subgraph_seq(sg, &mut full);
-            for l in 0..full.len() {
+            let want = &full[i].local;
+            for l in 0..want.len() {
                 assert!(
-                    (folded[l] - full[l]).abs() <= 1e-9 * (1.0 + full[l].abs()),
+                    (folded[l] - want[l]).abs() <= 1e-9 * (1.0 + want[l].abs()),
                     "SG{i} local {l}: {} vs {}",
                     folded[l],
-                    full[l]
+                    want[l]
                 );
             }
+            assert_eq!(halves[0].edges + halves[1].edges, full[i].edges, "SG{i}");
         }
     }
 
     #[test]
-    fn stats_runs_are_bitwise_to_seq_and_welford_consistent() {
+    fn observed_runs_are_bitwise_to_seq_and_welford_consistent() {
         for (name, g) in zoo() {
-            let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
-            let decomp = decompose(&g, &opts.partition);
-            let jobs: Vec<(usize, &[u32])> = decomp
-                .subgraphs
-                .iter()
-                .enumerate()
-                .map(|(i, sg)| (i, sg.roots.as_slice()))
-                .collect();
-            let want = run_sampled_subgraph_kernels(&decomp, &jobs, &opts);
-            let got = run_sampled_subgraph_kernels_stats(&decomp, &jobs, &opts);
+            // Auto policy on purpose: observing must force the sequential
+            // sweep whatever the policy would pick.
+            let auto = ApgreOptions { grain: 1, ..Default::default() };
+            let seq = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
+            let decomp = decompose(&g, &auto.partition);
+            let jobs = full_jobs(&decomp);
+            let want = run_subgraph_kernels(&decomp, &jobs, &seq, false);
+            let got = run_subgraph_kernels(&decomp, &jobs, &auto, true);
             assert_eq!(got.len(), want.len(), "{name}");
             for (a, b) in got.iter().zip(&want) {
                 assert_eq!(a.index, b.index, "{name}");
@@ -1101,18 +897,20 @@ mod tests {
                     a.index
                 );
                 assert_eq!(a.edges, b.edges, "{name}");
-                assert_eq!(a.roots, decomp.subgraphs[a.index].roots.len(), "{name}");
+                assert_eq!(a.choice, KernelChoice::Seq, "{name}");
+                let st = a.stats.as_ref().expect("observed runs carry stats");
+                assert_eq!(st.roots, decomp.subgraphs[a.index].roots.len(), "{name}");
                 // The Welford mass mean times the root count is the span
                 // total (up to fp association), and M2 is non-negative.
                 let total: f64 = a.local.iter().sum();
-                let welford_total = a.mass_mean * a.roots as f64;
+                let welford_total = st.mass_mean * st.roots as f64;
                 assert!(
                     (total - welford_total).abs() <= 1e-9 * (1.0 + total.abs()),
                     "{name}: SG{}: span total {total} vs Welford {welford_total}",
                     a.index
                 );
-                assert!(a.mass_m2 >= 0.0, "{name}");
-                assert!(a.vertex_m2.iter().all(|&x| x >= 0.0), "{name}");
+                assert!(st.mass_m2 >= 0.0, "{name}");
+                assert!(st.vertex_m2.iter().all(|&x| x >= 0.0), "{name}");
             }
         }
     }

@@ -10,13 +10,12 @@
 //!   source pivots, dependencies extrapolated by `n/k`,
 //! * [`bc_approx_adaptive`] — Bader et al.'s adaptive scheme for a single
 //!   vertex: sample until the accumulated dependency of the target crosses
-//!   `c·n`, giving small sample sizes for high-BC vertices,
-//! * [`bc_approx_apgre`] — sampling composed with APGRE's decomposition:
-//!   pivots are drawn per sub-graph root set, so whisker folding and the
-//!   four-dependency reuse still apply to the sampled sweeps. Exact when
-//!   every root is sampled.
+//!   `c·n`, giving small sample sizes for high-BC vertices.
+//!
+//! Sampling composed with APGRE's decomposition — per-sub-graph root
+//! samples, whisker folding and the four-dependency reuse kept — lives in
+//! the `apgre-approx` crate (`bc_sampled`).
 
-use crate::apgre::ApgreOptions;
 use crate::brandes::{accumulate_source, Workspace};
 use apgre_graph::{Graph, VertexId};
 use rand::rngs::StdRng;
@@ -80,74 +79,6 @@ pub fn bc_approx_adaptive(g: &Graph, v: VertexId, c: f64, seed: u64) -> (f64, us
         }
     }
     (acc * n as f64 / used as f64, used)
-}
-
-/// Sampling composed with APGRE: the decomposition is built once, then each
-/// sub-graph sweeps a `fraction` of its root set (at least one root, chosen
-/// uniformly per sub-graph) and extrapolates its local contributions by
-/// `|R|/sampled`. Whisker folding (γ) rides along with the sampled roots.
-/// `fraction >= 1.0` degenerates to exact APGRE.
-pub fn bc_approx_apgre(g: &Graph, fraction: f64, seed: u64, opts: &ApgreOptions) -> Vec<f64> {
-    assert!(fraction > 0.0);
-    if fraction >= 1.0 {
-        return crate::apgre::bc_apgre_with(g, opts).0;
-    }
-    let mut decomp = apgre_decomp::decompose(g, &opts.partition);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut scale = vec![1.0f64; decomp.subgraphs.len()];
-    for sg in &mut decomp.subgraphs {
-        let total = sg.roots.len();
-        if total <= 1 {
-            continue;
-        }
-        let keep = ((total as f64 * fraction).ceil() as usize).clamp(1, total);
-        sg.roots.shuffle(&mut rng);
-        sg.roots.truncate(keep);
-        sg.roots.sort_unstable();
-        scale[sg.id] = total as f64 / keep as f64;
-    }
-    // Uniform scale: one fused run then a global rescale. Mixed scales
-    // (sub-graphs with different |R|/sampled ratios): merge each sub-graph's
-    // contribution separately so it can carry its own factor.
-    if scale.iter().all(|&s| s == scale[0]) {
-        let (mut bc, _) = crate::apgre::bc_from_decomposition(g, &decomp, opts);
-        if scale.first().copied().unwrap_or(1.0) != 1.0 {
-            for x in &mut bc {
-                *x *= scale[0];
-            }
-        }
-        bc
-    } else {
-        merge_scaled(g, &decomp, opts, &scale)
-    }
-}
-
-fn merge_scaled(
-    g: &Graph,
-    decomp: &apgre_decomp::Decomposition,
-    opts: &ApgreOptions,
-    scale: &[f64],
-) -> Vec<f64> {
-    // Run each sub-graph separately so its contribution can be scaled before
-    // merging. (Used only by the sampling estimator; exact paths use the
-    // fused driver.)
-    let mut bc = vec![0.0f64; g.num_vertices()];
-    for sg in &decomp.subgraphs {
-        let single = apgre_decomp::Decomposition {
-            num_vertices: decomp.num_vertices,
-            is_articulation: decomp.is_articulation.clone(),
-            subgraphs: vec![sg.clone()],
-            top_subgraph: 0,
-            subgraph_of_bcc: decomp.subgraph_of_bcc.clone(),
-            num_bccs: decomp.num_bccs,
-            timings: decomp.timings,
-        };
-        let (local_bc, _) = crate::apgre::bc_from_decomposition(g, &single, opts);
-        for (v, &x) in local_bc.iter().enumerate() {
-            bc[v] += x * scale[sg.id];
-        }
-    }
-    bc
 }
 
 /// Spearman rank correlation between two score vectors — the standard
@@ -260,33 +191,6 @@ mod tests {
         let (est, used) = bc_approx_adaptive(&g, 0, 2.0, 5);
         assert!(used < 20, "hub should converge quickly, used {used}");
         assert!((est - exact[0]).abs() < 0.25 * exact[0], "est {est} vs {}", exact[0]);
-    }
-
-    #[test]
-    fn approx_apgre_full_fraction_is_exact() {
-        let g = generators::lollipop(8, 20);
-        let exact = bc_serial(&g);
-        let approx = bc_approx_apgre(&g, 1.0, 0, &ApgreOptions::default());
-        for (a, b) in approx.iter().zip(&exact) {
-            assert!((a - b).abs() < 1e-7 * (1.0 + b.abs()));
-        }
-    }
-
-    #[test]
-    fn approx_apgre_half_fraction_ranks_well() {
-        let g = generators::whiskered_community(&generators::WhiskeredCommunityParams {
-            core_vertices: 60,
-            core_attach: 3,
-            community_count: 4,
-            community_size: 10,
-            community_density: 1.8,
-            whiskers: 30,
-            seed: 8,
-        });
-        let exact = bc_serial(&g);
-        let approx = bc_approx_apgre(&g, 0.5, 4, &ApgreOptions::default());
-        let rho = spearman_rank_correlation(&exact, &approx);
-        assert!(rho > 0.85, "spearman {rho}");
     }
 
     #[test]

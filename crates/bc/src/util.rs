@@ -10,8 +10,8 @@ pub use crate::sync::{atomic_f64_vec, into_f64_vec, AtomicF64};
 
 /// Element-wise `acc[i] += part[i]`: the score-vector reduction step shared
 /// by the coarse-grained source-parallel baseline
-/// ([`crate::parallel::bc_coarse`]) and the root-parallel sub-graph kernel
-/// (`apgre::kernel::bc_in_subgraph_root_par`). Kept as one function so every
+/// ([`crate::parallel::bc_coarse`]) and the root-parallel sweep of the
+/// sub-graph kernel ([`crate::apgre::kernel::bc_in_subgraph`]). Kept as one function so every
 /// tree reduction of partial BC vectors folds terms the same way.
 pub fn add_assign_scores(acc: &mut [f64], part: &[f64]) {
     debug_assert_eq!(acc.len(), part.len());

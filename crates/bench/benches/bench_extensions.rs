@@ -1,10 +1,8 @@
-//! Criterion micro-benchmarks for the extension modules: weighted BC,
-//! source-sampled approximation, and the memoized evolving-graph layer.
+//! Criterion micro-benchmarks for the extension modules: weighted BC and
+//! source-sampled approximation.
 
 use apgre_bc::approx::bc_approx;
-use apgre_bc::memo::MemoizedBc;
 use apgre_bc::weighted::{bc_weighted_apgre, bc_weighted_serial};
-use apgre_decomp::PartitionOptions;
 use apgre_graph::WeightedGraph;
 use apgre_workloads::{get, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -20,11 +18,6 @@ fn bench_extensions(c: &mut Criterion) {
     group.bench_function("weighted-serial", |b| b.iter(|| bc_weighted_serial(&wg)));
     group.bench_function("weighted-apgre", |b| b.iter(|| bc_weighted_apgre(&wg)));
     group.bench_function("approx-10pct", |b| b.iter(|| bc_approx(&g, g.num_vertices() / 10, 3)));
-    group.bench_function("memo-warm", |b| {
-        let mut memo = MemoizedBc::new(PartitionOptions::default());
-        let _ = memo.compute(&g);
-        b.iter(|| memo.compute(&g))
-    });
     group.finish();
 }
 

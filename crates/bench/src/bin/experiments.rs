@@ -19,9 +19,6 @@
 //!   ablation-threshold   merge-threshold sweep (design ablation A1)
 //!   ablation-alphabeta   α/β tree fast path vs blocked BFS (ablation A2)
 //!   ablation-gamma       isolate total (γ) vs partial redundancy elimination (A3)
-//!   bench-pr2            kernel-policy benchmark: Auto vs the legacy
-//!                        fixed-threshold driver, plus per-kernel times
-//!                        (writes the record committed as BENCH_PR2.json)
 //!   bench-pr3            incremental-BC benchmark: per-batch DynamicBc
 //!                        apply time for local edit batches vs a full
 //!                        from-scratch recompute, plus one structural batch
@@ -56,6 +53,13 @@
 //!                        from-scratch composed estimator (writes the
 //!                        record committed as BENCH_PR9.json; `--smoke`
 //!                        shrinks the graph and batch count for CI)
+//!   bench-pr10           adaptive-budget benchmark: variance-guided global
+//!                        root budget vs the uniform per-sub-graph cap at
+//!                        equal total roots, plus a bitwise stream
+//!                        cross-check of the adaptive estimator and its
+//!                        standard errors (writes the record committed as
+//!                        BENCH_PR10.json; `--smoke` shrinks the graph and
+//!                        batch count for CI)
 //!   all      everything above
 //! ```
 //!
@@ -142,7 +146,6 @@ fn main() {
         "ablation-threshold" => ablation_threshold(&opts, &mut json_out),
         "ablation-alphabeta" => ablation_alphabeta(&opts, &mut json_out),
         "ablation-gamma" => ablation_gamma(&opts, &mut json_out),
-        "bench-pr2" => bench_pr2(&opts, &mut json_out),
         "bench-pr3" => bench_pr3(&opts, &mut json_out),
         "bench-pr4" => bench_pr4(&opts, &mut json_out),
         "bench-pr7" => bench_pr7(&opts, &mut json_out),
@@ -165,7 +168,6 @@ fn main() {
             ablation_threshold(&opts, &mut json_out);
             ablation_alphabeta(&opts, &mut json_out);
             ablation_gamma(&opts, &mut json_out);
-            bench_pr2(&opts, &mut json_out);
             bench_pr3(&opts, &mut json_out);
             bench_pr4(&opts, &mut json_out);
             bench_pr7(&opts, &mut json_out);
@@ -185,7 +187,7 @@ fn main() {
 fn usage() -> ! {
     eprintln!(
         "usage: experiments <table1|table2|table3|table4|fig2|fig3|fig6|fig7|fig8|fig9|fig10|\
-         ablation-threshold|ablation-alphabeta|ablation-gamma|bench-pr2|bench-pr3|bench-pr4|\
+         ablation-threshold|ablation-alphabeta|ablation-gamma|bench-pr3|bench-pr4|\
          bench-pr7|bench-pr8|bench-pr9|bench-pr10|all> \
          [--scale tiny|small|medium] [--threads N] [--json FILE] [--smoke]"
     );
@@ -737,222 +739,6 @@ fn ablation_gamma(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Va
     print!("{}", t.render());
     println!("\n(all four variants verified exact against serial Brandes)");
     json.insert("ablation_gamma".into(), json!(rows));
-}
-
-// --------------------------------------------------------------- bench-pr2
-
-/// The legacy fixed-threshold driver, reproduced byte for byte from the
-/// pre-kernel-policy `bc_from_decomposition`: a fresh score vector and a
-/// fresh kernel workspace per sub-graph (no pooling), level-sync for
-/// sub-graphs of ≥ 4096 vertices, sequential otherwise, collect-then-sort
-/// merge. This is the `inner_parallel_min_vertices: 4096` baseline the
-/// kernel-policy acceptance criterion is measured against.
-fn legacy_driver(g: &apgre_graph::Graph, d: &apgre_decomp::Decomposition) -> Vec<f64> {
-    use apgre_bc::apgre::kernel::{bc_in_subgraph_level_sync, bc_in_subgraph_seq};
-    use rayon::prelude::*;
-    let mut order: Vec<usize> = (0..d.subgraphs.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(d.subgraphs[i].num_vertices()));
-    let run_one = |&i: &usize| {
-        let sg = &d.subgraphs[i];
-        let mut local = vec![0.0f64; sg.num_vertices()];
-        if sg.num_vertices() >= 4096 {
-            bc_in_subgraph_level_sync(sg, &mut local, 256);
-        } else {
-            bc_in_subgraph_seq(sg, &mut local);
-        }
-        (i, local)
-    };
-    let mut results: Vec<(usize, Vec<f64>)> = order.par_iter().map(run_one).collect();
-    results.sort_by_key(|&(i, _)| i);
-    let mut bc = vec![0.0f64; g.num_vertices()];
-    for (i, local) in &results {
-        let sg = &d.subgraphs[*i];
-        for (l, &score) in local.iter().enumerate() {
-            bc[sg.globals[l] as usize] += score;
-        }
-    }
-    bc
-}
-
-/// PR-2 acceptance benchmark: `KernelPolicy::Auto` with pooled workspaces
-/// against the legacy fixed-threshold driver, plus per-kernel wall time and
-/// MTEPS for each forced policy, all on a whiskered-community graph of
-/// ≥ 50k vertices inside a ≥ 4-worker pool. Every variant is cross-checked
-/// against the others before any time is reported.
-fn bench_pr2(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Value>) {
-    use apgre_bench::{mteps, observed_parallelism};
-    let threads = opts.threads.unwrap_or(4).max(4);
-    println!("\n=== bench-pr2: kernel policy vs legacy fixed-threshold driver ===\n");
-    // Detect whether the linked rayon actually spreads work over OS threads:
-    // under the offline stand-in (or a 1-CPU box) the record must say so up
-    // front, because a "speedup" then measures eliminated atomics and
-    // allocation churn, not parallel scaling.
-    let observed_threads = observed_parallelism(threads);
-    let parallel_execution = observed_threads > 1;
-    let measurement_mode = if parallel_execution {
-        "parallel-rayon"
-    } else {
-        "sequential-standin (rayon runs inline on one thread; NOT a parallel-speedup measurement)"
-    };
-    println!("execution: {observed_threads}/{threads} distinct worker threads observed");
-    let g = apgre_graph::generators::whiskered_community(
-        &apgre_graph::generators::WhiskeredCommunityParams {
-            core_vertices: 6000,
-            core_attach: 3,
-            community_count: 220,
-            community_size: 40,
-            community_density: 1.8,
-            whiskers: 36_000,
-            seed: 4242,
-        },
-    );
-    assert!(g.num_vertices() >= 50_000, "acceptance graph too small: {}", g.num_vertices());
-    println!(
-        "whiskered-community: {} vertices, {} edges, pool of {threads} workers",
-        g.num_vertices(),
-        g.num_edges()
-    );
-
-    let (d, decomp_t) = time(|| decompose(&g, &PartitionOptions::default()));
-    println!(
-        "decomposition: {} sub-graphs, top {} vertices, {}",
-        d.num_subgraphs(),
-        d.subgraphs_by_size().first().map_or(0, |sg| sg.num_vertices()),
-        fmt_secs(decomp_t.as_secs_f64())
-    );
-
-    // End-to-end = shared decomposition + the measured BC driver; two
-    // repetitions each, best time kept (the container has no turbo/cold-start
-    // effects beyond allocator warm-up, which rep 1 absorbs).
-    let best = |f: &(dyn Fn() -> Vec<f64> + Sync)| -> (Vec<f64>, f64) {
-        let (scores, t1) = with_threads(threads, || time(f));
-        let (_, t2) = with_threads(threads, || time(f));
-        (scores, decomp_t.as_secs_f64() + t1.as_secs_f64().min(t2.as_secs_f64()))
-    };
-
-    let (legacy_scores, legacy_s) = best(&|| legacy_driver(&g, &d));
-    let run_policy = |kernel: apgre_bc::apgre::KernelPolicy| {
-        let bopts = ApgreOptions { kernel, ..Default::default() };
-        apgre_bc::apgre::bc_from_decomposition(&g, &d, &bopts).0
-    };
-    use apgre_bc::apgre::KernelPolicy;
-    let (auto_scores, auto_s) = best(&|| run_policy(KernelPolicy::Auto));
-    let (_, report) = with_threads(threads, || {
-        apgre_bc::apgre::bc_from_decomposition(&g, &d, &ApgreOptions::default())
-    });
-
-    let nv = g.num_vertices();
-    let ne = g.num_edges();
-    let secs = |s: f64| std::time::Duration::from_secs_f64(s);
-    let mut t = Table::new(&["driver", "end-to-end", "MTEPS", "max |Δ| vs legacy"]);
-    let diff = |a: &[f64], b: &[f64]| -> f64 {
-        a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0f64, f64::max)
-    };
-    let scale = 1.0 + legacy_scores.iter().cloned().fold(0.0f64, f64::max);
-    let mut kernel_rows = Vec::new();
-    t.row(vec![
-        "legacy (threshold 4096)".into(),
-        fmt_secs(legacy_s),
-        format!("{:.1}", mteps(nv, ne, secs(legacy_s))),
-        "-".into(),
-    ]);
-    t.row(vec![
-        "KernelPolicy::Auto (pooled)".into(),
-        fmt_secs(auto_s),
-        format!("{:.1}", mteps(nv, ne, secs(auto_s))),
-        format!("{:.1e}", diff(&auto_scores, &legacy_scores)),
-    ]);
-    assert!(diff(&auto_scores, &legacy_scores) < 1e-6 * scale, "auto diverged from legacy");
-    for (name, kernel) in [
-        ("APGRE-seq", KernelPolicy::Seq),
-        ("APGRE-rootpar", KernelPolicy::RootParallel),
-        ("APGRE-levelsync", KernelPolicy::LevelSync),
-    ] {
-        let (scores, dt) = with_threads(threads, || time(|| run_policy(kernel)));
-        let err = diff(&scores, &legacy_scores);
-        assert!(err < 1e-6 * scale, "{name} diverged from legacy: {err}");
-        let e2e = decomp_t.as_secs_f64() + dt.as_secs_f64();
-        t.row(vec![
-            name.into(),
-            fmt_secs(e2e),
-            format!("{:.1}", mteps(nv, ne, secs(e2e))),
-            format!("{err:.1e}"),
-        ]);
-        kernel_rows.push(json!({
-            "kernel": name, "seconds": e2e, "mteps": mteps(nv, ne, secs(e2e)),
-            "max_abs_diff_vs_legacy": err,
-        }));
-    }
-    print!("{}", t.render());
-
-    let speedup = legacy_s / auto_s;
-    let (seq_n, rootpar_n, levelsync_n) = report.kernel_counts;
-    println!(
-        "\nAuto dispatch: {seq_n} seq, {rootpar_n} root-parallel, {levelsync_n} level-sync \
-         (top sub-graph: {})",
-        report.top_subgraph_kernel.map_or("n/a".to_string(), |k| format!("{k:?}")),
-    );
-    println!(
-        "Auto vs legacy end-to-end speedup: {speedup:.2}x (acceptance: >= 1.3x, measured {})",
-        if parallel_execution { "with parallel rayon" } else { "on the sequential stand-in" }
-    );
-
-    json.insert(
-        "bench_pr2".into(),
-        json!({
-            "measurement_mode": measurement_mode,
-            "execution": {
-                "configured_threads": threads,
-                "observed_worker_threads": observed_threads,
-                "parallel": parallel_execution,
-            },
-            "graph": {
-                "family": "whiskered-community", "seed": 4242,
-                "vertices": nv, "edges": ne,
-                "subgraphs": d.num_subgraphs(),
-                "top_subgraph_vertices":
-                    d.subgraphs_by_size().first().map_or(0, |sg| sg.num_vertices()),
-            },
-            "threads": threads,
-            "decompose_seconds": decomp_t.as_secs_f64(),
-            "legacy_threshold_4096": {
-                "seconds": legacy_s, "mteps": mteps(nv, ne, secs(legacy_s)),
-            },
-            "auto_pooled": {
-                "seconds": auto_s, "mteps": mteps(nv, ne, secs(auto_s)),
-                "kernel_counts": {
-                    "seq": seq_n, "root_parallel": rootpar_n, "level_sync": levelsync_n,
-                },
-            },
-            "kernels": kernel_rows,
-            "speedup_auto_vs_legacy": speedup,
-            "acceptance": {
-                "required": 1.3,
-                "measured": speedup,
-                "pass": speedup >= 1.3,
-                "measured_with": measurement_mode,
-                "parallel_rayon": parallel_execution,
-            },
-            "notes": [
-                "End-to-end = shared decomposition time + BC driver; best of 2 reps.",
-                if parallel_execution {
-                    "Measured with upstream rayon spreading work across OS \
-                     threads; the speedup includes parallel scaling."
-                } else {
-                    "Measured on the vendored sequential rayon stand-in (thread \
-                     counts are faithfully reported, so the Auto heuristic sees \
-                     the configured pool size, but all work runs on one thread); \
-                     the speedup quantifies eliminated per-access atomic \
-                     round-trips, per-sub-graph allocation churn, and per-level \
-                     frontier allocations — NOT parallel scaling. CI's \
-                     bench-smoke job reproduces the record with real rayon."
-                },
-                "All variants cross-verified within 1e-6 relative; exactness vs \
-                 serial Brandes is pinned separately by the equivalence suites \
-                 (a 50k-vertex Brandes run is too slow to repeat here).",
-            ],
-        }),
-    );
 }
 
 // --------------------------------------------------------------- bench-pr3

@@ -14,7 +14,7 @@ pub const ALGORITHMS: &[&str] =
     &["serial", "APGRE", "preds", "succs", "lockSyncFree", "async", "hybrid"];
 
 /// APGRE variants with a pinned inner-kernel policy, for per-kernel
-/// comparisons (the `bench-pr2` experiment); `APGRE` itself runs
+/// comparisons through [`run_algorithm`]; `APGRE` itself runs
 /// `KernelPolicy::Auto`.
 pub const APGRE_KERNEL_VARIANTS: &[&str] = &["APGRE-seq", "APGRE-rootpar", "APGRE-levelsync"];
 

@@ -118,8 +118,9 @@ impl SubGraph {
     /// count, local edges, per-vertex boundary/α/β/γ/whisker state, and the
     /// root set. Two sub-graphs with equal fingerprints feed the BC kernel
     /// identical inputs, so their local score vectors are interchangeable —
-    /// the basis for both `MemoizedBc` caching and the incremental engine's
-    /// carry-forward of unchanged contributions across re-decompositions.
+    /// the basis for the incremental engine's carry-forward of unchanged
+    /// contributions across re-decompositions, and the seed of the sampled
+    /// estimator's generation-stable root draws.
     /// Deliberately excludes `id` and `globals`: the local computation does
     /// not depend on where the sub-graph sits in the parent graph.
     pub fn fingerprint(&self) -> u64 {

@@ -10,7 +10,7 @@ use apgre_approx::{SampleOptions, SampleRefresh, SampleStore};
 use apgre_bc::apgre::{ApgreReport, KernelChoice, SubgraphKernelRun};
 use apgre_bc::{run_subgraph_kernels, ApgreOptions};
 use apgre_decomp::{decompose, Decomposition, EdgeEdit, MaintainedDecomposition};
-use apgre_graph::{Graph, GraphOverlay};
+use apgre_graph::{Graph, GraphOverlay, VertexId};
 use apgre_store::{CowGraph, FoldStore, GraphView, PublishStats, ScoreChunks};
 
 use crate::mutation::{Mutation, MutationBatch};
@@ -180,7 +180,7 @@ impl DynamicBc {
         let maintained = MaintainedDecomposition::new(g, &opts.partition);
         let decomp = maintained.decomp();
         let all: Vec<usize> = (0..decomp.num_subgraphs()).collect();
-        let runs = run_subgraph_kernels(decomp, &all, &opts);
+        let runs = run_subgraph_kernels(decomp, &exact_jobs(decomp, &all), &opts, false);
         let mut report = structure_report(decomp, &opts);
         absorb_runs(&mut report, decomp.top_subgraph, &runs);
         let mut spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = decomp
@@ -477,7 +477,9 @@ impl DynamicBc {
             ap.store.mark_dirty(&outcome.dirty);
         }
 
-        let runs = run_subgraph_kernels(self.maintained.decomp(), &outcome.dirty, &self.opts);
+        let decomp = self.maintained.decomp();
+        let runs =
+            run_subgraph_kernels(decomp, &exact_jobs(decomp, &outcome.dirty), &self.opts, false);
         let top = self.maintained.decomp().top_subgraph;
         absorb_runs(&mut self.report, top, &runs);
         refresh_structure(&mut self.report, self.maintained.decomp());
@@ -552,7 +554,8 @@ impl DynamicBc {
             }
         }
         let recomputed = misses.len();
-        let runs = run_subgraph_kernels(&new_decomp, &misses, &self.opts);
+        let runs =
+            run_subgraph_kernels(&new_decomp, &exact_jobs(&new_decomp, &misses), &self.opts, false);
 
         // Accounting: the re-decomposition's timings and the recomputed
         // kernels' work accumulate; structure fields switch to the new
@@ -713,6 +716,13 @@ fn refresh_structure(report: &mut ApgreReport, decomp: &Decomposition) {
     report.total_roots = decomp.subgraphs.iter().map(|sg| sg.roots.len()).sum();
     report.total_whiskers =
         decomp.subgraphs.iter().map(|sg| sg.is_whisker.iter().filter(|&&w| w).count()).sum();
+}
+
+/// Exact-kernel jobs — every root of each named sub-graph — for
+/// [`run_subgraph_kernels`].
+fn exact_jobs<'a>(decomp: &'a Decomposition, indices: &[usize]) -> Vec<(usize, &'a [VertexId])> {
+    // Callers pass indices of this same decomposition.
+    indices.iter().map(|&i| (i, &decomp.subgraphs[i].roots[..])).collect() // lint:allow(panic_path)
 }
 
 /// Accumulates kernel-run work (time, traversed edges, per-kernel counts)

@@ -106,3 +106,31 @@ fn allow_markers_escape_each_taggable_rule() {
         );
     }
 }
+
+#[test]
+fn r9_reaches_every_kernel_sweep() {
+    // The sub-graph kernel is one public entry point over private strategy
+    // sweeps; R9 selects them by name, so a rename that slips past the
+    // filter would silently drop its loops from the audit.
+    let file = "r9_sweeps_bad.rs";
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(file);
+    let src = std::fs::read_to_string(&path).expect("fixture exists");
+    let targets: Vec<usize> = src
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.ends_with("// r9-target"))
+        .map(|(i, _)| i + 1)
+        .collect();
+    assert_eq!(targets.len(), 6, "{file}: one target per kernel function");
+    let findings = lint_fixture(file);
+    for line in targets {
+        assert!(
+            findings.iter().any(|f| f.rule == "hot-loop-index" && f.line == line),
+            "{file}:{line}: R9 did not reach this sweep: {findings:?}"
+        );
+    }
+    assert!(
+        findings.iter().all(|f| f.rule == "hot-loop-index"),
+        "{file}: cross-rule noise: {findings:?}"
+    );
+}

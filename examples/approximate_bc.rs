@@ -6,7 +6,7 @@
 //! cargo run --release --example approximate_bc
 //! ```
 
-use apgre::bc::approx::{bc_approx, bc_approx_apgre, spearman_rank_correlation};
+use apgre::bc::approx::{bc_approx, spearman_rank_correlation};
 use apgre::prelude::*;
 use apgre::workloads::{get, Scale};
 use std::time::Instant;
@@ -41,11 +41,18 @@ fn main() {
         );
     }
 
-    println!("\nsampling composed with APGRE (per-sub-graph pivots, γ folding kept):");
+    println!(
+        "\nsampling composed with APGRE (adaptive per-sub-graph root budgets, γ folding kept):"
+    );
     println!("{:<10} {:>10} {:>10} {:>12}", "fraction", "time", "speedup", "spearman ρ");
+    let opts = ApgreOptions::default();
+    let total_roots: usize =
+        decompose(&g, &opts.partition).subgraphs.iter().map(|sg| sg.roots.len()).sum();
+    let budget =
+        |fraction: f64| SampleOptions::adaptive((total_roots as f64 * fraction) as usize, 7);
     for fraction in [0.05, 0.1, 0.25, 0.5] {
         let t = Instant::now();
-        let est = bc_approx_apgre(&g, fraction, 7, &ApgreOptions::default());
+        let est = bc_sampled(&g, &opts, &budget(fraction));
         let dt = t.elapsed();
         let rho = spearman_rank_correlation(&exact, &est);
         println!(
@@ -58,12 +65,12 @@ fn main() {
     }
 
     // Top-10 overlap at the cheapest setting.
-    let est = bc_approx_apgre(&g, 0.1, 7, &ApgreOptions::default());
+    let est = bc_sampled(&g, &opts, &budget(0.1));
     let top = |xs: &[f64]| -> std::collections::HashSet<usize> {
         let mut idx: Vec<usize> = (0..xs.len()).collect();
         idx.sort_by(|&a, &b| xs[b].total_cmp(&xs[a]));
         idx.into_iter().take(10).collect()
     };
     let overlap = top(&exact).intersection(&top(&est)).count();
-    println!("\ntop-10 overlap at 10% APGRE sampling: {overlap}/10");
+    println!("\ntop-10 overlap at a 10% APGRE root budget: {overlap}/10");
 }

@@ -1,12 +1,11 @@
-//! Evolving-graph BC with decomposition-grained memoization: recompute
-//! betweenness after small edits, re-sweeping only the sub-graphs whose
-//! structure actually changed.
+//! Evolving-graph BC with the incremental engine: recompute betweenness
+//! after small edits, re-sweeping only the sub-graphs whose structure
+//! actually changed.
 //!
 //! ```sh
 //! cargo run --release --example evolving_graph
 //! ```
 
-use apgre::bc::memo::MemoizedBc;
 use apgre::prelude::*;
 use apgre::workloads::{get, Scale};
 use std::time::Instant;
@@ -15,15 +14,12 @@ fn main() {
     let g0 = get("email-enron-like").unwrap().graph(Scale::Small);
     println!("base graph: {} vertices, {} edges", g0.num_vertices(), g0.num_edges());
 
-    let mut memo = MemoizedBc::new(PartitionOptions::default());
-
     let t = Instant::now();
-    let scores0 = memo.compute(&g0);
+    let mut engine = DynamicBc::new(&g0, ApgreOptions::default());
     println!(
-        "\ncold run: {:?} ({} sub-graph sweeps, {} cached)",
+        "\ncold run: {:?} ({} sub-graph sweeps)",
         t.elapsed(),
-        memo.misses,
-        memo.cached_subgraphs()
+        engine.decomposition().num_subgraphs()
     );
 
     // Simulate an evolving network: add a few chords inside one community
@@ -37,31 +33,37 @@ fn main() {
         .take(5)
         .collect();
 
+    let (mut swept, mut reused) = (0, 0);
     for (step, sg) in small_sgs.iter().enumerate() {
         // Add a chord between the first and last local vertices of this
-        // community (if absent) — counts stay fixed, so every other
-        // sub-graph's fingerprint is untouched.
+        // community (if absent) — only the sub-graphs the edit touches are
+        // re-swept; every other contribution is carried forward.
         let (a, b) = (sg.globals[0], *sg.globals.last().unwrap());
-        if a != b {
-            edges.push((a, b));
+        if a == b || edges.iter().any(|&e| e == (a, b) || e == (b, a)) {
+            continue;
         }
-        let g = Graph::undirected_from_edges(g0.num_vertices(), &edges);
-        let before = memo.misses;
+        edges.push((a, b));
         let t = Instant::now();
-        let scores = memo.compute(&g);
+        let report = engine.apply(&MutationBatch::new().add_edge(a, b));
         let dt = t.elapsed();
+        swept += report.dirty_subgraphs;
+        reused += report.reused_contributions;
         println!(
-            "edit {}: +chord in SG{} -> recompute {:?}, re-swept {} sub-graph(s), hit {} cached",
+            "edit {}: +chord in SG{} -> {:?} batch, recompute {:?}, re-swept {} sub-graph(s), \
+             reused {}",
             step + 1,
             sg.id,
+            report.class,
             dt,
-            memo.misses - before,
-            memo.hits
+            report.dirty_subgraphs,
+            report.reused_contributions
         );
         // Exactness spot-check every other step.
         if step % 2 == 0 {
+            let g = Graph::undirected_from_edges(g0.num_vertices(), &edges);
             let exact = bc_serial(&g);
-            let max_err = scores
+            let max_err = engine
+                .scores()
                 .iter()
                 .zip(&exact)
                 .map(|(x, y)| (x - y).abs() / (1.0 + y.abs()))
@@ -70,11 +72,5 @@ fn main() {
         }
     }
 
-    println!(
-        "\nfinal cache: {} sub-graph results, {} total hits / {} kernel runs",
-        memo.cached_subgraphs(),
-        memo.hits,
-        memo.misses
-    );
-    let _ = scores0;
+    println!("\ntotal: {swept} sub-graph kernel runs, {reused} contributions reused");
 }

@@ -67,7 +67,6 @@ pub mod prelude {
     pub use apgre_bc::approx::bc_approx;
     pub use apgre_bc::brandes::bc_serial;
     pub use apgre_bc::edge::{edge_bc, girvan_newman};
-    pub use apgre_bc::memo::MemoizedBc;
     pub use apgre_bc::parallel::{bc_coarse, bc_hybrid, bc_lock_free, bc_preds, bc_succs};
     pub use apgre_bc::redundancy::{analyze as analyze_redundancy, RedundancyBreakdown};
     pub use apgre_bc::weighted::{bc_weighted_apgre, bc_weighted_serial};
