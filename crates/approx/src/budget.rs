@@ -48,7 +48,7 @@ pub const DEFAULT_PILOT: usize = 4;
 /// roots each sub-graph draws, and (adaptive budgets only) the pilot
 /// dispersions that decided it.
 #[derive(Clone, Debug)]
-pub struct AdaptivePlan {
+pub struct SamplePlan {
     /// Per-sub-graph pilot dispersion of the per-root contributions — the
     /// square root of the summed per-vertex sample variances (the `σ_i` of
     /// the allocation weight `|R_i|·σ_i`; 0 under a uniform cap).
@@ -64,7 +64,7 @@ pub struct AdaptivePlan {
     pub pilot_edges: u64,
 }
 
-impl AdaptivePlan {
+impl SamplePlan {
     /// Σ allocated roots across all sub-graphs.
     pub fn allocated(&self) -> u64 {
         self.k.iter().map(|&k| k as u64).sum()
@@ -186,9 +186,9 @@ pub(crate) fn plan(
     opts: &ApgreOptions,
     sopts: &SampleOptions,
     cached_sigma: &[Option<f64>],
-) -> AdaptivePlan {
+) -> SamplePlan {
     match sopts.budget {
-        SampleBudget::Uniform { samples_per_subgraph } => AdaptivePlan {
+        SampleBudget::Uniform { samples_per_subgraph } => SamplePlan {
             sigma: vec![0.0; decomp.num_subgraphs()],
             k: decomp.subgraphs.iter().map(|sg| sg.roots.len().min(samples_per_subgraph)).collect(),
             pilot_roots: 0,
@@ -212,7 +212,7 @@ pub fn plan_adaptive(
     total_roots: usize,
     pilot: usize,
     cached_sigma: &[Option<f64>],
-) -> AdaptivePlan {
+) -> SamplePlan {
     let count = decomp.num_subgraphs();
     assert_eq!(cached_sigma.len(), count, "one cached σ slot per sub-graph");
     let pilot = pilot.max(2);
@@ -247,7 +247,7 @@ pub fn plan_adaptive(
     let caps: Vec<usize> = decomp.subgraphs.iter().map(|sg| sg.roots.len()).collect();
     let weights: Vec<f64> = caps.iter().zip(&sigma).map(|(&c, &s)| c as f64 * s).collect();
     let k = allocate_budget(&weights, &caps, pilot, total_roots);
-    AdaptivePlan { sigma, k, pilot_roots, pilot_edges }
+    SamplePlan { sigma, k, pilot_roots, pilot_edges }
 }
 
 /// Pilot dispersion `σ_i = sqrt(Σ_v M2(v) / (p − 1))` from the per-vertex

@@ -32,7 +32,7 @@ mod budget;
 mod rng;
 mod sample;
 
-pub use budget::{allocate_budget, plan_adaptive, AdaptivePlan, DEFAULT_PILOT};
+pub use budget::{allocate_budget, plan_adaptive, SamplePlan, DEFAULT_PILOT};
 pub use rng::{mix_seed, sample_roots, SplitMix64};
 pub use sample::{
     bc_sampled, bc_sampled_from_decomposition, bc_sampled_with_stderr,

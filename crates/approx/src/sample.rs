@@ -38,7 +38,7 @@ use apgre_decomp::{decompose, Decomposition, SubGraph};
 use apgre_graph::Graph;
 use apgre_store::FoldStore;
 
-use crate::budget::{plan, stderr_sq_span, AdaptivePlan, DEFAULT_PILOT};
+use crate::budget::{plan, stderr_sq_span, SamplePlan, DEFAULT_PILOT};
 use crate::rng::{mix_seed, sample_roots};
 
 /// How the per-sub-graph root-sample sizes are chosen.
@@ -223,7 +223,7 @@ fn sample_spans(
     decomp: &Decomposition,
     opts: &ApgreOptions,
     sopts: &SampleOptions,
-    plan: &AdaptivePlan,
+    plan: &SamplePlan,
     indices: &[usize],
 ) -> (Vec<SampledSpan>, u64) {
     let draws: Vec<(usize, Vec<u32>, f64)> = indices

@@ -413,8 +413,7 @@ pub fn bc_from_decomposition(
     opts: &ApgreOptions,
 ) -> (Vec<f64>, ApgreReport) {
     let bc_start = Instant::now();
-    let jobs: Vec<(usize, &[VertexId])> =
-        decomp.subgraphs.iter().enumerate().map(|(i, sg)| (i, &sg.roots[..])).collect();
+    let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
     let pool = BufferPool::default();
     let merger = Merger::new(decomp, g.num_vertices());
     for_each_largest_first(decomp, &jobs, opts.outer_parallel, |(i, roots)| {
@@ -491,7 +490,7 @@ pub struct SubgraphKernelRun {
 /// Runs the per-sub-graph BC kernel for every job `(index, roots)`,
 /// returning the local score vectors **without** scattering them into a
 /// global vector — step 2 of the pipeline for callers that own the merge.
-/// The incremental engine passes `(i, &sg.roots[..])` for its dirty
+/// The incremental engine passes [`full_jobs`] for its dirty
 /// sub-graphs and stores each contribution so a later batch can replace
 /// just the dirty ones; the sampled estimator passes root samples and
 /// applies the sampling scale itself.
@@ -529,6 +528,16 @@ pub fn run_subgraph_kernels(
     let mut runs = out.into_inner().unwrap_or_else(|p| p.into_inner());
     runs.sort_by_key(|r| r.index);
     runs
+}
+
+/// Exact jobs for [`run_subgraph_kernels`]: every root of each named
+/// sub-graph of `decomp`.
+pub fn full_jobs(
+    decomp: &Decomposition,
+    indices: impl IntoIterator<Item = usize>,
+) -> Vec<(usize, &[VertexId])> {
+    // Callers pass indices of this same decomposition.
+    indices.into_iter().map(|i| (i, &decomp.subgraphs[i].roots[..])).collect() // lint:allow(panic_path)
 }
 
 /// Calls `run` on every job, largest sub-graph first — the top sub-graph
@@ -785,11 +794,6 @@ mod tests {
         assert!(report.edges_traversed < brandes_edges / 2);
     }
 
-    /// Every sub-graph's full root set as one job.
-    fn full_jobs(decomp: &Decomposition) -> Vec<(usize, &[VertexId])> {
-        decomp.subgraphs.iter().enumerate().map(|(i, sg)| (i, sg.roots.as_slice())).collect()
-    }
-
     /// Scatters runs into a global vector in list order.
     fn refold(n: usize, decomp: &Decomposition, runs: &[SubgraphKernelRun]) -> Vec<f64> {
         let mut got = vec![0.0f64; n];
@@ -808,7 +812,8 @@ mod tests {
             let opts = ApgreOptions::default();
             let decomp = decompose(&g, &opts.partition);
             let (want, _) = bc_from_decomposition(&g, &decomp, &opts);
-            let runs = run_subgraph_kernels(&decomp, &full_jobs(&decomp), &opts, false);
+            let jobs = full_jobs(&decomp, 0..decomp.num_subgraphs());
+            let runs = run_subgraph_kernels(&decomp, &jobs, &opts, false);
             assert_eq!(runs.len(), decomp.num_subgraphs(), "{name}");
             for (k, run) in runs.iter().enumerate() {
                 assert_eq!(run.index, k, "{name}: sorted ascending");
@@ -833,7 +838,8 @@ mod tests {
             let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
             let decomp = decompose(&g, &opts.partition);
             let (want, _) = bc_from_decomposition(&g, &decomp, &opts);
-            let runs = run_subgraph_kernels(&decomp, &full_jobs(&decomp), &opts, false);
+            let jobs = full_jobs(&decomp, 0..decomp.num_subgraphs());
+            let runs = run_subgraph_kernels(&decomp, &jobs, &opts, false);
             let got = refold(g.num_vertices(), &decomp, &runs);
             assert_eq!(got, want, "{name}: forced-Seq refold must be bitwise");
         }
@@ -854,7 +860,8 @@ mod tests {
         });
         let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
         let decomp = decompose(&g, &opts.partition);
-        let full = run_subgraph_kernels(&decomp, &full_jobs(&decomp), &opts, false);
+        let jobs = full_jobs(&decomp, 0..decomp.num_subgraphs());
+        let full = run_subgraph_kernels(&decomp, &jobs, &opts, false);
         for (i, sg) in decomp.subgraphs.iter().enumerate() {
             let (front, back) = sg.roots.split_at(sg.roots.len() / 2);
             let halves = run_subgraph_kernels(&decomp, &[(i, front), (i, back)], &opts, false);
@@ -885,7 +892,7 @@ mod tests {
             let auto = ApgreOptions { grain: 1, ..Default::default() };
             let seq = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
             let decomp = decompose(&g, &auto.partition);
-            let jobs = full_jobs(&decomp);
+            let jobs = full_jobs(&decomp, 0..decomp.num_subgraphs());
             let want = run_subgraph_kernels(&decomp, &jobs, &seq, false);
             let got = run_subgraph_kernels(&decomp, &jobs, &auto, true);
             assert_eq!(got.len(), want.len(), "{name}");

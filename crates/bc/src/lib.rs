@@ -45,7 +45,7 @@ pub mod util;
 pub mod weighted;
 
 pub use apgre::{
-    bc_apgre, bc_apgre_with, bc_from_decomposition, run_subgraph_kernels, ApgreOptions,
+    bc_apgre, bc_apgre_with, bc_from_decomposition, full_jobs, run_subgraph_kernels, ApgreOptions,
     ApgreReport, KernelChoice, KernelPolicy, RootStats, SubgraphKernelRun,
 };
 pub use approx::{bc_approx, bc_approx_adaptive};

@@ -8,9 +8,9 @@ use std::time::{Duration, Instant};
 
 use apgre_approx::{SampleOptions, SampleRefresh, SampleStore};
 use apgre_bc::apgre::{ApgreReport, KernelChoice, SubgraphKernelRun};
-use apgre_bc::{run_subgraph_kernels, ApgreOptions};
+use apgre_bc::{full_jobs, run_subgraph_kernels, ApgreOptions};
 use apgre_decomp::{decompose, Decomposition, EdgeEdit, MaintainedDecomposition};
-use apgre_graph::{Graph, GraphOverlay, VertexId};
+use apgre_graph::{Graph, GraphOverlay};
 use apgre_store::{CowGraph, FoldStore, GraphView, PublishStats, ScoreChunks};
 
 use crate::mutation::{Mutation, MutationBatch};
@@ -179,8 +179,8 @@ impl DynamicBc {
         let cow = CowGraph::from_graph(g);
         let maintained = MaintainedDecomposition::new(g, &opts.partition);
         let decomp = maintained.decomp();
-        let all: Vec<usize> = (0..decomp.num_subgraphs()).collect();
-        let runs = run_subgraph_kernels(decomp, &exact_jobs(decomp, &all), &opts, false);
+        let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
+        let runs = run_subgraph_kernels(decomp, &jobs, &opts, false);
         let mut report = structure_report(decomp, &opts);
         absorb_runs(&mut report, decomp.top_subgraph, &runs);
         let mut spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = decomp
@@ -478,8 +478,8 @@ impl DynamicBc {
         }
 
         let decomp = self.maintained.decomp();
-        let runs =
-            run_subgraph_kernels(decomp, &exact_jobs(decomp, &outcome.dirty), &self.opts, false);
+        let jobs = full_jobs(decomp, outcome.dirty.iter().copied());
+        let runs = run_subgraph_kernels(decomp, &jobs, &self.opts, false);
         let top = self.maintained.decomp().top_subgraph;
         absorb_runs(&mut self.report, top, &runs);
         refresh_structure(&mut self.report, self.maintained.decomp());
@@ -554,8 +554,8 @@ impl DynamicBc {
             }
         }
         let recomputed = misses.len();
-        let runs =
-            run_subgraph_kernels(&new_decomp, &exact_jobs(&new_decomp, &misses), &self.opts, false);
+        let jobs = full_jobs(&new_decomp, misses.iter().copied());
+        let runs = run_subgraph_kernels(&new_decomp, &jobs, &self.opts, false);
 
         // Accounting: the re-decomposition's timings and the recomputed
         // kernels' work accumulate; structure fields switch to the new
@@ -716,13 +716,6 @@ fn refresh_structure(report: &mut ApgreReport, decomp: &Decomposition) {
     report.total_roots = decomp.subgraphs.iter().map(|sg| sg.roots.len()).sum();
     report.total_whiskers =
         decomp.subgraphs.iter().map(|sg| sg.is_whisker.iter().filter(|&&w| w).count()).sum();
-}
-
-/// Exact-kernel jobs — every root of each named sub-graph — for
-/// [`run_subgraph_kernels`].
-fn exact_jobs<'a>(decomp: &'a Decomposition, indices: &[usize]) -> Vec<(usize, &'a [VertexId])> {
-    // Callers pass indices of this same decomposition.
-    indices.iter().map(|&i| (i, &decomp.subgraphs[i].roots[..])).collect() // lint:allow(panic_path)
 }
 
 /// Accumulates kernel-run work (time, traversed edges, per-kernel counts)

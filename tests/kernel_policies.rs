@@ -6,7 +6,7 @@
 //! grains and pool sizes.
 
 use apgre::bc::apgre::kernel::{bc_in_subgraph, SgWorkspace};
-use apgre::bc::apgre::{run_subgraph_kernels, DEFAULT_GRAIN};
+use apgre::bc::apgre::{full_jobs, run_subgraph_kernels, DEFAULT_GRAIN};
 use apgre::graph::generators;
 use apgre::prelude::*;
 use apgre::workloads::{registry, Scale};
@@ -168,8 +168,9 @@ fn all_policies_match_bc_serial_on_workloads() {
 }
 
 /// Every cell of the kernel table composes to serial Brandes, at a tiny and
-/// the default grain; every strategy examines the same edges per
-/// sub-graph; and a pooled, oversized workspace changes no bit.
+/// the default grain; every cell matches the sequential full-root sweep per
+/// sub-graph and local vertex, and examines the same edges; and a pooled,
+/// oversized workspace changes no bit.
 #[test]
 fn subgraph_kernels_agree_with_each_other_and_bc_serial() {
     for (name, g, d) in table_inputs() {
@@ -179,8 +180,17 @@ fn subgraph_kernels_agree_with_each_other_and_bc_serial() {
             let seq = cell(&table, KernelChoice::Seq, Roots::Full, Ws::Fresh);
             for c in &table {
                 assert_close(&format!("{name}@g{grain}/{}", c.name()), &c.compose(&d), &want);
-                for (i, ((_, e), (_, e_seq))) in c.runs.iter().zip(&seq.runs).enumerate() {
+                for (i, ((got, e), (s, e_seq))) in c.runs.iter().zip(&seq.runs).enumerate() {
                     assert_eq!(e, e_seq, "{name}@g{grain}/{}: SG{i} edge count", c.name());
+                    for l in 0..s.len() {
+                        assert!(
+                            (s[l] - got[l]).abs() <= 1e-7 * (1.0 + s[l].abs()),
+                            "{name}@g{grain}/{}: SG{i} local {l}: {} vs seq {}",
+                            c.name(),
+                            got[l],
+                            s[l]
+                        );
+                    }
                 }
                 let fresh = cell(&table, c.choice, c.roots, Ws::Fresh);
                 for (i, ((a, _), (b, _))) in c.runs.iter().zip(&fresh.runs).enumerate() {
@@ -263,8 +273,7 @@ fn observer_is_bitwise_neutral_and_welford_consistent() {
     let table = kernel_table(&d, 1);
     let seq = cell(&table, KernelChoice::Seq, Roots::Full, Ws::Fresh);
     let opts = ApgreOptions { grain: 1, ..Default::default() };
-    let jobs: Vec<(usize, &[VertexId])> =
-        d.subgraphs.iter().enumerate().map(|(i, sg)| (i, &sg.roots[..])).collect();
+    let jobs = full_jobs(&d, 0..d.num_subgraphs());
     let stats = run_subgraph_kernels(&d, &jobs, &opts, true);
     let mut composed = vec![0.0f64; g.num_vertices()];
     for (i, sg) in d.subgraphs.iter().enumerate() {
