@@ -19,47 +19,6 @@
 //!   ablation-threshold   merge-threshold sweep (design ablation A1)
 //!   ablation-alphabeta   α/β tree fast path vs blocked BFS (ablation A2)
 //!   ablation-gamma       isolate total (γ) vs partial redundancy elimination (A3)
-//!   bench-pr3            incremental-BC benchmark: per-batch DynamicBc
-//!                        apply time for local edit batches vs a full
-//!                        from-scratch recompute, plus one structural batch
-//!                        (writes the record committed as BENCH_PR3.json)
-//!   bench-pr4            apgre-serve closed-loop load benchmark: 4 client
-//!                        threads of mixed query/mutate traffic against an
-//!                        in-process service, with throughput, p50/p99
-//!                        latency, and a bitwise checkpoint cross-check
-//!                        (writes the record committed as BENCH_PR4.json;
-//!                        `--smoke` shrinks the graph and window for CI)
-//!   bench-pr7            structural-path benchmark: incremental block-cut
-//!                        tree maintenance (region splice) vs the forced
-//!                        full-rebuild arm on whisker-tip bridge toggles,
-//!                        plus a mixed local + structural batch verified by
-//!                        the per-edit DynamicReport counters (writes the
-//!                        record committed as BENCH_PR7.json; `--smoke`
-//!                        shrinks the graph and batch count for CI)
-//!   bench-pr8            publish-cost benchmark: copy-on-write snapshot
-//!                        publication (shared graph chunks + score spans)
-//!                        vs a forced full materialization of the graph
-//!                        and score vector per publish, with a bitwise
-//!                        served-score cross-check on the checkpointed
-//!                        graph (writes the record committed as
-//!                        BENCH_PR8.json; `--smoke` shrinks the graph and
-//!                        batch count for CI)
-//!   bench-pr9            incremental sampled-estimator benchmark: dirty-set
-//!                        approx refresh (`DynamicBc::approx_snapshot`)
-//!                        vs the legacy from-scratch `bc_approx` pivot
-//!                        sweep at an equal root-sample budget, across the
-//!                        same chord-toggle mutation stream as bench-pr8,
-//!                        with a bitwise cross-check against the
-//!                        from-scratch composed estimator (writes the
-//!                        record committed as BENCH_PR9.json; `--smoke`
-//!                        shrinks the graph and batch count for CI)
-//!   bench-pr10           adaptive-budget benchmark: variance-guided global
-//!                        root budget vs the uniform per-sub-graph cap at
-//!                        equal total roots, plus a bitwise stream
-//!                        cross-check of the adaptive estimator and its
-//!                        standard errors (writes the record committed as
-//!                        BENCH_PR10.json; `--smoke` shrinks the graph and
-//!                        batch count for CI)
 //!   all      everything above
 //! ```
 //!
@@ -81,14 +40,12 @@ struct Opts {
     scale: Scale,
     threads: Option<usize>,
     json: Option<String>,
-    /// Shrinks bench-pr4 to a CI-sized graph and measurement window.
-    smoke: bool,
 }
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else { usage() };
-    let mut opts = Opts { scale: Scale::Small, threads: None, json: None, smoke: false };
+    let mut opts = Opts { scale: Scale::Small, threads: None, json: None };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
@@ -110,7 +67,6 @@ fn main() {
                 }
             }
             "--json" => opts.json = args.next(),
-            "--smoke" => opts.smoke = true,
             other => {
                 eprintln!("unknown option {other}");
                 usage()
@@ -146,12 +102,6 @@ fn main() {
         "ablation-threshold" => ablation_threshold(&opts, &mut json_out),
         "ablation-alphabeta" => ablation_alphabeta(&opts, &mut json_out),
         "ablation-gamma" => ablation_gamma(&opts, &mut json_out),
-        "bench-pr3" => bench_pr3(&opts, &mut json_out),
-        "bench-pr4" => bench_pr4(&opts, &mut json_out),
-        "bench-pr7" => bench_pr7(&opts, &mut json_out),
-        "bench-pr8" => bench_pr8(&opts, &mut json_out),
-        "bench-pr9" => bench_pr9(&opts, &mut json_out),
-        "bench-pr10" => bench_pr10(&opts, &mut json_out),
         "all" => {
             table1(&opts, &mut json_out);
             let m = measure_all(&opts);
@@ -168,18 +118,14 @@ fn main() {
             ablation_threshold(&opts, &mut json_out);
             ablation_alphabeta(&opts, &mut json_out);
             ablation_gamma(&opts, &mut json_out);
-            bench_pr3(&opts, &mut json_out);
-            bench_pr4(&opts, &mut json_out);
-            bench_pr7(&opts, &mut json_out);
-            bench_pr8(&opts, &mut json_out);
-            bench_pr9(&opts, &mut json_out);
-            bench_pr10(&opts, &mut json_out);
         }
         _ => usage(),
     }
     if let Some(path) = &opts.json {
-        std::fs::write(path, serde_json::to_string_pretty(&json_out).unwrap())
-            .unwrap_or_else(|e| eprintln!("cannot write {path}: {e}"));
+        if let Err(e) = std::fs::write(path, serde_json::to_string_pretty(&json_out).unwrap()) {
+            eprintln!("cannot write {path}: {e}");
+            exit(1);
+        }
         println!("\n[json results written to {path}]");
     }
 }
@@ -187,9 +133,8 @@ fn main() {
 fn usage() -> ! {
     eprintln!(
         "usage: experiments <table1|table2|table3|table4|fig2|fig3|fig6|fig7|fig8|fig9|fig10|\
-         ablation-threshold|ablation-alphabeta|ablation-gamma|bench-pr3|bench-pr4|\
-         bench-pr7|bench-pr8|bench-pr9|bench-pr10|all> \
-         [--scale tiny|small|medium] [--threads N] [--json FILE] [--smoke]"
+         ablation-threshold|ablation-alphabeta|ablation-gamma|all> \
+         [--scale tiny|small|medium] [--threads N] [--json FILE]"
     );
     exit(2)
 }
@@ -739,1787 +684,4 @@ fn ablation_gamma(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Va
     print!("{}", t.render());
     println!("\n(all four variants verified exact against serial Brandes)");
     json.insert("ablation_gamma".into(), json!(rows));
-}
-
-// --------------------------------------------------------------- bench-pr3
-
-/// PR-3 acceptance benchmark: incremental [`DynamicBc`] updates against full
-/// from-scratch recomputation on the 50k-vertex whiskered-community graph.
-///
-/// The edit stream alternately adds and removes one chord inside a single
-/// non-top community sub-graph — the *local* classification the dirty-tracker
-/// is built for — and the acceptance criterion is a ≥ 5× mean speedup of the
-/// per-batch apply over a full decompose + BC recompute. One structural batch
-/// (a bridge between two communities) is timed alongside for contrast, and
-/// the engine's final scores are cross-checked against a from-scratch APGRE
-/// run before any number is reported.
-fn bench_pr3(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Value>) {
-    use apgre_bench::observed_parallelism;
-    use apgre_dynamic::{BatchClass, DynamicBc, MutationBatch};
-    let threads = opts.threads.unwrap_or(4).max(4);
-    println!("\n=== bench-pr3: incremental DynamicBc vs full recompute ===\n");
-    let observed_threads = observed_parallelism(threads);
-    let parallel_execution = observed_threads > 1;
-    let measurement_mode = if parallel_execution {
-        "parallel-rayon"
-    } else {
-        "sequential-standin (rayon runs inline on one thread; NOT a parallel-speedup measurement)"
-    };
-    println!("execution: {observed_threads}/{threads} distinct worker threads observed");
-    let g = apgre_graph::generators::whiskered_community(
-        &apgre_graph::generators::WhiskeredCommunityParams {
-            core_vertices: 6000,
-            core_attach: 3,
-            community_count: 220,
-            community_size: 40,
-            community_density: 1.8,
-            whiskers: 36_000,
-            seed: 4242,
-        },
-    );
-    assert!(g.num_vertices() >= 50_000, "acceptance graph too small: {}", g.num_vertices());
-    println!(
-        "whiskered-community: {} vertices, {} edges, pool of {threads} workers",
-        g.num_vertices(),
-        g.num_edges()
-    );
-
-    let bopts = ApgreOptions::default();
-
-    // Baseline: what every batch would cost without the dirty-tracker — a
-    // full decomposition plus a full batch-driver BC pass. Best of 2 reps.
-    let full = || {
-        let d = decompose(&g, &PartitionOptions::default());
-        apgre_bc::apgre::bc_from_decomposition(&g, &d, &bopts).0
-    };
-    let (_, full_t1) = with_threads(threads, || time(full));
-    let (_, full_t2) = with_threads(threads, || time(full));
-    let full_s = full_t1.as_secs_f64().min(full_t2.as_secs_f64());
-    println!("full recompute (decompose + BC, best of 2): {}", fmt_secs(full_s));
-
-    let (mut engine, seed_t) = with_threads(threads, || time(|| DynamicBc::new(&g, bopts.clone())));
-    let d = engine.decomposition();
-    println!(
-        "engine seeded in {} ({} sub-graphs, top {} vertices)",
-        fmt_secs(seed_t.as_secs_f64()),
-        d.num_subgraphs(),
-        d.subgraphs_by_size().first().map_or(0, |sg| sg.num_vertices()),
-    );
-
-    // Pick a chord (two interior, non-adjacent vertices) inside one non-top
-    // community sub-graph, plus an interior vertex of a *different* sub-graph
-    // for the structural bridge batch.
-    let top_index = (0..d.subgraphs.len())
-        .max_by_key(|&i| d.subgraphs[i].num_vertices())
-        .expect("non-empty decomposition");
-    let interior_pair = |si: usize| -> Option<(u32, u32)> {
-        let sg = &d.subgraphs[si];
-        let interior: Vec<u32> = (0..sg.num_vertices() as u32)
-            .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
-            .collect();
-        for (a, &lu) in interior.iter().enumerate() {
-            for &lv in &interior[a + 1..] {
-                if !sg.graph.out_neighbors(lu).contains(&lv) {
-                    return Some((sg.globals[lu as usize], sg.globals[lv as usize]));
-                }
-            }
-        }
-        None
-    };
-    let (chord_sg, (cu, cv)) = (0..d.subgraphs.len())
-        .filter(|&i| i != top_index && d.subgraphs[i].num_vertices() >= 10)
-        .find_map(|i| interior_pair(i).map(|p| (i, p)))
-        .expect("no community sub-graph with an interior chord");
-    let (_, (bu, bv)) = (0..d.subgraphs.len())
-        .filter(|&i| i != top_index && i != chord_sg && d.subgraphs[i].num_vertices() >= 10)
-        .find_map(|i| interior_pair(i).map(|p| (i, p)))
-        .map(|(i, (w, _))| (i, (cu, w)))
-        .expect("no second community sub-graph for the structural bridge");
-    println!(
-        "local chord: {cu} -- {cv} inside sub-graph {chord_sg} \
-         ({} vertices); structural bridge: {bu} -- {bv}",
-        d.subgraphs[chord_sg].num_vertices()
-    );
-
-    // ~20 alternating add/remove batches of the same chord: every one must
-    // classify Local and touch exactly one dirty sub-graph.
-    const LOCAL_BATCHES: usize = 20;
-    let mut local_times = Vec::with_capacity(LOCAL_BATCHES);
-    let mut dirty_max = 0usize;
-    let mut reused_min = usize::MAX;
-    with_threads(threads, || {
-        for k in 0..LOCAL_BATCHES {
-            let batch = if k % 2 == 0 {
-                MutationBatch::new().add_edge(cu, cv)
-            } else {
-                MutationBatch::new().remove_edge(cu, cv)
-            };
-            let report = engine.apply(&batch);
-            assert_eq!(
-                report.class,
-                BatchClass::Local,
-                "batch {k} was not local: {}",
-                report.reason
-            );
-            local_times.push(report.wall_clock.as_secs_f64());
-            dirty_max = dirty_max.max(report.dirty_subgraphs);
-            reused_min = reused_min.min(report.reused_contributions);
-        }
-    });
-    let local_mean = local_times.iter().sum::<f64>() / local_times.len() as f64;
-    let local_max = local_times.iter().cloned().fold(0.0f64, f64::max);
-    println!(
-        "{LOCAL_BATCHES} local batches: mean {} / max {} per apply \
-         ({dirty_max} dirty sub-graph(s), >= {reused_min} contributions reused)",
-        fmt_secs(local_mean),
-        fmt_secs(local_max)
-    );
-
-    // One structural batch for contrast: a bridge between two communities
-    // forces a re-decomposition with fingerprint carry-forward.
-    let structural_report =
-        with_threads(threads, || engine.apply(&MutationBatch::new().add_edge(bu, bv)));
-    assert_eq!(
-        structural_report.class,
-        BatchClass::Structural,
-        "bridge batch was not structural: {}",
-        structural_report.reason
-    );
-    let structural_s = structural_report.wall_clock.as_secs_f64();
-    println!(
-        "1 structural batch (bridge): {} ({} of {} contributions reused)",
-        fmt_secs(structural_s),
-        structural_report.reused_contributions,
-        structural_report.total_subgraphs
-    );
-
-    // Cross-check before reporting any time: the maintained scores must match
-    // a from-scratch APGRE run on the final graph.
-    let current = engine.current_graph();
-    let (scratch, _) = with_threads(threads, || bc_apgre_with(&current, &bopts));
-    let scale = 1.0 + scratch.iter().cloned().fold(0.0f64, f64::max);
-    let max_diff =
-        engine.scores().iter().zip(&scratch).map(|(x, y)| (x - y).abs()).fold(0.0f64, f64::max);
-    assert!(max_diff <= 1e-9 * scale, "incremental diverged from scratch: max |Δ| = {max_diff:e}");
-    println!("cross-check vs from-scratch APGRE: max |Δ| = {max_diff:.1e}");
-
-    let speedup = full_s / local_mean;
-    println!(
-        "incremental local apply vs full recompute: {speedup:.1}x \
-         (acceptance: >= 5x, measured {})",
-        if parallel_execution { "with parallel rayon" } else { "on the sequential stand-in" }
-    );
-
-    json.insert(
-        "bench_pr3".into(),
-        json!({
-            "measurement_mode": measurement_mode,
-            "execution": {
-                "configured_threads": threads,
-                "observed_worker_threads": observed_threads,
-                "parallel": parallel_execution,
-            },
-            "graph": {
-                "family": "whiskered-community", "seed": 4242,
-                "vertices": g.num_vertices(), "edges": g.num_edges(),
-                "subgraphs": engine.decomposition().num_subgraphs(),
-            },
-            "threads": threads,
-            "full_recompute_seconds": full_s,
-            "engine_seed_seconds": seed_t.as_secs_f64(),
-            "local_batches": {
-                "count": LOCAL_BATCHES,
-                "mean_apply_seconds": local_mean,
-                "max_apply_seconds": local_max,
-                "dirty_subgraphs_max": dirty_max,
-                "reused_contributions_min": reused_min,
-            },
-            "structural_batch": {
-                "apply_seconds": structural_s,
-                "reused_contributions": structural_report.reused_contributions,
-                "total_subgraphs": structural_report.total_subgraphs,
-            },
-            "max_abs_diff_vs_scratch": max_diff,
-            "speedup_local_vs_full": speedup,
-            "acceptance": {
-                "required": 5.0,
-                "measured": speedup,
-                "pass": speedup >= 5.0,
-                "measured_with": measurement_mode,
-                "parallel_rayon": parallel_execution,
-            },
-            "notes": [
-                "Speedup = (full decompose + BC recompute, best of 2) / mean \
-                 per-batch apply over 20 alternating add/remove chord batches \
-                 inside one community sub-graph (all classified Local).",
-                "A local apply revalidates and re-runs only the dirty \
-                 sub-graph's kernel, then refolds the per-sub-graph \
-                 contributions; the structural batch shows the fingerprint \
-                 carry-forward fallback cost for contrast.",
-                "Scores are cross-checked against a from-scratch APGRE run \
-                 before any time is reported (1e-9 relative).",
-            ],
-        }),
-    );
-}
-
-// --------------------------------------------------------------- bench-pr7
-
-/// PR-7 acceptance benchmark: incremental block-cut-tree maintenance (the
-/// region-splice path) against the forced full-rebuild arm on *structural*
-/// edit batches.
-///
-/// The edit stream toggles bridges between whisker-tip siblings — two
-/// degree-1 vertices hanging off the same non-top host — so every batch
-/// restructures the block-cut tree (two bridge blocks merge into a triangle
-/// and back) while the affected region stays tiny and far from the big top
-/// sub-graph. The old arm (`set_force_rebuild(true)`) pays a full
-/// `to_graph` + `decompose` + fingerprint sweep per batch; the new arm
-/// splices the region in place. Acceptance is a ≥ 5× mean speedup. A mixed
-/// batch (three community chords + one sibling bridge) then demonstrates
-/// per-edit splitting via the `DynamicReport` counters, and the engine's
-/// final scores are cross-checked against a from-scratch APGRE run before
-/// any number is reported.
-fn bench_pr7(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Value>) {
-    use apgre_bench::observed_parallelism;
-    use apgre_dynamic::{BatchClass, DynamicBc, MutationBatch};
-    let threads = opts.threads.unwrap_or(4).max(4);
-    println!("\n=== bench-pr7: incremental block-cut tree maintenance vs forced rebuild ===\n");
-    let observed_threads = observed_parallelism(threads);
-    let parallel_execution = observed_threads > 1;
-    let measurement_mode = if parallel_execution {
-        "parallel-rayon"
-    } else {
-        "sequential-standin (rayon runs inline on one thread; NOT a parallel-speedup measurement)"
-    };
-    println!("execution: {observed_threads}/{threads} distinct worker threads observed");
-    let params = if opts.smoke {
-        apgre_graph::generators::WhiskeredCommunityParams {
-            core_vertices: 600,
-            core_attach: 3,
-            community_count: 22,
-            community_size: 40,
-            community_density: 1.8,
-            whiskers: 3_600,
-            seed: 4242,
-        }
-    } else {
-        apgre_graph::generators::WhiskeredCommunityParams {
-            core_vertices: 6000,
-            core_attach: 3,
-            community_count: 220,
-            community_size: 40,
-            community_density: 1.8,
-            whiskers: 36_000,
-            seed: 4242,
-        }
-    };
-    let g = apgre_graph::generators::whiskered_community(&params);
-    if !opts.smoke {
-        assert!(g.num_vertices() >= 50_000, "acceptance graph too small: {}", g.num_vertices());
-    }
-    println!(
-        "whiskered-community: {} vertices, {} edges, pool of {threads} workers{}",
-        g.num_vertices(),
-        g.num_edges(),
-        if opts.smoke { " [smoke]" } else { "" }
-    );
-
-    let bopts = ApgreOptions::default();
-    let (mut engine, seed_t) = with_threads(threads, || time(|| DynamicBc::new(&g, bopts.clone())));
-    let d = engine.decomposition();
-    println!(
-        "engine seeded in {} ({} sub-graphs, top {} vertices)",
-        fmt_secs(seed_t.as_secs_f64()),
-        d.num_subgraphs(),
-        d.subgraphs_by_size().first().map_or(0, |sg| sg.num_vertices()),
-    );
-
-    // ---- edit-site discovery (borrows `d`, so everything is copied out) ----
-    let top_index = (0..d.subgraphs.len())
-        .max_by_key(|&i| d.subgraphs[i].num_vertices())
-        .expect("non-empty decomposition");
-    // Vertex memberships: which sub-graph owns each vertex, and in how many
-    // sub-graphs it appears (boundary vertices appear in several).
-    let mut owner = vec![usize::MAX; g.num_vertices()];
-    let mut appearances = vec![0u32; g.num_vertices()];
-    for (i, sg) in d.subgraphs.iter().enumerate() {
-        for &gv in &sg.globals {
-            owner[gv as usize] = i;
-            appearances[gv as usize] += 1;
-        }
-    }
-    // Whisker-tip sibling pairs: two degree-1 vertices on the same host,
-    // where the host lives in exactly one non-top sub-graph. Toggling a
-    // tip--tip bridge restructures the block-cut tree (two bridge blocks
-    // fuse into one triangle block and split back) without ever dirtying
-    // the big top sub-graph.
-    let mut tips_by_host: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
-    for v in 0..g.num_vertices() as u32 {
-        let nbrs = g.out_neighbors(v);
-        if nbrs.len() == 1 {
-            tips_by_host.entry(nbrs[0]).or_default().push(v);
-        }
-    }
-    const WANT_PAIRS: usize = 10;
-    let pairs: Vec<(u32, u32)> = tips_by_host
-        .iter()
-        .filter(|(h, tips)| {
-            tips.len() >= 2 && appearances[**h as usize] == 1 && owner[**h as usize] != top_index
-        })
-        .map(|(_, tips)| (tips[0], tips[1]))
-        .take(WANT_PAIRS)
-        .collect();
-    assert!(pairs.len() >= 4, "only {} whisker-tip sibling pairs on non-top hosts", pairs.len());
-    println!(
-        "{} whisker-tip sibling pairs on non-top hosts (first: {} -- {})",
-        pairs.len(),
-        pairs[0].0,
-        pairs[0].1
-    );
-    // Three disjoint interior chords inside one non-top community sub-graph
-    // for the mixed batch, plus the sibling bridge above.
-    let chords: Vec<(u32, u32)> = (0..d.subgraphs.len())
-        .filter(|&i| i != top_index && d.subgraphs[i].num_vertices() >= 16)
-        .find_map(|i| {
-            let sg = &d.subgraphs[i];
-            let interior: Vec<u32> = (0..sg.num_vertices() as u32)
-                .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
-                .collect();
-            let mut used = vec![false; sg.num_vertices()];
-            let mut found = Vec::new();
-            for (a, &lu) in interior.iter().enumerate() {
-                if used[lu as usize] {
-                    continue;
-                }
-                for &lv in &interior[a + 1..] {
-                    if !used[lv as usize] && !sg.graph.out_neighbors(lu).contains(&lv) {
-                        used[lu as usize] = true;
-                        used[lv as usize] = true;
-                        found.push((sg.globals[lu as usize], sg.globals[lv as usize]));
-                        break;
-                    }
-                }
-                if found.len() == 3 {
-                    break;
-                }
-            }
-            (found.len() == 3).then_some(found)
-        })
-        .expect("no community sub-graph with three disjoint interior chords");
-
-    let toggles = if opts.smoke { 6 } else { 20 };
-    let toggle_batch = |k: usize| {
-        let (u, v) = pairs[(k / 2) % pairs.len()];
-        if k.is_multiple_of(2) {
-            MutationBatch::new().add_edge(u, v)
-        } else {
-            MutationBatch::new().remove_edge(u, v)
-        }
-    };
-
-    // ---- old arm: every structural batch pays a full rebuild ----
-    engine.set_force_rebuild(true);
-    let mut old_times = Vec::with_capacity(toggles);
-    let mut rebuild_total = 0.0f64;
-    with_threads(threads, || {
-        for k in 0..toggles {
-            let report = engine.apply(&toggle_batch(k));
-            assert_eq!(
-                report.class,
-                BatchClass::Structural,
-                "old-arm batch {k} was not structural: {}",
-                report.reason
-            );
-            assert!(report.rebuilt, "old-arm batch {k} did not rebuild: {}", report.reason);
-            old_times.push(report.wall_clock.as_secs_f64());
-            rebuild_total += report.rebuild_time.as_secs_f64();
-        }
-    });
-    let old_mean = old_times.iter().sum::<f64>() / old_times.len() as f64;
-    println!(
-        "{toggles} forced-rebuild batches: mean {} per apply ({} in decompose/rebuild)",
-        fmt_secs(old_mean),
-        fmt_secs(rebuild_total / toggles as f64)
-    );
-
-    // ---- new arm: the maintainer splices the region in place ----
-    // The forced-rebuild arm left the block store stale, so the first apply
-    // after switching back is a one-off recovery rebuild; absorb it with a
-    // warm-up toggle pair before measuring.
-    engine.set_force_rebuild(false);
-    with_threads(threads, || {
-        let recovery = engine.apply(&toggle_batch(0));
-        assert!(recovery.rebuilt, "expected a one-off recovery rebuild, got: {}", recovery.reason);
-        let warm = engine.apply(&toggle_batch(1));
-        assert!(!warm.rebuilt, "warm-up batch still rebuilt: {}", warm.reason);
-    });
-    let mut new_times = Vec::with_capacity(toggles);
-    let mut maintain_total = 0.0f64;
-    let mut region_blocks_max = 0usize;
-    let mut spliced_subgraphs_max = 0usize;
-    with_threads(threads, || {
-        for k in 0..toggles {
-            let report = engine.apply(&toggle_batch(k));
-            assert_eq!(
-                report.class,
-                BatchClass::Structural,
-                "new-arm batch {k} was not structural: {}",
-                report.reason
-            );
-            assert!(!report.rebuilt, "new-arm batch {k} fell back to a rebuild: {}", report.reason);
-            new_times.push(report.wall_clock.as_secs_f64());
-            maintain_total += report.maintain_time.as_secs_f64();
-            region_blocks_max = region_blocks_max.max(report.region_blocks);
-            spliced_subgraphs_max = spliced_subgraphs_max.max(report.subgraphs_spliced);
-        }
-    });
-    let new_mean = new_times.iter().sum::<f64>() / new_times.len() as f64;
-    println!(
-        "{toggles} spliced batches: mean {} per apply ({} in maintenance, \
-         region <= {region_blocks_max} block(s), <= {spliced_subgraphs_max} sub-graph(s) spliced)",
-        fmt_secs(new_mean),
-        fmt_secs(maintain_total / toggles as f64)
-    );
-
-    // ---- mixed batch: per-edit splitting, verified by the counters ----
-    let (bu, bv) = pairs[pairs.len() - 1];
-    let mut mixed = MutationBatch::new();
-    for &(u, v) in &chords {
-        mixed = mixed.add_edge(u, v);
-    }
-    mixed = mixed.add_edge(bu, bv);
-    let mixed_report = with_threads(threads, || engine.apply(&mixed));
-    assert_eq!(mixed_report.class, BatchClass::Structural, "{}", mixed_report.reason);
-    assert!(!mixed_report.rebuilt, "mixed batch fell back to a rebuild: {}", mixed_report.reason);
-    assert_eq!(mixed_report.local_edits, 3, "chord adds should patch in place");
-    assert_eq!(mixed_report.structural_edits, 1, "the sibling bridge should splice");
-    println!(
-        "mixed batch (3 community chords + 1 sibling bridge): {} local + {} structural \
-         edit(s), {} dirty sub-graph(s), spliced in {}",
-        mixed_report.local_edits,
-        mixed_report.structural_edits,
-        mixed_report.dirty_subgraphs,
-        fmt_secs(mixed_report.wall_clock.as_secs_f64())
-    );
-    // Revert it so the cross-check runs on a graph with a known baseline.
-    let mut revert = MutationBatch::new();
-    for &(u, v) in &chords {
-        revert = revert.remove_edge(u, v);
-    }
-    revert = revert.remove_edge(bu, bv);
-    let revert_report = with_threads(threads, || engine.apply(&revert));
-    assert!(!revert_report.rebuilt, "revert batch rebuilt: {}", revert_report.reason);
-
-    // Cross-check before reporting any time: the maintained scores must match
-    // a from-scratch APGRE run on the final graph.
-    let current = engine.current_graph();
-    let (scratch, _) = with_threads(threads, || bc_apgre_with(&current, &bopts));
-    let scale = 1.0 + scratch.iter().cloned().fold(0.0f64, f64::max);
-    let max_diff =
-        engine.scores().iter().zip(&scratch).map(|(x, y)| (x - y).abs()).fold(0.0f64, f64::max);
-    assert!(max_diff <= 1e-9 * scale, "incremental diverged from scratch: max |Δ| = {max_diff:e}");
-    println!("cross-check vs from-scratch APGRE: max |Δ| = {max_diff:.1e}");
-
-    let speedup = old_mean / new_mean;
-    println!(
-        "structural apply, splice vs forced rebuild: {speedup:.1}x \
-         (acceptance: >= 5x, measured {})",
-        if parallel_execution { "with parallel rayon" } else { "on the sequential stand-in" }
-    );
-
-    json.insert(
-        "bench_pr7".into(),
-        json!({
-            "measurement_mode": measurement_mode,
-            "execution": {
-                "configured_threads": threads,
-                "observed_worker_threads": observed_threads,
-                "parallel": parallel_execution,
-            },
-            "graph": {
-                "family": "whiskered-community", "seed": 4242,
-                "vertices": g.num_vertices(), "edges": g.num_edges(),
-                "subgraphs": engine.decomposition().num_subgraphs(),
-                "smoke": opts.smoke,
-            },
-            "threads": threads,
-            "engine_seed_seconds": seed_t.as_secs_f64(),
-            "forced_rebuild_batches": {
-                "count": toggles,
-                "mean_apply_seconds": old_mean,
-                "mean_rebuild_seconds": rebuild_total / toggles as f64,
-            },
-            "spliced_batches": {
-                "count": toggles,
-                "mean_apply_seconds": new_mean,
-                "mean_maintain_seconds": maintain_total / toggles as f64,
-                "region_blocks_max": region_blocks_max,
-                "subgraphs_spliced_max": spliced_subgraphs_max,
-            },
-            "mixed_batch": {
-                "local_edits": mixed_report.local_edits,
-                "structural_edits": mixed_report.structural_edits,
-                "dirty_subgraphs": mixed_report.dirty_subgraphs,
-                "apply_seconds": mixed_report.wall_clock.as_secs_f64(),
-                "rebuilt": mixed_report.rebuilt,
-            },
-            "max_abs_diff_vs_scratch": max_diff,
-            "speedup_splice_vs_rebuild": speedup,
-            "acceptance": {
-                "required": 5.0,
-                "measured": speedup,
-                "pass": speedup >= 5.0,
-                "measured_with": measurement_mode,
-                "parallel_rayon": parallel_execution,
-            },
-            "notes": [
-                "Both arms apply the same whisker-tip sibling bridge toggles: \
-                 every batch is Structural (the block-cut tree gains or loses \
-                 a triangle block). The old arm forces the PR-3 path — \
-                 to_graph + full decompose + fingerprint sweep with \
-                 contribution carry-forward; the new arm splices the \
-                 two-block region in place and carries contributions by index.",
-                "The affected region is kept away from the top sub-graph, so \
-                 kernel cost is negligible on both arms and the measured gap \
-                 is the structural-path overhead the maintainer eliminates. \
-                 decompose() itself is ~34 ms on this graph; the 9.3 s \
-                 structural apply recorded in BENCH_PR3.json was \
-                 kernel-dominated (its bridge dirtied community kernels), \
-                 not decomposition-dominated.",
-                "Scores are cross-checked against a from-scratch APGRE run \
-                 before any time is reported (1e-9 relative).",
-            ],
-        }),
-    );
-}
-
-// --------------------------------------------------------------- bench-pr8
-
-/// PR-8 acceptance benchmark: copy-on-write snapshot publication against a
-/// forced full materialization of the same state.
-///
-/// The edit stream toggles chords between interior vertices of non-top
-/// community sub-graphs — the Local class, where the decomposition is
-/// untouched and exactly one sub-graph's kernel reruns per batch. After
-/// every batch both arms produce the reader-facing state: the forced arm
-/// materializes the full graph (`current_graph()`) and clones the full
-/// score vector, which is the pre-store publish cost, O(V + E) regardless
-/// of batch size; the shared arm calls `snapshot()`, which hands out
-/// `Arc`-shared graph chunks and score spans and only pays for what the
-/// batch dirtied. Acceptance is a ≥ 5× mean speedup. The last published
-/// snapshot's scores are then cross-checked **bitwise** against a
-/// from-scratch APGRE run on that snapshot's own checkpointed graph, both
-/// through the flat fold and the per-vertex chunk fold readers use.
-fn bench_pr8(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Value>) {
-    use apgre_bc::apgre::KernelPolicy;
-    use apgre_dynamic::{BatchClass, DynamicBc, MutationBatch};
-    use std::hint::black_box;
-
-    println!("\n=== bench-pr8: copy-on-write publish vs forced full materialization ===\n");
-    // Publishing happens on the single writer thread in apgre-serve, so
-    // both arms are inherently single-threaded; the sequential kernel is
-    // forced so the served scores stay bitwise-reproducible from scratch.
-    let measurement_mode = "single-thread-publish (both arms run on one thread, as the \
-                            serve writer does; KernelPolicy::Seq pins the bitwise \
-                            served-score anchor)";
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("execution: publish path is single-threaded ({cores} hardware thread(s) present)");
-
-    let params = if opts.smoke {
-        apgre_graph::generators::WhiskeredCommunityParams {
-            core_vertices: 600,
-            core_attach: 3,
-            community_count: 24,
-            community_size: 30,
-            community_density: 1.8,
-            whiskers: 2_000,
-            seed: 4242,
-        }
-    } else {
-        apgre_graph::generators::WhiskeredCommunityParams {
-            core_vertices: 6000,
-            core_attach: 3,
-            community_count: 220,
-            community_size: 40,
-            community_density: 1.8,
-            whiskers: 36_000,
-            seed: 4242,
-        }
-    };
-    let g = apgre_graph::generators::whiskered_community(&params);
-    if !opts.smoke {
-        assert!(g.num_vertices() >= 50_000, "acceptance graph too small: {}", g.num_vertices());
-    }
-    println!(
-        "whiskered-community{}: {} vertices, {} edges",
-        if opts.smoke { " (smoke)" } else { "" },
-        g.num_vertices(),
-        g.num_edges()
-    );
-
-    let bopts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
-    let (mut engine, seed_t) = time(|| DynamicBc::new(&g, bopts.clone()));
-    let num_subgraphs = engine.decomposition().num_subgraphs();
-    println!("engine seeded in {} ({num_subgraphs} sub-graphs)", fmt_secs(seed_t.as_secs_f64()));
-    // The seed publish copies everything once (nothing to share yet); take
-    // it outside the measured window so every measured publish starts from
-    // a clean dirty-set accounting window.
-    let seed_snap = engine.snapshot();
-    println!(
-        "seed publish: {} score span(s) + {} graph chunk(s) copied (one-off)",
-        seed_snap.publish.score_chunks_copied, seed_snap.publish.graph_chunks_copied
-    );
-    drop(seed_snap);
-
-    // One chord (two interior, non-adjacent, non-whisker vertices) per
-    // non-top community sub-graph: toggling it is the Local class — the
-    // block-cut tree is untouched and exactly one kernel reruns.
-    const WANT_CHORDS: usize = 8;
-    let d = engine.decomposition();
-    let top_index = (0..d.subgraphs.len())
-        .max_by_key(|&i| d.subgraphs[i].num_vertices())
-        .expect("non-empty decomposition");
-    let mut chords: Vec<(u32, u32)> = Vec::new();
-    for si in 0..d.subgraphs.len() {
-        if chords.len() == WANT_CHORDS {
-            break;
-        }
-        if si == top_index || d.subgraphs[si].num_vertices() < 10 {
-            continue;
-        }
-        let sg = &d.subgraphs[si];
-        let interior: Vec<u32> = (0..sg.num_vertices() as u32)
-            .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
-            .collect();
-        'outer: for (a, &lu) in interior.iter().enumerate() {
-            for &lv in &interior[a + 1..] {
-                if !sg.graph.out_neighbors(lu).contains(&lv) {
-                    chords.push((sg.globals[lu as usize], sg.globals[lv as usize]));
-                    break 'outer;
-                }
-            }
-        }
-    }
-    assert!(chords.len() >= 4, "only {} community chords found", chords.len());
-    println!("{} community chords (first: {} -- {})", chords.len(), chords[0].0, chords[0].1);
-
-    // Even toggle count: every chord that was added is removed again, so
-    // the final graph is the seed graph and a fresh decomposition of it is
-    // the one the engine has been patching all along.
-    let toggles = if opts.smoke { 6 } else { 20 };
-    let mut forced_times = Vec::with_capacity(toggles);
-    let mut shared_times = Vec::with_capacity(toggles);
-    let mut score_copied_max = 0usize;
-    let mut score_reused_min = usize::MAX;
-    let mut graph_copied_max = 0usize;
-    let mut last_snap = None;
-    for k in 0..toggles {
-        let (u, v) = chords[(k / 2) % chords.len()];
-        let batch = if k.is_multiple_of(2) {
-            MutationBatch::new().add_edge(u, v)
-        } else {
-            MutationBatch::new().remove_edge(u, v)
-        };
-        let report = engine.apply(&batch);
-        assert_eq!(report.class, BatchClass::Local, "batch {k} not local: {}", report.reason);
-        assert!(!report.rebuilt, "local batch {k} rebuilt: {}", report.reason);
-
-        // Forced arm first (it reads but never mutates the accounting
-        // window): materialize the full CSR and clone the full scores —
-        // what every publish cost before the store existed.
-        let ((nv, ne, ns), forced_t) = time(|| {
-            let full = engine.current_graph();
-            let scores = engine.scores().to_vec();
-            (full.num_vertices(), full.num_edges(), black_box(scores).len())
-        });
-        assert_eq!((nv, ns), (g.num_vertices(), g.num_vertices()));
-        black_box(ne);
-        forced_times.push(forced_t.as_secs_f64());
-
-        // Shared arm: publish through the store.
-        let (snap, shared_t) = time(|| engine.snapshot());
-        shared_times.push(shared_t.as_secs_f64());
-        assert_eq!(
-            snap.publish.score_chunks_copied, report.dirty_subgraphs,
-            "publish copied spans != dirty sub-graphs on batch {k}"
-        );
-        assert!(
-            snap.publish.graph_chunks_copied <= 2,
-            "one chord toggle dirtied {} graph chunks",
-            snap.publish.graph_chunks_copied
-        );
-        score_copied_max = score_copied_max.max(snap.publish.score_chunks_copied);
-        score_reused_min = score_reused_min.min(snap.publish.score_chunks_reused);
-        graph_copied_max = graph_copied_max.max(snap.publish.graph_chunks_copied);
-        last_snap = Some(snap);
-    }
-    let forced_mean = forced_times.iter().sum::<f64>() / forced_times.len() as f64;
-    let shared_mean = shared_times.iter().sum::<f64>() / shared_times.len() as f64;
-    println!(
-        "{toggles} local batches: forced materialization mean {} per publish, \
-         CoW publish mean {} per publish",
-        fmt_secs(forced_mean),
-        fmt_secs(shared_mean)
-    );
-    println!(
-        "dirty set per publish: <= {score_copied_max} score span(s) copied \
-         (>= {score_reused_min} reused), <= {graph_copied_max} graph chunk(s) copied"
-    );
-
-    // Bitwise cross-check before reporting any time: the served snapshot
-    // must be reproducible from scratch on its own checkpointed graph,
-    // through both read paths (flat fold and per-vertex chunk fold).
-    let snap = last_snap.expect("at least one publish");
-    let checkpoint = snap.graph.to_graph();
-    let (scratch, _) = bc_apgre_with(&checkpoint, &bopts);
-    let served = snap.scores.to_vec();
-    assert_eq!(served.len(), scratch.len());
-    let flat_mismatches =
-        served.iter().zip(&scratch).filter(|(a, b)| a.to_bits() != b.to_bits()).count();
-    assert_eq!(flat_mismatches, 0, "served flat scores diverge bitwise from scratch");
-    let fold_mismatches = (0..scratch.len())
-        .filter(|&v| snap.scores.score(v).to_bits() != scratch[v].to_bits())
-        .count();
-    assert_eq!(fold_mismatches, 0, "per-vertex chunk fold diverges bitwise from scratch");
-    println!(
-        "bitwise cross-check vs from-scratch APGRE on the checkpointed graph: \
-         {} vertices, 0 mismatches (flat and per-vertex folds)",
-        scratch.len()
-    );
-
-    let speedup = forced_mean / shared_mean;
-    println!("publish, CoW snapshot vs forced materialization: {speedup:.1}x (acceptance: >= 5x)");
-
-    json.insert(
-        "bench_pr8".into(),
-        json!({
-            "measurement_mode": measurement_mode,
-            "execution": {
-                "hardware_threads": cores,
-                "publish_threads": 1,
-                "parallel": false,
-                "kernel_policy": "seq",
-            },
-            "graph": {
-                "family": "whiskered-community", "seed": 4242,
-                "vertices": g.num_vertices(), "edges": g.num_edges(),
-                "subgraphs": num_subgraphs,
-                "smoke": opts.smoke,
-            },
-            "engine_seed_seconds": seed_t.as_secs_f64(),
-            "forced_materialization": {
-                "count": toggles,
-                "mean_publish_seconds": forced_mean,
-            },
-            "cow_publish": {
-                "count": toggles,
-                "mean_publish_seconds": shared_mean,
-                "score_spans_copied_max": score_copied_max,
-                "score_spans_reused_min": score_reused_min,
-                "graph_chunks_copied_max": graph_copied_max,
-            },
-            "bitwise_served_vs_scratch": {
-                "vertices": scratch.len(),
-                "flat_mismatches": flat_mismatches,
-                "per_vertex_fold_mismatches": fold_mismatches,
-            },
-            "speedup_cow_vs_forced": speedup,
-            "acceptance": {
-                "required": 5.0,
-                "measured": speedup,
-                "pass": speedup >= 5.0,
-                "measured_with": measurement_mode,
-            },
-            "notes": [
-                "Both arms publish after the same Local chord-toggle batches. \
-                 The forced arm is the pre-store cost: materialize the full \
-                 CSR from the overlay and clone the full score vector, \
-                 O(V + E) per publish. The CoW arm calls \
-                 DynamicBc::snapshot(), which shares every graph chunk and \
-                 score span the batch did not touch.",
-                "The copied/reused counters are asserted per publish: copied \
-                 score spans == dirty sub-graphs of the batch (one per chord \
-                 toggle), and at most two 1024-vertex graph chunks (the two \
-                 chord endpoints).",
-                "The served snapshot is cross-checked bitwise (not within a \
-                 tolerance) against a from-scratch APGRE run on the \
-                 snapshot's own checkpointed graph, through both the flat \
-                 fold and the per-vertex chunk fold that /bc/:v serves.",
-            ],
-        }),
-    );
-}
-
-// --------------------------------------------------------------- bench-pr9
-
-/// PR-9 acceptance benchmark: dirty-set incremental refresh of the
-/// decomposition-composed sampled estimator against the legacy from-scratch
-/// `bc_approx` pivot sweep the serve tier used to pay per stale generation.
-///
-/// The edit stream is bench-pr8's: one chord toggle per non-top community
-/// sub-graph, the Local class, dirtying exactly one sub-graph per batch.
-/// After every batch the incremental arm calls
-/// `DynamicBc::approx_snapshot()`, which resamples only the dirty
-/// sub-graph and carries every other scaled sample span verbatim. The
-/// legacy arm re-does what `apgre-serve` did before the estimator existed:
-/// materialize the front graph and run `bc_approx` from scratch — at an
-/// equal root-sample budget (the estimator's own seed-time total), so both
-/// arms sweep the same number of sources. Acceptance is a ≥ 5× mean
-/// speedup. The final incremental estimates are then cross-checked
-/// **bitwise** against the from-scratch composed estimator
-/// (`bc_sampled_from_decomposition`) on the engine's own decomposition —
-/// the determinism contract DESIGN.md §3.12 states.
-fn bench_pr9(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Value>) {
-    use apgre_approx::{bc_sampled_from_decomposition, SampleOptions};
-    use apgre_bc::apgre::KernelPolicy;
-    use apgre_bc::bc_approx;
-    use apgre_dynamic::{BatchClass, DynamicBc, MutationBatch};
-    use std::hint::black_box;
-
-    println!("\n=== bench-pr9: incremental approx refresh vs from-scratch bc_approx ===\n");
-    // The refresh happens on the single serve writer thread, so both arms
-    // run single-threaded; the sequential kernel pins the bitwise oracle.
-    let measurement_mode = "single-thread refresh (both arms run on one thread, as the serve \
-                            writer does; KernelPolicy::Seq pins the bitwise estimator oracle)";
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("execution: refresh path is single-threaded ({cores} hardware thread(s) present)");
-
-    let params = if opts.smoke {
-        apgre_graph::generators::WhiskeredCommunityParams {
-            core_vertices: 600,
-            core_attach: 3,
-            community_count: 24,
-            community_size: 30,
-            community_density: 1.8,
-            whiskers: 2_000,
-            seed: 4242,
-        }
-    } else {
-        apgre_graph::generators::WhiskeredCommunityParams {
-            core_vertices: 6000,
-            core_attach: 3,
-            community_count: 220,
-            community_size: 40,
-            community_density: 1.8,
-            whiskers: 36_000,
-            seed: 4242,
-        }
-    };
-    let g = apgre_graph::generators::whiskered_community(&params);
-    if !opts.smoke {
-        assert!(g.num_vertices() >= 50_000, "acceptance graph too small: {}", g.num_vertices());
-    }
-    println!(
-        "whiskered-community{}: {} vertices, {} edges",
-        if opts.smoke { " (smoke)" } else { "" },
-        g.num_vertices(),
-        g.num_edges()
-    );
-
-    let bopts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
-    let sopts = SampleOptions::uniform(8, 0xA99);
-    let (mut engine, seed_t) = time(|| DynamicBc::new(&g, bopts.clone()));
-    let num_subgraphs = engine.decomposition().num_subgraphs();
-    println!("engine seeded in {} ({num_subgraphs} sub-graphs)", fmt_secs(seed_t.as_secs_f64()));
-    engine.enable_approx(sopts.clone());
-    // The seed refresh samples every sub-graph once (nothing to carry yet);
-    // its total root count becomes the legacy arm's pivot budget, so both
-    // arms sweep the same number of sources per answer.
-    let (seed_ap, seed_refresh_t) = time(|| engine.approx_snapshot().expect("estimator enabled"));
-    let budget = seed_ap.refresh.sampled_roots as usize;
-    println!(
-        "seed refresh: {} sub-graphs sampled, {budget} roots total, in {} (one-off)",
-        seed_ap.refresh.resampled,
-        fmt_secs(seed_refresh_t.as_secs_f64())
-    );
-
-    // Same chord discovery as bench-pr8: one chord between two interior,
-    // non-adjacent, non-whisker vertices per non-top community sub-graph.
-    const WANT_CHORDS: usize = 8;
-    let d = engine.decomposition();
-    let top_index = (0..d.subgraphs.len())
-        .max_by_key(|&i| d.subgraphs[i].num_vertices())
-        .expect("non-empty decomposition");
-    let mut chords: Vec<(u32, u32)> = Vec::new();
-    for si in 0..d.subgraphs.len() {
-        if chords.len() == WANT_CHORDS {
-            break;
-        }
-        if si == top_index || d.subgraphs[si].num_vertices() < 10 {
-            continue;
-        }
-        let sg = &d.subgraphs[si];
-        let interior: Vec<u32> = (0..sg.num_vertices() as u32)
-            .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
-            .collect();
-        'outer: for (a, &lu) in interior.iter().enumerate() {
-            for &lv in &interior[a + 1..] {
-                if !sg.graph.out_neighbors(lu).contains(&lv) {
-                    chords.push((sg.globals[lu as usize], sg.globals[lv as usize]));
-                    break 'outer;
-                }
-            }
-        }
-    }
-    assert!(chords.len() >= 4, "only {} community chords found", chords.len());
-    println!("{} community chords (first: {} -- {})", chords.len(), chords[0].0, chords[0].1);
-
-    // The legacy arm's cost is O(budget × (V + E)) and independent of the
-    // batch, so it is measured on the first few toggles and averaged; the
-    // incremental arm is measured on every toggle.
-    let toggles = if opts.smoke { 6 } else { 20 };
-    let legacy_measured = if opts.smoke { 2 } else { 3 };
-    let mut legacy_times = Vec::with_capacity(legacy_measured);
-    let mut incr_times = Vec::with_capacity(toggles);
-    let mut resampled_max = 0usize;
-    let mut reused_min = usize::MAX;
-    let mut last_ap = seed_ap;
-    for k in 0..toggles {
-        let (u, v) = chords[(k / 2) % chords.len()];
-        let batch = if k.is_multiple_of(2) {
-            MutationBatch::new().add_edge(u, v)
-        } else {
-            MutationBatch::new().remove_edge(u, v)
-        };
-        let report = engine.apply(&batch);
-        assert_eq!(report.class, BatchClass::Local, "batch {k} not local: {}", report.reason);
-        assert!(!report.rebuilt, "local batch {k} rebuilt: {}", report.reason);
-
-        if k < legacy_measured {
-            // Legacy arm: what a stale `?approx` answer cost before — build
-            // the front CSR and sweep `budget` pivots over the whole graph.
-            let (n, legacy_t) = time(|| {
-                let full = engine.current_graph();
-                black_box(bc_approx(&full, budget, sopts.seed ^ k as u64)).len()
-            });
-            assert_eq!(n, g.num_vertices());
-            legacy_times.push(legacy_t.as_secs_f64());
-        }
-
-        // Incremental arm: resample the dirty sub-graph, carry the rest.
-        let (ap, incr_t) = time(|| engine.approx_snapshot().expect("estimator enabled"));
-        incr_times.push(incr_t.as_secs_f64());
-        assert_eq!(
-            ap.refresh.resampled, report.dirty_subgraphs,
-            "refresh resampled != dirty sub-graphs on batch {k}"
-        );
-        resampled_max = resampled_max.max(ap.refresh.resampled);
-        reused_min = reused_min.min(ap.refresh.reused);
-        last_ap = ap;
-    }
-    let legacy_mean = legacy_times.iter().sum::<f64>() / legacy_times.len() as f64;
-    let incr_mean = incr_times.iter().sum::<f64>() / incr_times.len() as f64;
-    println!(
-        "{toggles} local batches: from-scratch bc_approx mean {} per answer \
-         (measured on {legacy_measured}), incremental refresh mean {} per publish",
-        fmt_secs(legacy_mean),
-        fmt_secs(incr_mean)
-    );
-    println!(
-        "dirty set per refresh: <= {resampled_max} sub-graph(s) resampled \
-         (>= {reused_min} carried)"
-    );
-
-    // Determinism cross-check before reporting any time: the incremental
-    // estimates must be bitwise-reproducible by the from-scratch composed
-    // estimator on the engine's own decomposition, same seed.
-    let oracle = bc_sampled_from_decomposition(engine.decomposition(), &bopts, &sopts);
-    let served = last_ap.estimates.to_vec();
-    assert_eq!(served.len(), oracle.len());
-    let mismatches = served.iter().zip(&oracle).filter(|(a, b)| a.to_bits() != b.to_bits()).count();
-    assert_eq!(mismatches, 0, "incremental estimates diverge bitwise from composed oracle");
-    println!(
-        "bitwise cross-check vs from-scratch composed estimator: \
-         {} vertices, 0 mismatches",
-        oracle.len()
-    );
-
-    // Accuracy flavor (the statistical bound itself is property-tested in
-    // crates/approx): mean relative error of the estimates against the
-    // exact scores the engine maintains, over vertices with exact BC > 0.
-    let exact = engine.scores();
-    let mut rel_sum = 0.0f64;
-    let mut rel_n = 0usize;
-    for (e, s) in exact.iter().zip(&served) {
-        if *e > 0.0 {
-            rel_sum += (s - e).abs() / e;
-            rel_n += 1;
-        }
-    }
-    let mean_rel_err = rel_sum / rel_n.max(1) as f64;
-    println!("estimate accuracy: mean relative error {mean_rel_err:.4} over {rel_n} vertices");
-
-    let speedup = legacy_mean / incr_mean;
-    println!(
-        "approx answer, incremental refresh vs from-scratch bc_approx: \
-         {speedup:.1}x (acceptance: >= 5x)"
-    );
-
-    json.insert(
-        "bench_pr9".into(),
-        json!({
-            "measurement_mode": measurement_mode,
-            "execution": {
-                "hardware_threads": cores,
-                "refresh_threads": 1,
-                "parallel": false,
-                "kernel_policy": "seq",
-            },
-            "graph": {
-                "family": "whiskered-community", "seed": 4242,
-                "vertices": g.num_vertices(), "edges": g.num_edges(),
-                "subgraphs": num_subgraphs,
-                "smoke": opts.smoke,
-            },
-            "estimator": {
-                "samples_per_subgraph": 8,
-                "seed": sopts.seed,
-                "seed_refresh_seconds": seed_refresh_t.as_secs_f64(),
-                "root_budget": budget,
-            },
-            "engine_seed_seconds": seed_t.as_secs_f64(),
-            "from_scratch_bc_approx": {
-                "count": legacy_times.len(),
-                "mean_answer_seconds": legacy_mean,
-                "pivots": budget,
-            },
-            "incremental_refresh": {
-                "count": toggles,
-                "mean_refresh_seconds": incr_mean,
-                "subgraphs_resampled_max": resampled_max,
-                "subgraphs_reused_min": reused_min,
-            },
-            "bitwise_vs_composed_oracle": {
-                "vertices": oracle.len(),
-                "mismatches": mismatches,
-            },
-            "mean_relative_error_vs_exact": mean_rel_err,
-            "speedup_incremental_vs_scratch": speedup,
-            "acceptance": {
-                "required": 5.0,
-                "measured": speedup,
-                "pass": speedup >= 5.0,
-                "measured_with": measurement_mode,
-            },
-            "notes": [
-                "Both arms answer after the same Local chord-toggle batches \
-                 at the same total root-sample budget. The legacy arm is \
-                 the pre-PR-9 serve tier: materialize the front graph and \
-                 run bc_approx from scratch per stale generation. The \
-                 incremental arm resamples only the batch's dirty \
-                 sub-graph and carries every other scaled sample span.",
-                "The legacy arm's cost is batch-independent, so it is \
-                 measured on the first few toggles and averaged; the \
-                 incremental arm is measured on every toggle and its \
-                 resampled count is asserted equal to the batch's dirty \
-                 sub-graphs.",
-                "The final incremental estimates are cross-checked bitwise \
-                 (not within a tolerance) against \
-                 bc_sampled_from_decomposition on the engine's own \
-                 decomposition — the determinism contract of DESIGN.md \
-                 \u{a7}3.12. The statistical error bound vs exact scores \
-                 is property-tested in crates/approx.",
-            ],
-        }),
-    );
-}
-
-// -------------------------------------------------------------- bench-pr10
-
-/// PR-10 acceptance benchmark: variance-guided adaptive root budgets
-/// against the uniform per-sub-graph cap, at **equal total root budget**.
-///
-/// The uniform arm is PR 9's estimator with its cap of 8; its total drawn
-/// root count `B = Σ min(8, |R_i|)` becomes the adaptive arm's global
-/// budget, so both arms sweep comparable source counts. On the
-/// whiskered-community graph the contribution variance is skewed by
-/// construction — the core sub-graph's roots differ wildly while each
-/// 40-vertex community is nearly symmetric — so the allocator drains the
-/// symmetric communities down to their pilot floors and pours the budget
-/// into the core. Acceptance is ≥ 1.5× lower mean absolute error vs the
-/// exact scores.
-///
-/// The second half drives ≥ 20 Local chord-toggle batches through a
-/// `DynamicBc` engine with the adaptive estimator enabled and cross-checks
-/// the final incremental estimates **and** standard errors bitwise against
-/// the from-scratch adaptive oracle (`--features invariants` additionally
-/// asserts this after every refresh inside the store itself).
-fn bench_pr10(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Value>) {
-    use apgre_approx::{bc_sampled_with_stderr_from_decomposition, plan_adaptive, SampleOptions};
-    use apgre_bc::apgre::KernelPolicy;
-    use apgre_dynamic::{BatchClass, DynamicBc, MutationBatch};
-
-    println!("\n=== bench-pr10: adaptive vs uniform sample budgets at equal root budget ===\n");
-    let measurement_mode = "single-thread refresh (serve-writer shape; KernelPolicy::Seq pins \
-                            the bitwise estimator oracle)";
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("execution: estimator path is single-threaded ({cores} hardware thread(s) present)");
-
-    let params = if opts.smoke {
-        apgre_graph::generators::WhiskeredCommunityParams {
-            core_vertices: 600,
-            core_attach: 3,
-            community_count: 24,
-            community_size: 30,
-            community_density: 1.8,
-            whiskers: 2_000,
-            seed: 4242,
-        }
-    } else {
-        apgre_graph::generators::WhiskeredCommunityParams {
-            core_vertices: 6000,
-            core_attach: 3,
-            community_count: 220,
-            community_size: 40,
-            community_density: 1.8,
-            whiskers: 36_000,
-            seed: 4242,
-        }
-    };
-    let g = apgre_graph::generators::whiskered_community(&params);
-    if !opts.smoke {
-        assert!(g.num_vertices() >= 50_000, "acceptance graph too small: {}", g.num_vertices());
-    }
-    println!(
-        "whiskered-community{}: {} vertices, {} edges",
-        if opts.smoke { " (smoke)" } else { "" },
-        g.num_vertices(),
-        g.num_edges()
-    );
-
-    let bopts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
-    let (mut engine, seed_t) = time(|| DynamicBc::new(&g, bopts.clone()));
-    let d = engine.decomposition();
-    let num_subgraphs = d.num_subgraphs();
-    println!("engine seeded in {} ({num_subgraphs} sub-graphs)", fmt_secs(seed_t.as_secs_f64()));
-
-    // Equal-budget construction: the adaptive arm's global budget is
-    // exactly what the uniform cap would spend.
-    const UNIFORM_CAP: usize = 8;
-    let seed = 0xA99u64;
-    let budget: usize = d.subgraphs.iter().map(|sg| sg.roots.len().min(UNIFORM_CAP)).sum();
-    let uniform = SampleOptions::uniform(UNIFORM_CAP, seed);
-    let adaptive = SampleOptions::adaptive(budget, seed);
-    let plan = plan_adaptive(
-        d,
-        &bopts,
-        seed,
-        budget,
-        apgre_approx::DEFAULT_PILOT,
-        &vec![None; num_subgraphs],
-    );
-    let allocated: u64 = plan.allocated();
-    let k_max = plan.k.iter().copied().max().unwrap_or(0);
-    println!(
-        "root budget B = {budget} (uniform cap {UNIFORM_CAP}); adaptive allocates {allocated} \
-         (pilot {} roots, max k_i = {k_max})",
-        plan.pilot_roots
-    );
-
-    let exact = engine.scores().to_vec();
-    let mae = |est: &[f64]| -> f64 {
-        est.iter().zip(&exact).map(|(e, x)| (e - x).abs()).sum::<f64>() / exact.len() as f64
-    };
-
-    let ((est_u, _), t_u) = time(|| bc_sampled_with_stderr_from_decomposition(d, &bopts, &uniform));
-    let ((est_a, err_a), t_a) =
-        time(|| bc_sampled_with_stderr_from_decomposition(d, &bopts, &adaptive));
-    let mae_u = mae(&est_u);
-    let mae_a = mae(&est_a);
-    let improvement = mae_u / mae_a.max(f64::MIN_POSITIVE);
-    println!(
-        "uniform  MAE {mae_u:.6} ({} estimator)\nadaptive MAE {mae_a:.6} ({} estimator, \
-         incl. pilots)",
-        fmt_secs(t_u.as_secs_f64()),
-        fmt_secs(t_a.as_secs_f64())
-    );
-    println!("error-at-equal-budget improvement: {improvement:.2}x (acceptance: >= 1.5x)");
-
-    // stderr sanity: how often the true error sits within two reported
-    // standard errors, over vertices the estimator actually sampled
-    // (stderr > 0). The binding statistical check lives in crates/approx.
-    let mut covered = 0usize;
-    let mut sampled = 0usize;
-    for ((e, x), s) in est_a.iter().zip(&exact).zip(&err_a) {
-        if *s > 0.0 {
-            sampled += 1;
-            if (e - x).abs() <= 2.0 * s {
-                covered += 1;
-            }
-        }
-    }
-    let coverage = covered as f64 / sampled.max(1) as f64;
-    println!("reported stderr: |err| <= 2se on {coverage:.3} of {sampled} sampled vertices");
-
-    // Incremental phase: >= 20 Local chord toggles with the adaptive
-    // estimator live, then a bitwise check of estimates *and* stderr
-    // against the from-scratch adaptive oracle.
-    const WANT_CHORDS: usize = 8;
-    let top_index = (0..d.subgraphs.len())
-        .max_by_key(|&i| d.subgraphs[i].num_vertices())
-        .expect("non-empty decomposition");
-    let mut chords: Vec<(u32, u32)> = Vec::new();
-    for si in 0..d.subgraphs.len() {
-        if chords.len() == WANT_CHORDS {
-            break;
-        }
-        if si == top_index || d.subgraphs[si].num_vertices() < 10 {
-            continue;
-        }
-        let sg = &d.subgraphs[si];
-        let interior: Vec<u32> = (0..sg.num_vertices() as u32)
-            .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
-            .collect();
-        'outer: for (a, &lu) in interior.iter().enumerate() {
-            for &lv in &interior[a + 1..] {
-                if !sg.graph.out_neighbors(lu).contains(&lv) {
-                    chords.push((sg.globals[lu as usize], sg.globals[lv as usize]));
-                    break 'outer;
-                }
-            }
-        }
-    }
-    assert!(chords.len() >= 4, "only {} community chords found", chords.len());
-
-    engine.enable_approx(adaptive.clone());
-    let (seed_ap, seed_refresh_t) = time(|| engine.approx_snapshot().expect("estimator enabled"));
-    println!(
-        "adaptive seed refresh: {} sub-graphs, {} sampled + {} pilot roots, in {} \
-         (budget utilization {:.3})",
-        seed_ap.refresh.resampled,
-        seed_ap.refresh.sampled_roots,
-        seed_ap.refresh.pilot_roots,
-        fmt_secs(seed_refresh_t.as_secs_f64()),
-        seed_ap.refresh.budget_utilization()
-    );
-
-    let toggles = if opts.smoke { 6 } else { 20 };
-    let mut refresh_times = Vec::with_capacity(toggles);
-    let mut resampled_max = 0usize;
-    let mut last_ap = seed_ap;
-    for k in 0..toggles {
-        let (u, v) = chords[(k / 2) % chords.len()];
-        let batch = if k.is_multiple_of(2) {
-            MutationBatch::new().add_edge(u, v)
-        } else {
-            MutationBatch::new().remove_edge(u, v)
-        };
-        let report = engine.apply(&batch);
-        assert_eq!(report.class, BatchClass::Local, "batch {k} not local: {}", report.reason);
-        let (ap, incr_t) = time(|| engine.approx_snapshot().expect("estimator enabled"));
-        refresh_times.push(incr_t.as_secs_f64());
-        resampled_max = resampled_max.max(ap.refresh.resampled);
-        last_ap = ap;
-    }
-    let refresh_mean = refresh_times.iter().sum::<f64>() / refresh_times.len() as f64;
-    println!(
-        "{toggles} local batches: adaptive refresh mean {} per publish \
-         (<= {resampled_max} sub-graph(s) resampled per refresh)",
-        fmt_secs(refresh_mean)
-    );
-
-    let (oracle_est, oracle_err) =
-        bc_sampled_with_stderr_from_decomposition(engine.decomposition(), &bopts, &adaptive);
-    let served = last_ap.estimates.to_vec();
-    assert_eq!(served.len(), oracle_est.len());
-    let est_mismatches =
-        served.iter().zip(&oracle_est).filter(|(a, b)| a.to_bits() != b.to_bits()).count();
-    let err_mismatches = (0..oracle_err.len())
-        .filter(|&v| last_ap.stderr(v).to_bits() != oracle_err[v].to_bits())
-        .count();
-    assert_eq!(est_mismatches, 0, "incremental adaptive estimates diverge bitwise from oracle");
-    assert_eq!(err_mismatches, 0, "incremental stderr diverges bitwise from oracle");
-    println!(
-        "bitwise cross-check vs from-scratch adaptive oracle after {toggles} batches: \
-         {} vertices, 0 estimate / 0 stderr mismatches",
-        oracle_est.len()
-    );
-
-    let pass = improvement >= 1.5;
-    assert!(
-        pass || opts.smoke,
-        "adaptive MAE improvement {improvement:.2}x below the 1.5x acceptance bar"
-    );
-
-    json.insert(
-        "bench_pr10".into(),
-        json!({
-            "measurement_mode": measurement_mode,
-            "execution": {
-                "hardware_threads": cores,
-                "refresh_threads": 1,
-                "parallel": false,
-                "kernel_policy": "seq",
-            },
-            "graph": {
-                "family": "whiskered-community", "seed": 4242,
-                "vertices": g.num_vertices(), "edges": g.num_edges(),
-                "subgraphs": num_subgraphs,
-                "smoke": opts.smoke,
-            },
-            "budget": {
-                "uniform_cap": UNIFORM_CAP,
-                "total_roots": budget,
-                "adaptive_allocated": allocated,
-                "adaptive_pilot_roots": plan.pilot_roots,
-                "adaptive_k_max": k_max,
-                "seed": seed,
-            },
-            "error_at_equal_budget": {
-                "uniform_mae": mae_u,
-                "adaptive_mae": mae_a,
-                "improvement": improvement,
-                "uniform_estimator_seconds": t_u.as_secs_f64(),
-                "adaptive_estimator_seconds": t_a.as_secs_f64(),
-            },
-            "stderr_two_sigma_coverage": {
-                "fraction": coverage,
-                "sampled_vertices": sampled,
-            },
-            "incremental": {
-                "batches": toggles,
-                "mean_refresh_seconds": refresh_mean,
-                "subgraphs_resampled_max": resampled_max,
-                "seed_refresh_seconds": seed_refresh_t.as_secs_f64(),
-                "budget_utilization": last_ap.refresh.budget_utilization(),
-                "estimate_mismatches": est_mismatches,
-                "stderr_mismatches": err_mismatches,
-            },
-            "acceptance": {
-                "required_improvement": 1.5,
-                "measured_improvement": improvement,
-                "bitwise_incremental": est_mismatches == 0 && err_mismatches == 0,
-                "pass": pass && est_mismatches == 0 && err_mismatches == 0,
-                "measured_with": measurement_mode,
-            },
-            "notes": [
-                "Both arms spend the same total root budget B = sum over \
-                 sub-graphs of min(8, |R_i|). The uniform arm is the PR 9 \
-                 estimator; the adaptive arm distributes B proportionally \
-                 to |R_i| * sigma_i from deterministic pilot sweeps \
-                 (DESIGN.md section 3.13) and reports per-vertex standard \
-                 errors from the same Welford accumulators.",
-                "The incremental phase publishes after each of the Local \
-                 chord-toggle batches and cross-checks the final estimates \
-                 and standard errors bitwise against the from-scratch \
-                 adaptive oracle; --features invariants asserts the same \
-                 equality inside SampleStore::refresh after every publish.",
-            ],
-        }),
-    );
-}
-
-// --------------------------------------------------------------- bench-pr4
-
-/// A minimal keep-alive HTTP/1.1 client for the load generator: one
-/// persistent connection, one in-flight request at a time.
-struct LoadClient {
-    reader: std::io::BufReader<std::net::TcpStream>,
-    writer: std::net::TcpStream,
-}
-
-impl LoadClient {
-    fn connect(addr: std::net::SocketAddr) -> std::io::Result<Self> {
-        let stream = std::net::TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        Ok(LoadClient { reader: std::io::BufReader::new(stream), writer })
-    }
-
-    /// Sends one request and reads the full response; returns
-    /// `(status, body)`.
-    fn request(&mut self, method: &str, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-        use std::io::{BufRead, Read, Write};
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        )?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        self.reader.read_line(&mut line)?;
-        let status: u16 =
-            line.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status")
-            })?;
-        let mut content_length = 0usize;
-        loop {
-            line.clear();
-            self.reader.read_line(&mut line)?;
-            let trimmed = line.trim_end_matches(['\r', '\n']);
-            if trimmed.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = trimmed.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().unwrap_or(0);
-                }
-            }
-        }
-        let mut buf = vec![0u8; content_length];
-        self.reader.read_exact(&mut buf)?;
-        Ok((status, String::from_utf8_lossy(&buf).into_owned()))
-    }
-}
-
-/// Extracts the raw text of a top-level value from the service's flat JSON
-/// responses (`"key":<value>` up to the next `,` or `}`).
-fn flat_json_value<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// What one load-generator thread did.
-struct ClientTally {
-    queries: u64,
-    query_latency_micros: Vec<u64>,
-    mutations_accepted: u64,
-    mutations_rejected: u64,
-}
-
-/// PR-4 acceptance benchmark: closed-loop load against an in-process
-/// `apgre-serve` instance. Four client threads each hold one keep-alive
-/// connection and issue `GET /bc/:v` queries, with every 64th request a
-/// `POST /mutate` toggling a chord inside that thread's own community
-/// sub-graph (the Local class the writer coalesces). After the window the
-/// service is quiesced, one structural batch forces a fresh decomposition,
-/// and the served scores are cross-checked **bitwise** against a
-/// from-scratch APGRE run on the checkpointed graph.
-fn bench_pr4(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Value>) {
-    use apgre_bc::apgre::KernelPolicy;
-    use apgre_graph::io::read_edge_list;
-    use apgre_serve::{serve, ServeConfig};
-    use std::time::{Duration, Instant};
-
-    const CLIENT_THREADS: usize = 4;
-    const MUTATE_EVERY: u64 = 64;
-    println!("\n=== bench-pr4: apgre-serve closed-loop load ===\n");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // The service and the load generator are plain OS threads, so the
-    // vendored sequential rayon stand-in does not serialize them — but on a
-    // single hardware thread "concurrency" is time slicing, and the record
-    // must say which one was measured.
-    let measurement_mode = if cores > 1 {
-        "os-threads-parallel"
-    } else {
-        "os-threads-timesliced (1 hardware thread: clients, workers, and the \
-         writer interleave on one core; NOT a parallel-capacity measurement)"
-    };
-    println!("execution: {cores} hardware thread(s) available");
-
-    let params = if opts.smoke {
-        apgre_graph::generators::WhiskeredCommunityParams {
-            core_vertices: 600,
-            core_attach: 3,
-            community_count: 24,
-            community_size: 30,
-            community_density: 1.8,
-            whiskers: 2_000,
-            seed: 4242,
-        }
-    } else {
-        apgre_graph::generators::WhiskeredCommunityParams {
-            core_vertices: 6000,
-            core_attach: 3,
-            community_count: 220,
-            community_size: 40,
-            community_density: 1.8,
-            whiskers: 36_000,
-            seed: 4242,
-        }
-    };
-    let g = apgre_graph::generators::whiskered_community(&params);
-    if !opts.smoke {
-        assert!(g.num_vertices() >= 50_000, "acceptance graph too small: {}", g.num_vertices());
-    }
-    println!(
-        "whiskered-community{}: {} vertices, {} edges",
-        if opts.smoke { " (smoke)" } else { "" },
-        g.num_vertices(),
-        g.num_edges()
-    );
-
-    // The served snapshot must be reproducible bitwise by a from-scratch run
-    // on the checkpointed graph; the sequential kernel plus a final
-    // structural batch (fresh decomposition, ascending-index refold) is the
-    // configuration that contract is pinned for.
-    let bopts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
-
-    // One chord (two interior, non-adjacent vertices) per client thread,
-    // each inside a distinct non-top community sub-graph, so concurrent
-    // toggles never collide and every batch classifies Local.
-    let d = decompose(&g, &bopts.partition);
-    let top_index = (0..d.subgraphs.len())
-        .max_by_key(|&i| d.subgraphs[i].num_vertices())
-        .expect("non-empty decomposition");
-    let mut chords: Vec<(u32, u32)> = Vec::new();
-    for si in 0..d.subgraphs.len() {
-        if chords.len() == CLIENT_THREADS {
-            break;
-        }
-        if si == top_index || d.subgraphs[si].num_vertices() < 10 {
-            continue;
-        }
-        let sg = &d.subgraphs[si];
-        let interior: Vec<u32> = (0..sg.num_vertices() as u32)
-            .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
-            .collect();
-        'outer: for (a, &lu) in interior.iter().enumerate() {
-            for &lv in &interior[a + 1..] {
-                if !sg.graph.out_neighbors(lu).contains(&lv) {
-                    chords.push((sg.globals[lu as usize], sg.globals[lv as usize]));
-                    break 'outer;
-                }
-            }
-        }
-    }
-    assert_eq!(chords.len(), CLIENT_THREADS, "not enough community sub-graphs with chords");
-    drop(d);
-
-    let cfg = ServeConfig {
-        opts: bopts.clone(),
-        queue_depth: 512,
-        workers: CLIENT_THREADS,
-        max_coalesce: 64,
-        ..ServeConfig::default()
-    };
-    let (handle, boot_t) = time(|| serve(&g, cfg).expect("bind"));
-    let addr = handle.local_addr();
-    println!(
-        "service booted (engine seeded + snapshot published) in {}",
-        fmt_secs(boot_t.as_secs_f64())
-    );
-
-    let warmup = if opts.smoke { Duration::from_millis(300) } else { Duration::from_secs(1) };
-    let window = if opts.smoke { Duration::from_millis(1500) } else { Duration::from_secs(8) };
-    let t0 = Instant::now();
-    let measure_start = t0 + warmup;
-    let deadline = measure_start + window;
-    let nv = g.num_vertices() as u64;
-
-    let clients: Vec<std::thread::JoinHandle<ClientTally>> = (0..CLIENT_THREADS)
-        .map(|ti| {
-            let (cu, cv) = chords[ti];
-            std::thread::spawn(move || {
-                let mut client = LoadClient::connect(addr).expect("connect load client");
-                let mut tally = ClientTally {
-                    queries: 0,
-                    query_latency_micros: Vec::with_capacity(1 << 16),
-                    mutations_accepted: 0,
-                    mutations_rejected: 0,
-                };
-                // Splitmix-style per-thread vertex stream, deterministic.
-                let mut x = 0x9e3779b97f4a7c15u64.wrapping_mul(ti as u64 + 1);
-                let mut requests = 0u64;
-                let mut chord_present = false;
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let measuring = now >= measure_start;
-                    requests += 1;
-                    if requests.is_multiple_of(MUTATE_EVERY) {
-                        let body = if chord_present {
-                            format!("remove {cu} {cv}\n")
-                        } else {
-                            format!("add {cu} {cv}\n")
-                        };
-                        let (status, _) = client.request("POST", "/mutate", &body).expect("mutate");
-                        match status {
-                            // Only an accepted toggle changes the graph; on
-                            // 429 the chord state is unchanged and the next
-                            // attempt re-sends the same toggle.
-                            202 => {
-                                chord_present = !chord_present;
-                                tally.mutations_accepted += 1;
-                            }
-                            429 => tally.mutations_rejected += 1,
-                            other => panic!("mutate returned {other}"),
-                        }
-                        continue;
-                    }
-                    x ^= x >> 30;
-                    x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-                    x ^= x >> 27;
-                    let v = x % nv;
-                    let started = Instant::now();
-                    let (status, _) =
-                        client.request("GET", &format!("/bc/{v}"), "").expect("query");
-                    assert_eq!(status, 200, "query for vertex {v} failed");
-                    if measuring {
-                        tally.queries += 1;
-                        tally.query_latency_micros.push(started.elapsed().as_micros() as u64);
-                    }
-                }
-                tally
-            })
-        })
-        .collect();
-
-    let mut queries = 0u64;
-    let mut accepted = 0u64;
-    let mut rejected = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
-    for c in clients {
-        let tally = c.join().expect("client thread");
-        queries += tally.queries;
-        accepted += tally.mutations_accepted;
-        rejected += tally.mutations_rejected;
-        latencies.extend(tally.query_latency_micros);
-    }
-    latencies.sort_unstable();
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx] as f64 / 1000.0
-    };
-    let (p50_ms, p90_ms, p99_ms) = (pct(0.50), pct(0.90), pct(0.99));
-    let max_ms = latencies.last().copied().unwrap_or(0) as f64 / 1000.0;
-    let qps = queries as f64 / window.as_secs_f64();
-    println!(
-        "{CLIENT_THREADS} clients x {}s window: {queries} queries ({qps:.0}/s), \
-         {accepted} mutation batches accepted, {rejected} rejected (429)",
-        window.as_secs_f64()
-    );
-    println!("query latency: p50 {p50_ms:.3}ms / p90 {p90_ms:.3}ms / p99 {p99_ms:.3}ms / max {max_ms:.3}ms");
-
-    // ---- quiesce, force a fresh decomposition, and cross-check bitwise ----
-    let mut verifier = LoadClient::connect(addr).expect("connect verifier");
-    let await_generation = |client: &mut LoadClient, want: u64| {
-        let patience = Instant::now() + Duration::from_secs(120);
-        loop {
-            let (status, body) = client.request("GET", "/stats", "").expect("stats");
-            assert_eq!(status, 200);
-            let generation: u64 = flat_json_value(&body, "generation")
-                .and_then(|v| v.parse().ok())
-                .expect("generation field");
-            if generation >= want {
-                return;
-            }
-            assert!(Instant::now() < patience, "writer never reached generation {want}");
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    };
-    await_generation(&mut verifier, accepted);
-    // The structural batch: a new vertex attached into one community. A
-    // fresh decomposition re-derives every contribution, so the snapshot is
-    // a pure function of the post-mutation graph.
-    let new_vertex = g.num_vertices();
-    let (status, _) = verifier
-        .request("POST", "/mutate", &format!("add-vertex\nadd {new_vertex} {}\n", chords[0].0))
-        .expect("structural mutate");
-    assert_eq!(status, 202);
-    await_generation(&mut verifier, accepted + 1);
-
-    let (status, checkpoint) = verifier.request("POST", "/checkpoint", "").expect("checkpoint");
-    assert_eq!(status, 200);
-    let served_graph = read_edge_list(checkpoint.as_bytes(), false).expect("re-load checkpoint");
-    assert_eq!(served_graph.num_vertices(), new_vertex + 1);
-    let (scratch, _) = bc_apgre_with(&served_graph, &bopts);
-    let mut sampled = 0usize;
-    let mut mismatches = 0usize;
-    let mut check = |v: usize| {
-        let (status, body) =
-            verifier.request("GET", &format!("/bc/{v}"), "").expect("verify query");
-        assert_eq!(status, 200, "{body}");
-        assert_eq!(flat_json_value(&body, "tier"), Some("\"exact\""));
-        let got: f64 = flat_json_value(&body, "score").and_then(|s| s.parse().ok()).expect("score");
-        sampled += 1;
-        if got.to_bits() != scratch[v].to_bits() {
-            mismatches += 1;
-            eprintln!("vertex {v}: served {got:?} != scratch {:?} (bitwise)", scratch[v]);
-        }
-    };
-    for v in (0..served_graph.num_vertices()).step_by(if opts.smoke { 17 } else { 257 }) {
-        check(v);
-    }
-    for &(cu, cv) in &chords {
-        check(cu as usize);
-        check(cv as usize);
-    }
-    check(new_vertex);
-    assert_eq!(mismatches, 0, "served scores diverged from scratch recompute");
-    println!("bitwise cross-check vs from-scratch APGRE on the checkpointed graph: {sampled} vertices, 0 mismatches");
-
-    let (status, _) = verifier.request("POST", "/shutdown", "").expect("shutdown");
-    assert_eq!(status, 200);
-    handle.wait();
-
-    let required_qps = 5000.0;
-    let required_p99_ms = 10.0;
-    let pass = qps >= required_qps && p99_ms < required_p99_ms;
-    println!(
-        "acceptance: >= {required_qps:.0} queries/s with p99 < {required_p99_ms:.0}ms under \
-         concurrent mutation batches — measured {qps:.0}/s, p99 {p99_ms:.3}ms ({}, {})",
-        if pass { "PASS" } else { "FAIL" },
-        measurement_mode
-    );
-
-    json.insert(
-        "bench_pr4".into(),
-        json!({
-            "measurement_mode": measurement_mode,
-            "execution": {
-                "client_threads": CLIENT_THREADS,
-                "server_workers": CLIENT_THREADS,
-                "available_parallelism": cores,
-                "smoke": opts.smoke,
-            },
-            "graph": {
-                "family": "whiskered-community", "seed": 4242,
-                "vertices": g.num_vertices(), "edges": g.num_edges(),
-            },
-            "service": {
-                "kernel_policy": "seq",
-                "queue_depth": 512,
-                "max_coalesce": 64,
-                "boot_seconds": boot_t.as_secs_f64(),
-            },
-            "window_seconds": window.as_secs_f64(),
-            "requests": {
-                "queries": queries,
-                "mutation_batches_accepted": accepted,
-                "mutation_batches_rejected_429": rejected,
-            },
-            "throughput_queries_per_second": qps,
-            "query_latency_ms": {
-                "p50": p50_ms, "p90": p90_ms, "p99": p99_ms, "max": max_ms,
-            },
-            "bitwise_check": { "sampled_vertices": sampled, "mismatches": mismatches },
-            "acceptance": {
-                "required_queries_per_second": required_qps,
-                "required_p99_ms": required_p99_ms,
-                "measured_queries_per_second": qps,
-                "measured_p99_ms": p99_ms,
-                "pass": pass,
-                "measured_with": measurement_mode,
-            },
-            "notes": [
-                "Closed loop: each client holds one keep-alive connection and \
-                 issues the next request only after the previous response; \
-                 every 64th request is a POST /mutate toggling that client's \
-                 own community chord (Local class), so queries always race \
-                 live writer recomputation.",
-                "Latency is measured client-side around GET /bc only, \
-                 excluding the warm-up period; mutations and the warm-up are \
-                 excluded from throughput as well.",
-                "After the window the service is quiesced, one structural \
-                 batch (add-vertex + attach) forces a fresh decomposition, \
-                 and every sampled served score must equal a from-scratch \
-                 APGRE run on the checkpointed graph bit for bit.",
-                "The service runs on plain OS threads, so the vendored \
-                 sequential rayon stand-in does not serialize it; on a \
-                 1-hardware-thread container the figure measures time-sliced \
-                 interleaving, not parallel capacity.",
-            ],
-        }),
-    );
 }

@@ -1,6 +1,7 @@
 //! Experiment-harness library: algorithm registry, timing, table rendering,
-//! and JSON result records shared by the `experiments` binary and the
-//! criterion benches.
+//! and JSON result records shared by the `experiments` binary (the paper's
+//! tables and figures) and the criterion benches. The repository benchmark
+//! (`benchmark/`) uses [`observed_parallelism`] to label its records.
 
 use apgre_bc::apgre::{bc_apgre_with, ApgreOptions, KernelPolicy};
 use apgre_bc::brandes::bc_serial;

@@ -125,10 +125,6 @@ pub struct MaintainedDecomposition {
     opts: PartitionOptions,
     directed: bool,
     decomp: Decomposition,
-    /// False after [`Self::adopt_stale`]: the decomposition is current but
-    /// the block store is not, so `apply_edits` declines until a caller
-    /// reseeds via [`Self::from_decomposition`] / [`Self::new`].
-    store_valid: bool,
     /// Per store slot: sorted vertex ids (empty on dead slots).
     block_verts: Vec<Vec<VertexId>>,
     /// Per store slot: sorted `(min,max)` edge list (empty on dead slots).
@@ -181,7 +177,6 @@ impl MaintainedDecomposition {
             opts: opts.clone(),
             directed,
             decomp,
-            store_valid: false,
             block_verts: Vec::new(),
             block_edges: Vec::new(),
             alive: Vec::new(),
@@ -199,34 +194,9 @@ impl MaintainedDecomposition {
         m
     }
 
-    /// Replaces the decomposition without reseeding the store (the store
-    /// becomes invalid and `apply_edits` declines). Used when the caller
-    /// rebuilds from scratch but will never take the maintained path — it
-    /// keeps a forced-rebuild baseline from paying the seeding Tarjan.
-    pub fn adopt_stale(&mut self, decomp: Decomposition) {
-        self.decomp = decomp;
-        self.store_valid = false;
-        self.block_verts.clear();
-        self.block_edges.clear();
-        self.alive.clear();
-        self.free.clear();
-        self.live_blocks = 0;
-        self.blocks_of_vertex.clear();
-        self.subgraph_blocks.clear();
-        self.comp_id.clear();
-        self.comp_blocks.clear();
-        self.comp_top.clear();
-    }
-
     /// The maintained decomposition.
     pub fn decomp(&self) -> &Decomposition {
         &self.decomp
-    }
-
-    /// Whether the block store matches the decomposition (false only after
-    /// [`Self::adopt_stale`]).
-    pub fn store_valid(&self) -> bool {
-        self.store_valid
     }
 
     /// Partition options the decomposition was (and will be) built with.
@@ -304,7 +274,6 @@ impl MaintainedDecomposition {
             self.comp_top.push(canonical_top_bcc(&members, &self.block_verts));
             self.comp_blocks.push(members);
         }
-        self.store_valid = true;
     }
 
     /// The unique block containing both `u` and `v`, if any (two distinct
@@ -504,9 +473,6 @@ impl MaintainedDecomposition {
         let t0 = Instant::now();
         if self.directed {
             return Err("maintenance covers undirected structure only");
-        }
-        if !self.store_valid {
-            return Err("block store invalidated by a forced rebuild");
         }
         if num_vertices < self.decomp.num_vertices {
             return Err("vertex count shrank");
@@ -1202,9 +1168,6 @@ impl MaintainedDecomposition {
         if self.directed {
             return Err("maintained decomposition is undirected-only".to_string());
         }
-        if !self.store_valid {
-            return Err("block store is stale".to_string());
-        }
         let fresh = decompose(g, &self.opts);
         decomp_equivalent(&self.decomp, &fresh)?;
 
@@ -1536,18 +1499,11 @@ mod tests {
     }
 
     #[test]
-    fn directed_and_stale_stores_bail() {
+    fn directed_stores_bail() {
         let g = generators::rmat_directed(5, 3, 7);
         let n = g.num_vertices();
         let mut m = MaintainedDecomposition::new(&g, &PartitionOptions::default());
         assert!(m.apply_edits(n, &[add(0, 1)]).is_err());
-
-        let gu = double_clique();
-        let mut m = MaintainedDecomposition::new(&gu, &PartitionOptions::default());
-        let d = decompose(&gu, &PartitionOptions::default());
-        m.adopt_stale(d);
-        assert!(!m.store_valid());
-        assert!(m.apply_edits(9, &[rem(1, 2)]).is_err());
     }
 
     #[test]

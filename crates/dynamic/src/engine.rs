@@ -113,8 +113,7 @@ impl DynamicReport {
 /// (class [`BatchClass::Structural`] with `rebuilt == false`). Sub-graphs
 /// whose block set survives the splice keep their kernel contributions **by
 /// index** — no fingerprint scan. The from-scratch rebuild remains only as
-/// a fallback (directed graphs, batches the maintainer declines, and the
-/// [`set_force_rebuild`](DynamicBc::set_force_rebuild) escape hatch), where
+/// a fallback (directed graphs and batches the maintainer declines), where
 /// carry-forward falls back to fingerprint matching.
 ///
 /// The global vector is always folded **from zeros in ascending sub-graph
@@ -142,9 +141,6 @@ pub struct DynamicBc {
     /// `decomposition().subgraphs`; `scores` is their Equation-8 fold.
     fold: FoldStore,
     scores: Vec<f64>,
-    /// When set, every batch takes the from-scratch rebuild path (the
-    /// pre-maintenance behavior; kept as a benchmark arm and escape hatch).
-    force_rebuild: bool,
     /// Lifetime accounting: structure fields mirror the *current*
     /// decomposition, timing/kernel counters accumulate across the seed run
     /// and every subsequent batch (see [`DynamicBc::report`]).
@@ -201,7 +197,6 @@ impl DynamicBc {
             cow,
             fold,
             scores,
-            force_rebuild: false,
             report,
             last_batch: None,
             approx: None,
@@ -269,14 +264,6 @@ impl DynamicBc {
     /// The options the engine was built with.
     pub fn options(&self) -> &ApgreOptions {
         &self.opts
-    }
-
-    /// Forces every subsequent batch onto the from-scratch rebuild path
-    /// (the pre-maintenance behavior). Used as the baseline arm of the
-    /// maintenance benchmark and as an operational escape hatch. Turning it
-    /// back off reseeds the block store on the next structural batch.
-    pub fn set_force_rebuild(&mut self, on: bool) {
-        self.force_rebuild = on;
     }
 
     /// Publishes the engine's current state as an immutable, `Send + Sync`
@@ -403,9 +390,7 @@ impl DynamicBc {
             return report;
         }
 
-        let mut report = if self.force_rebuild {
-            self.rebuild_structural("forced rebuild", edits.len())
-        } else if directed {
+        let mut report = if directed {
             // The maintenance soundness argument is undirected: directed
             // reachability is not separated by articulation points the same
             // way, so every directed edit rebuilds.
@@ -424,7 +409,7 @@ impl DynamicBc {
 
         #[cfg(feature = "invariants")]
         {
-            if !directed && self.maintained.store_valid() {
+            if !directed {
                 self.maintained
                     .verify_against_fresh(&self.overlay.to_graph())
                     .expect("maintained decomposition diverged from fresh decompose");
@@ -570,15 +555,8 @@ impl DynamicBc {
             spans[run.index].1 = Arc::from(run.local);
         }
 
-        if self.force_rebuild {
-            // The benchmark arm: adopting without reseeding keeps the old
-            // path's cost honest (no hidden extra Tarjan pass); the store
-            // is marked stale and recovers on the next non-forced batch.
-            self.maintained.adopt_stale(new_decomp);
-        } else {
-            self.maintained =
-                MaintainedDecomposition::from_decomposition(&g, new_decomp, &self.opts.partition);
-        }
+        self.maintained =
+            MaintainedDecomposition::from_decomposition(&g, new_decomp, &self.opts.partition);
         self.fold.rebuild(self.overlay.num_vertices(), spans);
         self.scores = self.fold.to_flat();
         if let Some(ap) = &mut self.approx {
@@ -959,29 +937,6 @@ mod tests {
     }
 
     #[test]
-    fn force_rebuild_arm_and_recovery() {
-        let g = clique_and_triangle();
-        let mut engine = DynamicBc::new(&g, fine_opts());
-        engine.set_force_rebuild(true);
-        let rep = engine.apply(&MutationBatch::new().remove_edge(1, 2));
-        assert_eq!(rep.class, BatchClass::Structural);
-        assert!(rep.rebuilt);
-        assert_eq!(rep.reason, "forced rebuild");
-        assert_close("forced", engine.scores(), &bc_serial(&engine.current_graph()));
-
-        // Turning the knob back off: the store is stale from `adopt_stale`,
-        // so the next batch rebuilds once more (reseeding), after which
-        // maintenance resumes.
-        engine.set_force_rebuild(false);
-        let rep = engine.apply(&MutationBatch::new().add_edge(1, 2));
-        assert!(rep.rebuilt, "stale store forces one recovery rebuild");
-        let rep = engine.apply(&MutationBatch::new().remove_edge(1, 2));
-        assert_eq!(rep.class, BatchClass::Local, "{}", rep.reason);
-        assert!(!rep.rebuilt, "store reseeded: maintenance resumed");
-        assert_close("recovered", engine.scores(), &bc_serial(&engine.current_graph()));
-    }
-
-    #[test]
     fn report_accumulates_and_tracks_structure() {
         let g = clique_and_triangle();
         let mut engine = DynamicBc::new(&g, fine_opts());
@@ -1067,10 +1022,9 @@ mod tests {
     fn snapshot_scores_are_bitwise_the_engine_scores() {
         let g = two_triangles();
         let mut engine = DynamicBc::new(&g, fine_opts());
-        // Exercise every path: patch, splice, merge, vertex growth, and
-        // the forced-rebuild carry — the incremental refold plus the
-        // chunked per-vertex fold must stay bitwise-equal to the engine's
-        // flat vector throughout.
+        // Exercise every path: patch, splice, merge, vertex growth and
+        // removal — the incremental refold plus the chunked per-vertex fold
+        // must stay bitwise-equal to the engine's flat vector throughout.
         let batches = [
             MutationBatch::new().remove_edge(0, 2),
             MutationBatch::new().add_edge(0, 2).add_edge(5, 6),
