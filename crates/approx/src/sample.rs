@@ -109,6 +109,13 @@ pub struct SampleRefresh {
     pub reused: usize,
     /// Σ sampled roots swept by the recomputed spans.
     pub sampled_roots: u64,
+    /// Recomputed spans that were clean — resampled only because the
+    /// adaptive plan moved their allocation `k`, not because their content
+    /// changed (always 0 in uniform mode).
+    pub drifted: usize,
+    /// Σ sampled roots swept by the drifted spans (part of
+    /// `sampled_roots`).
+    pub drift_roots: u64,
     /// Σ pilot roots swept by the adaptive planner (0 in uniform mode).
     pub pilot_roots: u64,
     /// Σ edges traversed by the recomputed spans' kernels (pilots included).
@@ -486,6 +493,10 @@ impl SampleStore {
         };
         for s in spans {
             let i = s.index;
+            if !self.pending.contains(&i) && matches!(self.meta.get(i), Some(Some(_))) {
+                report.drifted += 1;
+                report.drift_roots += s.roots as u64;
+            }
             self.fold.set_values(i, Arc::from(s.span));
             self.err.set_values(i, Arc::from(s.err));
             self.meta[i] = Some(SampleMeta {

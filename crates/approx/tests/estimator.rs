@@ -11,7 +11,7 @@ use apgre_approx::{
 use apgre_bc::apgre::{ApgreOptions, KernelPolicy};
 use apgre_bc::bc_apgre_with;
 use apgre_bc::brandes::bc_serial;
-use apgre_decomp::decompose;
+use apgre_decomp::{decompose, EdgeEdit, MaintainedDecomposition};
 use apgre_graph::generators::{whiskered_community, WhiskeredCommunityParams};
 use apgre_graph::Graph;
 use apgre_workloads::{registry, Scale};
@@ -344,6 +344,72 @@ fn adaptive_beats_uniform_at_equal_budget() {
         "adaptive MAE {mae_adaptive:.6} vs uniform {mae_uniform:.6} at B = {budget}: \
          {improvement:.2}x, below the 1.5x bar"
     );
+}
+
+/// Allocation drift is attributed: a chord inside one community re-pilots
+/// only that sub-graph, but its new σ moves the water-fill, and clean spans
+/// whose allocated `k` moved are resampled as well. `drifted` counts
+/// exactly those clean spans and `drift_roots` their sweeps; the store
+/// still lands on the scratch oracle's bits.
+#[test]
+fn chord_reports_allocation_drift_on_clean_spans() {
+    let g = whiskered_community(&WhiskeredCommunityParams {
+        core_vertices: 300,
+        core_attach: 3,
+        community_count: 12,
+        community_size: 30,
+        community_density: 1.8,
+        whiskers: 1_000,
+        seed: 77,
+    });
+    let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
+    let n = g.num_vertices();
+    let mut m = MaintainedDecomposition::new(&g, &opts.partition);
+    let budget: usize = m.decomp().subgraphs.iter().map(|sg| sg.roots.len().min(8)).sum();
+    let sopts = SampleOptions::adaptive(budget, 0xD21F7);
+    let mut store = SampleStore::seed(m.decomp());
+    let first = store.refresh(m.decomp(), &opts, &sopts);
+    assert_eq!(first.drifted, 0, "a seeding refresh has no clean spans");
+
+    // One non-adjacent interior pair per non-top community sub-graph.
+    let top = m.decomp().top_subgraph;
+    let chords: Vec<(u32, u32)> = m
+        .decomp()
+        .subgraphs
+        .iter()
+        .enumerate()
+        .filter(|&(i, sg)| i != top && sg.num_vertices() >= 10)
+        .filter_map(|(_, sg)| {
+            let interior: Vec<u32> = (0..sg.num_vertices() as u32)
+                .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
+                .collect();
+            interior.iter().enumerate().find_map(|(a, &lu)| {
+                interior[a + 1..]
+                    .iter()
+                    .find(|&&lv| !sg.graph.out_neighbors(lu).contains(&lv))
+                    .map(|&lv| (sg.global_of(lu), sg.global_of(lv)))
+            })
+        })
+        .collect();
+    assert!(!chords.is_empty(), "no chord sites");
+
+    let mut drifted = 0;
+    for &(u, v) in &chords {
+        for add in [true, false] {
+            let out = m.apply_edits(n, &[EdgeEdit { add, u, v }]).expect("chord is maintainable");
+            store.apply_splice(n, &out.old_to_new, m.decomp());
+            store.mark_dirty(&out.dirty);
+            let r = store.refresh(m.decomp(), &opts, &sopts);
+            assert_eq!(r.resampled, out.dirty.len() + r.drifted, "chord ({u},{v}) add={add}");
+            assert!(r.drift_roots <= r.sampled_roots);
+            assert_eq!(r.drifted > 0, r.drift_roots > 0, "a drifted span sweeps >= 1 root");
+            store
+                .verify_against_scratch(m.decomp(), &opts, &sopts)
+                .unwrap_or_else(|e| panic!("chord ({u},{v}) add={add}: {e}"));
+            drifted += r.drifted;
+        }
+    }
+    assert!(drifted > 0, "no chord moved a clean span's allocation");
 }
 
 /// Changing the sampling parameters invalidates every span: the next

@@ -17,7 +17,8 @@
 //! 5. [`naive`] — slow reference implementations used as test oracles,
 //! 6. [`maintain`] — incremental maintenance of a committed decomposition
 //!    under edge edits: localized Tarjan on the affected region, block
-//!    splices, and per-component merge/α/β refresh.
+//!    splices, and a merge/α/β refresh confined to the region and its
+//!    ancestor chain in the rooted block-cut forest.
 //!
 //! The entry point is [`decompose`], which runs steps 1–4 and returns a
 //! [`Decomposition`]; dynamic callers wrap it in a

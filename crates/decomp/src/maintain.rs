@@ -14,12 +14,28 @@
 //!   place. No merge re-run, no α/β work, no index reshuffle.
 //! - **Splice path**: everything else re-runs Tarjan on the *region* — the
 //!   union of the blocks an edit can restructure — splices the resulting
-//!   blocks back into the store, re-merges only the affected block-cut-tree
-//!   components, and recomputes boundary/α/β only there. Sub-graphs whose
-//!   block set survives verbatim keep their identity (and the engine keeps
-//!   their kernel contributions); the rest are rebuilt, which includes
-//!   in-place *splits* when an edit manufactures an internal articulation
-//!   point.
+//!   blocks back into the store, regroups, and recomputes boundary/α/β only
+//!   where the regroup moved something. Sub-graphs whose block set survives
+//!   verbatim keep their identity (and the engine keeps their kernel
+//!   contributions); the rest are rebuilt, which includes in-place *splits*
+//!   when an edit manufactures an internal articulation point.
+//!
+//! The regroup is local in the common case. Algorithm 1's merge is a pure
+//! function of the block-cut tree rooted at the component's canonical top
+//! block: a block folds into its grandparent's group iff its accumulated
+//! size (own size plus the grandchild groups folded into it) passes the
+//! merge rule, which depends only on whether that grandparent is the top.
+//! The store keeps that rooted forest — per block its parent articulation,
+//! subtree vertex weight, accumulated size and merge decision — so a splice
+//! roots the new blocks under the region's exit articulation, settles them
+//! from the cached values of their untouched children, and walks up the
+//! ancestor chain only while a merge decision or a contributed size moves.
+//! Only the groups headed on that chain or in the region are re-collected,
+//! only their old owners are diffed, and α comes from the cached subtree
+//! weights. Everything the cache cannot vouch for — a component-bridging
+//! addition, a region that falls apart, several components, unstable
+//! weights, a new canonical top, or `merge_all` — falls back to re-merging
+//! the whole affected components and re-seeds their caches.
 //!
 //! Soundness of the region bound: all paths between two vertices of a
 //! connected graph traverse the same articulation points and stay inside
@@ -36,7 +52,8 @@
 //!
 //! Under `--features invariants` the dynamic engine cross-checks the
 //! maintained decomposition against a fresh [`decompose`] after every batch
-//! via [`MaintainedDecomposition::verify_against_fresh`].
+//! via [`MaintainedDecomposition::verify_against_fresh`], and every local
+//! regroup is checked against a full re-merge of its component.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -44,8 +61,8 @@ use std::time::{Duration, Instant};
 use crate::bcc::biconnected_components;
 use crate::block_cut_tree::BlockCutTree;
 use crate::partition::{
-    canonical_top_bcc, decompose, merge_all_per_component, merge_bccs_from_tops, Decomposition,
-    PartitionOptions,
+    canonical_top_bcc, decompose, folds_into_parent, merge_all_per_component, merge_bccs_from_tops,
+    BlockGroups, Decomposition, PartitionOptions,
 };
 use crate::subgraph::SubGraph;
 use apgre_graph::{Graph, VertexId};
@@ -79,7 +96,9 @@ pub struct MaintainStats {
     pub blocks_removed: usize,
     /// Blocks added to the store by the splice.
     pub blocks_added: usize,
-    /// Sub-graphs of the affected components kept verbatim.
+    /// Sub-graphs the regroup examined and kept verbatim (the whole
+    /// affected components on a full re-merge, the owners of the region and
+    /// of the walked ancestors on a local one).
     pub subgraphs_kept: usize,
     /// Sub-graphs dissolved by the splice.
     pub subgraphs_removed: usize,
@@ -88,10 +107,19 @@ pub struct MaintainStats {
     /// Dissolved sub-graphs whose surviving blocks landed in ≥ 2 new
     /// groups — in-place sub-graph splits.
     pub subgraph_splits: usize,
-    /// Block-cut-tree components whose merge was re-run.
+    /// Block-cut-tree components the splice regrouped.
     pub affected_components: usize,
     /// Whether the splice path ran at all (`false` = patch/no-op only).
     pub spliced: bool,
+    /// Whether the splice regrouped locally (region plus ancestor chain)
+    /// rather than re-merging the whole affected components.
+    pub local_regroup: bool,
+    /// Ancestor blocks the local regroup visited above the region.
+    pub ancestors_walked: usize,
+    /// Wall clock of the splice's regroup: component bookkeeping, merge,
+    /// sub-graph diff and assembly, and the boundary/α/β refresh (region
+    /// Tarjan and the store update excluded). Zero without a splice.
+    pub regroup_time: Duration,
     /// Wall clock of the whole maintenance call.
     pub maintain_time: Duration,
 }
@@ -138,20 +166,65 @@ pub struct MaintainedDecomposition {
     /// Per sub-graph (parallel to `decomp.subgraphs`): sorted store slots.
     subgraph_blocks: Vec<Vec<u32>>,
     /// Per store slot: id of the block-forest component the block belongs
-    /// to (stale on dead slots). Components get fresh ids whenever the
+    /// to (`NIL` on dead slots). Components get fresh ids whenever the
     /// splice path has to re-discover them; the common single-region splice
     /// reuses the existing id and skips the O(component) BFS.
     comp_id: Vec<u32>,
-    /// Per component id: its block slots, possibly including stale entries
-    /// (dead slots or slots reassigned to a later component) — filter by
-    /// `alive` + `comp_id` agreement before use. Rewritten compacted on
-    /// every fast-path splice of the component.
+    /// Per component id: exactly its live block slots, in no particular
+    /// order (empty for retired ids). A splice swap-removes the seeds and
+    /// appends the new blocks.
     comp_blocks: Vec<Vec<u32>>,
+    /// Per store slot: position in `comp_blocks[comp_id[slot]]`.
+    comp_pos: Vec<u32>,
     /// Per component id: store slot of the component's canonical top block
     /// (largest, ties by lexicographically smallest vertex list). Only
     /// region blocks change in a splice, so the new top is the best of the
     /// cached top and the freshly spliced blocks — no component scan.
     comp_top: Vec<u32>,
+    /// Per store slot: the block's node in the block-cut forest rooted at
+    /// each component's canonical top (stale on dead slots).
+    forest: Vec<ForestNode>,
+    /// Per vertex: the block through which it hangs from its component's
+    /// top — an articulation point's parent block, any other vertex's only
+    /// block (stale for isolated vertices).
+    up: Vec<u32>,
+}
+
+/// One block of the rooted block-cut forest: what Algorithm 1's merge and
+/// the α/β branch weights need to know about it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ForestNode {
+    /// Parent articulation vertex (`NIL` for a component's top block).
+    parent: VertexId,
+    /// Vertices in the block's subtree, its parent articulation excluded.
+    subtree: u64,
+    /// Accumulated merge size: the block's own size plus the grandchild
+    /// groups folded into it.
+    acc: u64,
+    /// Whether the block's group folds into its grandparent's.
+    merged: bool,
+}
+
+impl ForestNode {
+    const DETACHED: ForestNode = ForestNode { parent: NIL, subtree: 0, acc: 0, merged: false };
+
+    /// Size this block adds to its grandparent's accumulated size.
+    fn contribution(&self) -> u64 {
+        if self.merged {
+            self.acc
+        } else {
+            0
+        }
+    }
+}
+
+/// Old sub-graphs whose grouping may have changed, and the new groups over
+/// all of their live blocks (store slots).
+struct Regroup {
+    old_affected: Vec<usize>,
+    groups: BlockGroups,
+    components: usize,
+    ancestors_walked: usize,
 }
 
 /// Node of the bipartite block-cut forest, used by the path search.
@@ -186,7 +259,10 @@ impl MaintainedDecomposition {
             subgraph_blocks: Vec::new(),
             comp_id: Vec::new(),
             comp_blocks: Vec::new(),
+            comp_pos: Vec::new(),
             comp_top: Vec::new(),
+            forest: Vec::new(),
+            up: Vec::new(),
         };
         if !directed {
             m.reseed_store(g);
@@ -242,38 +318,107 @@ impl MaintainedDecomposition {
                 self.subgraph_blocks[s as usize].push(b as u32);
             }
         }
-        // Seed the persistent component index: one BFS over the block
-        // forest, plus each component's canonical top block.
+        // Seed the persistent component index (one BFS over the block
+        // forest), each component's canonical top, and its rooted forest
+        // caches.
         self.comp_id = vec![NIL; nb];
+        self.comp_pos = vec![NIL; nb];
         self.comp_blocks.clear();
         self.comp_top.clear();
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        for start in 0..nb as u32 {
-            if self.comp_id[start as usize] != NIL {
+        self.forest = vec![ForestNode::DETACHED; nb];
+        self.up = vec![NIL; self.decomp.num_vertices];
+        for c in self.register_components((0..nb as u32).collect()) {
+            self.seed_forest(c);
+        }
+    }
+
+    /// Roots component `c` at its canonical top and fills the forest
+    /// caches of all its blocks and vertices: one BFS down, one settle pass
+    /// back up. O(component).
+    fn seed_forest(&mut self, c: u32) {
+        let top = self.comp_top[c as usize];
+        self.forest[top as usize].parent = NIL;
+        let mut order = vec![top];
+        let mut i = 0;
+        while let Some(&b) = order.get(i) {
+            i += 1;
+            order.extend(self.root_children(b, |_| true));
+        }
+        for &b in order.iter().rev() {
+            self.settle(b, top);
+        }
+    }
+
+    /// Points every vertex of block `b` but its parent articulation up at
+    /// `b`, makes `b` the parent of the blocks below those vertices that
+    /// `adopt` accepts, and returns the adopted blocks.
+    fn root_children(&mut self, b: u32, adopt: impl Fn(u32) -> bool) -> Vec<u32> {
+        let parent = self.forest[b as usize].parent;
+        let mut children = Vec::new();
+        for &w in &self.block_verts[b as usize] {
+            if w == parent {
                 continue;
             }
-            let c = self.comp_blocks.len() as u32;
-            let mut members: Vec<u32> = Vec::new();
-            self.comp_id[start as usize] = c;
-            queue.push_back(start);
-            while let Some(b) = queue.pop_front() {
-                members.push(b);
-                for &v in &self.block_verts[b as usize] {
-                    let blocks = &self.blocks_of_vertex[v as usize];
-                    if blocks.len() < 2 {
-                        continue;
-                    }
-                    for &o in blocks {
-                        if self.comp_id[o as usize] == NIL {
-                            self.comp_id[o as usize] = c;
-                            queue.push_back(o);
-                        }
-                    }
+            self.up[w as usize] = b;
+            for &o in &self.blocks_of_vertex[w as usize] {
+                if o != b && adopt(o) {
+                    self.forest[o as usize].parent = w;
+                    children.push(o);
                 }
             }
-            self.comp_top.push(canonical_top_bcc(&members, &self.block_verts));
-            self.comp_blocks.push(members);
         }
+        children
+    }
+
+    /// Recomputes block `b`'s subtree weight, accumulated size and merge
+    /// decision from its children's cached nodes (its parent articulation,
+    /// and `up` of every vertex, must already be current).
+    fn settle(&mut self, b: u32, top: u32) {
+        let verts = &self.block_verts[b as usize];
+        let parent = self.forest[b as usize].parent;
+        let own = verts.len() as u64;
+        let mut subtree = own - u64::from(parent != NIL);
+        let mut acc = own;
+        for &w in verts {
+            if w == parent {
+                continue;
+            }
+            for &o in &self.blocks_of_vertex[w as usize] {
+                if o != b {
+                    let child = &self.forest[o as usize];
+                    subtree += child.subtree;
+                    acc += child.contribution();
+                }
+            }
+        }
+        let merged = parent != NIL
+            && folds_into_parent(
+                acc,
+                self.up[parent as usize] == top,
+                self.opts.merge_threshold as u64,
+            );
+        self.forest[b as usize] = ForestNode { parent, subtree, acc, merged };
+    }
+
+    /// Removes block `b` from its component's member list.
+    fn comp_detach(&mut self, b: u32) {
+        let (c, pos) = (self.comp_id[b as usize], self.comp_pos[b as usize] as usize);
+        self.comp_id[b as usize] = NIL;
+        let Some(list) = self.comp_blocks.get_mut(c as usize) else { return };
+        if list.get(pos) == Some(&b) {
+            list.swap_remove(pos);
+            if let Some(&moved) = list.get(pos) {
+                self.comp_pos[moved as usize] = pos as u32;
+            }
+        }
+    }
+
+    /// Appends block `b` to component `c`'s member list.
+    fn comp_attach(&mut self, c: u32, b: u32) {
+        let list = &mut self.comp_blocks[c as usize];
+        self.comp_id[b as usize] = c;
+        self.comp_pos[b as usize] = list.len() as u32;
+        list.push(b);
     }
 
     /// The unique block containing both `u` and `v`, if any (two distinct
@@ -481,6 +626,7 @@ impl MaintainedDecomposition {
         self.decomp.num_vertices = num_vertices;
         self.decomp.is_articulation.resize(num_vertices, false);
         self.blocks_of_vertex.resize(num_vertices, Vec::new());
+        self.up.resize(num_vertices, NIL);
 
         // Net the stream per unordered endpoint pair: successive effective
         // edits on one pair alternate add/remove, so an even count cancels.
@@ -595,8 +741,8 @@ impl MaintainedDecomposition {
         )
     }
 
-    /// The splice path: region Tarjan, store update, per-component merge
-    /// re-run, sub-graph diff, boundary/α/β refresh.
+    /// The splice path: region Tarjan, store update, regroup (local or
+    /// full), sub-graph diff, boundary/α/β refresh.
     #[allow(clippy::too_many_arguments)]
     fn splice(
         &mut self,
@@ -659,7 +805,8 @@ impl MaintainedDecomposition {
 
         // ---- Store update: kill the seeds, splice the new blocks in. Dead
         // slots are recycled only by *later* calls so that block ids stay
-        // unique within this one (the sub-graph diff below matches on them).
+        // unique within this one (the sub-graph diff below matches on them,
+        // and the local regroup still reads the seeds' forest nodes).
         let seeds_vec: Vec<u32> = seeds.into_iter().collect();
         for &b in &seeds_vec {
             self.alive[b as usize] = false;
@@ -669,6 +816,7 @@ impl MaintainedDecomposition {
             }
             self.block_edges[b as usize].clear();
             self.live_blocks -= 1;
+            self.comp_detach(b);
         }
         let mut new_ids = Vec::with_capacity(nb_new);
         for i in 0..nb_new {
@@ -678,6 +826,9 @@ impl MaintainedDecomposition {
                     self.block_verts.push(Vec::new());
                     self.block_edges.push(Vec::new());
                     self.alive.push(false);
+                    self.comp_id.push(NIL);
+                    self.comp_pos.push(NIL);
+                    self.forest.push(ForestNode::DETACHED);
                     (self.block_verts.len() - 1) as u32
                 }
             };
@@ -706,14 +857,13 @@ impl MaintainedDecomposition {
         // region is still connected (so nothing split off — every piece of
         // the component that hung off a region vertex still does), and all
         // blocks around the region sit in one known component `c`. Then the
-        // affected block set is exactly the persistent `comp_blocks[c]`
-        // (minus the dead seeds, plus the spliced blocks) and the
-        // O(component) BFS is skipped. Anything else — bridging adds,
-        // region split apart, edits spanning several components — falls
-        // back to the BFS and re-registers the discovered components under
-        // fresh ids.
+        // component's member list just trades the seeds for the spliced
+        // blocks and the O(component) BFS is skipped. Anything else —
+        // bridging adds, region split apart, edits spanning several
+        // components — falls back to the BFS and re-registers the
+        // discovered components under fresh ids.
+        let t_regroup = Instant::now();
         let nslots = self.block_verts.len();
-        self.comp_id.resize(nslots, NIL);
         let region_connected = {
             let mut seen = vec![false; idx.len()];
             let mut stack: Vec<u32> = Vec::new();
@@ -735,15 +885,14 @@ impl MaintainedDecomposition {
             visited == idx.len()
         };
         let anchor_comp = {
-            let is_new = |b: u32| new_ids.contains(&b);
             let mut c = NIL;
             let mut ok = true;
             for &v in &idx {
                 for &b in &self.blocks_of_vertex[v as usize] {
-                    if is_new(b) {
-                        continue;
-                    }
                     let bc = self.comp_id[b as usize];
+                    if bc == NIL {
+                        continue; // a spliced block
+                    }
                     if c == NIL {
                         c = bc;
                     } else if c != bc {
@@ -751,31 +900,19 @@ impl MaintainedDecomposition {
                     }
                 }
             }
-            if ok && c != NIL {
+            if ok {
                 c
             } else {
                 NIL
             }
         };
         let fast = !component_bridging && region_connected && anchor_comp != NIL;
-        let mut affected: Vec<u32>;
-        let num_components: u32;
-        let mut tops_global: Vec<u32> = Vec::new();
-        if fast {
+        let mut local = false;
+        let regroup = if fast {
             let c = anchor_comp;
             for &b in &new_ids {
-                self.comp_id[b as usize] = c;
+                self.comp_attach(c, b);
             }
-            affected = self.comp_blocks[c as usize]
-                .iter()
-                .copied()
-                .filter(|&b| self.alive[b as usize] && self.comp_id[b as usize] == c)
-                .collect();
-            affected.extend(new_ids.iter().copied());
-            affected.sort_unstable();
-            affected.dedup();
-            self.comp_blocks[c as usize] = affected.clone();
-            num_components = 1;
             // Only region blocks changed, so the canonical top is the best
             // of the cached top and the spliced blocks — unless the cached
             // top itself died with the region, which forces a full scan.
@@ -785,204 +922,140 @@ impl MaintainedDecomposition {
                 cands.push(cached);
                 canonical_top_bcc(&cands, &self.block_verts)
             } else {
-                canonical_top_bcc(&affected, &self.block_verts)
+                canonical_top_bcc(&self.comp_blocks[c as usize], &self.block_verts)
             };
             self.comp_top[c as usize] = top;
-            tops_global.push(top);
+            // A surviving top keeps every block outside the region rooted
+            // as before; `merge_all` has no per-block merge decisions.
+            local = top == cached && !self.opts.merge_all;
+            if local {
+                self.regroup_local(c, &seeds_vec, &new_ids)?
+            } else {
+                self.regroup_full(&[c], &seeds_vec)?
+            }
         } else {
+            // Every piece a touched component split into contains a region
+            // vertex, so the region's blocks reach all of their members.
             let mut starts: Vec<u32> = new_ids.clone();
             for &v in &idx {
                 starts.extend(self.blocks_of_vertex[v as usize].iter().copied());
             }
             starts.sort_unstable();
             starts.dedup();
-            let mut comp_of_block: Vec<u32> = vec![NIL; nslots];
-            affected = Vec::new();
-            let mut ncomp = 0u32;
-            let mut queue = VecDeque::new();
-            for &s in &starts {
-                if comp_of_block[s as usize] != NIL {
-                    continue;
-                }
-                comp_of_block[s as usize] = ncomp;
-                queue.push_back(s);
-                while let Some(b) = queue.pop_front() {
-                    affected.push(b);
-                    for &v in &self.block_verts[b as usize] {
-                        let blocks = &self.blocks_of_vertex[v as usize];
-                        if blocks.len() < 2 {
-                            continue;
-                        }
-                        for &o in blocks {
-                            if comp_of_block[o as usize] == NIL {
-                                comp_of_block[o as usize] = ncomp;
-                                queue.push_back(o);
-                            }
-                        }
-                    }
-                }
-                ncomp += 1;
-            }
-            affected.sort_unstable();
-            num_components = ncomp;
-            // Re-register the discovered components under fresh ids. Every
-            // former member of a touched component is reachable from the
-            // starts (each split-off piece contains a region vertex), so no
-            // block is left holding a stale id and the old lists can be
-            // dropped wholesale.
-            let mut old_comps: Vec<u32> = affected
-                .iter()
-                .filter_map(|&b| {
-                    let c = self.comp_id[b as usize];
-                    (c != NIL).then_some(c)
-                })
-                .collect();
-            old_comps.sort_unstable();
-            old_comps.dedup();
-            for &c in &old_comps {
-                self.comp_blocks[c as usize] = Vec::new();
-            }
-            let base = self.comp_blocks.len() as u32;
-            let mut lists: Vec<Vec<u32>> = vec![Vec::new(); num_components as usize];
-            for &b in &affected {
-                let k = comp_of_block[b as usize];
-                self.comp_id[b as usize] = base + k;
-                lists[k as usize].push(b);
-            }
-            for members in lists {
-                let top = canonical_top_bcc(&members, &self.block_verts);
-                tops_global.push(top);
-                self.comp_top.push(top);
-                self.comp_blocks.push(members);
-            }
-        }
-
-        // ---- Old sub-graphs touched: owners of every affected block plus
-        // owners of the dead seeds.
-        let mut old_affected_mask = vec![false; old_num_subgraphs];
-        for &b in affected.iter().chain(seeds_vec.iter()) {
-            let s = self.decomp.subgraph_of_bcc.get(b as usize).copied().unwrap_or(NIL);
-            if s != NIL {
-                old_affected_mask[s as usize] = true;
-            }
-        }
-        let old_affected: Vec<usize> =
-            (0..old_num_subgraphs).filter(|&s| old_affected_mask[s]).collect();
-
-        // ---- Re-merge the affected components on a compact block view.
-        let cverts: Vec<&[VertexId]> =
-            affected.iter().map(|&b| self.block_verts[b as usize].as_slice()).collect();
-        let bct = BlockCutTree::build_from(&self.decomp.is_articulation, &cverts);
-        let groups = if self.opts.merge_all {
-            merge_all_per_component(&bct)
-        } else {
-            // Compact indices of the per-component canonical tops, already
-            // known from the component bookkeeping above.
-            let tops_compact: Vec<u32> = tops_global
-                .iter()
-                .map(|&t| affected.binary_search(&t).expect("top block not in region") as u32)
-                .collect();
-            merge_bccs_from_tops(&cverts, &bct, self.opts.merge_threshold as u64, &tops_compact)
+            let comps = self.register_components(starts);
+            self.regroup_full(&comps, &seeds_vec)?
         };
+        let Regroup { old_affected, groups, components, ancestors_walked } = regroup;
 
         // ---- Diff against the old grouping by block-id set. Ids are
         // stable for untouched blocks and fresh for spliced ones, so set
         // equality ⇔ identical sub-graph vertex/edge content. A group can
         // only match the old sub-graph owning its first block, and since
-        // groups partition the affected blocks while `subgraph_blocks[cand]`
-        // is exactly the set of blocks owned by `cand`, "every group block
-        // is owned by `cand` and the lengths agree" ⇔ set equality — no
-        // per-group materialization or sorting needed. Only the handful of
-        // genuinely fresh groups are materialized.
-        let mut group_of_block: Vec<u32> = vec![NIL; nslots];
-        for (gi, g) in groups.iter().enumerate() {
-            for &ci in g {
-                group_of_block[affected[ci as usize] as usize] = gi as u32;
-            }
-        }
-        let mut splits = 0usize;
+        // `subgraph_blocks[cand]` is exactly the set of blocks owned by
+        // `cand`, "every group block is owned by `cand` and the lengths
+        // agree" ⇔ set equality — no per-group materialization or sorting
+        // needed. Only the genuinely fresh groups are materialized.
+        let mut dissolved = vec![false; old_num_subgraphs];
         for &s in &old_affected {
-            let mut first = NIL;
-            for &b in &self.subgraph_blocks[s] {
-                let g = group_of_block[b as usize];
-                if g == NIL {
-                    continue;
-                }
-                if first == NIL {
-                    first = g;
-                } else if first != g {
-                    splits += 1;
-                    break;
-                }
-            }
+            dissolved[s] = true;
         }
-        let mut kept_old: BTreeSet<usize> = BTreeSet::new();
-        let mut removed: BTreeSet<usize> = old_affected.iter().copied().collect();
+        let mut first_group = vec![NIL; old_num_subgraphs];
+        let mut split = vec![false; old_num_subgraphs];
+        let mut kept_old: Vec<usize> = Vec::new();
         let mut fresh_groups: Vec<Vec<u32>> = Vec::new();
-        for g in groups.iter() {
-            let b0 = affected[g[0] as usize];
-            let cand = self.decomp.subgraph_of_bcc.get(b0 as usize).copied().unwrap_or(NIL);
-            let matches = cand != NIL
-                && removed.contains(&(cand as usize))
-                && self.subgraph_blocks[cand as usize].len() == g.len()
-                && g.iter().all(|&ci| {
-                    let b = affected[ci as usize];
-                    self.decomp.subgraph_of_bcc.get(b as usize).copied() == Some(cand)
-                });
-            if matches {
-                kept_old.insert(cand as usize);
-                removed.remove(&(cand as usize));
-            } else {
-                let mut s: Vec<u32> = g.iter().map(|&ci| affected[ci as usize]).collect();
-                s.sort_unstable();
-                fresh_groups.push(s);
+        for (gi, g) in groups.iter().enumerate() {
+            for &b in g {
+                if let Some(s) = self.owner(b) {
+                    if first_group[s] == NIL {
+                        first_group[s] = gi as u32;
+                    } else if first_group[s] != gi as u32 {
+                        split[s] = true;
+                    }
+                }
+            }
+            let cand = g.first().and_then(|&b| self.owner(b));
+            let matches = cand.is_some_and(|s| {
+                self.subgraph_blocks[s].len() == g.len()
+                    && g.iter().all(|&b| self.owner(b) == Some(s))
+            });
+            match cand {
+                Some(s) if matches => {
+                    if dissolved[s] {
+                        dissolved[s] = false;
+                        kept_old.push(s);
+                    }
+                }
+                _ => {
+                    let mut blocks = g.to_vec();
+                    blocks.sort_unstable();
+                    fresh_groups.push(blocks);
+                }
             }
         }
-        // A "split" of a kept sub-graph is impossible (its id set matched),
-        // so `splits` only counted dissolved sub-graphs spanning >= 2 groups.
+        let removed: Vec<usize> = old_affected.iter().copied().filter(|&s| dissolved[s]).collect();
+        // A kept sub-graph cannot have split (its id set matched), so this
+        // counts dissolved sub-graphs spanning >= 2 groups.
+        let splits = split.iter().filter(|&&x| x).count();
+        // Every block a fresh group takes over must come from a dissolved
+        // sub-graph; anything else means the regroup missed a group.
+        for g in &fresh_groups {
+            for &b in g {
+                if self.owner(b).is_some_and(|s| !dissolved[s]) {
+                    return Err("regroup moved a block of an unaffected sub-graph");
+                }
+            }
+        }
 
-        // ---- Assemble the final sub-graph list: survivors in their old
-        // relative order, fresh groups appended in canonical order.
-        let mut old_to_new: Vec<Option<u32>> = vec![None; old_num_subgraphs];
-        let mut final_sgs: Vec<SubGraph> = Vec::new();
-        let mut final_blocks: Vec<Vec<u32>> = Vec::new();
-        let old_sgs = std::mem::take(&mut self.decomp.subgraphs);
-        let old_blocks = std::mem::take(&mut self.subgraph_blocks);
-        for (i, (sg, blocks)) in old_sgs.into_iter().zip(old_blocks).enumerate() {
-            if removed.contains(&i) {
-                continue;
-            }
-            old_to_new[i] = Some(final_sgs.len() as u32);
-            final_sgs.push(sg);
-            final_blocks.push(blocks);
-        }
+        // ---- Commit: survivors keep their old relative order, fresh
+        // groups are appended in canonical order. Only survivors behind the
+        // first dissolved index move, so only their blocks are re-pointed.
         let mut assembled: Vec<(SubGraph, Vec<u32>)> = Vec::with_capacity(fresh_groups.len());
         for g in fresh_groups {
             let sg = self.assemble_subgraph(&g).ok_or("block store out of sync during assembly")?;
             assembled.push((sg, g));
         }
         assembled.sort_by(|a, b| a.0.globals.cmp(&b.0.globals));
-        let mut fresh_final: Vec<usize> = Vec::with_capacity(assembled.len());
-        for (sg, blocks) in assembled {
-            fresh_final.push(final_sgs.len());
-            final_sgs.push(sg);
-            final_blocks.push(blocks);
+        let mut old_to_new: Vec<Option<u32>> = Vec::with_capacity(old_num_subgraphs);
+        let mut next = 0u32;
+        for &gone in &dissolved {
+            old_to_new.push((!gone).then_some(next));
+            next += u32::from(!gone);
         }
-        let indices_changed = !removed.is_empty()
-            || !fresh_final.is_empty()
-            || old_to_new.iter().enumerate().any(|(i, m)| *m != Some(i as u32));
-        for (i, sg) in final_sgs.iter_mut().enumerate() {
-            sg.id = i;
+        let mut i = 0;
+        self.decomp.subgraphs.retain(|_| {
+            i += 1;
+            !dissolved[i - 1]
+        });
+        let mut i = 0;
+        self.subgraph_blocks.retain(|_| {
+            i += 1;
+            !dissolved[i - 1]
+        });
+        let sob = &mut self.decomp.subgraph_of_bcc;
+        sob.resize(nslots, NIL);
+        for &b in &seeds_vec {
+            sob[b as usize] = NIL;
         }
-        self.decomp.subgraphs = final_sgs;
-        self.subgraph_blocks = final_blocks;
-        self.decomp.num_bccs = self.live_blocks;
-        self.decomp.subgraph_of_bcc = vec![NIL; self.block_verts.len()];
-        for (s, blocks) in self.subgraph_blocks.iter().enumerate() {
-            for &b in blocks {
-                self.decomp.subgraph_of_bcc[b as usize] = s as u32;
+        let first_moved = removed.first().copied().unwrap_or(old_num_subgraphs);
+        for s in first_moved..self.subgraph_blocks.len() {
+            self.decomp.subgraphs[s].id = s;
+            for &b in &self.subgraph_blocks[s] {
+                sob[b as usize] = s as u32;
             }
         }
+        let mut fresh_final: Vec<usize> = Vec::with_capacity(assembled.len());
+        for (mut sg, blocks) in assembled {
+            let s = self.decomp.subgraphs.len();
+            sg.id = s;
+            for &b in &blocks {
+                sob[b as usize] = s as u32;
+            }
+            fresh_final.push(s);
+            self.decomp.subgraphs.push(sg);
+            self.subgraph_blocks.push(blocks);
+        }
+        let indices_changed = !removed.is_empty() || !fresh_final.is_empty();
+        self.decomp.num_bccs = self.live_blocks;
         self.decomp.top_subgraph = self
             .decomp
             .subgraphs
@@ -1008,22 +1081,14 @@ impl MaintainedDecomposition {
             }
         }
         dirty.extend(fresh_final.iter().copied());
-        let mut cindex: Vec<u32> = vec![NIL; nslots];
-        for (i, &b) in affected.iter().enumerate() {
-            cindex[b as usize] = i as u32;
-        }
-        let rooted = bct.rooted();
         let isolated_region_vertex =
             idx.iter().any(|&v| self.blocks_of_vertex[v as usize].is_empty());
-        let weights_stable = !component_bridging && num_components == 1 && !isolated_region_vertex;
+        let weights_stable = !component_bridging && components == 1 && !isolated_region_vertex;
         let mut refresh: Vec<usize> = fresh_final.clone();
         if weights_stable {
             for &v in &idx {
                 for &b in &self.blocks_of_vertex[v as usize] {
-                    let s = self.decomp.subgraph_of_bcc[b as usize];
-                    if s != NIL {
-                        refresh.push(s as usize);
-                    }
+                    refresh.extend(self.owner(b));
                 }
             }
         } else {
@@ -1036,55 +1101,42 @@ impl MaintainedDecomposition {
         refresh.sort_unstable();
         refresh.dedup();
         for &s in &refresh {
-            let (boundary_changed, alpha_changed) = {
-                let sg = &self.decomp.subgraphs[s];
-                let blocks = &self.subgraph_blocks[s];
-                let ln = sg.num_vertices();
-                let mut is_boundary = vec![false; ln];
-                let mut boundary = Vec::new();
-                for (l, &v) in sg.globals.iter().enumerate() {
-                    if !self.decomp.is_articulation[v as usize] {
-                        continue;
-                    }
-                    let crosses = self.blocks_of_vertex[v as usize]
-                        .iter()
-                        .any(|b| blocks.binary_search(b).is_err());
-                    if crosses {
-                        is_boundary[l] = true;
-                        boundary.push(l as u32);
-                    }
+            let sg = &self.decomp.subgraphs[s];
+            let ln = sg.num_vertices();
+            let mut is_boundary = vec![false; ln];
+            let mut boundary = Vec::new();
+            let mut alpha = vec![0u64; ln];
+            for (l, &v) in sg.globals.iter().enumerate() {
+                if !self.decomp.is_articulation[v as usize] {
+                    continue;
                 }
-                let mut alpha = vec![0u64; ln];
-                for &l in &boundary {
-                    let v = sg.globals[l as usize];
-                    for &b in &self.blocks_of_vertex[v as usize] {
-                        if self.decomp.subgraph_of_bcc[b as usize] == s as u32 {
-                            continue;
-                        }
-                        let ci = cindex[b as usize];
-                        if ci == NIL {
-                            return Err("boundary block missing from the affected region");
-                        }
-                        alpha[l as usize] += rooted.branch_weight(v, ci);
-                    }
+                let crosses =
+                    self.blocks_of_vertex[v as usize].iter().any(|&b| self.owner(b) != Some(s));
+                if crosses {
+                    is_boundary[l] = true;
+                    boundary.push(l as u32);
+                    alpha[l] = self.alpha_of(v, s as u32)?;
                 }
-                let boundary_changed = is_boundary != sg.is_boundary;
-                let alpha_changed = alpha != sg.alpha;
-                if boundary_changed || alpha_changed {
-                    let beta = alpha.clone();
-                    let sg = &mut self.decomp.subgraphs[s];
-                    sg.is_boundary = is_boundary;
-                    sg.boundary = boundary;
-                    sg.alpha = alpha;
-                    sg.beta = beta;
-                    if boundary_changed {
-                        sg.recompute_whiskers();
-                    }
+            }
+            let boundary_changed = is_boundary != sg.is_boundary;
+            if boundary_changed || alpha != sg.alpha {
+                let sg = &mut self.decomp.subgraphs[s];
+                sg.beta = alpha.clone();
+                sg.alpha = alpha;
+                sg.is_boundary = is_boundary;
+                sg.boundary = boundary;
+                if boundary_changed {
+                    sg.recompute_whiskers();
                 }
-                (boundary_changed, alpha_changed)
-            };
-            if boundary_changed || alpha_changed {
                 dirty.insert(s);
+            }
+        }
+        let regroup_time = t_regroup.elapsed();
+
+        #[cfg(feature = "invariants")]
+        if local {
+            if let Err(e) = self.check_local_regroup(anchor_comp) {
+                panic!("local regroup diverged from the full re-merge: {e}");
             }
         }
 
@@ -1100,14 +1152,352 @@ impl MaintainedDecomposition {
                 subgraphs_removed: removed.len(),
                 subgraphs_added: fresh_final.len(),
                 subgraph_splits: splits,
-                affected_components: num_components as usize,
+                affected_components: components,
                 spliced: true,
+                local_regroup: local,
+                ancestors_walked,
+                regroup_time,
                 maintain_time: t0.elapsed(),
             },
             old_to_new,
             dirty: dirty.into_iter().collect(),
             indices_changed,
         })
+    }
+
+    /// Discovers the components containing `starts` (sorted, deduplicated
+    /// block slots) by BFS over the block forest and registers them under
+    /// fresh ids, with their canonical tops; returns those ids. The member
+    /// lists of the components the blocks belonged to before are dropped
+    /// wholesale, so every live former member must be reachable from the
+    /// starts.
+    fn register_components(&mut self, starts: Vec<u32>) -> Vec<u32> {
+        let mut comp_of_block: Vec<u32> = vec![NIL; self.block_verts.len()];
+        let mut lists: Vec<Vec<u32>> = Vec::new();
+        let mut queue = VecDeque::new();
+        for &s in &starts {
+            if comp_of_block[s as usize] != NIL {
+                continue;
+            }
+            let k = lists.len() as u32;
+            let mut members = Vec::new();
+            comp_of_block[s as usize] = k;
+            queue.push_back(s);
+            while let Some(b) = queue.pop_front() {
+                members.push(b);
+                for &v in &self.block_verts[b as usize] {
+                    let blocks = &self.blocks_of_vertex[v as usize];
+                    if blocks.len() < 2 {
+                        continue;
+                    }
+                    for &o in blocks {
+                        if comp_of_block[o as usize] == NIL {
+                            comp_of_block[o as usize] = k;
+                            queue.push_back(o);
+                        }
+                    }
+                }
+            }
+            lists.push(members);
+        }
+        for members in &lists {
+            for &b in members {
+                let old = self.comp_id[b as usize];
+                if let Some(list) = self.comp_blocks.get_mut(old as usize) {
+                    list.clear();
+                }
+            }
+        }
+        let mut comps = Vec::with_capacity(lists.len());
+        for members in lists {
+            let c = self.comp_blocks.len() as u32;
+            for (i, &b) in members.iter().enumerate() {
+                self.comp_id[b as usize] = c;
+                self.comp_pos[b as usize] = i as u32;
+            }
+            self.comp_top.push(canonical_top_bcc(&members, &self.block_verts));
+            self.comp_blocks.push(members);
+            comps.push(c);
+        }
+        comps
+    }
+
+    /// The sub-graph currently owning store slot `b`, if any.
+    fn owner(&self, b: u32) -> Option<usize> {
+        match self.decomp.subgraph_of_bcc.get(b as usize) {
+            Some(&s) if s != NIL => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// The local regroup of component `c` (see the module docs): the
+    /// canonical top survived the splice, so every block outside the region
+    /// keeps its parent articulation and the spliced blocks hang below the
+    /// region's exit articulation. Settles the new blocks, walks the
+    /// ancestor chain while contributed sizes or merge decisions move, and
+    /// re-collects only the groups headed in the region or on that chain.
+    fn regroup_local(
+        &mut self,
+        c: u32,
+        seeds: &[u32],
+        new_ids: &[u32],
+    ) -> Result<Regroup, &'static str> {
+        let top = self.comp_top[c as usize];
+        let threshold = self.opts.merge_threshold as u64;
+        // The exit articulation: the parent articulation of every seed whose
+        // grandparent block is not itself a seed (`seeds` is sorted).
+        let mut exit = NIL;
+        let (mut old_in, mut old_below) = (0u64, 0u64);
+        for &s in seeds {
+            let node = self.forest[s as usize];
+            if node.parent == NIL {
+                return Err("local regroup reached the component top");
+            }
+            if seeds.binary_search(&self.up[node.parent as usize]).is_ok() {
+                continue;
+            }
+            if exit != NIL && exit != node.parent {
+                return Err("region hangs off two articulation points");
+            }
+            exit = node.parent;
+            old_in += node.contribution();
+            old_below += node.subtree;
+        }
+        if exit == NIL {
+            return Err("region without an exit articulation");
+        }
+        let above = self.up[exit as usize];
+
+        // Root the spliced blocks under the exit and settle them bottom-up.
+        // Their untouched children keep their cached nodes: each hangs off
+        // the same region vertex as before with an unchanged subtree, and
+        // its grandparent moves from one non-top region block to another.
+        let mut spliced = new_ids.to_vec();
+        spliced.sort_unstable();
+        let is_new = |b: u32| spliced.binary_search(&b).is_ok();
+        let mut order: Vec<u32> = Vec::with_capacity(new_ids.len());
+        for &b in &self.blocks_of_vertex[exit as usize] {
+            if is_new(b) {
+                self.forest[b as usize].parent = exit;
+                order.push(b);
+            }
+        }
+        let at_exit = order.len();
+        let mut i = 0;
+        while let Some(&b) = order.get(i) {
+            i += 1;
+            let children = self.root_children(b, is_new);
+            order.extend(children);
+            if order.len() > new_ids.len() {
+                break;
+            }
+        }
+        if order.len() != new_ids.len() {
+            return Err("spliced blocks do not hang off the exit articulation");
+        }
+        for &b in order.iter().rev() {
+            self.settle(b, top);
+        }
+        let (mut new_in, mut new_below) = (0u64, 0u64);
+        for &b in &order[..at_exit] {
+            new_in += self.forest[b as usize].contribution();
+            new_below += self.forest[b as usize].subtree;
+        }
+        if new_below != old_below {
+            return Err("region subtree weight moved inside one component");
+        }
+
+        // Walk up from the exit's parent block while a contributed size or
+        // a merge decision moves, and on through folded blocks to the head
+        // of the group the region's top blocks fold into.
+        let mut heads: Vec<u32> =
+            order.iter().copied().filter(|&b| !self.forest[b as usize].merged).collect();
+        let mut chain: Vec<u32> = Vec::new();
+        if old_in != 0 || new_in != 0 {
+            let mut cur = above;
+            let mut delta = new_in as i64 - old_in as i64;
+            loop {
+                if chain.len() > self.live_blocks {
+                    return Err("ancestor walk does not reach the component top");
+                }
+                let old = self.forest[cur as usize];
+                let acc = old.acc.checked_add_signed(delta).ok_or("accumulated size underflow")?;
+                let merged = old.parent != NIL
+                    && folds_into_parent(acc, self.up[old.parent as usize] == top, threshold);
+                let node = ForestNode { acc, merged, ..old };
+                self.forest[cur as usize] = node;
+                chain.push(cur);
+                if !merged {
+                    heads.push(cur);
+                    if !old.merged {
+                        break;
+                    }
+                }
+                delta = node.contribution() as i64 - old.contribution() as i64;
+                cur = self.up[old.parent as usize];
+            }
+        }
+
+        // Collect the changed groups: each head plus the folded blocks
+        // below it.
+        let mut groups = BlockGroups::new();
+        let mut stack: Vec<u32> = Vec::new();
+        for &h in &heads {
+            stack.push(h);
+            while let Some(b) = stack.pop() {
+                groups.push(b);
+                let parent = self.forest[b as usize].parent;
+                for &w in &self.block_verts[b as usize] {
+                    if w == parent {
+                        continue;
+                    }
+                    for &o in &self.blocks_of_vertex[w as usize] {
+                        if o != b && self.forest[o as usize].merged {
+                            stack.push(o);
+                        }
+                    }
+                }
+            }
+            groups.close_group();
+        }
+        let mut old_affected: Vec<usize> =
+            seeds.iter().chain(&chain).filter_map(|&b| self.owner(b)).collect();
+        old_affected.sort_unstable();
+        old_affected.dedup();
+        Ok(Regroup { old_affected, groups, components: 1, ancestors_walked: chain.len() })
+    }
+
+    /// The fallback regroup: Algorithm 1's merge re-run over every block of
+    /// `comps` on a compact view, then the components' forest caches
+    /// re-seeded. O(component).
+    fn regroup_full(&mut self, comps: &[u32], seeds: &[u32]) -> Result<Regroup, &'static str> {
+        let mut affected: Vec<u32> =
+            comps.iter().flat_map(|&c| self.comp_blocks[c as usize].iter().copied()).collect();
+        affected.sort_unstable();
+        let mut groups = {
+            let cverts: Vec<&[VertexId]> =
+                affected.iter().map(|&b| self.block_verts[b as usize].as_slice()).collect();
+            let bct = BlockCutTree::build_from(&self.decomp.is_articulation, &cverts);
+            if self.opts.merge_all {
+                merge_all_per_component(&bct)
+            } else {
+                let mut tops = Vec::with_capacity(comps.len());
+                for &c in comps {
+                    let top = affected
+                        .binary_search(&self.comp_top[c as usize])
+                        .map_err(|_| "top block not in its component")?;
+                    tops.push(top as u32);
+                }
+                merge_bccs_from_tops(&cverts, &bct, self.opts.merge_threshold as u64, &tops)
+            }
+        };
+        groups.relabel(|ci| affected[ci as usize]);
+        let mut old_affected: Vec<usize> =
+            affected.iter().chain(seeds).filter_map(|&b| self.owner(b)).collect();
+        old_affected.sort_unstable();
+        old_affected.dedup();
+        for &c in comps {
+            self.seed_forest(c);
+        }
+        Ok(Regroup { old_affected, groups, components: comps.len(), ancestors_walked: 0 })
+    }
+
+    /// α of articulation vertex `v` as a boundary point of sub-graph `s`:
+    /// the vertices behind `v`'s block-cut branches that lead out of `s`,
+    /// read off the cached subtree weights. A child block's branch is its
+    /// subtree; the parent block's branch is everything else.
+    fn alpha_of(&self, v: VertexId, s: u32) -> Result<u64, &'static str> {
+        let up = self.up[v as usize];
+        let (mut below, mut alpha, mut up_outside) = (0u64, 0u64, None);
+        for &b in &self.blocks_of_vertex[v as usize] {
+            let outside = self.owner(b) != Some(s as usize);
+            if b == up {
+                up_outside = Some(outside);
+                continue;
+            }
+            let w = self.forest[b as usize].subtree;
+            below += w;
+            if outside {
+                alpha += w;
+            }
+        }
+        match up_outside {
+            None => Err("articulation point lost its forest parent block"),
+            Some(false) => Ok(alpha),
+            Some(true) => {
+                let top = self.comp_top[self.comp_id[up as usize] as usize];
+                let total = self.forest[top as usize].subtree;
+                total.checked_sub(below + 1).map(|w| alpha + w).ok_or("forest weights out of sync")
+            }
+        }
+    }
+
+    /// Cross-checks a local regroup of component `c` against the full
+    /// path: Algorithm 1's merge re-run over the whole component must yield
+    /// exactly the committed groups, boundary/α/β recomputed from
+    /// `bct.rooted()` must be bit-identical for every sub-graph of the
+    /// component, and re-seeding the forest caches must reproduce the
+    /// incrementally maintained ones.
+    #[cfg(feature = "invariants")]
+    fn check_local_regroup(&mut self, c: u32) -> Result<(), String> {
+        let mut blocks = self.comp_blocks[c as usize].clone();
+        blocks.sort_unstable();
+        let top = blocks
+            .binary_search(&self.comp_top[c as usize])
+            .map_err(|_| "top block outside its component".to_string())?;
+        {
+            let cverts: Vec<&[VertexId]> =
+                blocks.iter().map(|&b| self.block_verts[b as usize].as_slice()).collect();
+            let bct = BlockCutTree::build_from(&self.decomp.is_articulation, &cverts);
+            let threshold = self.opts.merge_threshold as u64;
+            let groups = merge_bccs_from_tops(&cverts, &bct, threshold, &[top as u32]);
+            let rooted = bct.rooted();
+            for g in groups.iter() {
+                let mut slots: Vec<u32> = g.iter().map(|&ci| blocks[ci as usize]).collect();
+                slots.sort_unstable();
+                let s = self.owner(slots[0]).ok_or("group without an owner".to_string())?;
+                if self.subgraph_blocks[s] != slots {
+                    return Err(format!(
+                        "sub-graph {s} is not the full re-merge's group {slots:?}"
+                    ));
+                }
+                let sg = &self.decomp.subgraphs[s];
+                let mut is_boundary = vec![false; sg.num_vertices()];
+                let mut alpha = vec![0u64; sg.num_vertices()];
+                for (l, &v) in sg.globals.iter().enumerate() {
+                    if !self.decomp.is_articulation[v as usize] {
+                        continue;
+                    }
+                    for &b in &self.blocks_of_vertex[v as usize] {
+                        if self.owner(b) != Some(s) {
+                            let ci = blocks.binary_search(&b).map_err(|_| "stray block")?;
+                            is_boundary[l] = true;
+                            alpha[l] += rooted.branch_weight(v, ci as u32);
+                        }
+                    }
+                }
+                if is_boundary != sg.is_boundary || alpha != sg.alpha || alpha != sg.beta {
+                    return Err(format!("boundary/α/β of sub-graph {s} differ from bct.rooted()"));
+                }
+            }
+        }
+        let cached: Vec<ForestNode> = blocks.iter().map(|&b| self.forest[b as usize]).collect();
+        let verts: Vec<VertexId> =
+            blocks.iter().flat_map(|&b| self.block_verts[b as usize].iter().copied()).collect();
+        let ups: Vec<u32> = verts.iter().map(|&v| self.up[v as usize]).collect();
+        self.seed_forest(c);
+        for (&b, was) in blocks.iter().zip(&cached) {
+            let now = self.forest[b as usize];
+            if now != *was {
+                return Err(format!("forest node of block {b}: cached {was:?}, re-seeded {now:?}"));
+            }
+        }
+        for (&v, &was) in verts.iter().zip(&ups) {
+            if self.up[v as usize] != was {
+                return Err(format!("parent block of vertex {v} drifted"));
+            }
+        }
+        Ok(())
     }
 
     /// Builds a [`SubGraph`] from a sorted group of store blocks (boundary
@@ -1525,6 +1915,99 @@ mod tests {
         let a_new = out.old_to_new[a_old].expect("clique A survives") as usize;
         assert!(!out.dirty.contains(&a_new), "clique A untouched: no kernel re-run");
         assert!(h.m.decomp().subgraphs[a_new].contains(1));
+    }
+
+    /// A K8 top block {0..7} with a chain of 4-cycles hanging off vertex 7
+    /// (B1 = 7..10, B2 = 10..13, B3 = 13..16, B4 = 16..19), whisker tips
+    /// 20, 21 on host 18 (in B4) and 22, 23 on host 9 (in B1). With
+    /// threshold 16 the whiskers, B4 and B3 fold upwards (sizes 2, 8, 12)
+    /// while B2 (16) and B1 (4, under the top) head their own groups.
+    fn community_chain() -> Graph {
+        let mut edges = Vec::new();
+        for u in 0..8 {
+            for v in u + 1..8 {
+                edges.push((u, v));
+            }
+        }
+        for base in [7, 10, 13, 16] {
+            edges.extend([(base, base + 1), (base + 1, base + 2), (base + 2, base + 3)]);
+            edges.push((base + 3, base));
+        }
+        edges.extend([(18, 20), (18, 21), (9, 22), (9, 23)]);
+        Graph::undirected_from_edges(24, &edges)
+    }
+
+    /// Threshold of [`community_chain`]'s merge layout.
+    const CHAIN_THRESHOLD: usize = 16;
+
+    #[test]
+    fn whisker_tip_bridge_regroups_locally() {
+        let mut h = Harness::new(&community_chain(), CHAIN_THRESHOLD);
+        for (a, b) in [(22, 23), (20, 21)] {
+            let out = h.apply(&[add(a, b)]);
+            assert!(out.stats.spliced && out.stats.local_regroup, "add ({a},{b})");
+            assert_eq!((out.stats.blocks_removed, out.stats.blocks_added), (2, 1));
+            let out = h.apply(&[rem(a, b)]);
+            assert!(out.stats.spliced && out.stats.local_regroup, "remove ({a},{b})");
+            assert_eq!((out.stats.blocks_removed, out.stats.blocks_added), (1, 2));
+        }
+    }
+
+    #[test]
+    fn block_splitting_removal_regroups_locally() {
+        let mut h = Harness::new(&community_chain(), CHAIN_THRESHOLD);
+        // B2 minus one cycle edge is three bridges.
+        let out = h.apply(&[rem(11, 12)]);
+        assert!(out.stats.spliced && out.stats.local_regroup);
+        assert_eq!((out.stats.blocks_removed, out.stats.blocks_added), (1, 3));
+        let out = h.apply(&[add(11, 12)]);
+        assert!(out.stats.spliced && out.stats.local_regroup);
+        assert_eq!((out.stats.blocks_removed, out.stats.blocks_added), (3, 1));
+    }
+
+    #[test]
+    fn deep_path_merging_add_regroups_locally() {
+        let mut h = Harness::new(&community_chain(), CHAIN_THRESHOLD);
+        // (11, 14) closes a cycle through B2 and B3: one 7-vertex block,
+        // still smaller than the K8 top.
+        let out = h.apply(&[add(11, 14)]);
+        assert!(out.stats.spliced && out.stats.local_regroup);
+        assert_eq!((out.stats.blocks_removed, out.stats.blocks_added), (2, 1));
+        let out = h.apply(&[rem(11, 14)]);
+        assert!(out.stats.spliced && out.stats.local_regroup);
+        assert_eq!((out.stats.blocks_removed, out.stats.blocks_added), (1, 2));
+    }
+
+    #[test]
+    fn threshold_crossing_propagates_up_the_chain() {
+        let mut h = Harness::new(&community_chain(), CHAIN_THRESHOLD);
+        let groups = |h: &Harness| h.m.decomp().num_subgraphs();
+        let before = groups(&h);
+        // The tip bridge trades two folded whiskers (4) for a folded
+        // triangle (3): B4, B3 and B2 each lose one, which takes B2 from 16
+        // to 15 — under the threshold — so B2 now folds into B1.
+        let out = h.apply(&[add(20, 21)]);
+        assert!(out.stats.local_regroup);
+        assert!(out.stats.ancestors_walked >= 2, "walked {}", out.stats.ancestors_walked);
+        assert_eq!(groups(&h), before - 1, "B2's group folded into B1's");
+        let out = h.apply(&[rem(20, 21)]);
+        assert!(out.stats.local_regroup);
+        assert!(out.stats.ancestors_walked >= 2, "walked {}", out.stats.ancestors_walked);
+        assert_eq!(groups(&h), before);
+    }
+
+    #[test]
+    fn new_canonical_top_falls_back_to_full_merge() {
+        let mut h = Harness::new(&community_chain(), CHAIN_THRESHOLD);
+        // (8, 17) fuses B1..B4 into one 13-vertex block, larger than the
+        // K8 top; removing it again kills that top.
+        let out = h.apply(&[add(8, 17)]);
+        assert!(out.stats.spliced && !out.stats.local_regroup);
+        let out = h.apply(&[rem(8, 17)]);
+        assert!(out.stats.spliced && !out.stats.local_regroup);
+        // Re-seeded caches carry the next local regroup.
+        let out = h.apply(&[add(22, 23)]);
+        assert!(out.stats.local_regroup);
     }
 
     #[test]

@@ -232,12 +232,24 @@ pub(crate) struct BlockGroups {
 }
 
 impl BlockGroups {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BlockGroups { off: vec![0], blocks: Vec::new() }
     }
 
-    fn close_group(&mut self) {
+    /// Appends block `b` to the group under construction.
+    pub(crate) fn push(&mut self, b: u32) {
+        self.blocks.push(b);
+    }
+
+    pub(crate) fn close_group(&mut self) {
         self.off.push(self.blocks.len() as u32);
+    }
+
+    /// Rewrites every block id through `f` (e.g. compact view → store slot).
+    pub(crate) fn relabel(&mut self, f: impl Fn(u32) -> u32) {
+        for b in &mut self.blocks {
+            *b = f(*b);
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -313,6 +325,20 @@ pub(crate) fn canonical_top_bcc<V: AsRef<[VertexId]>>(comp: &[u32], bcc_vertices
     best.expect("component without BCCs").1
 }
 
+/// Algorithm 1's two merge rules for a group and its parent BCC (the BCC
+/// behind its parent articulation point): a below-threshold group folds into
+/// a non-top parent; only a trivial (<= 2 vertex) group folds into the top
+/// BCC itself. `size` is the group's accumulated size — its own block plus
+/// the child groups already folded into it.
+#[inline]
+pub(crate) fn folds_into_parent(size: u64, parent_is_top: bool, threshold: u64) -> bool {
+    if parent_is_top {
+        size <= 2
+    } else {
+        size < threshold
+    }
+}
+
 /// DFS over the block-cut tree, merging small BCCs into their parents
 /// (Algorithm 1 lines 4–24), per connected component, starting from each
 /// component's largest BCC.
@@ -357,8 +383,8 @@ pub(crate) fn merge_bccs<V: AsRef<[VertexId]>>(
 
 /// [`merge_bccs`] with the per-component canonical top BCCs already known:
 /// skips component discovery entirely. The incremental maintainer caches
-/// canonical tops across splices, so the common single-region splice pays
-/// only the merge DFS itself.
+/// canonical tops across splices, so its full re-merge fallback (and its
+/// invariants cross-check) pays only the merge DFS itself.
 pub(crate) fn merge_bccs_from_tops<V: AsRef<[VertexId]>>(
     bcc_vertices: &[V],
     bct: &BlockCutTree,
@@ -429,11 +455,7 @@ pub(crate) fn merge_bccs_from_tops<V: AsRef<[VertexId]>>(
                 let prev = art_frame.parent;
                 debug_assert!((prev as usize) < nb);
                 let curr_size = size[b as usize];
-                // Algorithm 1's two merge rules: below-threshold groups fold
-                // into a non-top parent; only trivial (<= 2 vertex) groups
-                // fold into the top BCC itself.
-                let merge = if prev != top_bcc { curr_size < threshold } else { curr_size <= 2 };
-                if merge {
+                if folds_into_parent(curr_size, prev == top_bcc, threshold) {
                     next[tail[prev as usize] as usize] = b;
                     tail[prev as usize] = tail[b as usize];
                     size[prev as usize] += curr_size;

@@ -67,6 +67,12 @@ pub struct DynamicReport {
     pub rebuilt: bool,
     /// Time spent in incremental decomposition maintenance.
     pub maintain_time: Duration,
+    /// The part of `maintain_time` spent regrouping after a region splice:
+    /// merge, sub-graph diff and assembly, and the boundary/α/β refresh.
+    pub regroup_time: Duration,
+    /// Whether the splice regrouped locally (region plus ancestor chain)
+    /// instead of re-merging the whole affected components.
+    pub local_regroup: bool,
     /// Time spent re-decomposing from scratch (zero unless `rebuilt`).
     pub rebuild_time: Duration,
     /// Wall clock of the whole `apply` call.
@@ -90,6 +96,8 @@ impl DynamicReport {
             region_blocks: 0,
             rebuilt: false,
             maintain_time: Duration::ZERO,
+            regroup_time: Duration::ZERO,
+            local_regroup: false,
             rebuild_time: Duration::ZERO,
             wall_clock: Duration::ZERO,
         }
@@ -494,6 +502,8 @@ impl DynamicBc {
         report.subgraphs_split = stats.subgraph_splits;
         report.region_blocks = stats.region_blocks;
         report.maintain_time = stats.maintain_time;
+        report.regroup_time = stats.regroup_time;
+        report.local_regroup = stats.local_regroup;
         report
     }
 
@@ -849,6 +859,7 @@ mod tests {
         assert_eq!(rep.structural_edits, 1, "only the bridge spliced");
         assert!(rep.region_blocks > 0);
         assert!(rep.maintain_time > Duration::ZERO);
+        assert!(rep.regroup_time > Duration::ZERO && rep.regroup_time <= rep.maintain_time);
         assert_eq!(rep.rebuild_time, Duration::ZERO);
         assert_close("mixed", engine.scores(), &bc_serial(&engine.current_graph()));
     }
