@@ -1,8 +1,8 @@
 //! The per-sub-graph BC kernels — the paper's Algorithm 2 (`BCinSG`).
 //!
 //! For every root `s ∈ R_sgi` a kernel runs one BFS over the sub-graph's
-//! local CSR and one backward sweep that accumulates the four dependencies of
-//! §3.1.1 simultaneously:
+//! local CSR (whisker-free, see below) and one backward sweep that
+//! accumulates the four dependencies of §3.1.1 simultaneously:
 //!
 //! * `δ_i2i` — Brandes' classic dependency, restricted to the sub-graph
 //!   (Equation 3),
@@ -26,6 +26,26 @@
 //! whisker itself from its derived target set, and the `+α(s)` restores the
 //! `δ^init_i2o` term at the root that Algorithm 2's `i != s` guard drops.
 //! Both corrections are pinned by the `apgre ≡ brandes` property tests.
+//!
+//! # The whisker fold (targets)
+//!
+//! γ removes whiskers as *sources*; the sweeps also skip them as *targets*.
+//! An undirected whisker `w` hosted by `v` has `v` as its only neighbour,
+//! so from any root `s ≠ w` it sits one level below `v` with `σ_s(w) =
+//! σ_s(v)` and, having no successor, `δ_s(w) = 0` in all four dependencies
+//! (it is never a boundary point, so it carries no `α`). Its only effect on
+//! the backward sweep is the term `σ(v)/σ(w)·(1 + δ(w)) = 1` it adds to
+//! `δ_i2i(v)`. The sweeps therefore read [`SubGraph::sweep_csr`] — the
+//! local arcs without whisker endpoints, cut by
+//! `SubGraph::recompute_whiskers` — and start `δ_i2i(v)` at `γ(v)`
+//! instead: no whisker is enqueued, counted or popped, and the whisker's own
+//! score term, always `0`, is never added. `δ_i2i(s)` at the root still
+//! includes `γ(s)`, so the root term `γ(s)·((δ_i2i(s) − 1) + δ_i2o(s) +
+//! α(s))` is unchanged. Directed whiskers have in-degree 0 and are never
+//! reached, so directed sub-graphs (and whisker-free or unfolded ones) keep
+//! the full local CSR and start `δ_i2i` at 0. The returned edge counts
+//! count arcs of the swept CSR, so folding drops twice the whisker arcs
+//! each root used to reach.
 //!
 //! # One entry point, three sweeps
 //!
@@ -125,8 +145,9 @@ impl SeqWs {
 /// Algorithm 2 over the roots `roots` of sub-graph `sg`, accumulating their
 /// exact Equation-7 contribution into `bc_local` (indexed by local vertex
 /// id, length `sg.num_vertices()`). Returns the number of edges examined
-/// (forward + backward scans). Pinned against serial Brandes (`bc_serial`)
-/// by the kernel table in `tests/kernel_policies.rs`.
+/// (forward + backward scans of [`SubGraph::sweep_csr`]). Pinned against
+/// serial Brandes (`bc_serial`) by the kernel table in
+/// `tests/kernel_policies.rs`.
 ///
 /// * `roots` — compacted local ids of `sg`; `&sg.roots` for the exact
 ///   kernel. Sweeping a subset yields that subset's exact contribution (the
@@ -180,8 +201,9 @@ fn sweep_root<const RECORD: bool>(
     ws: &mut SeqWs,
     bc_local: &mut [f64],
 ) -> u64 {
-    let csr = sg.graph.csr();
+    let csr = sg.sweep_csr();
     let directed = sg.graph.is_directed();
+    let folded = sg.folded_csr.is_some();
     let mut edges = 0u64;
     // Phase 1: forward BFS (σ and order).
     ws.dist[s as usize] = 0;
@@ -191,6 +213,11 @@ fn sweep_root<const RECORD: bool>(
     // Audited: every id is a compacted sub-graph id `< sg.n` by construction,
     // and all workspace arrays are sized to sg.n. lint:allow(hot_index)
     while let Some(u) = ws.queue.pop_front() {
+        #[cfg(feature = "invariants")]
+        debug_assert!(
+            !folded || !sg.is_whisker[u as usize],
+            "whisker {u} popped from a folded sweep: `folded_csr` is stale"
+        );
         let du = ws.dist[u as usize];
         for &v in csr.neighbors(u) {
             edges += 1;
@@ -217,7 +244,7 @@ fn sweep_root<const RECORD: bool>(
         let dv = ws.dist[vu];
         let sv = ws.sigma[vu];
         let boundary_v = sg.is_boundary[vu] && v != s;
-        let mut i2i = 0.0;
+        let mut i2i = if folded { sg.gamma[vu] as f64 } else { 0.0 };
         let mut i2o = if boundary_v { sg.alpha[vu] as f64 } else { 0.0 };
         let mut o2o = if s_boundary && boundary_v { beta_s * sg.alpha[vu] as f64 } else { 0.0 };
         for &w in csr.neighbors(v) {
@@ -431,9 +458,10 @@ fn sweep_roots_level_sync(
     bc_local: &mut [f64],
     grain: usize,
 ) -> u64 {
-    let csr = sg.graph.csr();
-    let rev = sg.graph.rev_csr();
+    let csr = sg.sweep_csr();
     let directed = sg.graph.is_directed();
+    let rev = if directed { sg.graph.rev_csr() } else { csr };
+    let folded = sg.folded_csr.is_some();
     let mut edges = 0u64;
 
     // Seed the shared bc mirror once per call; it then accumulates across
@@ -531,7 +559,7 @@ fn sweep_roots_level_sync(
                 let vu = v as usize;
                 let sv = sigma[vu].load();
                 let boundary_v = sg.is_boundary[vu] && v != s;
-                let mut i2i = 0.0;
+                let mut i2i = if folded { sg.gamma[vu] as f64 } else { 0.0 };
                 let mut i2o = if boundary_v { sg.alpha[vu] as f64 } else { 0.0 };
                 let mut o2o =
                     if s_boundary && boundary_v { beta_s * sg.alpha[vu] as f64 } else { 0.0 };

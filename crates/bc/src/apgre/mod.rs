@@ -584,10 +584,15 @@ fn run_job(
             stats.roots += 1;
             let k = stats.roots as f64;
             let mut mass = 0.0f64;
+            // Only roots can be reached: a whisker's contribution is exactly
+            // 0.0 for every root (never enqueued when undirected, in-degree 0
+            // when directed), which would leave its mean, M2 and the mass
+            // bitwise unchanged, so the fold skips it.
             // Audited: `c` is the dense contribution vector of length n,
-            // and mean / vertex_m2 were allocated at n above.
-            // lint:allow(hot_index)
-            for v in 0..n {
+            // mean / vertex_m2 were allocated at n above, and `sg.roots`
+            // holds local ids `< n`. lint:allow(hot_index)
+            for &r in &sg.roots {
+                let v = r as usize;
                 let x = c[v];
                 mass += x;
                 let d = x - mean[v];

@@ -17,13 +17,16 @@
 //!    of its connected component (undirected), `Σ α`/`Σ β` bounded by the
 //!    outside-vertex count (directed, where hanging regions are only
 //!    partially reachable), and `β = α` on undirected graphs,
-//! 4. a γ/whisker recount from the sub-graph structure alone.
+//! 4. a γ/whisker recount from the sub-graph structure alone,
+//! 5. the whisker-free sweep layout: `folded_csr` equals the local arcs
+//!    minus every arc with a whisker endpoint, and is absent on directed
+//!    and whisker-free (including unfolded) sub-graphs.
 
 use crate::bcc::biconnected_components;
 use crate::block_cut_tree::BlockCutTree;
 use crate::partition::Decomposition;
 use apgre_graph::connectivity::connected_components;
-use apgre_graph::Graph;
+use apgre_graph::{Csr, Graph};
 
 /// Panics if any decomposition invariant is violated. See the module docs
 /// for the checked properties.
@@ -34,6 +37,7 @@ pub fn check_decomposition(g: &Graph, d: &Decomposition) {
     check_block_cut_tree(g, d);
     check_conservation(g, d);
     check_gamma_recount(g, d);
+    check_folded_csr(d);
 }
 
 /// Re-derives the biconnected structure and checks the block-cut tree.
@@ -188,6 +192,32 @@ fn check_gamma_recount(g: &Graph, d: &Decomposition) {
             recount, sg.gamma,
             "invariants: SG{}: γ does not match a recount of whisker hosts",
             sg.id
+        );
+    }
+}
+
+/// Re-cuts every sub-graph's whisker-free sweep layout from its local arcs
+/// and whisker flags and compares it with the committed `folded_csr`.
+fn check_folded_csr(d: &Decomposition) {
+    for sg in &d.subgraphs {
+        let ln = sg.num_vertices();
+        let whiskers = sg.is_whisker.iter().any(|&w| w);
+        let want = (!sg.graph.is_directed() && whiskers).then(|| {
+            let arcs: Vec<(u32, u32)> = sg
+                .graph
+                .csr()
+                .edges()
+                .filter(|&(u, v)| !sg.is_whisker[u as usize] && !sg.is_whisker[v as usize])
+                .collect();
+            Csr::from_edges(ln, &arcs)
+        });
+        assert_eq!(
+            sg.folded_csr,
+            want,
+            "invariants: SG{}: whisker-free CSR does not match the local arcs minus whisker \
+             endpoints (directed: {}, whiskers: {whiskers})",
+            sg.id,
+            sg.graph.is_directed()
         );
     }
 }

@@ -1545,6 +1545,7 @@ impl MaintainedDecomposition {
             gamma: Vec::new(),
             is_whisker: Vec::new(),
             roots: Vec::new(),
+            folded_csr: None,
         };
         sg.recompute_whiskers();
         Some(sg)
@@ -1683,6 +1684,7 @@ pub fn decomp_equivalent(a: &Decomposition, b: &Decomposition) -> Result<(), Str
         Vec<u32>,
         Vec<bool>,
         Vec<u32>,
+        Option<(Vec<usize>, Vec<u32>)>,
     );
     let key = |sg: &SubGraph| -> Key {
         let mut edges: Vec<(u32, u32)> =
@@ -1697,6 +1699,7 @@ pub fn decomp_equivalent(a: &Decomposition, b: &Decomposition) -> Result<(), Str
             sg.gamma.clone(),
             sg.is_whisker.clone(),
             sg.roots.clone(),
+            sg.folded_csr.as_ref().map(|c| (c.offsets().to_vec(), c.targets().to_vec())),
         )
     };
     let mut ka: Vec<Key> = a.subgraphs.iter().map(key).collect();

@@ -96,12 +96,14 @@ impl Decomposition {
     /// Reverts the total-redundancy optimization: every whisker becomes its
     /// own root again and all `γ` counts drop to zero. The BC kernels then
     /// sweep every vertex, isolating the partial-redundancy elimination —
-    /// the other half of the γ-vs-partial ablation.
+    /// the other half of the γ-vs-partial ablation. With no whisker left,
+    /// the whisker-free sweep layout goes too.
     pub fn unfold_whiskers(&mut self) {
         for sg in &mut self.subgraphs {
             sg.gamma.fill(0);
             sg.is_whisker.fill(false);
             sg.roots = (0..sg.num_vertices() as u32).collect();
+            sg.folded_csr = None;
         }
     }
 
@@ -561,6 +563,7 @@ fn build_subgraphs(
             gamma: Vec::new(),
             is_whisker: Vec::new(),
             roots: Vec::new(),
+            folded_csr: None,
         };
         sg.recompute_whiskers();
         subgraphs.push(sg);
@@ -714,6 +717,37 @@ mod tests {
         assert_eq!(sg.roots, vec![0]);
         assert!(sg.is_whisker[1]);
         assert_eq!(sg.gamma[0], 1);
+    }
+
+    #[test]
+    fn whisker_free_csr_drops_exactly_the_whisker_arcs() {
+        let g = fig3_undirected();
+        let mut d = decompose(&g, &PartitionOptions { merge_threshold: 3, ..Default::default() });
+        for sg in &d.subgraphs {
+            let Some(folded) = &sg.folded_csr else {
+                assert!(!sg.is_whisker.contains(&true), "SG{} has whiskers but no fold", sg.id);
+                continue;
+            };
+            // The middle sub-graph: whiskers 0 and 1 and their two edges go.
+            assert_eq!(sg.globals, vec![0, 1, 2, 3, 4, 5, 6]);
+            let kept: Vec<(u32, u32)> = sg
+                .graph
+                .csr()
+                .edges()
+                .filter(|&(u, v)| ![u, v].iter().any(|&x| sg.global_of(x) < 2))
+                .collect();
+            assert_eq!(folded.edges().collect::<Vec<_>>(), kept);
+            assert_eq!(folded.num_edges() + 4, sg.graph.num_arcs());
+            assert_eq!(sg.sweep_csr(), folded);
+        }
+        let k2 = decompose(&Graph::undirected_from_edges(2, &[(0, 1)]), &Default::default());
+        assert_eq!(k2.subgraphs[0].sweep_csr().num_edges(), 0);
+        d.unfold_whiskers();
+        assert!(d.subgraphs.iter().all(|sg| sg.folded_csr.is_none()));
+        let dg =
+            generators::attach_directed_whiskers(&generators::rmat_directed(6, 4, 5), 30, 0.3, 6);
+        let dd = decompose(&dg, &PartitionOptions::default());
+        assert!(dd.subgraphs.iter().all(|sg| sg.folded_csr.is_none()));
     }
 
     #[test]

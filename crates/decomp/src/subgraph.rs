@@ -1,6 +1,6 @@
 //! The per-sub-graph state the APGRE kernel consumes.
 
-use apgre_graph::{Graph, VertexId};
+use apgre_graph::{Csr, Graph, VertexId};
 
 /// One sub-graph of the paper's decomposed graph `SGi(V, E, A)`
 /// (Definition 1), together with the articulation-point quantities of §3.1:
@@ -39,6 +39,15 @@ pub struct SubGraph {
     pub is_whisker: Vec<bool>,
     /// The root set `R_sgi`: local ids that get their own BFS.
     pub roots: Vec<u32>,
+    /// The local arcs with every whisker endpoint dropped (same vertex
+    /// count, neighbour lists still sorted): the adjacency the BC kernel
+    /// sweeps so that no whisker is ever enqueued as a *target*, with each
+    /// host's dependency starting at `γ` instead. Present only for
+    /// undirected sub-graphs with at least one whisker — a directed whisker
+    /// has in-degree 0 and no sweep reaches it — and rebuilt by
+    /// [`Self::recompute_whiskers`] alone, so it never outlives the
+    /// whisker set it was cut for.
+    pub folded_csr: Option<Csr>,
 }
 
 impl SubGraph {
@@ -70,12 +79,12 @@ impl SubGraph {
         self.globals.binary_search(&v).is_ok()
     }
 
-    /// Recomputes `is_whisker`, `gamma`, and `roots` from the current local
-    /// graph and boundary flags, applying the paper's whisker rule: a
-    /// non-boundary vertex with undirected degree 1 (or, when directed,
-    /// in-degree 0 and out-degree 1) is folded into its host's γ and dropped
-    /// from the root set. The undirected K2 special case keeps the lower
-    /// local id as the root.
+    /// Recomputes `is_whisker`, `gamma`, `roots` and `folded_csr` from the
+    /// current local graph and boundary flags, applying the paper's whisker
+    /// rule: a non-boundary vertex with undirected degree 1 (or, when
+    /// directed, in-degree 0 and out-degree 1) is folded into its host's γ
+    /// and dropped from the root set. The undirected K2 special case keeps
+    /// the lower local id as the root.
     ///
     /// `decompose` uses this at build time; the incremental engine re-runs
     /// it after editing a sub-graph's edge set in place, which is sound
@@ -83,35 +92,51 @@ impl SubGraph {
     /// *local* batch leaves the boundary set untouched by definition.
     pub fn recompute_whiskers(&mut self) {
         let ln = self.num_vertices();
-        let directed = self.graph.is_directed();
-        self.is_whisker = vec![false; ln];
-        self.gamma = vec![0; ln];
-        for l in 0..ln as u32 {
-            if self.is_boundary[l as usize] {
-                continue;
+        let (graph, is_boundary) = (&self.graph, &self.is_boundary);
+        let directed = graph.is_directed();
+        let interior = |l: u32| is_boundary.get(l as usize) == Some(&false);
+        // Each vertex's host if the rule folds it, else `None`.
+        let hosts: Vec<Option<u32>> = (0..ln as u32)
+            .map(|l| {
+                let qualifies = interior(l)
+                    && if directed {
+                        graph.in_degree(l) == 0 && graph.out_degree(l) == 1
+                    } else {
+                        graph.out_degree(l) == 1
+                    };
+                let host = *graph.out_neighbors(l).first().filter(|_| qualifies)?;
+                // Isolated-edge special case (undirected K2): both endpoints
+                // qualify; keep the lower id as the root.
+                let k2_root =
+                    !directed && interior(host) && graph.out_degree(host) == 1 && l < host;
+                (!k2_root).then_some(host)
+            })
+            .collect();
+        let mut gamma = vec![0u32; ln];
+        for &host in hosts.iter().flatten() {
+            if let Some(g) = gamma.get_mut(host as usize) {
+                *g += 1;
             }
-            let qualifies = if directed {
-                self.graph.in_degree(l) == 0 && self.graph.out_degree(l) == 1
-            } else {
-                self.graph.out_degree(l) == 1
-            };
-            if !qualifies {
-                continue;
-            }
-            let host = self.graph.out_neighbors(l)[0];
-            // Isolated-edge special case (undirected K2): both endpoints
-            // qualify; keep the lower id as the root.
-            if !directed
-                && !self.is_boundary[host as usize]
-                && self.graph.out_degree(host) == 1
-                && l < host
-            {
-                continue;
-            }
-            self.is_whisker[l as usize] = true;
-            self.gamma[host as usize] += 1;
         }
-        self.roots = (0..ln as u32).filter(|&l| !self.is_whisker[l as usize]).collect();
+        let is_whisker: Vec<bool> = hosts.iter().map(Option::is_some).collect();
+        self.roots =
+            (0..ln as u32).zip(&is_whisker).filter(|&(_, &w)| !w).map(|(l, _)| l).collect();
+        self.folded_csr = (!directed && self.roots.len() < ln).then(|| {
+            let core = |v: u32| is_whisker.get(v as usize) == Some(&false);
+            let arcs: Vec<(u32, u32)> =
+                graph.csr().edges().filter(|&(u, v)| core(u) && core(v)).collect();
+            Csr::from_edges(ln, &arcs)
+        });
+        self.is_whisker = is_whisker;
+        self.gamma = gamma;
+    }
+
+    /// The adjacency the BC kernel sweeps, forward and backward:
+    /// `folded_csr` when the whisker fold is active, else the local graph's
+    /// own CSR.
+    #[inline]
+    pub fn sweep_csr(&self) -> &Csr {
+        self.folded_csr.as_ref().unwrap_or(self.graph.csr())
     }
 
     /// FNV-1a over the kernel's exact input stream: directedness, vertex
@@ -122,7 +147,9 @@ impl SubGraph {
     /// contributions across re-decompositions, and the seed of the sampled
     /// estimator's generation-stable root draws.
     /// Deliberately excludes `id` and `globals`: the local computation does
-    /// not depend on where the sub-graph sits in the parent graph.
+    /// not depend on where the sub-graph sits in the parent graph. The
+    /// `folded_csr` is a function of the edges and the whisker flags, so it
+    /// needs no bytes of its own.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -397,3 +397,172 @@ fn root_par_kernel_is_bitwise_deterministic_on_workloads() {
         }
     }
 }
+
+/// Whisker-heavy sub-graphs for the whisker fold, each decomposed: a star,
+/// an isolated K2, whiskers hung on a root that is also a boundary
+/// articulation point, hosts several BFS levels deep (some reached along
+/// several shortest paths), a directed graph with directed whiskers, and a
+/// whiskered community graph after `unfold_whiskers`.
+fn whisker_inputs() -> Vec<(String, Graph, Decomposition)> {
+    let with_edges = |g: &Graph, n: usize, extra: &[(VertexId, VertexId)]| {
+        let mut edges: Vec<(VertexId, VertexId)> = g.undirected_edges().collect();
+        edges.extend_from_slice(extra);
+        Graph::undirected_from_edges(n, &edges)
+    };
+    let fine = PartitionOptions { merge_threshold: 4, ..Default::default() };
+    let mut inputs = Vec::new();
+    let mut push = |name: &str, g: Graph, opts: &PartitionOptions| {
+        let d = decompose(&g, opts);
+        inputs.push((name.to_string(), g, d));
+    };
+    push("star", generators::star(7), &PartitionOptions::default());
+    push("k2", Graph::undirected_from_edges(2, &[(0, 1)]), &PartitionOptions::default());
+    // Two K5 blocks sharing articulation point 4, split into two sub-graphs
+    // at threshold 4: whiskers 9 and 10 hang on the boundary point 4, and
+    // whisker 11 on vertex 0.
+    let mut k5k5 = Vec::new();
+    for base in [0, 4] {
+        for u in base..base + 5 {
+            for v in u + 1..base + 5 {
+                k5k5.push((u, v));
+            }
+        }
+    }
+    k5k5.extend([(4, 9), (4, 10), (0, 11)]);
+    push("boundary-host", Graph::undirected_from_edges(12, &k5k5), &fine);
+    // A 4×6 lattice: the far corner 23 and the centre vertices 9 and 14 host
+    // whiskers, several levels from most roots and reached along several
+    // shortest paths.
+    let grid = generators::grid2d(4, 6);
+    push("deep-host", with_edges(&grid, 28, &[(23, 24), (9, 25), (14, 26), (14, 27)]), &fine);
+    let digraph = generators::attach_directed_whiskers(
+        &generators::gnm_directed(40, 120, 0xD1),
+        20,
+        0.3,
+        0xD2,
+    );
+    push("directed", digraph, &PartitionOptions::default());
+    let (_, g, mut d) = table_inputs().pop().unwrap();
+    d.unfold_whiskers();
+    inputs.push(("unfolded".to_string(), g, d));
+    inputs
+}
+
+/// Per sub-graph, what an unfolded sweep over `sg.roots` examines (forward
+/// plus backward: twice the out-degree of every vertex each root reaches)
+/// and how many of those arcs have a whisker endpoint, from a plain BFS over
+/// the full local graph.
+fn sweep_work(sg: &SubGraph) -> (u64, u64) {
+    let g = &sg.graph;
+    let (mut unfolded, mut whisker_arcs) = (0u64, 0u64);
+    for &s in &sg.roots {
+        let mut seen = vec![false; sg.num_vertices()];
+        seen[s as usize] = true;
+        let mut queue = std::collections::VecDeque::from([s]);
+        while let Some(u) = queue.pop_front() {
+            unfolded += 2 * g.out_degree(u) as u64;
+            for &v in g.out_neighbors(u) {
+                if sg.is_whisker[u as usize] || sg.is_whisker[v as usize] {
+                    whisker_arcs += 1;
+                }
+                if !seen[v as usize] {
+                    seen[v as usize] = true;
+                    queue.push_back(v);
+                }
+            }
+        }
+    }
+    (unfolded, whisker_arcs)
+}
+
+/// The whisker fold: every `KernelChoice` arm (full and split roots, fresh
+/// and pooled workspaces) and the observed sweep match serial Brandes at
+/// 1e-7 on whisker-heavy graphs, the observed sweep bitwise-matches `Seq`,
+/// the whisker-free layout exists exactly on undirected sub-graphs with
+/// whiskers, and every sweep's edge count drops by twice the whisker arcs
+/// each root used to reach.
+#[test]
+fn whisker_fold_matches_bc_serial_and_skips_whisker_arcs() {
+    for (name, g, d) in whisker_inputs() {
+        let want = bc_serial(&g);
+        let close = |what: &str, got: &[f64]| {
+            assert_eq!(got.len(), want.len(), "{name}/{what}: length");
+            for (v, (&x, &y)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (x - y).abs() <= 1e-7 * (1.0 + x.abs().max(y.abs())),
+                    "{name}/{what}: vertex {v}: got {x}, want {y}"
+                );
+            }
+        };
+        let mut dropped = 0u64;
+        let mut expected = Vec::new();
+        for sg in &d.subgraphs {
+            let whiskers = sg.is_whisker.iter().any(|&w| w);
+            assert_eq!(
+                sg.folded_csr.is_some(),
+                whiskers && !g.is_directed(),
+                "{name}: SG{} whisker-free layout",
+                sg.id
+            );
+            let (unfolded, whisker_arcs) = sweep_work(sg);
+            dropped += whisker_arcs;
+            expected.push(unfolded - 2 * whisker_arcs);
+        }
+        match name.as_str() {
+            "directed" => {
+                assert!(d.subgraphs.iter().any(|sg| sg.is_whisker.contains(&true)), "{name}");
+                assert_eq!(dropped, 0, "{name}: directed whiskers are unreachable");
+            }
+            "unfolded" => assert_eq!(dropped, 0, "{name}: no whisker is left"),
+            _ => assert!(dropped > 0, "{name}: the fold must skip whisker arcs"),
+        }
+        if name == "boundary-host" {
+            assert!(
+                d.subgraphs.iter().any(|sg| sg
+                    .roots
+                    .iter()
+                    .any(|&r| sg.is_boundary[r as usize] && sg.gamma[r as usize] > 0)),
+                "{name}: some boundary root must host whiskers"
+            );
+        }
+        for grain in [1, DEFAULT_GRAIN] {
+            for c in &kernel_table(&d, grain) {
+                close(&format!("g{grain}/{}", c.name()), &c.compose(&d));
+                for (i, (_, edges)) in c.runs.iter().enumerate() {
+                    assert_eq!(*edges, expected[i], "{name}@g{grain}/{}: SG{i} edges", c.name());
+                }
+            }
+        }
+        let mut observed = vec![0.0f64; g.num_vertices()];
+        for (i, sg) in d.subgraphs.iter().enumerate() {
+            let n = sg.num_vertices();
+            let (mut seq, mut local) = (vec![0.0f64; n], vec![0.0f64; n]);
+            let mut ws = SgWorkspace::default();
+            bc_in_subgraph(sg, &sg.roots, KernelChoice::Seq, 1, &mut ws, &mut seq, None);
+            let mut calls = 0usize;
+            let edges = bc_in_subgraph(
+                sg,
+                &sg.roots,
+                KernelChoice::Seq,
+                1,
+                &mut ws,
+                &mut local,
+                Some(&mut |c: &[f64]| {
+                    calls += 1;
+                    for (l, &x) in c.iter().enumerate() {
+                        if sg.is_whisker[l] {
+                            assert_eq!(x.to_bits(), 0.0f64.to_bits(), "{name}: whisker {l} term");
+                        }
+                    }
+                }),
+            );
+            assert_eq!(calls, sg.roots.len(), "{name}: SG{i} one call per root");
+            assert_eq!(local, seq, "{name}: SG{i} observed vs plain");
+            assert_eq!(edges, expected[i], "{name}: SG{i} observed edges");
+            for (l, &score) in local.iter().enumerate() {
+                observed[sg.globals[l] as usize] += score;
+            }
+        }
+        close("observed", &observed);
+    }
+}
