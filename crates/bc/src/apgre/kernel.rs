@@ -1,8 +1,9 @@
 //! The per-sub-graph BC kernels — the paper's Algorithm 2 (`BCinSG`).
 //!
-//! For every root `s ∈ R_sgi` a kernel runs one BFS over the sub-graph's
-//! local CSR (whisker-free, see below) and one backward sweep that
-//! accumulates the four dependencies of §3.1.1 simultaneously:
+//! For every root `s ∈ R_sgi` a kernel runs one forward phase (BFS, or
+//! Dijkstra on a weighted sub-graph, see below) over the sub-graph's local
+//! CSR (whisker-free, see below) and one backward sweep that accumulates
+//! the four dependencies of §3.1.1 simultaneously:
 //!
 //! * `δ_i2i` — Brandes' classic dependency, restricted to the sub-graph
 //!   (Equation 3),
@@ -47,12 +48,22 @@
 //! count arcs of the swept CSR, so folding drops twice the whisker arcs
 //! each root used to reach.
 //!
-//! # One entry point, three sweeps
+//! # One sweep, two forward phases
+//!
+//! A weighted sub-graph changes only the forward phase: Dijkstra settle
+//! order (`apgre_graph::weighted::dijkstra_sssp`) with the successor test
+//! `wdist[w] == wdist[v] + weight(v, w)` instead of BFS levels. The sweep is
+//! generic over the two (the BFS instantiation is the plain unweighted
+//! loop); the backward sweep, the per-vertex rules and the whisker fold are
+//! shared — a weighted whisker still has `σ(w) = σ(v)` and `δ(w) = 0`.
+//!
+//! # One entry point, three strategies
 //!
 //! [`bc_in_subgraph`] is the module's only function. It sweeps an explicit
 //! root slice — callers pass `&sg.roots` for the exact kernel, a sample for
-//! the estimator — with the strategy [`super::KernelPolicy`] resolved for
-//! the sub-graph (see DESIGN.md §3.7):
+//! the estimator — of an unweighted or weighted [`SubGraphView`] with the
+//! strategy [`super::KernelPolicy`] resolved for the sub-graph (see
+//! DESIGN.md §3.7):
 //!
 //! * [`KernelChoice::Seq`] — one thread, plain `f64`, the shared
 //!   `sweep_root` loop body;
@@ -64,7 +75,8 @@
 //! * [`KernelChoice::LevelSync`] — fine-grained **level-synchronous**: the
 //!   paper's inner level of the two-level parallelization, for the
 //!   few-roots-but-huge sub-graph regime where root supply cannot feed the
-//!   workers.
+//!   workers. Dijkstra has no levels to synchronize, so a weighted
+//!   `LevelSync` sweep runs `Seq`.
 //!
 //! An optional per-root observer receives each root's own Equation-7
 //! contribution vector (the hook of the adaptive sampling estimator); it
@@ -77,9 +89,26 @@ use super::KernelChoice;
 use crate::sync::{AtomicU32, Ordering};
 use crate::util::{add_assign_scores, atomic_f64_vec, AtomicF64, Levels};
 use apgre_decomp::SubGraph;
-use apgre_graph::{VertexId, UNREACHED};
+use apgre_graph::weighted::dijkstra_sssp;
+use apgre_graph::{Csr, VertexId, UNREACHED};
 use rayon::prelude::*;
 use std::collections::VecDeque;
+
+/// What [`bc_in_subgraph`] sweeps: a sub-graph and, if weighted, its arc
+/// weights. Every `&SubGraph` converts into the unweighted view.
+#[derive(Clone, Copy)]
+pub struct SubGraphView<'a> {
+    /// The sub-graph.
+    pub sg: &'a SubGraph,
+    /// Arc weights aligned with `sg.sweep_csr().targets()`, or `None`.
+    pub weights: Option<&'a [u32]>,
+}
+
+impl<'a> From<&'a SubGraph> for SubGraphView<'a> {
+    fn from(sg: &'a SubGraph) -> Self {
+        SubGraphView { sg, weights: None }
+    }
+}
 
 /// Reusable scratch for [`bc_in_subgraph`]: the sequential sweep's arrays,
 /// built and grown on first use, and the level-synchronous sweep's atomic
@@ -103,11 +132,13 @@ impl SgWorkspace {
 /// Sequential workspace for one sub-graph: the BFS and four-dependency
 /// arrays of Algorithm 2, sized for the sub-graph's vertex count and reset
 /// in `O(reached)` between roots so it can be reused across roots, chunks,
-/// and whole sub-graphs. `contrib` is the observer's per-root contribution
+/// and whole sub-graphs. `wdist` is the current root's Dijkstra distances,
+/// replaced per root. `contrib` is the observer's per-root contribution
 /// vector, grown only by observed sweeps.
 #[derive(Default)]
 struct SeqWs {
     dist: Vec<u32>,
+    wdist: Vec<u64>,
     sigma: Vec<f64>,
     d_i2i: Vec<f64>,
     d_i2o: Vec<f64>,
@@ -142,13 +173,16 @@ impl SeqWs {
     }
 }
 
-/// Algorithm 2 over the roots `roots` of sub-graph `sg`, accumulating their
+/// Algorithm 2 over the roots `roots` of a sub-graph, accumulating their
 /// exact Equation-7 contribution into `bc_local` (indexed by local vertex
 /// id, length `sg.num_vertices()`). Returns the number of edges examined
 /// (forward + backward scans of [`SubGraph::sweep_csr`]). Pinned against
-/// serial Brandes (`bc_serial`) by the kernel table in
-/// `tests/kernel_policies.rs`.
+/// serial Brandes (`bc_serial`, and `bc_weighted_serial` for weighted
+/// views) by the kernel table in `tests/kernel_policies.rs`.
 ///
+/// * `view` — a `&SubGraph`, or a [`SubGraphView`] with arc weights for the
+///   Dijkstra sweep (which examines the same edges: weights never change
+///   the reached set).
 /// * `roots` — compacted local ids of `sg`; `&sg.roots` for the exact
 ///   kernel. Sweeping a subset yields that subset's exact contribution (the
 ///   sampled estimator rescales it), and sweeping two halves in turn into
@@ -164,8 +198,8 @@ impl SeqWs {
 ///   did not reach). Forces the sequential sweep; `bc_local` still receives
 ///   exactly the unobserved sweep's single add per vertex and root, so the
 ///   result is **bitwise identical** to a `Seq` run over the same roots.
-pub fn bc_in_subgraph(
-    sg: &SubGraph,
+pub fn bc_in_subgraph<'a>(
+    view: impl Into<SubGraphView<'a>>,
     roots: &[VertexId],
     choice: KernelChoice,
     grain: usize,
@@ -173,104 +207,241 @@ pub fn bc_in_subgraph(
     bc_local: &mut [f64],
     observer: Option<&mut dyn FnMut(&[f64])>,
 ) -> u64 {
+    let SubGraphView { sg, weights } = view.into();
     let n = sg.num_vertices();
     debug_assert_eq!(bc_local.len(), n);
+    debug_assert!(weights.is_none_or(|w| w.len() == sg.sweep_csr().num_edges()));
     let grain = grain.max(1);
-    match (observer, choice) {
-        (Some(observe), _) => sweep_roots_observed(sg, roots, &mut ws.seq, bc_local, observe),
-        (None, KernelChoice::Seq) => sweep_roots_seq(sg, roots, &mut ws.seq, bc_local),
-        (None, KernelChoice::RootParallel) => sweep_roots_par(sg, roots, bc_local, grain),
-        (None, KernelChoice::LevelSync) => {
+    let seq = &mut ws.seq;
+    match (weights, observer, choice) {
+        (None, Some(observe), _) => sweep_roots_observed(sg, Bfs, roots, seq, bc_local, observe),
+        (None, None, KernelChoice::Seq) => sweep_roots_seq(sg, Bfs, roots, seq, bc_local),
+        (None, None, KernelChoice::RootParallel) => {
+            sweep_roots_par(sg, Bfs, roots, bc_local, grain)
+        }
+        (None, None, KernelChoice::LevelSync) => {
             sweep_roots_level_sync(sg, roots, ws.par(n), bc_local, grain)
+        }
+        (Some(w), Some(f), _) => sweep_roots_observed(sg, Dijkstra(w), roots, seq, bc_local, f),
+        (Some(w), None, KernelChoice::RootParallel) => {
+            sweep_roots_par(sg, Dijkstra(w), roots, bc_local, grain)
+        }
+        // Dijkstra has no levels to synchronize: `LevelSync` runs `Seq`.
+        (Some(w), None, _) => sweep_roots_seq(sg, Dijkstra(w), roots, seq, bc_local),
+    }
+}
+
+/// One root's forward phase and its DAG's successor test — halves of
+/// `sweep_root`, named so xtask R9's hot-loop audit reaches them.
+trait ForwardPhase: Copy + Send + Sync {
+    /// Sweeps forward from `s` over `sg.sweep_csr()`: sets σ of every
+    /// reached vertex, pushes the reached vertices onto `ws.order` in
+    /// non-decreasing distance (root first), and returns the arcs scanned.
+    fn sweep_root_forward(self, sg: &SubGraph, s: VertexId, ws: &mut SeqWs) -> u64;
+
+    /// Calls `f(w)` for every DAG successor `w` of the reached vertex `v`,
+    /// in `csr` order.
+    fn sweep_root_successors(self, csr: &Csr, ws: &SeqWs, v: u32, f: impl FnMut(u32));
+}
+
+/// Unit arc lengths: breadth-first levels.
+#[derive(Clone, Copy)]
+struct Bfs;
+
+/// Positive arc weights aligned with `sweep_csr()`: Dijkstra settle order.
+#[derive(Clone, Copy)]
+struct Dijkstra<'a>(&'a [u32]);
+
+impl ForwardPhase for Bfs {
+    fn sweep_root_forward(self, sg: &SubGraph, s: VertexId, ws: &mut SeqWs) -> u64 {
+        let csr = sg.sweep_csr();
+        let mut edges = 0u64;
+        ws.dist[s as usize] = 0;
+        ws.sigma[s as usize] = 1.0;
+        ws.order.push(s);
+        ws.queue.push_back(s);
+        // Audited: every id is a compacted sub-graph id `< sg.n` by
+        // construction, and all workspace arrays are sized to sg.n. lint:allow(hot_index)
+        while let Some(u) = ws.queue.pop_front() {
+            #[cfg(feature = "invariants")]
+            debug_assert!(
+                sg.folded_csr.is_none() || !sg.is_whisker[u as usize],
+                "whisker {u} popped from a folded sweep: `folded_csr` is stale"
+            );
+            let du = ws.dist[u as usize];
+            for &v in csr.neighbors(u) {
+                edges += 1;
+                if ws.dist[v as usize] == UNREACHED {
+                    ws.dist[v as usize] = du + 1;
+                    ws.order.push(v);
+                    ws.queue.push_back(v);
+                }
+                if ws.dist[v as usize] == du + 1 {
+                    ws.sigma[v as usize] += ws.sigma[u as usize];
+                }
+            }
+        }
+        edges
+    }
+
+    #[inline]
+    fn sweep_root_successors(self, csr: &Csr, ws: &SeqWs, v: u32, mut f: impl FnMut(u32)) {
+        let dv = ws.dist[v as usize];
+        // Audited: neighbours are compacted ids `< sg.n`, the size of
+        // `ws.dist`. lint:allow(hot_index)
+        for &w in csr.neighbors(v) {
+            if ws.dist[w as usize] == dv + 1 {
+                f(w);
+            }
         }
     }
 }
 
-/// One root's forward BFS plus backward four-dependency sweep — Algorithm 2's
-/// loop body, shared verbatim by the sequential, observed and root-parallel
-/// sweeps so they cannot drift apart. Accumulates into `bc_local` and
-/// returns the number of edges examined. With `RECORD`, the root's own
-/// Equation-7 term for every touched vertex is *also* written to
-/// `ws.contrib` (`contrib[v] = term` before the `bc_local[v] += term` add,
-/// so the accumulated span stays bitwise identical to the unrecorded
-/// sweep). Does **not** reset the workspace — the caller decides when, so
-/// an observer can still read `ws.order` / `ws.contrib` after the sweep.
-fn sweep_root<const RECORD: bool>(
+impl ForwardPhase for Dijkstra<'_> {
+    fn sweep_root_forward(self, sg: &SubGraph, s: VertexId, ws: &mut SeqWs) -> u64 {
+        let csr = sg.sweep_csr();
+        let dag = dijkstra_sssp(csr, self.0, s);
+        #[cfg(feature = "invariants")]
+        debug_assert!(
+            sg.folded_csr.is_none() || dag.order.iter().all(|&u| !sg.is_whisker[u as usize]),
+            "whisker settled by a folded sweep: `folded_csr` is stale"
+        );
+        // Dijkstra scans every arc of each settled vertex once.
+        let mut edges = 0u64;
+        // Audited: settled ids are compacted ids `< sg.n`, the size of
+        // `ws.sigma` and of `dag.sigma`. lint:allow(hot_index)
+        for &v in &dag.order {
+            ws.sigma[v as usize] = dag.sigma[v as usize];
+            edges += csr.degree(v) as u64;
+        }
+        ws.order.extend_from_slice(&dag.order);
+        ws.wdist = dag.dist;
+        edges
+    }
+
+    #[inline]
+    fn sweep_root_successors(self, csr: &Csr, ws: &SeqWs, v: u32, mut f: impl FnMut(u32)) {
+        let dv = ws.wdist[v as usize];
+        // The weights are aligned with `csr`'s targets: `v`'s start at its
+        // offset.
+        let arcs = &self.0[csr.offsets()[v as usize]..];
+        // Audited: neighbours are compacted ids `< sg.n`, the length of
+        // `ws.wdist`. lint:allow(hot_index)
+        for (&w, &len) in csr.neighbors(v).iter().zip(arcs) {
+            if ws.wdist[w as usize] == dv + len as u64 {
+                f(w);
+            }
+        }
+    }
+}
+
+/// One vertex's dependencies (`δ_o2i = β(s)·δ_i2i` is never stored).
+struct Deps {
+    i2i: f64,
+    i2o: f64,
+    o2o: f64,
+}
+
+/// Algorithm 2's per-vertex rules under one root `s`, the one copy every
+/// sweep uses: the `δ^init` terms a vertex's dependencies start from, and
+/// the Equation-7 score term it adds, with the §3.3 root correction.
+struct RootRules<'a> {
+    sg: &'a SubGraph,
+    s: VertexId,
+    s_boundary: bool,
+    beta_s: f64,
+    gamma_s: f64,
+    folded: bool,
+}
+
+impl<'a> RootRules<'a> {
+    fn new(sg: &'a SubGraph, s: VertexId) -> Self {
+        let s_boundary = sg.is_boundary[s as usize];
+        RootRules {
+            sg,
+            s,
+            s_boundary,
+            beta_s: if s_boundary { sg.beta[s as usize] as f64 } else { 0.0 },
+            gamma_s: sg.gamma[s as usize] as f64,
+            folded: sg.folded_csr.is_some(),
+        }
+    }
+
+    /// `δ^init(v)`: `γ(v)` in `δ_i2i` under the whisker fold (each folded
+    /// whisker adds exactly 1), and at a boundary point `v ≠ s` `α(v)` in
+    /// `δ_i2o` (Equation 4) and `β(s)·α(v)` in `δ_o2o` (Equation 6).
+    #[inline]
+    fn init(&self, v: VertexId) -> Deps {
+        let (sg, vu) = (self.sg, v as usize);
+        let alpha_v = if sg.is_boundary[vu] && v != self.s { sg.alpha[vu] as f64 } else { 0.0 };
+        // `β(s)` is 0 unless `s` is a boundary point.
+        Deps {
+            i2i: if self.folded { sg.gamma[vu] as f64 } else { 0.0 },
+            i2o: alpha_v,
+            o2o: self.beta_s * alpha_v,
+        }
+    }
+
+    /// `v`'s Equation-7 score term under this root, or `None` when it adds
+    /// nothing (the root itself, unless it hosts whiskers: then the §3.3
+    /// term, see the module doc).
+    #[inline]
+    fn score(&self, v: VertexId, d: Deps) -> Option<f64> {
+        if v != self.s {
+            Some((1.0 + self.gamma_s) * (d.i2i + d.i2o) + self.beta_s * d.i2i + d.o2o)
+        } else if self.gamma_s > 0.0 {
+            let alpha_s = if self.s_boundary { self.sg.alpha[v as usize] as f64 } else { 0.0 };
+            let whisker_self = if self.sg.graph.is_directed() { 0.0 } else { 1.0 };
+            Some(self.gamma_s * ((d.i2i - whisker_self) + d.i2o + alpha_s))
+        } else {
+            None
+        }
+    }
+}
+
+/// One root's forward phase plus backward four-dependency sweep —
+/// Algorithm 2's loop body, shared verbatim by the sequential, observed and
+/// root-parallel sweeps and by both forward phases so they cannot drift
+/// apart. Accumulates into `bc_local` and returns the number of edges
+/// examined. With `RECORD`, the root's own Equation-7 term for every
+/// touched vertex is *also* written to `ws.contrib` (`contrib[v] = term`
+/// before the `bc_local[v] += term` add, so the accumulated span stays
+/// bitwise identical to the unrecorded sweep). Does **not** reset the
+/// workspace — the caller decides when, so an observer can still read
+/// `ws.order` / `ws.contrib` after the sweep.
+fn sweep_root<F: ForwardPhase, const RECORD: bool>(
     sg: &SubGraph,
+    front: F,
     s: VertexId,
     ws: &mut SeqWs,
     bc_local: &mut [f64],
 ) -> u64 {
     let csr = sg.sweep_csr();
-    let directed = sg.graph.is_directed();
-    let folded = sg.folded_csr.is_some();
-    let mut edges = 0u64;
-    // Phase 1: forward BFS (σ and order).
-    ws.dist[s as usize] = 0;
-    ws.sigma[s as usize] = 1.0;
-    ws.order.push(s);
-    ws.queue.push_back(s);
-    // Audited: every id is a compacted sub-graph id `< sg.n` by construction,
-    // and all workspace arrays are sized to sg.n. lint:allow(hot_index)
-    while let Some(u) = ws.queue.pop_front() {
-        #[cfg(feature = "invariants")]
-        debug_assert!(
-            !folded || !sg.is_whisker[u as usize],
-            "whisker {u} popped from a folded sweep: `folded_csr` is stale"
-        );
-        let du = ws.dist[u as usize];
-        for &v in csr.neighbors(u) {
-            edges += 1;
-            if ws.dist[v as usize] == UNREACHED {
-                ws.dist[v as usize] = du + 1;
-                ws.order.push(v);
-                ws.queue.push_back(v);
-            }
-            if ws.dist[v as usize] == du + 1 {
-                ws.sigma[v as usize] += ws.sigma[u as usize];
-            }
-        }
-    }
+    // Phase 1: forward (σ and order).
+    let mut edges = front.sweep_root_forward(sg, s, ws);
     // Phase 2: backward accumulation of the four dependencies and the
     // score merge (Equation 7).
-    let s_boundary = sg.is_boundary[s as usize];
-    let beta_s = if s_boundary { sg.beta[s as usize] as f64 } else { 0.0 };
-    let gamma_s = sg.gamma[s as usize] as f64;
-    // Audited: same compacted-id invariant as phase 1; `order` holds only
-    // ids the BFS itself pushed. lint:allow(hot_index)
+    let rules = RootRules::new(sg, s);
+    // Audited: compacted ids `< sg.n` as in phase 1; `order` holds only ids
+    // the forward phase itself pushed. lint:allow(hot_index)
     for idx in (0..ws.order.len()).rev() {
         let v = ws.order[idx];
         let vu = v as usize;
-        let dv = ws.dist[vu];
         let sv = ws.sigma[vu];
-        let boundary_v = sg.is_boundary[vu] && v != s;
-        let mut i2i = if folded { sg.gamma[vu] as f64 } else { 0.0 };
-        let mut i2o = if boundary_v { sg.alpha[vu] as f64 } else { 0.0 };
-        let mut o2o = if s_boundary && boundary_v { beta_s * sg.alpha[vu] as f64 } else { 0.0 };
-        for &w in csr.neighbors(v) {
-            edges += 1;
-            if ws.dist[w as usize] == dv + 1 {
-                let c = sv / ws.sigma[w as usize];
-                i2i += c * (1.0 + ws.d_i2i[w as usize]);
-                i2o += c * ws.d_i2o[w as usize];
-                if s_boundary {
-                    o2o += c * ws.d_o2o[w as usize];
-                }
+        let mut d = rules.init(v);
+        edges += csr.degree(v) as u64;
+        front.sweep_root_successors(csr, ws, v, |w| {
+            let c = sv / ws.sigma[w as usize];
+            d.i2i += c * (1.0 + ws.d_i2i[w as usize]);
+            d.i2o += c * ws.d_i2o[w as usize];
+            if rules.s_boundary {
+                d.o2o += c * ws.d_o2o[w as usize];
             }
-        }
-        ws.d_i2i[vu] = i2i;
-        ws.d_i2o[vu] = i2o;
-        ws.d_o2o[vu] = o2o;
-        if v != s {
-            let term = (1.0 + gamma_s) * (i2i + i2o) + beta_s * i2i + o2o;
-            if RECORD {
-                ws.contrib[vu] = term;
-            }
-            bc_local[vu] += term;
-        } else if gamma_s > 0.0 {
-            let alpha_s = if s_boundary { sg.alpha[vu] as f64 } else { 0.0 };
-            let whisker_self = if directed { 0.0 } else { 1.0 };
-            let term = gamma_s * ((i2i - whisker_self) + i2o + alpha_s);
+        });
+        ws.d_i2i[vu] = d.i2i;
+        ws.d_i2o[vu] = d.i2o;
+        ws.d_o2o[vu] = d.o2o;
+        if let Some(term) = rules.score(v, d) {
             if RECORD {
                 ws.contrib[vu] = term;
             }
@@ -281,11 +452,17 @@ fn sweep_root<const RECORD: bool>(
 }
 
 /// The sequential sweep: every root in slice order through [`sweep_root`].
-fn sweep_roots_seq(sg: &SubGraph, roots: &[VertexId], ws: &mut SeqWs, bc_local: &mut [f64]) -> u64 {
+fn sweep_roots_seq<F: ForwardPhase>(
+    sg: &SubGraph,
+    front: F,
+    roots: &[VertexId],
+    ws: &mut SeqWs,
+    bc_local: &mut [f64],
+) -> u64 {
     ws.ensure(sg.num_vertices());
     let mut edges = 0u64;
     for &s in roots {
-        edges += sweep_root::<false>(sg, s, ws, bc_local);
+        edges += sweep_root::<F, false>(sg, front, s, ws, bc_local);
         ws.reset_touched();
     }
     edges
@@ -298,8 +475,9 @@ fn sweep_roots_seq(sg: &SubGraph, roots: &[VertexId], ws: &mut SeqWs, bc_local: 
 /// rounding. Roots are observed in slice order (the estimator draws them
 /// sorted ascending), which fixes the fold order of any streaming
 /// statistics the observer accumulates.
-fn sweep_roots_observed(
+fn sweep_roots_observed<F: ForwardPhase>(
     sg: &SubGraph,
+    front: F,
     roots: &[VertexId],
     ws: &mut SeqWs,
     bc_local: &mut [f64],
@@ -313,9 +491,9 @@ fn sweep_roots_observed(
     let mut edges = 0u64;
     // Audited: `contrib[..n]` is a length-n slice take with n ≤
     // contrib.len() ensured above; the reset loop writes only compacted ids
-    // the BFS pushed, all `< n`. lint:allow(hot_index)
+    // the forward phase pushed, all `< n`. lint:allow(hot_index)
     for &s in roots {
-        edges += sweep_root::<true>(sg, s, ws, bc_local);
+        edges += sweep_root::<F, true>(sg, front, s, ws, bc_local);
         observe(&ws.contrib[..n]);
         for &v in &ws.order {
             ws.contrib[v as usize] = 0.0;
@@ -343,7 +521,13 @@ fn sweep_roots_observed(
 ///
 /// Chunks hold at least `grain` roots and target ~4 per worker so stealing
 /// can balance uneven sweep costs.
-fn sweep_roots_par(sg: &SubGraph, roots: &[VertexId], bc_local: &mut [f64], grain: usize) -> u64 {
+fn sweep_roots_par<F: ForwardPhase>(
+    sg: &SubGraph,
+    front: F,
+    roots: &[VertexId],
+    bc_local: &mut [f64],
+    grain: usize,
+) -> u64 {
     let n = sg.num_vertices();
     if roots.is_empty() {
         return 0;
@@ -356,7 +540,7 @@ fn sweep_roots_par(sg: &SubGraph, roots: &[VertexId], bc_local: &mut [f64], grai
         .par_chunks(chunk)
         .map_init(SeqWs::default, |ws, roots| {
             let mut part = vec![0.0f64; n];
-            let edges = sweep_roots_seq(sg, roots, ws, &mut part);
+            let edges = sweep_roots_seq(sg, front, roots, ws, &mut part);
             (part, edges)
         })
         .collect();
@@ -459,9 +643,7 @@ fn sweep_roots_level_sync(
     grain: usize,
 ) -> u64 {
     let csr = sg.sweep_csr();
-    let directed = sg.graph.is_directed();
-    let rev = if directed { sg.graph.rev_csr() } else { csr };
-    let folded = sg.folded_csr.is_some();
+    let rev = if sg.graph.is_directed() { sg.graph.rev_csr() } else { csr };
     let mut edges = 0u64;
 
     // Seed the shared bc mirror once per call; it then accumulates across
@@ -548,9 +730,7 @@ fn sweep_roots_level_sync(
         // Phase 2: backward sweep, one level at a time, single writer per
         // vertex; δ of deeper levels is final thanks to the fork-join
         // barrier between levels.
-        let s_boundary = sg.is_boundary[s as usize];
-        let beta_s = if s_boundary { sg.beta[s as usize] as f64 } else { 0.0 };
-        let gamma_s = sg.gamma[s as usize] as f64;
+        let rules = RootRules::new(sg, s);
         let (d_i2i, d_i2o, d_o2o, bc_ref) = (&*d_i2i, &*d_i2o, &*d_o2o, &*bc);
         for dd in (0..levels.num_levels()).rev() {
             let level = levels.level(dd);
@@ -558,31 +738,23 @@ fn sweep_roots_level_sync(
             let body = |&v: &VertexId| {
                 let vu = v as usize;
                 let sv = sigma[vu].load();
-                let boundary_v = sg.is_boundary[vu] && v != s;
-                let mut i2i = if folded { sg.gamma[vu] as f64 } else { 0.0 };
-                let mut i2o = if boundary_v { sg.alpha[vu] as f64 } else { 0.0 };
-                let mut o2o =
-                    if s_boundary && boundary_v { beta_s * sg.alpha[vu] as f64 } else { 0.0 };
+                let mut d = rules.init(v);
                 for &w in csr.neighbors(v) {
                     if dist[w as usize].load(Ordering::Relaxed) == dv + 1 {
                         let c = sv / sigma[w as usize].load();
-                        i2i += c * (1.0 + d_i2i[w as usize].load());
-                        i2o += c * d_i2o[w as usize].load();
-                        if s_boundary {
-                            o2o += c * d_o2o[w as usize].load();
+                        d.i2i += c * (1.0 + d_i2i[w as usize].load());
+                        d.i2o += c * d_i2o[w as usize].load();
+                        if rules.s_boundary {
+                            d.o2o += c * d_o2o[w as usize].load();
                         }
                     }
                 }
-                d_i2i[vu].store(i2i);
-                d_i2o[vu].store(i2o);
-                d_o2o[vu].store(o2o);
-                let cell = &bc_ref[vu];
-                if v != s {
-                    cell.store(cell.load() + (1.0 + gamma_s) * (i2i + i2o) + beta_s * i2i + o2o);
-                } else if gamma_s > 0.0 {
-                    let alpha_s = if s_boundary { sg.alpha[vu] as f64 } else { 0.0 };
-                    let whisker_self = if directed { 0.0 } else { 1.0 };
-                    cell.store(cell.load() + gamma_s * ((i2i - whisker_self) + i2o + alpha_s));
+                d_i2i[vu].store(d.i2i);
+                d_i2o[vu].store(d.i2o);
+                d_o2o[vu].store(d.o2o);
+                if let Some(term) = rules.score(v, d) {
+                    let cell = &bc_ref[vu];
+                    cell.store(cell.load() + term);
                 }
             };
             if level.len() < grain {

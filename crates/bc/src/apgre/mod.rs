@@ -30,8 +30,9 @@
 
 pub mod kernel;
 
-use apgre_decomp::{decompose, Decomposition, PartitionOptions};
+use apgre_decomp::{decompose, Decomposition, PartitionOptions, SubGraph};
 use apgre_graph::{Graph, VertexId};
+use kernel::{bc_in_subgraph, SubGraphView};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -301,7 +302,7 @@ struct Merger<'a> {
     state: Mutex<MergeState>,
 }
 
-struct MergeState {
+pub(crate) struct MergeState {
     next_index: usize,
     pending: BTreeMap<usize, SubgraphKernelRun>,
     edges_traversed: u64,
@@ -413,14 +414,7 @@ pub fn bc_from_decomposition(
     opts: &ApgreOptions,
 ) -> (Vec<f64>, ApgreReport) {
     let bc_start = Instant::now();
-    let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
-    let pool = BufferPool::default();
-    let merger = Merger::new(decomp, g.num_vertices());
-    for_each_largest_first(decomp, &jobs, opts.outer_parallel, |(i, roots)| {
-        let local = pool.take_local(decomp.subgraphs[i].num_vertices());
-        merger.submit(run_job(decomp, i, roots, opts, false, &pool, local), &pool);
-    });
-    let (bc, merged) = merger.finish();
+    let (bc, merged) = sweep_and_merge(decomp, g.num_vertices(), opts, |_| None);
     let bc_time = bc_start.elapsed();
 
     let top = decomp.subgraphs.get(decomp.top_subgraph);
@@ -446,6 +440,29 @@ pub fn bc_from_decomposition(
         kernel_counts: merged.counts,
     };
     (bc, report)
+}
+
+/// Steps 2–3 for every sub-graph, merged into an `n`-vertex score vector —
+/// the batch driver behind [`bc_from_decomposition`] and the weighted one.
+/// `weights_of` gives a sub-graph's arc weights (aligned with `sweep_csr`),
+/// or `None` to sweep it unweighted.
+pub(crate) fn sweep_and_merge(
+    decomp: &Decomposition,
+    n: usize,
+    opts: &ApgreOptions,
+    weights_of: impl Fn(&SubGraph) -> Option<Vec<u32>> + Sync,
+) -> (Vec<f64>, MergeState) {
+    let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
+    let pool = BufferPool::default();
+    let merger = Merger::new(decomp, n);
+    for_each_largest_first(decomp, &jobs, opts.outer_parallel, |(i, roots)| {
+        let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — full_jobs yields ids of this decomposition
+        let weights = weights_of(sg);
+        let view = SubGraphView { sg, weights: weights.as_deref() };
+        let local = pool.take_local(sg.num_vertices());
+        merger.submit(run_job(view, i, roots, opts, false, &pool, local), &pool);
+    });
+    merger.finish()
 }
 
 /// Per-root contribution statistics of one observed job — the kernel side
@@ -519,8 +536,9 @@ pub fn run_subgraph_kernels(
     let pool = BufferPool::default();
     let out: Mutex<Vec<SubgraphKernelRun>> = Mutex::new(Vec::with_capacity(jobs.len()));
     for_each_largest_first(decomp, jobs, opts.outer_parallel, |(i, roots)| {
-        let local = vec![0.0f64; decomp.subgraphs[i].num_vertices()]; // lint:allow(panic_path) — callers pass ids of this decomposition
-        let run = run_job(decomp, i, roots, opts, observe, &pool, local);
+        let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — callers pass ids of this decomposition
+        let local = vec![0.0f64; sg.num_vertices()];
+        let run = run_job(sg.into(), i, roots, opts, observe, &pool, local);
         // Recover from poisoning: a panicking sibling kernel must not turn
         // into a second panic here — completed runs are still valid.
         out.lock().unwrap_or_else(|p| p.into_inner()).push(run);
@@ -559,12 +577,13 @@ fn for_each_largest_first<'a>(
     }
 }
 
-/// One job through [`kernel::bc_in_subgraph`] on a pooled workspace:
-/// resolves the policy (or forces the observed sequential sweep), folds the
-/// per-root Welford statistics when observing, and times the kernel.
-/// `local` arrives zeroed and sized to the sub-graph.
+/// One job — sub-graph `index`, seen through `view` — through
+/// [`kernel::bc_in_subgraph`] on a pooled workspace: resolves the policy
+/// (or forces the observed sequential sweep), folds the per-root Welford
+/// statistics when observing, and times the kernel. `local` arrives zeroed
+/// and sized to the sub-graph.
 fn run_job(
-    decomp: &Decomposition,
+    view: SubGraphView,
     index: usize,
     roots: &[VertexId],
     opts: &ApgreOptions,
@@ -572,7 +591,7 @@ fn run_job(
     pool: &BufferPool,
     mut local: Vec<f64>,
 ) -> SubgraphKernelRun {
-    let sg = &decomp.subgraphs[index]; // lint:allow(panic_path) — callers pass ids of this decomposition
+    let sg = view.sg;
     let n = sg.num_vertices();
     let t = Instant::now();
     let grain = opts.grain.max(1);
@@ -605,12 +624,12 @@ fn run_job(
         };
         let choice = KernelChoice::Seq;
         let edges =
-            kernel::bc_in_subgraph(sg, roots, choice, grain, &mut ws, &mut local, Some(&mut fold));
+            bc_in_subgraph(view, roots, choice, grain, &mut ws, &mut local, Some(&mut fold));
         (choice, edges, Some(stats))
     } else {
         let threads = rayon::current_num_threads().max(1);
         let choice = opts.kernel.choose(roots.len(), n, sg.num_edges(), threads, grain);
-        (choice, kernel::bc_in_subgraph(sg, roots, choice, grain, &mut ws, &mut local, None), None)
+        (choice, bc_in_subgraph(view, roots, choice, grain, &mut ws, &mut local, None), None)
     };
     pool.put_ws(ws);
     SubgraphKernelRun { index, local, edges, choice, time: t.elapsed(), stats }

@@ -11,15 +11,16 @@
 //! Positive weights are required (the substrate rejects zeros) because a
 //! zero-weight excursion out of a sub-graph could tie a shortest path.
 //!
-//! Parallelism: sub-graphs run in parallel (the coarse level); each
-//! per-source Dijkstra is sequential — priority-queue SSSP does not
-//! level-synchronize the way BFS does, and parallel Δ-stepping is beyond
-//! this extension's scope.
+//! Weighted APGRE therefore has no kernel of its own: the batch driver runs
+//! the one sub-graph kernel (`crate::apgre::kernel::bc_in_subgraph`) with
+//! each sub-graph's weights, so weighted graphs share its scheduler, pooled
+//! workspaces, whisker fold and parallelism — except the level-synchronous
+//! sweep: Dijkstra has no levels (parallel Δ-stepping is out of scope).
 
+use crate::apgre::{sweep_and_merge, ApgreOptions};
 use apgre_decomp::{decompose, Decomposition, PartitionOptions, SubGraph};
 use apgre_graph::weighted::{dijkstra_sssp, WeightedGraph, WUNREACHED};
 use apgre_graph::VertexId;
-use rayon::prelude::*;
 
 /// Serial weighted Brandes: one Dijkstra per source, dependency accumulation
 /// in reverse settle order. `O(V·(E log V))`.
@@ -86,94 +87,25 @@ pub fn bc_weighted_apgre(wg: &WeightedGraph) -> Vec<f64> {
 }
 
 /// Weighted APGRE: decompose the structure (weights don't move articulation
-/// points or reachability), then run the weighted four-dependency kernel per
-/// sub-graph in parallel and merge.
+/// points or reachability), then sweep every sub-graph with the shared
+/// four-dependency kernel's Dijkstra forward phase and merge.
 pub fn bc_weighted_apgre_with(wg: &WeightedGraph, popts: &PartitionOptions) -> Vec<f64> {
     let decomp = decompose(wg.structure(), popts);
     bc_weighted_from_decomposition(wg, &decomp)
 }
 
-/// Weighted APGRE on a pre-built decomposition.
+/// Weighted APGRE on a pre-built decomposition (default [`ApgreOptions`]).
 pub fn bc_weighted_from_decomposition(wg: &WeightedGraph, decomp: &Decomposition) -> Vec<f64> {
-    let locals: Vec<Vec<f64>> = decomp
-        .subgraphs
-        .par_iter()
-        .map(|sg| {
-            let weights = local_weights(wg, sg);
-            weighted_subgraph_bc(sg, &weights)
-        })
-        .collect();
-    let mut bc = vec![0.0f64; wg.num_vertices()];
-    for (sg, local) in decomp.subgraphs.iter().zip(&locals) {
-        for (l, &score) in local.iter().enumerate() {
-            bc[sg.globals[l] as usize] += score;
-        }
-    }
-    bc
+    let opts = ApgreOptions::default();
+    sweep_and_merge(decomp, wg.num_vertices(), &opts, |sg| Some(local_weights(wg, sg))).0
 }
 
-/// Per-sub-graph arc weights, aligned with the local CSR's target array.
+/// Per-sub-graph arc weights, aligned with [`SubGraph::sweep_csr`].
 fn local_weights(wg: &WeightedGraph, sg: &SubGraph) -> Vec<u32> {
-    sg.graph
-        .csr()
+    sg.sweep_csr()
         .edges()
         .map(|(ul, vl)| wg.weight(sg.globals[ul as usize], sg.globals[vl as usize]))
         .collect()
-}
-
-/// The weighted Algorithm-2 kernel: Dijkstra forward, reverse settle-order
-/// backward sweep accumulating the four dependencies (same recursions and
-/// endpoint corrections as the unweighted kernel — see
-/// `crate::apgre::kernel`).
-fn weighted_subgraph_bc(sg: &SubGraph, weights: &[u32]) -> Vec<f64> {
-    let ln = sg.num_vertices();
-    let csr = sg.graph.csr();
-    let directed = sg.graph.is_directed();
-    let mut bc_local = vec![0.0f64; ln];
-    let mut d_i2i = vec![0.0f64; ln];
-    let mut d_i2o = vec![0.0f64; ln];
-    let mut d_o2o = vec![0.0f64; ln];
-    for &s in &sg.roots {
-        let dag = dijkstra_sssp(csr, weights, s);
-        let s_boundary = sg.is_boundary[s as usize];
-        let beta_s = if s_boundary { sg.beta[s as usize] as f64 } else { 0.0 };
-        let gamma_s = sg.gamma[s as usize] as f64;
-        for &v in dag.order.iter().rev() {
-            let vu = v as usize;
-            let boundary_v = sg.is_boundary[vu] && v != s;
-            let mut i2i = 0.0;
-            let mut i2o = if boundary_v { sg.alpha[vu] as f64 } else { 0.0 };
-            let mut o2o = if s_boundary && boundary_v { beta_s * sg.alpha[vu] as f64 } else { 0.0 };
-            let lo = csr.offsets()[vu];
-            let hi = csr.offsets()[vu + 1];
-            for (i, &w) in csr.targets()[lo..hi].iter().enumerate() {
-                if dag.dist[w as usize] == dag.dist[vu] + weights[lo + i] as u64 {
-                    let c = dag.sigma[vu] / dag.sigma[w as usize];
-                    i2i += c * (1.0 + d_i2i[w as usize]);
-                    i2o += c * d_i2o[w as usize];
-                    if s_boundary {
-                        o2o += c * d_o2o[w as usize];
-                    }
-                }
-            }
-            d_i2i[vu] = i2i;
-            d_i2o[vu] = i2o;
-            d_o2o[vu] = o2o;
-            if v != s {
-                bc_local[vu] += (1.0 + gamma_s) * (i2i + i2o) + beta_s * i2i + o2o;
-            } else if gamma_s > 0.0 {
-                let alpha_s = if s_boundary { sg.alpha[vu] as f64 } else { 0.0 };
-                let whisker_self = if directed { 0.0 } else { 1.0 };
-                bc_local[vu] += gamma_s * ((i2i - whisker_self) + i2o + alpha_s);
-            }
-        }
-        for &v in &dag.order {
-            d_i2i[v as usize] = 0.0;
-            d_i2o[v as usize] = 0.0;
-            d_o2o[v as usize] = 0.0;
-        }
-    }
-    bc_local
 }
 
 #[cfg(test)]

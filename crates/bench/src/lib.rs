@@ -1,7 +1,7 @@
 //! Experiment-harness library: algorithm registry, timing, table rendering,
-//! and JSON result records shared by the `experiments` binary (the paper's
-//! tables and figures) and the criterion benches. The repository benchmark
-//! (`benchmark/`) uses [`observed_parallelism`] to label its records.
+//! and JSON result records for the `experiments` binary (the paper's tables
+//! and figures). The repository benchmark (`benchmark/`) uses
+//! [`observed_parallelism`] to label its records.
 
 use apgre_bc::apgre::{bc_apgre_with, ApgreOptions, KernelPolicy};
 use apgre_bc::brandes::bc_serial;

@@ -45,7 +45,8 @@ impl WeightedGraph {
     /// expected (`weight_of` must be symmetric for them).
     ///
     /// # Panics
-    /// Panics if any weight is zero.
+    /// Panics if any weight is zero, or if `weight_of` is asymmetric on an
+    /// undirected graph.
     pub fn from_graph_with(g: Graph, mut weight_of: impl FnMut(VertexId, VertexId) -> u32) -> Self {
         let fwd_weights: Vec<u32> = g
             .csr()
@@ -67,9 +68,8 @@ impl WeightedGraph {
         } else {
             // Undirected: rev CSR is the fwd CSR; enforce symmetry.
             for (u, v) in g.csr().edges() {
-                debug_assert_eq!(
-                    fwd_weights[arc_pos(g.csr(), u, v)],
-                    fwd_weights[arc_pos(g.csr(), v, u)],
+                assert!(
+                    fwd_weights[arc_pos(g.csr(), u, v)] == fwd_weights[arc_pos(g.csr(), v, u)],
                     "asymmetric weight on undirected edge {{{u},{v}}}"
                 );
             }
@@ -89,13 +89,11 @@ impl WeightedGraph {
     pub fn random_weights(g: Graph, max_weight: u32, seed: u64) -> Self {
         assert!(max_weight >= 1);
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = g.num_vertices();
         // Draw per (undirected-canonical) edge so undirected graphs stay
         // symmetric. A hash map would do; a per-edge closure over a stable
         // table is simpler and deterministic.
         let mut table: std::collections::HashMap<(VertexId, VertexId), u32> =
             std::collections::HashMap::new();
-        let _ = n;
         WeightedGraph::from_graph_with(g, move |u, v| {
             let key = if u < v { (u, v) } else { (v, u) };
             *table.entry(key).or_insert_with(|| rng.gen_range(1..=max_weight))
@@ -151,7 +149,7 @@ fn arc_pos(csr: &Csr, u: VertexId, v: VertexId) -> usize {
     // With duplicate arcs the first position is fine for weight lookup as
     // long as duplicates carry equal weights (the builder dedups by default).
     let i = nbrs.partition_point(|&x| x < v);
-    debug_assert!(nbrs.get(i) == Some(&v), "arc {u}->{v} missing");
+    assert!(nbrs.get(i) == Some(&v), "arc {u}->{v} missing");
     csr.offsets()[u as usize] + i
 }
 
@@ -288,6 +286,20 @@ mod tests {
     fn zero_weight_rejected() {
         let g = Graph::directed_from_edges(2, &[(0, 1)]);
         let _ = WeightedGraph::from_graph_with(g, |_, _| 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "asymmetric weight")]
+    fn asymmetric_undirected_weight_rejected() {
+        let g = Graph::undirected_from_edges(2, &[(0, 1)]);
+        let _ = WeightedGraph::from_graph_with(g, |u, _| u + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "arc 0->2 missing")]
+    fn weight_of_missing_arc_panics() {
+        let g = Graph::directed_from_edges(3, &[(0, 1), (1, 2)]);
+        let _ = WeightedGraph::unit(g).weight(0, 2);
     }
 
     #[test]

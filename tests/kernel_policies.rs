@@ -3,9 +3,10 @@
 //! fresh and pooled (recycled, oversized) workspaces, with and without the
 //! per-root observer — and every `KernelPolicy` end to end — must reproduce
 //! serial Brandes (`bc_serial`) on the Table-1 workload stand-ins, across
-//! grains and pool sizes.
+//! grains and pool sizes; and its weighted (Dijkstra) sweep must reproduce
+//! weighted serial Brandes (`bc_weighted_serial`) the same way.
 
-use apgre::bc::apgre::kernel::{bc_in_subgraph, SgWorkspace};
+use apgre::bc::apgre::kernel::{bc_in_subgraph, SgWorkspace, SubGraphView};
 use apgre::bc::apgre::{full_jobs, run_subgraph_kernels, DEFAULT_GRAIN};
 use apgre::graph::generators;
 use apgre::prelude::*;
@@ -74,6 +75,16 @@ impl Cell {
 /// each `KernelChoice` × {full roots, half subsets} × {fresh, pooled
 /// workspace}.
 fn kernel_table(d: &Decomposition, grain: usize) -> Vec<Cell> {
+    weighted_kernel_table(d, None, grain)
+}
+
+/// [`kernel_table`] over weighted views when `weights` holds each
+/// sub-graph's arc weights (aligned with `sweep_csr`), else unweighted.
+fn weighted_kernel_table(
+    d: &Decomposition,
+    weights: Option<&[Vec<u32>]>,
+    grain: usize,
+) -> Vec<Cell> {
     let mut order: Vec<usize> = (0..d.subgraphs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(d.subgraphs[i].num_vertices()));
     let mut table = Vec::new();
@@ -84,6 +95,7 @@ fn kernel_table(d: &Decomposition, grain: usize) -> Vec<Cell> {
                 let mut runs = vec![(Vec::new(), 0); d.subgraphs.len()];
                 for &i in &order {
                     let sg = &d.subgraphs[i];
+                    let view = SubGraphView { sg, weights: weights.map(|w| &w[i][..]) };
                     let mut fresh = SgWorkspace::default();
                     let w = if ws == Ws::Pooled { &mut pooled } else { &mut fresh };
                     let parts: Vec<&[VertexId]> = match roots {
@@ -96,7 +108,7 @@ fn kernel_table(d: &Decomposition, grain: usize) -> Vec<Cell> {
                     let mut local = vec![0.0f64; sg.num_vertices()];
                     let edges = parts
                         .into_iter()
-                        .map(|r| bc_in_subgraph(sg, r, choice, grain, w, &mut local, None))
+                        .map(|r| bc_in_subgraph(view, r, choice, grain, w, &mut local, None))
                         .sum();
                     runs[i] = (local, edges);
                 }
@@ -565,4 +577,131 @@ fn whisker_fold_matches_bc_serial_and_skips_whisker_arcs() {
         }
         close("observed", &observed);
     }
+}
+
+/// Each sub-graph's arc weights in `wg`, aligned with `sweep_csr`.
+fn sweep_weights(wg: &WeightedGraph, d: &Decomposition) -> Vec<Vec<u32>> {
+    let global = |sg: &SubGraph, l: VertexId| sg.globals[l as usize];
+    d.subgraphs
+        .iter()
+        .map(|sg| {
+            sg.sweep_csr().edges().map(|(u, v)| wg.weight(global(sg, u), global(sg, v))).collect()
+        })
+        .collect()
+}
+
+/// The weighted kernel's inputs: the whisker-heavy graphs plus a directed
+/// R-MAT with directed whiskers.
+fn weighted_inputs() -> Vec<(String, Graph, Decomposition)> {
+    let mut inputs = whisker_inputs();
+    let core = generators::rmat_directed(6, 5, 21);
+    let g = generators::attach_directed_whiskers(&core, 30, 0.2, 22);
+    let d = decompose(&g, &PartitionOptions::default());
+    inputs.push(("rmat-directed".to_string(), g, d));
+    inputs
+}
+
+/// The weighted sweep: every `KernelChoice` arm (full and split roots,
+/// fresh and pooled workspaces) and the observed sweep match weighted
+/// serial Brandes at 1e-7 under random weights, the observed sweep
+/// bitwise-matches `Seq`, and every sweep examines exactly the edges the
+/// unweighted sweep does — weights never change the reached set, so the
+/// whisker fold drops the same whisker arcs from weighted sweeps.
+#[test]
+fn weighted_kernel_table_matches_bc_weighted_serial() {
+    for (k, (name, g, d)) in weighted_inputs().into_iter().enumerate() {
+        let wg = WeightedGraph::random_weights(g, 9, 0xC0 + k as u64);
+        let want = bc_weighted_serial(&wg);
+        let close = |what: &str, got: &[f64]| {
+            assert_eq!(got.len(), want.len(), "{name}/{what}: length");
+            for (v, (&x, &y)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (x - y).abs() <= 1e-7 * (1.0 + x.abs().max(y.abs())),
+                    "{name}/{what}: vertex {v}: got {x}, want {y}"
+                );
+            }
+        };
+        let weights = sweep_weights(&wg, &d);
+        let unweighted = kernel_table(&d, 1);
+        let bfs = cell(&unweighted, KernelChoice::Seq, Roots::Full, Ws::Fresh);
+        for grain in [1, DEFAULT_GRAIN] {
+            let table = weighted_kernel_table(&d, Some(&weights), grain);
+            let seq = cell(&table, KernelChoice::Seq, Roots::Full, Ws::Fresh);
+            for c in &table {
+                close(&format!("g{grain}/{}", c.name()), &c.compose(&d));
+                for (i, ((_, e), (_, e_bfs))) in c.runs.iter().zip(&bfs.runs).enumerate() {
+                    assert_eq!(e, e_bfs, "{name}@g{grain}/{}: SG{i} edges vs BFS", c.name());
+                }
+            }
+            let mut observed = vec![0.0f64; wg.num_vertices()];
+            for (i, sg) in d.subgraphs.iter().enumerate() {
+                let view = SubGraphView { sg, weights: Some(&weights[i]) };
+                let mut local = vec![0.0f64; sg.num_vertices()];
+                let mut calls = 0usize;
+                let edges = bc_in_subgraph(
+                    view,
+                    &sg.roots,
+                    KernelChoice::LevelSync,
+                    grain,
+                    &mut SgWorkspace::default(),
+                    &mut local,
+                    Some(&mut |_: &[f64]| calls += 1),
+                );
+                assert_eq!(calls, sg.roots.len(), "{name}: SG{i} one call per root");
+                assert_eq!(local, seq.runs[i].0, "{name}: SG{i} observed vs plain");
+                assert_eq!(edges, seq.runs[i].1, "{name}: SG{i} observed edges");
+                for (l, &score) in local.iter().enumerate() {
+                    observed[sg.globals[l] as usize] += score;
+                }
+            }
+            close(&format!("g{grain}/observed"), &observed);
+        }
+    }
+}
+
+/// Under unit weights the Dijkstra sweep is the BFS sweep: every cell of
+/// the weighted kernel table is bitwise equal to the unweighted cell that
+/// runs the same strategy (`Seq` for `LevelSync`, which a weighted view
+/// runs sequentially) and examines the same edges, on the whisker-heavy
+/// graphs and the Table-1 stand-ins.
+#[test]
+fn unit_weighted_sweep_is_bitwise_the_bfs_sweep() {
+    for (name, g, d) in weighted_inputs().into_iter().chain(table_inputs()) {
+        let weights = sweep_weights(&WeightedGraph::unit(g), &d);
+        let (bfs, dijkstra) = (kernel_table(&d, 2), weighted_kernel_table(&d, Some(&weights), 2));
+        for c in &dijkstra {
+            let runs = match c.choice {
+                KernelChoice::LevelSync => KernelChoice::Seq,
+                choice => choice,
+            };
+            let want = cell(&bfs, runs, c.roots, c.ws);
+            for (i, (got, want)) in c.runs.iter().zip(&want.runs).enumerate() {
+                assert_eq!(got, want, "{name}/{}: SG{i} unit-weighted vs BFS", c.name());
+            }
+        }
+    }
+}
+
+/// Under `invariants`, the Dijkstra forward phase rejects a stale
+/// whisker-free layout — a `folded_csr` that still holds whisker arcs — as
+/// the BFS forward phase does.
+#[cfg(all(feature = "invariants", debug_assertions))]
+#[test]
+#[should_panic(expected = "whisker settled by a folded sweep")]
+fn weighted_sweep_rejects_a_stale_folded_csr() {
+    let mut d = decompose(&generators::star(7), &PartitionOptions::default());
+    let sg = &mut d.subgraphs[0];
+    sg.folded_csr = Some(sg.graph.csr().clone());
+    let (sg, mut local) = (&*sg, vec![0.0f64; sg.num_vertices()]);
+    let weights = vec![1u32; sg.sweep_csr().num_edges()];
+    let view = SubGraphView { sg, weights: Some(&weights) };
+    bc_in_subgraph(
+        view,
+        &sg.roots,
+        KernelChoice::Seq,
+        1,
+        &mut SgWorkspace::default(),
+        &mut local,
+        None,
+    );
 }
