@@ -19,22 +19,23 @@
 //! soaks up workers once the small sub-graphs drain — the behaviour §5.4
 //! describes.
 //!
-//! The driver threads a [buffer pool](BufferPool) through the sub-graph
-//! loop: per-sub-graph score vectors and both kernel workspaces are checked
-//! out, grown in place if needed, and returned, so steady-state processing
-//! of the long tail of small sub-graphs performs no `O(n)` allocations.
-//! Merging goes through a reorder buffer that scatters finished sub-graphs
-//! in **ascending index order** regardless of completion order — the
-//! floating-point fold order is fixed, keeping whole-run results bitwise
-//! deterministic (and the golden checksums stable).
+//! One scheduler, [`run_subgraph_kernels`], dispatches every sub-graph job
+//! for the batch driver, the weighted driver, the incremental engine and
+//! the sampled estimator. It checks kernel workspaces out of a pool
+//! (`BufferPool`), grows them in place when a larger sub-graph draws them,
+//! and returns them, so the long tail of small sub-graphs performs no
+//! workspace allocations. Runs come back in **ascending sub-graph index
+//! order** regardless of completion order, and the Equation-8 merge folds
+//! them in that order — the floating-point fold order is fixed, keeping
+//! whole-run results bitwise deterministic (and the golden checksums
+//! stable).
 
 pub mod kernel;
 
-use apgre_decomp::{decompose, Decomposition, PartitionOptions, SubGraph};
+use apgre_decomp::{decompose, Decomposition, PartitionOptions};
 use apgre_graph::{Graph, VertexId};
 use kernel::{bc_in_subgraph, SubGraphView};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -176,7 +177,9 @@ pub struct ApgreReport {
     pub partition_time: Duration,
     /// α/β counting.
     pub alpha_beta_time: Duration,
-    /// All sub-graph BC kernels (wall clock of the whole phase).
+    /// All sub-graph BC kernels: the wall clock of the batch driver's
+    /// kernel phase, or the summed kernel clocks of the runs
+    /// [`ApgreReport::absorb`] took in.
     pub bc_time: Duration,
     /// BC kernel time of the largest sub-graph alone.
     pub top_subgraph_bc_time: Duration,
@@ -196,7 +199,8 @@ pub struct ApgreReport {
     pub edges_traversed: u64,
     /// The policy the run was configured with.
     pub kernel_policy: KernelPolicy,
-    /// The scheduling grain the run was configured with.
+    /// The scheduling grain the kernels ran with (the configured grain,
+    /// raised to at least 1).
     pub grain: usize,
     /// Kernel dispatched for the largest sub-graph (`None` when the graph is
     /// empty).
@@ -219,6 +223,61 @@ impl KernelChoice {
 }
 
 impl ApgreReport {
+    /// The report of kernel `runs` over `decomp` under `opts`: the
+    /// decomposition's timings and structure plus the runs' work (see
+    /// [`ApgreReport::absorb`]).
+    pub fn new(decomp: &Decomposition, opts: &ApgreOptions, runs: &[SubgraphKernelRun]) -> Self {
+        let mut report = ApgreReport {
+            partition_time: decomp.timings.partition,
+            alpha_beta_time: decomp.timings.alpha_beta,
+            bc_time: Duration::ZERO,
+            top_subgraph_bc_time: Duration::ZERO,
+            num_subgraphs: 0,
+            num_articulation_points: 0,
+            top_subgraph_vertices: 0,
+            top_subgraph_edges: 0,
+            total_roots: 0,
+            total_whiskers: 0,
+            edges_traversed: 0,
+            kernel_policy: opts.kernel,
+            grain: opts.grain.max(1),
+            top_subgraph_kernel: None,
+            kernel_counts: (0, 0, 0),
+        };
+        report.absorb(decomp, runs);
+        report
+    }
+
+    /// Switches the structure fields (sub-graph and articulation counts,
+    /// top sub-graph size, roots, whiskers) to describe `decomp`, and adds
+    /// the work of `runs` over it: kernel time, edges and per-kernel counts,
+    /// plus the kernel and time of a run of the top sub-graph. A top
+    /// sub-graph that did not run keeps its last known kernel. The
+    /// decomposition timings are left to the caller.
+    pub fn absorb(&mut self, decomp: &Decomposition, runs: &[SubgraphKernelRun]) {
+        let top = decomp.subgraphs.get(decomp.top_subgraph);
+        self.num_subgraphs = decomp.num_subgraphs();
+        self.num_articulation_points = decomp.is_articulation.iter().filter(|&&a| a).count();
+        self.top_subgraph_vertices = top.map_or(0, |sg| sg.num_vertices());
+        self.top_subgraph_edges = top.map_or(0, |sg| sg.num_edges());
+        self.total_roots = decomp.subgraphs.iter().map(|sg| sg.roots.len()).sum();
+        self.total_whiskers =
+            decomp.subgraphs.iter().map(|sg| sg.is_whisker.iter().filter(|&&w| w).count()).sum();
+        for run in runs {
+            self.bc_time += run.time;
+            self.edges_traversed += run.edges;
+            match run.choice {
+                KernelChoice::Seq => self.kernel_counts.0 += 1,
+                KernelChoice::RootParallel => self.kernel_counts.1 += 1,
+                KernelChoice::LevelSync => self.kernel_counts.2 += 1,
+            }
+            if run.index == decomp.top_subgraph {
+                self.top_subgraph_kernel = Some(run.choice);
+                self.top_subgraph_bc_time += run.time;
+            }
+        }
+    }
+
     /// The per-kernel dispatch counts of [`ApgreReport::kernel_counts`]
     /// paired with their [`KernelChoice::name`] labels, in the fixed
     /// `(seq, root_parallel, level_sync)` order — the shape metrics
@@ -244,153 +303,25 @@ impl ApgreReport {
     }
 }
 
-/// Reusable per-sub-graph buffers, shared by all workers of the outer
-/// parallel loop. Workers check a buffer out under a short lock, run a whole
+/// Reusable kernel workspaces, shared by all workers of the outer parallel
+/// loop. Workers check a workspace out under a short lock, run a whole
 /// kernel on it lock-free, and return it; a recycled workspace grows in
-/// place when a larger sub-graph draws it. Score vectors come back through
-/// [`Merger::submit`] once their sub-graph has been scattered.
+/// place when a larger sub-graph draws it.
 #[derive(Default)]
 struct BufferPool {
     workspaces: Mutex<Vec<kernel::SgWorkspace>>,
-    locals: Mutex<Vec<Vec<f64>>>,
 }
 
 impl BufferPool {
     // Pool locks recover from poisoning: the pooled buffers are overwritten
     // before reuse, so a worker that panicked mid-kernel cannot corrupt a
     // later checkout — and a second panic here would abort the process.
-    fn take_local(&self, n: usize) -> Vec<f64> {
-        let mut v = self.locals.lock().unwrap_or_else(|p| p.into_inner()).pop().unwrap_or_default();
-        v.clear();
-        v.resize(n, 0.0);
-        v
-    }
-
-    fn put_local(&self, v: Vec<f64>) {
-        self.locals.lock().unwrap_or_else(|p| p.into_inner()).push(v);
-    }
-
     fn take_ws(&self) -> kernel::SgWorkspace {
         self.workspaces.lock().unwrap_or_else(|p| p.into_inner()).pop().unwrap_or_default()
     }
 
     fn put_ws(&self, ws: kernel::SgWorkspace) {
         self.workspaces.lock().unwrap_or_else(|p| p.into_inner()).push(ws);
-    }
-}
-
-/// Reorder-buffer merger: sub-graphs finish in completion order (largest
-/// first under the outer parallel loop), but Equation 8's scatter into the
-/// global score vector must happen in **ascending sub-graph index order** so
-/// the floating-point sums fold identically run to run. Results arriving
-/// early park in `pending`.
-///
-/// The `O(n)` scatter itself runs **outside** the state lock: a submitter
-/// that finds the ready prefix pops the whole batch under the lock, releases
-/// it, scatters, then re-acquires only to advance `next_index` and fold the
-/// batch statistics — so workers finishing small sub-graphs park their
-/// result and move on instead of serializing behind the top sub-graph's
-/// merge. Popping `next_index` is the exclusivity token: the index only
-/// advances after its batch has landed, so at most one worker scatters at a
-/// time and the index order is preserved.
-struct Merger<'a> {
-    decomp: &'a Decomposition,
-    /// Global score vector. The `next_index` token protocol already makes
-    /// the scatter exclusive; the mutex (uncontended by construction) keeps
-    /// that exclusivity checkable without `unsafe`.
-    bc: Mutex<Vec<f64>>,
-    state: Mutex<MergeState>,
-}
-
-pub(crate) struct MergeState {
-    next_index: usize,
-    pending: BTreeMap<usize, SubgraphKernelRun>,
-    edges_traversed: u64,
-    top_time: Duration,
-    top_choice: Option<KernelChoice>,
-    counts: (usize, usize, usize),
-}
-
-impl<'a> Merger<'a> {
-    fn new(decomp: &'a Decomposition, n: usize) -> Self {
-        Merger {
-            decomp,
-            bc: Mutex::new(vec![0.0f64; n]),
-            state: Mutex::new(MergeState {
-                next_index: 0,
-                pending: BTreeMap::new(),
-                edges_traversed: 0,
-                top_time: Duration::ZERO,
-                top_choice: None,
-                counts: (0, 0, 0),
-            }),
-        }
-    }
-
-    fn submit(&self, run: SubgraphKernelRun, pool: &BufferPool) {
-        let mut st = self.state.lock().unwrap();
-        st.pending.insert(run.index, run);
-        loop {
-            // Pop the ready prefix. Empty means either `next_index` hasn't
-            // arrived yet or another worker popped it and is mid-scatter;
-            // either way that worker re-checks `pending` after advancing,
-            // so this one can leave.
-            let start = st.next_index;
-            let mut batch: Vec<SubgraphKernelRun> = Vec::new();
-            while let Some(res) = st.pending.remove(&(start + batch.len())) {
-                batch.push(res);
-            }
-            if batch.is_empty() {
-                return;
-            }
-            drop(st);
-
-            let mut edges = 0u64;
-            let mut counts = (0usize, 0usize, 0usize);
-            let mut top: Option<(Duration, KernelChoice)> = None;
-            {
-                let mut bc = self.bc.lock().unwrap();
-                for (offset, res) in batch.iter().enumerate() {
-                    let i = start + offset;
-                    let sg = &self.decomp.subgraphs[i];
-                    for (l, &score) in res.local.iter().enumerate() {
-                        bc[sg.globals[l] as usize] += score;
-                    }
-                    edges += res.edges;
-                    match res.choice {
-                        KernelChoice::Seq => counts.0 += 1,
-                        KernelChoice::RootParallel => counts.1 += 1,
-                        KernelChoice::LevelSync => counts.2 += 1,
-                    }
-                    if i == self.decomp.top_subgraph {
-                        top = Some((res.time, res.choice));
-                    }
-                }
-            }
-            let drained = batch.len();
-            for res in batch {
-                pool.put_local(res.local);
-            }
-
-            st = self.state.lock().unwrap();
-            st.next_index = start + drained;
-            st.edges_traversed += edges;
-            st.counts.0 += counts.0;
-            st.counts.1 += counts.1;
-            st.counts.2 += counts.2;
-            if let Some((time, choice)) = top {
-                st.top_time = time;
-                st.top_choice = Some(choice);
-            }
-            // More results may have parked while this batch scattered; loop
-            // to claim them, since their submitters saw a stale prefix.
-        }
-    }
-
-    fn finish(self) -> (Vec<f64>, MergeState) {
-        let st = self.state.into_inner().unwrap();
-        debug_assert!(st.pending.is_empty(), "merger drained before every submit");
-        (self.bc.into_inner().unwrap(), st)
     }
 }
 
@@ -414,55 +345,25 @@ pub fn bc_from_decomposition(
     opts: &ApgreOptions,
 ) -> (Vec<f64>, ApgreReport) {
     let bc_start = Instant::now();
-    let (bc, merged) = sweep_and_merge(decomp, g.num_vertices(), opts, |_| None);
+    let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
+    let runs = run_subgraph_kernels(decomp, &jobs, opts, false);
+    let bc = fold_runs(decomp, g.num_vertices(), &runs);
     let bc_time = bc_start.elapsed();
-
-    let top = decomp.subgraphs.get(decomp.top_subgraph);
-    let report = ApgreReport {
-        partition_time: decomp.timings.partition,
-        alpha_beta_time: decomp.timings.alpha_beta,
-        bc_time,
-        top_subgraph_bc_time: merged.top_time,
-        num_subgraphs: decomp.num_subgraphs(),
-        num_articulation_points: decomp.is_articulation.iter().filter(|&&a| a).count(),
-        top_subgraph_vertices: top.map_or(0, |sg| sg.num_vertices()),
-        top_subgraph_edges: top.map_or(0, |sg| sg.num_edges()),
-        total_roots: decomp.subgraphs.iter().map(|sg| sg.roots.len()).sum(),
-        total_whiskers: decomp
-            .subgraphs
-            .iter()
-            .map(|sg| sg.is_whisker.iter().filter(|&&w| w).count())
-            .sum(),
-        edges_traversed: merged.edges_traversed,
-        kernel_policy: opts.kernel,
-        grain: opts.grain.max(1),
-        top_subgraph_kernel: merged.top_choice,
-        kernel_counts: merged.counts,
-    };
-    (bc, report)
+    (bc, ApgreReport { bc_time, ..ApgreReport::new(decomp, opts, &runs) })
 }
 
-/// Steps 2–3 for every sub-graph, merged into an `n`-vertex score vector —
-/// the batch driver behind [`bc_from_decomposition`] and the weighted one.
-/// `weights_of` gives a sub-graph's arc weights (aligned with `sweep_csr`),
-/// or `None` to sweep it unweighted.
-pub(crate) fn sweep_and_merge(
-    decomp: &Decomposition,
-    n: usize,
-    opts: &ApgreOptions,
-    weights_of: impl Fn(&SubGraph) -> Option<Vec<u32>> + Sync,
-) -> (Vec<f64>, MergeState) {
-    let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
-    let pool = BufferPool::default();
-    let merger = Merger::new(decomp, n);
-    for_each_largest_first(decomp, &jobs, opts.outer_parallel, |(i, roots)| {
-        let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — full_jobs yields ids of this decomposition
-        let weights = weights_of(sg);
-        let view = SubGraphView { sg, weights: weights.as_deref() };
-        let local = pool.take_local(sg.num_vertices());
-        merger.submit(run_job(view, i, roots, opts, false, &pool, local), &pool);
-    });
-    merger.finish()
+/// Equation 8: sums every run's local scores into an `n`-vertex vector in
+/// list order — ascending sub-graph index for [`run_subgraph_kernels`]'
+/// output, which fixes the floating-point fold order.
+pub(crate) fn fold_runs(decomp: &Decomposition, n: usize, runs: &[SubgraphKernelRun]) -> Vec<f64> {
+    let mut bc = vec![0.0f64; n];
+    for run in runs {
+        let sg = &decomp.subgraphs[run.index];
+        for (&v, &score) in sg.globals.iter().zip(&run.local) {
+            bc[v as usize] += score;
+        }
+    }
+    bc
 }
 
 /// Per-root contribution statistics of one observed job — the kernel side
@@ -504,21 +405,36 @@ pub struct SubgraphKernelRun {
     pub stats: Option<RootStats>,
 }
 
-/// Runs the per-sub-graph BC kernel for every job `(index, roots)`,
-/// returning the local score vectors **without** scattering them into a
-/// global vector — step 2 of the pipeline for callers that own the merge.
-/// The incremental engine passes [`full_jobs`] for its dirty
-/// sub-graphs and stores each contribution so a later batch can replace
-/// just the dirty ones; the sampled estimator passes root samples and
-/// applies the sampling scale itself.
+/// A decomposition as [`run_subgraph_kernels`] sweeps it: unweighted (from
+/// `&Decomposition`), or, for the weighted driver, with every sub-graph's
+/// arc weights.
+pub struct DecompositionView<'a> {
+    pub(crate) decomp: &'a Decomposition,
+    /// Arc weights per sub-graph, by sub-graph index, each aligned with that
+    /// sub-graph's `sweep_csr().targets()`; or `None`.
+    pub(crate) weights: Option<&'a [Vec<u32>]>,
+}
+
+impl<'a> From<&'a Decomposition> for DecompositionView<'a> {
+    fn from(decomp: &'a Decomposition) -> Self {
+        DecompositionView { decomp, weights: None }
+    }
+}
+
+/// The one sub-graph scheduler: runs the per-sub-graph BC kernel for every
+/// job `(index, roots)`, returning the local score vectors **without**
+/// scattering them into a global vector — step 2 of the pipeline. The batch
+/// and weighted drivers pass [`full_jobs`] for every sub-graph and fold the
+/// runs (Equation 8); the incremental engine passes its dirty sub-graphs
+/// and stores each contribution so a later batch can replace just the
+/// dirty ones; the sampled estimator passes root samples and applies the
+/// sampling scale itself.
 ///
-/// Scheduling matches [`bc_from_decomposition`]: largest-first dispatch,
-/// one shared workspace pool (score vectors are not pooled — they are the
-/// return value), `opts.kernel` resolved per job on the job's root count,
-/// and the outer rayon loop when `opts.outer_parallel`. Each vector comes
-/// from the same [`kernel::bc_in_subgraph`] call the batch driver makes, so
-/// full-roots results are bitwise identical to a batch run's (for
-/// `Seq`/`LevelSync` unconditionally; for `RootParallel` per pool size).
+/// Scheduling: largest-first dispatch, one shared workspace pool (score
+/// vectors are not pooled — they are the return value), `opts.kernel`
+/// resolved per job on the job's root count, and the outer rayon loop when
+/// `opts.outer_parallel`. Every job is one [`kernel::bc_in_subgraph`] call,
+/// weighted when `decomp` carries weights.
 ///
 /// With `observe`, every job runs the observed sequential sweep and carries
 /// [`RootStats`]; its `local` span is bitwise identical to an unobserved
@@ -526,19 +442,20 @@ pub struct SubgraphKernelRun {
 /// *across* jobs.
 ///
 /// Results come back sorted by ascending sub-graph index, so a list-order
-/// fold reproduces the batch driver's deterministic merge order.
-pub fn run_subgraph_kernels(
-    decomp: &Decomposition,
+/// fold is the batch driver's deterministic Equation-8 merge.
+pub fn run_subgraph_kernels<'a>(
+    decomp: impl Into<DecompositionView<'a>>,
     jobs: &[(usize, &[VertexId])],
     opts: &ApgreOptions,
     observe: bool,
 ) -> Vec<SubgraphKernelRun> {
+    let DecompositionView { decomp, weights } = decomp.into();
     let pool = BufferPool::default();
     let out: Mutex<Vec<SubgraphKernelRun>> = Mutex::new(Vec::with_capacity(jobs.len()));
     for_each_largest_first(decomp, jobs, opts.outer_parallel, |(i, roots)| {
         let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — callers pass ids of this decomposition
-        let local = vec![0.0f64; sg.num_vertices()];
-        let run = run_job(sg.into(), i, roots, opts, observe, &pool, local);
+        let weights = weights.map(|w| &w[i][..]); // lint:allow(panic_path) — one slice per sub-graph
+        let run = run_job(SubGraphView { sg, weights }, i, roots, opts, observe, &pool);
         // Recover from poisoning: a panicking sibling kernel must not turn
         // into a second panic here — completed runs are still valid.
         out.lock().unwrap_or_else(|p| p.into_inner()).push(run);
@@ -580,8 +497,7 @@ fn for_each_largest_first<'a>(
 /// One job — sub-graph `index`, seen through `view` — through
 /// [`kernel::bc_in_subgraph`] on a pooled workspace: resolves the policy
 /// (or forces the observed sequential sweep), folds the per-root Welford
-/// statistics when observing, and times the kernel. `local` arrives zeroed
-/// and sized to the sub-graph.
+/// statistics when observing, and times the kernel.
 fn run_job(
     view: SubGraphView,
     index: usize,
@@ -589,10 +505,10 @@ fn run_job(
     opts: &ApgreOptions,
     observe: bool,
     pool: &BufferPool,
-    mut local: Vec<f64>,
 ) -> SubgraphKernelRun {
     let sg = view.sg;
     let n = sg.num_vertices();
+    let mut local = vec![0.0f64; n];
     let t = Instant::now();
     let grain = opts.grain.max(1);
     let mut ws = pool.take_ws();
@@ -843,7 +759,7 @@ mod tests {
                 assert_eq!(run.index, k, "{name}: sorted ascending");
                 assert!(run.stats.is_none(), "{name}: unobserved runs carry no stats");
             }
-            // Ascending-index fold = the Merger's scatter order.
+            // Ascending-index fold = the batch driver's Equation-8 order.
             let got = refold(g.num_vertices(), &decomp, &runs);
             for v in 0..got.len() {
                 assert!(

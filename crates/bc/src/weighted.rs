@@ -11,13 +11,15 @@
 //! Positive weights are required (the substrate rejects zeros) because a
 //! zero-weight excursion out of a sub-graph could tie a shortest path.
 //!
-//! Weighted APGRE therefore has no kernel of its own: the batch driver runs
-//! the one sub-graph kernel (`crate::apgre::kernel::bc_in_subgraph`) with
-//! each sub-graph's weights, so weighted graphs share its scheduler, pooled
-//! workspaces, whisker fold and parallelism — except the level-synchronous
-//! sweep: Dijkstra has no levels (parallel Δ-stepping is out of scope).
+//! Weighted APGRE therefore has no kernel or scheduler of its own: it hands
+//! every sub-graph's weights to the one dispatcher
+//! (`crate::apgre::run_subgraph_kernels`), which runs the one sub-graph
+//! kernel (`crate::apgre::kernel::bc_in_subgraph`), so weighted graphs share
+//! its pooled workspaces, whisker fold, parallelism and Equation-8 fold —
+//! except the level-synchronous sweep: Dijkstra has no levels (parallel
+//! Δ-stepping is out of scope).
 
-use crate::apgre::{sweep_and_merge, ApgreOptions};
+use crate::apgre::{fold_runs, full_jobs, run_subgraph_kernels, ApgreOptions, DecompositionView};
 use apgre_decomp::{decompose, Decomposition, PartitionOptions, SubGraph};
 use apgre_graph::weighted::{dijkstra_sssp, WeightedGraph, WUNREACHED};
 use apgre_graph::VertexId;
@@ -96,8 +98,11 @@ pub fn bc_weighted_apgre_with(wg: &WeightedGraph, popts: &PartitionOptions) -> V
 
 /// Weighted APGRE on a pre-built decomposition (default [`ApgreOptions`]).
 pub fn bc_weighted_from_decomposition(wg: &WeightedGraph, decomp: &Decomposition) -> Vec<f64> {
-    let opts = ApgreOptions::default();
-    sweep_and_merge(decomp, wg.num_vertices(), &opts, |sg| Some(local_weights(wg, sg))).0
+    let weights: Vec<Vec<u32>> = decomp.subgraphs.iter().map(|sg| local_weights(wg, sg)).collect();
+    let view = DecompositionView { decomp, weights: Some(&weights) };
+    let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
+    let runs = run_subgraph_kernels(view, &jobs, &ApgreOptions::default(), false);
+    fold_runs(decomp, wg.num_vertices(), &runs)
 }
 
 /// Per-sub-graph arc weights, aligned with [`SubGraph::sweep_csr`].

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use apgre_approx::{SampleOptions, SampleRefresh, SampleStore};
-use apgre_bc::apgre::{ApgreReport, KernelChoice, SubgraphKernelRun};
+use apgre_bc::apgre::ApgreReport;
 use apgre_bc::{full_jobs, run_subgraph_kernels, ApgreOptions};
 use apgre_decomp::{decompose, Decomposition, EdgeEdit, MaintainedDecomposition};
 use apgre_graph::{Graph, GraphOverlay};
@@ -126,8 +126,8 @@ impl DynamicReport {
 ///
 /// The global vector is always folded **from zeros in ascending sub-graph
 /// index order** rather than patched by subtract-then-add, so stored and
-/// folded contributions stay exactly consistent: the fold order matches the
-/// batch driver's reorder-buffer merge, and no floating-point cancellation
+/// folded contributions stay exactly consistent: the fold order is the
+/// batch driver's Equation-8 fold order, and no floating-point cancellation
 /// error can accumulate across batches. After a maintained batch only the
 /// vertices whose owning sub-graphs changed are refolded — bitwise safe
 /// because every other vertex's fold input sequence is unchanged (splices
@@ -185,8 +185,7 @@ impl DynamicBc {
         let decomp = maintained.decomp();
         let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
         let runs = run_subgraph_kernels(decomp, &jobs, &opts, false);
-        let mut report = structure_report(decomp, &opts);
-        absorb_runs(&mut report, decomp.top_subgraph, &runs);
+        let report = ApgreReport::new(decomp, &opts, &runs);
         let mut spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = decomp
             .subgraphs
             .iter()
@@ -473,9 +472,7 @@ impl DynamicBc {
         let decomp = self.maintained.decomp();
         let jobs = full_jobs(decomp, outcome.dirty.iter().copied());
         let runs = run_subgraph_kernels(decomp, &jobs, &self.opts, false);
-        let top = self.maintained.decomp().top_subgraph;
-        absorb_runs(&mut self.report, top, &runs);
-        refresh_structure(&mut self.report, self.maintained.decomp());
+        self.report.absorb(decomp, &runs);
         for run in runs {
             touched.extend_from_slice(&self.maintained.decomp().subgraphs[run.index].globals);
             self.fold.set_values(run.index, Arc::from(run.local));
@@ -558,8 +555,7 @@ impl DynamicBc {
         // known kernel choice (no run happened this batch to observe one).
         self.report.partition_time += new_decomp.timings.partition;
         self.report.alpha_beta_time += new_decomp.timings.alpha_beta;
-        refresh_structure(&mut self.report, &new_decomp);
-        absorb_runs(&mut self.report, new_decomp.top_subgraph, &runs);
+        self.report.absorb(&new_decomp, &runs);
 
         for run in runs {
             spans[run.index].1 = Arc::from(run.local);
@@ -665,63 +661,6 @@ impl ApproxSnapshot {
     /// errors; 0 in uniform mode).
     pub fn stderr(&self, v: usize) -> f64 {
         self.stderr_sq.score(v).sqrt()
-    }
-}
-
-/// Seeds an [`ApgreReport`] from a fresh decomposition: timings come from
-/// the decomposition, every kernel counter starts at zero (to be filled by
-/// [`absorb_runs`]).
-fn structure_report(decomp: &Decomposition, opts: &ApgreOptions) -> ApgreReport {
-    let mut report = ApgreReport {
-        partition_time: decomp.timings.partition,
-        alpha_beta_time: decomp.timings.alpha_beta,
-        bc_time: Duration::ZERO,
-        top_subgraph_bc_time: Duration::ZERO,
-        num_subgraphs: 0,
-        num_articulation_points: 0,
-        top_subgraph_vertices: 0,
-        top_subgraph_edges: 0,
-        total_roots: 0,
-        total_whiskers: 0,
-        edges_traversed: 0,
-        kernel_policy: opts.kernel,
-        grain: opts.grain,
-        top_subgraph_kernel: None,
-        kernel_counts: (0, 0, 0),
-    };
-    refresh_structure(&mut report, decomp);
-    report
-}
-
-/// Overwrites the structure fields of `report` (counts that describe the
-/// *current* decomposition, not accumulated work) from `decomp`.
-fn refresh_structure(report: &mut ApgreReport, decomp: &Decomposition) {
-    let top = decomp.subgraphs.get(decomp.top_subgraph);
-    report.num_subgraphs = decomp.num_subgraphs();
-    report.num_articulation_points = decomp.is_articulation.iter().filter(|&&a| a).count();
-    report.top_subgraph_vertices = top.map_or(0, |sg| sg.num_vertices());
-    report.top_subgraph_edges = top.map_or(0, |sg| sg.num_edges());
-    report.total_roots = decomp.subgraphs.iter().map(|sg| sg.roots.len()).sum();
-    report.total_whiskers =
-        decomp.subgraphs.iter().map(|sg| sg.is_whisker.iter().filter(|&&w| w).count()).sum();
-}
-
-/// Accumulates kernel-run work (time, traversed edges, per-kernel counts)
-/// into `report`; `top_index` marks the run whose choice/time also fills
-/// the top-sub-graph fields.
-fn absorb_runs(report: &mut ApgreReport, top_index: usize, runs: &[SubgraphKernelRun]) {
-    for run in runs {
-        report.bc_time += run.time;
-        report.edges_traversed += run.edges;
-        match run.choice {
-            KernelChoice::Seq => report.kernel_counts.0 += 1,
-            KernelChoice::RootParallel => report.kernel_counts.1 += 1,
-            KernelChoice::LevelSync => report.kernel_counts.2 += 1,
-        }
-        if run.index == top_index {
-            report.top_subgraph_kernel = Some(run.choice);
-            report.top_subgraph_bc_time += run.time;
-        }
     }
 }
 
@@ -972,6 +911,27 @@ mod tests {
         let after = engine.report();
         assert_eq!(after.num_subgraphs, engine.decomposition().num_subgraphs());
         assert_eq!(engine.last_batch().unwrap().class, BatchClass::Structural);
+    }
+
+    #[test]
+    fn seed_report_counters_equal_the_batch_drivers() {
+        // One accounting for both drivers: on the same decomposition the
+        // engine's seed report and `bc_from_decomposition`'s agree on every
+        // structure and work counter, including the grain the kernels ran
+        // with (a configured grain of 0 runs as 1).
+        let opts = ApgreOptions { grain: 0, ..fine_opts() };
+        let engine = DynamicBc::new(&clique_and_triangle(), opts.clone());
+        let g = engine.current_graph();
+        let (_, batch) = apgre_bc::bc_from_decomposition(&g, engine.decomposition(), &opts);
+        let counters = |r: &ApgreReport| {
+            (
+                (r.num_subgraphs, r.num_articulation_points, r.total_roots, r.total_whiskers),
+                (r.top_subgraph_vertices, r.top_subgraph_edges, r.edges_traversed),
+                (r.kernel_counts, r.top_subgraph_kernel, r.grain),
+            )
+        };
+        assert_eq!(counters(engine.report()), counters(&batch));
+        assert_eq!(batch.grain, 1);
     }
 
     #[test]
