@@ -19,9 +19,10 @@
 //! every input to the allocation is a pure function of the decomposition
 //! content and the global seed:
 //!
-//! * the pilot draw is the first `min(pilot, |R_i|)` elements of the same
+//! * the pilot draw is the first `pilot` elements of the same
 //!   `mix_seed(seed, fingerprint_i)` Fisher–Yates stream the final sample
-//!   uses, so it never depends on generation history;
+//!   uses, so it never depends on generation history (a sub-graph of at
+//!   most `pilot` roots is never piloted: its floor already covers it);
 //! * `σ_i` is a Welford fold over the pilot roots in sorted-ascending
 //!   order through the *observed sequential* kernel, so its bits are fixed
 //!   regardless of thread count or scheduling;
@@ -51,7 +52,9 @@ pub const DEFAULT_PILOT: usize = 4;
 pub struct SamplePlan {
     /// Per-sub-graph pilot dispersion of the per-root contributions — the
     /// square root of the summed per-vertex sample variances (the `σ_i` of
-    /// the allocation weight `|R_i|·σ_i`; 0 under a uniform cap).
+    /// the allocation weight `|R_i|·σ_i`). A uniform cap pilots nothing, and
+    /// neither does an adaptive budget for a sub-graph of at most `pilot`
+    /// roots; their `σ_i` is 0.
     pub sigma: Vec<f64>,
     /// Allocated root-sample size per sub-graph (`min(pilot, |R_i|) ≤ k_i ≤
     /// |R_i|` under an adaptive budget, `min(cap, |R_i|)` under a uniform
@@ -201,10 +204,10 @@ pub(crate) fn plan(
 }
 
 /// Computes the adaptive plan for one decomposition: pilot `σ` for every
-/// sub-graph whose cached value is `None` (the incremental store passes its
-/// per-fingerprint cache; the oracle passes all-`None`), then the
-/// water-filling allocation of `total_roots` driven by the weights
-/// `|R_i|·σ_i`.
+/// sub-graph with more than `pilot` roots whose cached value is `None` (the
+/// incremental store passes its per-fingerprint cache; the oracle passes
+/// all-`None`), then the water-filling allocation of `total_roots` driven
+/// by the weights `|R_i|·σ_i`.
 pub fn plan_adaptive(
     decomp: &Decomposition,
     opts: &ApgreOptions,
@@ -216,25 +219,21 @@ pub fn plan_adaptive(
     let count = decomp.num_subgraphs();
     assert_eq!(cached_sigma.len(), count, "one cached σ slot per sub-graph");
     let pilot = pilot.max(2);
-    let mut sigma: Vec<f64> = vec![0.0; count];
-    let mut need: Vec<usize> = Vec::new();
-    for (i, cached) in cached_sigma.iter().enumerate() {
-        match cached {
-            Some(s) => sigma[i] = *s,
-            None => need.push(i),
-        }
-    }
-    let pilot_draws: Vec<(usize, Vec<u32>)> = need
+    let mut sigma: Vec<f64> = cached_sigma.iter().map(|c| c.unwrap_or(0.0)).collect();
+    // A sub-graph with at most `pilot` roots is floored at all of them, so
+    // it runs exhaustively whatever its σ: only larger ones are piloted, and
+    // each pilot is a strict sample the dispatcher observes.
+    let pilot_draws: Vec<(usize, Vec<u32>)> = decomp
+        .subgraphs
         .iter()
-        .map(|&i| {
-            let sg = &decomp.subgraphs[i];
-            let p = sg.roots.len().min(pilot);
-            (i, sample_roots(&sg.roots, p, mix_seed(seed, sg.fingerprint())))
-        })
+        .zip(cached_sigma)
+        .enumerate()
+        .filter(|(_, (sg, cached))| cached.is_none() && sg.roots.len() > pilot)
+        .map(|(i, (sg, _))| (i, sample_roots(&sg.roots, pilot, mix_seed(seed, sg.fingerprint()))))
         .collect();
     let jobs: Vec<(usize, &[u32])> =
         pilot_draws.iter().map(|(i, roots)| (*i, roots.as_slice())).collect();
-    let runs = run_subgraph_kernels(decomp, &jobs, opts, true);
+    let runs = run_subgraph_kernels(decomp, &jobs, opts);
     let mut pilot_roots = 0u64;
     let mut pilot_edges = 0u64;
     for run in &runs {

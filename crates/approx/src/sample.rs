@@ -11,12 +11,16 @@
 //!
 //! Two budget regimes select `k_i` ([`SampleBudget`]):
 //!
-//! * **Uniform** — the PR 9 behaviour: `k_i = min(|R_i|, cap)` with one cap
-//!   for every sub-graph.
+//! * **Uniform** — `k_i = min(|R_i|, cap)` with one cap for every
+//!   sub-graph.
 //! * **Adaptive** — a *global* root budget distributed proportionally to
 //!   `|R_i| · σ_i` by the variance-guided allocator (the [`crate::budget`]
-//!   module; DESIGN.md §3.13), with per-vertex standard errors derived from
-//!   the same per-root Welford accumulators.
+//!   module; DESIGN.md §3.13).
+//!
+//! The regimes differ only in that plan. Either way every strict sample
+//! (`k_i < |R_i|`) is swept observed, and its per-root Welford
+//! accumulators give the per-vertex standard errors; an exhaustive span is
+//! exact and has none.
 //!
 //! Because sub-graph `i`'s sample depends only on the global seed and the
 //! sub-graph's content fingerprint — and, in the adaptive regime, on pilot
@@ -29,12 +33,12 @@
 //! generations verbatim, and resamples only the dirty set — so refresh cost
 //! tracks the dirty set the way PR 8 made publish cost do.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use apgre_bc::apgre::{run_subgraph_kernels, ApgreOptions};
-use apgre_decomp::{decompose, Decomposition, SubGraph};
+use apgre_decomp::{carry_by_fingerprint, decompose, Decomposition, SubGraph};
 use apgre_graph::Graph;
 use apgre_store::FoldStore;
 
@@ -85,12 +89,6 @@ impl SampleOptions {
     /// Variance-guided global budget with the default pilot size.
     pub fn adaptive(total_roots: usize, seed: u64) -> Self {
         SampleOptions { budget: SampleBudget::Adaptive { total_roots, pilot: DEFAULT_PILOT }, seed }
-    }
-
-    /// Whether the adaptive allocator (and therefore the standard-error
-    /// accumulators) is active.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self.budget, SampleBudget::Adaptive { .. })
     }
 }
 
@@ -183,8 +181,8 @@ pub fn bc_sampled_from_decomposition(
 /// [`bc_sampled_from_decomposition`] plus the per-vertex standard error of
 /// the estimate (DESIGN.md §3.13): `stderr[v] = sqrt(Σ_i se²_i(v))` over
 /// the sub-graphs owning `v`, folded in the same ascending-index order as
-/// the estimates. In uniform mode no accumulators exist and the error
-/// vector is all zeros (the uniform estimator reports no error bound).
+/// the estimates. Every strict sample (`k_i < |R_i|`) contributes, under
+/// either budget regime; an exhaustive span contributes zero.
 pub fn bc_sampled_with_stderr_from_decomposition(
     decomp: &Decomposition,
     opts: &ApgreOptions,
@@ -212,7 +210,7 @@ struct SampledSpan {
     /// The scaled estimate span (`|R_i| / k_i` times the swept roots'
     /// Equation-7 contribution).
     span: Vec<f64>,
-    /// Squared standard errors of `span` (all zero under a uniform cap).
+    /// Squared standard errors of `span` (all zero for an exhaustive draw).
     err: Vec<f64>,
     /// Roots swept.
     roots: usize,
@@ -222,10 +220,10 @@ struct SampledSpan {
 /// [`SampleStore::refresh`], so the two cannot drift apart. Draws sub-graph
 /// `i`'s sample at `plan.k[i]` for every `i` in `indices` (ascending,
 /// distinct), sweeps all of them through one [`run_subgraph_kernels`] call
-/// — observed under an adaptive budget, whose per-root statistics yield the
-/// standard errors; the policy-chosen kernel and all-zero errors under a
-/// uniform cap — and scales each span. Returns the spans in `indices`
-/// order plus the kernels' edge count.
+/// — a strict sample comes back observed, and its per-root statistics yield
+/// the standard errors; a full draw is exact, with all-zero errors — and
+/// scales each span. Returns the spans in `indices` order plus the kernels'
+/// edge count.
 fn sample_spans(
     decomp: &Decomposition,
     opts: &ApgreOptions,
@@ -242,7 +240,7 @@ fn sample_spans(
         .collect();
     let jobs: Vec<(usize, &[u32])> =
         draws.iter().map(|(i, roots, _)| (*i, roots.as_slice())).collect();
-    let runs = run_subgraph_kernels(decomp, &jobs, opts, sopts.is_adaptive());
+    let runs = run_subgraph_kernels(decomp, &jobs, opts);
     assert_eq!(runs.len(), draws.len(), "one kernel run per sampled sub-graph");
     let mut edges = 0u64;
     let spans = draws
@@ -272,8 +270,7 @@ pub fn bc_sampled(g: &Graph, opts: &ApgreOptions, sopts: &SampleOptions) -> Vec<
     bc_sampled_from_decomposition(&decomp, opts, sopts)
 }
 
-/// [`bc_sampled`] plus the per-vertex standard error (zeros in uniform
-/// mode).
+/// [`bc_sampled`] plus the per-vertex standard error.
 pub fn bc_sampled_with_stderr(
     g: &Graph,
     opts: &ApgreOptions,
@@ -313,8 +310,7 @@ struct SampleMeta {
 pub struct SampleStore {
     fold: FoldStore,
     /// Squared-standard-error spans, maintained in lockstep with `fold`
-    /// (same slots, same splices). All-zero in uniform mode and for
-    /// exhaustive spans.
+    /// (same slots, same splices). All-zero for exhaustive spans.
     err: FoldStore,
     meta: Vec<Option<SampleMeta>>,
     pending: BTreeSet<usize>,
@@ -386,46 +382,34 @@ impl SampleStore {
     /// Replaces the store after a from-scratch re-decomposition, carrying
     /// spans whose sub-graph content fingerprint reappears (same
     /// fingerprint ⇒ same seed ⇒ same sample ⇒ same span, so the carry is
-    /// bitwise-equivalent to resampling). Misses join the pending set.
-    ///
-    /// A fingerprint collision between sub-graphs of different sizes would
-    /// otherwise install a wrong-length span, so the length check is
-    /// unconditional (not a `debug_assert!`): a mismatched candidate is
-    /// treated as a carry miss and the slot falls back to the pending set.
+    /// bitwise-equivalent to resampling) by [`carry_by_fingerprint`], which
+    /// treats a wrong-length candidate as a miss. Misses join the pending
+    /// set.
     pub fn rebuild(&mut self, decomp: &Decomposition) {
-        let spans = self.fold.values_in_order();
-        let errs = self.err.values_in_order();
-        let mut carry: HashMap<u64, Vec<(Arc<[f64]>, Arc<[f64]>, SampleMeta)>> = HashMap::new();
-        for ((m, span), err) in self.meta.iter().zip(spans).zip(errs) {
-            if let Some(meta) = m {
-                carry.entry(meta.fingerprint).or_default().push((span, err, meta.clone()));
-            }
-        }
+        let old = self.meta.iter().zip(self.fold.values_in_order()).zip(self.err.values_in_order());
+        let carried = carry_by_fingerprint(
+            old.filter_map(|((m, span), err)| {
+                let meta = m.clone()?;
+                Some((meta.fingerprint, span.len(), (span, err, meta)))
+            }),
+            &decomp.subgraphs,
+        );
         let count = decomp.num_subgraphs();
         let mut meta = Vec::with_capacity(count);
         let mut pending = BTreeSet::new();
         let mut pairs: Vec<(Arc<[u32]>, Arc<[f64]>)> = Vec::with_capacity(count);
         let mut err_pairs: Vec<(Arc<[u32]>, Arc<[f64]>)> = Vec::with_capacity(count);
-        for (i, sg) in decomp.subgraphs.iter().enumerate() {
-            let fp = sg.fingerprint();
+        for (i, (sg, candidate)) in decomp.subgraphs.iter().zip(carried).enumerate() {
             let globals: Arc<[u32]> = Arc::from(sg.globals.as_slice());
-            let candidate = carry
-                .get_mut(&fp)
-                .and_then(|v| v.pop())
-                .filter(|(span, _, _)| span.len() == sg.num_vertices());
-            match candidate {
-                Some((span, err, m)) => {
-                    pairs.push((Arc::clone(&globals), span));
-                    err_pairs.push((globals, err));
-                    meta.push(Some(m));
-                }
-                None => {
-                    pairs.push((Arc::clone(&globals), Arc::from(vec![0.0f64; sg.num_vertices()])));
-                    err_pairs.push((globals, Arc::from(vec![0.0f64; sg.num_vertices()])));
-                    meta.push(None);
-                    pending.insert(i);
-                }
+            let zeros = || Arc::from(vec![0.0f64; sg.num_vertices()]);
+            let (span, err, m) =
+                candidate.map_or_else(|| (zeros(), zeros(), None), |(s, e, m)| (s, e, Some(m)));
+            if m.is_none() {
+                pending.insert(i);
             }
+            pairs.push((Arc::clone(&globals), span));
+            err_pairs.push((globals, err));
+            meta.push(m);
         }
         self.fold.rebuild(decomp.num_vertices, pairs);
         self.err.rebuild(decomp.num_vertices, err_pairs);
@@ -527,14 +511,14 @@ impl SampleStore {
     }
 
     /// One vertex's standard error: the square root of the ascending-index
-    /// fold of its squared-standard-error contributions. Zero in uniform
-    /// mode and wherever every owning span is exhaustive.
+    /// fold of its squared-standard-error contributions. Zero wherever
+    /// every owning span is exhaustive.
     pub fn stderr(&self, v: u32) -> f64 {
         self.err.fold_vertex(v).sqrt()
     }
 
     /// The largest per-vertex standard error currently stored (0 when the
-    /// store is empty or uniform).
+    /// store is empty or every span is exhaustive).
     pub fn stderr_max(&self) -> f64 {
         self.err.to_flat().into_iter().fold(0.0f64, f64::max).sqrt()
     }

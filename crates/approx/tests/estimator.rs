@@ -5,8 +5,9 @@
 //! golden checksum guarding the sampling stream itself.
 
 use apgre_approx::{
-    allocate_budget, bc_sampled, bc_sampled_from_decomposition, bc_sampled_with_stderr, draw_roots,
-    plan_adaptive, SampleOptions, SampleStore, DEFAULT_PILOT,
+    allocate_budget, bc_sampled, bc_sampled_from_decomposition, bc_sampled_with_stderr,
+    bc_sampled_with_stderr_from_decomposition, draw_roots, plan_adaptive, SampleOptions,
+    SampleStore, DEFAULT_PILOT,
 };
 use apgre_bc::apgre::{ApgreOptions, KernelPolicy};
 use apgre_bc::bc_apgre_with;
@@ -410,6 +411,80 @@ fn chord_reports_allocation_drift_on_clean_spans() {
         }
     }
     assert!(drifted > 0, "no chord moved a clean span's allocation");
+}
+
+/// A uniform cap reports real standard errors: every strict span
+/// (`k_i < |R_i|`) is observed, so some vertex it owns has `se > 0`, while a
+/// vertex whose owning spans are all exhaustive has `se` exactly 0. A store
+/// seeded, refreshed, then mutated by a chord and refreshed again lands on
+/// the oracle's estimates and standard errors bitwise.
+#[test]
+fn uniform_cap_reports_stderr_on_strict_spans() {
+    const CAP: usize = 4;
+    let g = whiskered_community(&WhiskeredCommunityParams {
+        core_vertices: 120,
+        core_attach: 2,
+        community_count: 6,
+        community_size: 14,
+        community_density: 1.8,
+        whiskers: 150,
+        seed: 31,
+    });
+    let opts = ApgreOptions::default();
+    let sopts = SampleOptions::uniform(CAP, 0x57DE);
+    let n = g.num_vertices();
+    let mut m = MaintainedDecomposition::new(&g, &opts.partition);
+    let mut store = SampleStore::seed(m.decomp());
+    store.refresh(m.decomp(), &opts, &sopts);
+
+    // A chord between two non-adjacent interior vertices of a community.
+    let top = m.decomp().top_subgraph;
+    let (u, v) = m
+        .decomp()
+        .subgraphs
+        .iter()
+        .enumerate()
+        .filter(|&(i, sg)| i != top && sg.num_vertices() >= 10)
+        .find_map(|(_, sg)| {
+            let interior: Vec<u32> = (0..sg.num_vertices() as u32)
+                .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
+                .collect();
+            interior.iter().enumerate().find_map(|(a, &lu)| {
+                interior[a + 1..]
+                    .iter()
+                    .find(|&&lv| !sg.graph.out_neighbors(lu).contains(&lv))
+                    .map(|&lv| (sg.global_of(lu), sg.global_of(lv)))
+            })
+        })
+        .expect("a chord site");
+    let out = m.apply_edits(n, &[EdgeEdit { add: true, u, v }]).expect("chord is maintainable");
+    store.apply_splice(n, &out.old_to_new, m.decomp());
+    store.mark_dirty(&out.dirty);
+    store.refresh(m.decomp(), &opts, &sopts);
+
+    let d = m.decomp();
+    let (est, se) = bc_sampled_with_stderr_from_decomposition(d, &opts, &sopts);
+    let mut sampled = vec![false; n];
+    for sg in d.subgraphs.iter().filter(|sg| sg.roots.len() > CAP) {
+        for &x in &sg.globals {
+            sampled[x as usize] = true;
+        }
+    }
+    assert!((0..n).any(|x| sampled[x] && se[x] > 0.0), "no strict span reports an error");
+    let exhaustive: Vec<usize> = (0..n).filter(|&x| !sampled[x]).collect();
+    assert!(!exhaustive.is_empty(), "no vertex owned by exhaustive spans only");
+    for &x in &exhaustive {
+        assert_eq!(
+            se[x].to_bits(),
+            0.0f64.to_bits(),
+            "vertex {x}: exhaustive owners, se {}",
+            se[x]
+        );
+    }
+    for x in 0..n {
+        assert_eq!(store.estimate(x as u32).to_bits(), est[x].to_bits(), "vertex {x} estimate");
+        assert_eq!(store.stderr(x as u32).to_bits(), se[x].to_bits(), "vertex {x} stderr");
+    }
 }
 
 /// Changing the sampling parameters invalidates every span: the next

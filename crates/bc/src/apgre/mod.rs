@@ -346,7 +346,7 @@ pub fn bc_from_decomposition(
 ) -> (Vec<f64>, ApgreReport) {
     let bc_start = Instant::now();
     let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
-    let runs = run_subgraph_kernels(decomp, &jobs, opts, false);
+    let runs = run_subgraph_kernels(decomp, &jobs, opts);
     let bc = fold_runs(decomp, g.num_vertices(), &runs);
     let bc_time = bc_start.elapsed();
     (bc, ApgreReport { bc_time, ..ApgreReport::new(decomp, opts, &runs) })
@@ -377,10 +377,6 @@ pub struct RootStats {
     /// sample variance of root `r`'s contribution to vertex `v` is
     /// `vertex_m2[v] / (roots − 1)` (0 when fewer than two roots).
     pub vertex_m2: Vec<f64>,
-    /// Welford mean of the per-root total contribution mass `Σ_v c_r(v)`.
-    pub mass_mean: f64,
-    /// Welford `M2` of the per-root total contribution mass.
-    pub mass_m2: f64,
     /// Number of roots observed.
     pub roots: usize,
 }
@@ -397,11 +393,12 @@ pub struct SubgraphKernelRun {
     pub local: Vec<f64>,
     /// Edges examined by the kernel (forward + backward scans).
     pub edges: u64,
-    /// The kernel actually dispatched (`Seq` for observed jobs).
+    /// The kernel actually dispatched (`Seq` for a strict sample).
     pub choice: KernelChoice,
     /// Wall clock of this job's kernel.
     pub time: Duration,
-    /// Per-root statistics, present exactly when the job was observed.
+    /// Per-root statistics, present exactly when the job was a strict
+    /// sample of the sub-graph's roots.
     pub stats: Option<RootStats>,
 }
 
@@ -436,10 +433,11 @@ impl<'a> From<&'a Decomposition> for DecompositionView<'a> {
 /// `opts.outer_parallel`. Every job is one [`kernel::bc_in_subgraph`] call,
 /// weighted when `decomp` carries weights.
 ///
-/// With `observe`, every job runs the observed sequential sweep and carries
-/// [`RootStats`]; its `local` span is bitwise identical to an unobserved
-/// `KernelPolicy::Seq` run over the same roots. Parallelism still applies
-/// *across* jobs.
+/// A strict sample (fewer roots than the sub-graph's root set) runs the
+/// observed sequential sweep and carries [`RootStats`]; its `local` span is
+/// bitwise identical to an unobserved `KernelPolicy::Seq` run over the same
+/// roots. A full job is exact, so it runs unobserved under the policy.
+/// Parallelism still applies *across* jobs.
 ///
 /// Results come back sorted by ascending sub-graph index, so a list-order
 /// fold is the batch driver's deterministic Equation-8 merge.
@@ -447,7 +445,6 @@ pub fn run_subgraph_kernels<'a>(
     decomp: impl Into<DecompositionView<'a>>,
     jobs: &[(usize, &[VertexId])],
     opts: &ApgreOptions,
-    observe: bool,
 ) -> Vec<SubgraphKernelRun> {
     let DecompositionView { decomp, weights } = decomp.into();
     let pool = BufferPool::default();
@@ -455,7 +452,7 @@ pub fn run_subgraph_kernels<'a>(
     for_each_largest_first(decomp, jobs, opts.outer_parallel, |(i, roots)| {
         let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — callers pass ids of this decomposition
         let weights = weights.map(|w| &w[i][..]); // lint:allow(panic_path) — one slice per sub-graph
-        let run = run_job(SubGraphView { sg, weights }, i, roots, opts, observe, &pool);
+        let run = run_job(SubGraphView { sg, weights }, i, roots, opts, &pool);
         // Recover from poisoning: a panicking sibling kernel must not turn
         // into a second panic here — completed runs are still valid.
         out.lock().unwrap_or_else(|p| p.into_inner()).push(run);
@@ -496,14 +493,13 @@ fn for_each_largest_first<'a>(
 
 /// One job — sub-graph `index`, seen through `view` — through
 /// [`kernel::bc_in_subgraph`] on a pooled workspace: resolves the policy
-/// (or forces the observed sequential sweep), folds the per-root Welford
-/// statistics when observing, and times the kernel.
+/// for a full job, forces the observed sequential sweep and folds the
+/// per-root Welford statistics for a strict sample, and times the kernel.
 fn run_job(
     view: SubGraphView,
     index: usize,
     roots: &[VertexId],
     opts: &ApgreOptions,
-    observe: bool,
     pool: &BufferPool,
 ) -> SubgraphKernelRun {
     let sg = view.sg;
@@ -512,31 +508,26 @@ fn run_job(
     let t = Instant::now();
     let grain = opts.grain.max(1);
     let mut ws = pool.take_ws();
-    let (choice, edges, stats) = if observe {
+    let (choice, edges, stats) = if roots.len() < sg.roots.len() {
         let mut stats = RootStats { vertex_m2: vec![0.0; n], ..RootStats::default() };
         let mut mean = vec![0.0f64; n];
         let mut fold = |c: &[f64]| {
             stats.roots += 1;
             let k = stats.roots as f64;
-            let mut mass = 0.0f64;
             // Only roots can be reached: a whisker's contribution is exactly
             // 0.0 for every root (never enqueued when undirected, in-degree 0
-            // when directed), which would leave its mean, M2 and the mass
-            // bitwise unchanged, so the fold skips it.
+            // when directed), which would leave its mean and M2 bitwise
+            // unchanged, so the fold skips it.
             // Audited: `c` is the dense contribution vector of length n,
             // mean / vertex_m2 were allocated at n above, and `sg.roots`
             // holds local ids `< n`. lint:allow(hot_index)
             for &r in &sg.roots {
                 let v = r as usize;
                 let x = c[v];
-                mass += x;
                 let d = x - mean[v];
                 mean[v] += d / k;
                 stats.vertex_m2[v] += d * (x - mean[v]);
             }
-            let d = mass - stats.mass_mean;
-            stats.mass_mean += d / k;
-            stats.mass_m2 += d * (mass - stats.mass_mean);
         };
         let choice = KernelChoice::Seq;
         let edges =
@@ -753,7 +744,7 @@ mod tests {
             let decomp = decompose(&g, &opts.partition);
             let (want, _) = bc_from_decomposition(&g, &decomp, &opts);
             let jobs = full_jobs(&decomp, 0..decomp.num_subgraphs());
-            let runs = run_subgraph_kernels(&decomp, &jobs, &opts, false);
+            let runs = run_subgraph_kernels(&decomp, &jobs, &opts);
             assert_eq!(runs.len(), decomp.num_subgraphs(), "{name}");
             for (k, run) in runs.iter().enumerate() {
                 assert_eq!(run.index, k, "{name}: sorted ascending");
@@ -779,7 +770,7 @@ mod tests {
             let decomp = decompose(&g, &opts.partition);
             let (want, _) = bc_from_decomposition(&g, &decomp, &opts);
             let jobs = full_jobs(&decomp, 0..decomp.num_subgraphs());
-            let runs = run_subgraph_kernels(&decomp, &jobs, &opts, false);
+            let runs = run_subgraph_kernels(&decomp, &jobs, &opts);
             let got = refold(g.num_vertices(), &decomp, &runs);
             assert_eq!(got, want, "{name}: forced-Seq refold must be bitwise");
         }
@@ -801,10 +792,10 @@ mod tests {
         let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
         let decomp = decompose(&g, &opts.partition);
         let jobs = full_jobs(&decomp, 0..decomp.num_subgraphs());
-        let full = run_subgraph_kernels(&decomp, &jobs, &opts, false);
+        let full = run_subgraph_kernels(&decomp, &jobs, &opts);
         for (i, sg) in decomp.subgraphs.iter().enumerate() {
             let (front, back) = sg.roots.split_at(sg.roots.len() / 2);
-            let halves = run_subgraph_kernels(&decomp, &[(i, front), (i, back)], &opts, false);
+            let halves = run_subgraph_kernels(&decomp, &[(i, front), (i, back)], &opts);
             let mut folded = vec![0.0f64; sg.num_vertices()];
             for run in &halves {
                 for (l, &x) in run.local.iter().enumerate() {
@@ -830,33 +821,37 @@ mod tests {
             // Auto policy on purpose: observing must force the sequential
             // sweep whatever the policy would pick.
             let auto = ApgreOptions { grain: 1, ..Default::default() };
-            let seq = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
             let decomp = decompose(&g, &auto.partition);
-            let jobs = full_jobs(&decomp, 0..decomp.num_subgraphs());
-            let want = run_subgraph_kernels(&decomp, &jobs, &seq, false);
-            let got = run_subgraph_kernels(&decomp, &jobs, &auto, true);
-            assert_eq!(got.len(), want.len(), "{name}");
-            for (a, b) in got.iter().zip(&want) {
-                assert_eq!(a.index, b.index, "{name}");
-                assert_eq!(
-                    a.local, b.local,
-                    "{name}: SG{} observed sweep must be bitwise to the plain one",
-                    a.index
+            // Every root but the last: a strict sample, hence observed.
+            let jobs: Vec<(usize, &[VertexId])> = decomp
+                .subgraphs
+                .iter()
+                .enumerate()
+                .map(|(i, sg)| (i, sg.roots.split_last().expect("a sub-graph has a root").1))
+                .collect();
+            let got = run_subgraph_kernels(&decomp, &jobs, &auto);
+            assert_eq!(got.len(), jobs.len(), "{name}");
+            for (a, &(i, roots)) in got.iter().zip(&jobs) {
+                assert_eq!(a.index, i, "{name}");
+                let sg = &decomp.subgraphs[i];
+                let mut want = vec![0.0f64; sg.num_vertices()];
+                let edges = bc_in_subgraph(
+                    sg,
+                    roots,
+                    KernelChoice::Seq,
+                    1,
+                    &mut kernel::SgWorkspace::default(),
+                    &mut want,
+                    None,
                 );
-                assert_eq!(a.edges, b.edges, "{name}");
+                assert_eq!(
+                    a.local, want,
+                    "{name}: SG{i} observed sweep must be bitwise to the plain one"
+                );
+                assert_eq!(a.edges, edges, "{name}");
                 assert_eq!(a.choice, KernelChoice::Seq, "{name}");
                 let st = a.stats.as_ref().expect("observed runs carry stats");
-                assert_eq!(st.roots, decomp.subgraphs[a.index].roots.len(), "{name}");
-                // The Welford mass mean times the root count is the span
-                // total (up to fp association), and M2 is non-negative.
-                let total: f64 = a.local.iter().sum();
-                let welford_total = st.mass_mean * st.roots as f64;
-                assert!(
-                    (total - welford_total).abs() <= 1e-9 * (1.0 + total.abs()),
-                    "{name}: SG{}: span total {total} vs Welford {welford_total}",
-                    a.index
-                );
-                assert!(st.mass_m2 >= 0.0, "{name}");
+                assert_eq!(st.roots, roots.len(), "{name}");
                 assert!(st.vertex_m2.iter().all(|&x| x >= 0.0), "{name}");
             }
         }

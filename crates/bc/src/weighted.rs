@@ -101,7 +101,7 @@ pub fn bc_weighted_from_decomposition(wg: &WeightedGraph, decomp: &Decomposition
     let weights: Vec<Vec<u32>> = decomp.subgraphs.iter().map(|sg| local_weights(wg, sg)).collect();
     let view = DecompositionView { decomp, weights: Some(&weights) };
     let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
-    let runs = run_subgraph_kernels(view, &jobs, &ApgreOptions::default(), false);
+    let runs = run_subgraph_kernels(view, &jobs, &ApgreOptions::default());
     fold_runs(decomp, wg.num_vertices(), &runs)
 }
 

@@ -20,8 +20,8 @@
 //!                           sub-graph (default 8; 0 disables the tier)
 //!   --approx-budget <n>     global adaptive root budget for the
 //!                           estimator: replaces the uniform per-sub-graph
-//!                           cap with the variance-guided allocator and
-//!                           surfaces `stderr` (default 0 = uniform mode)
+//!                           cap with the variance-guided allocator
+//!                           (default 0 = uniform mode)
 //!   --approx-seed <s>       incremental estimator RNG seed (default 42)
 //!   --kernel/--threshold/--grain/--directed as below
 //!

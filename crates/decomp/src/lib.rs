@@ -44,4 +44,4 @@ pub use maintain::{
     decomp_equivalent, EdgeEdit, MaintainOutcome, MaintainStats, MaintainedDecomposition,
 };
 pub use partition::{decompose, DecompTimings, Decomposition, PartitionOptions};
-pub use subgraph::SubGraph;
+pub use subgraph::{carry_by_fingerprint, SubGraph};

@@ -2,14 +2,15 @@
 //! decomposition, dirty-sub-graph recompute, and exact contribution
 //! maintenance.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use apgre_approx::{SampleOptions, SampleRefresh, SampleStore};
 use apgre_bc::apgre::ApgreReport;
 use apgre_bc::{full_jobs, run_subgraph_kernels, ApgreOptions};
-use apgre_decomp::{decompose, Decomposition, EdgeEdit, MaintainedDecomposition};
+use apgre_decomp::{
+    carry_by_fingerprint, decompose, Decomposition, EdgeEdit, MaintainedDecomposition,
+};
 use apgre_graph::{Graph, GraphOverlay};
 use apgre_store::{CowGraph, FoldStore, GraphView, PublishStats, ScoreChunks};
 
@@ -184,7 +185,7 @@ impl DynamicBc {
         let maintained = MaintainedDecomposition::new(g, &opts.partition);
         let decomp = maintained.decomp();
         let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
-        let runs = run_subgraph_kernels(decomp, &jobs, &opts, false);
+        let runs = run_subgraph_kernels(decomp, &jobs, &opts);
         let report = ApgreReport::new(decomp, &opts, &runs);
         let mut spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = decomp
             .subgraphs
@@ -471,7 +472,7 @@ impl DynamicBc {
 
         let decomp = self.maintained.decomp();
         let jobs = full_jobs(decomp, outcome.dirty.iter().copied());
-        let runs = run_subgraph_kernels(decomp, &jobs, &self.opts, false);
+        let runs = run_subgraph_kernels(decomp, &jobs, &self.opts);
         self.report.absorb(decomp, &runs);
         for run in runs {
             touched.extend_from_slice(&self.maintained.decomp().subgraphs[run.index].globals);
@@ -506,10 +507,7 @@ impl DynamicBc {
 
     /// The fallback path: re-decompose the current graph from scratch,
     /// carry forward contributions of sub-graphs whose kernel input is
-    /// unchanged (matched by [`apgre_decomp::SubGraph::fingerprint`], a
-    /// hash of the exact kernel input stream — indices are lost across a
-    /// rebuild, so identity-by-content is all there is), and recompute the
-    /// rest.
+    /// unchanged ([`carry_by_fingerprint`]), and recompute the rest.
     fn rebuild_structural(&mut self, reason: &'static str, edit_count: usize) -> DynamicReport {
         let t0 = Instant::now();
         let g = self.overlay.to_graph();
@@ -521,33 +519,26 @@ impl DynamicBc {
             self.cow.reset_from(&g);
         }
 
-        // Multiset map: fingerprint -> stored contributions. Duplicate
-        // fingerprints (e.g. many identical whisker stars) each carry at
-        // most once; the spans are interchangeable because equal
-        // fingerprints mean bitwise-equal kernel inputs.
-        let mut carry: HashMap<u64, Vec<Arc<[f64]>>> = HashMap::new();
-        for (sg, contrib) in
-            self.maintained.decomp().subgraphs.iter().zip(self.fold.values_in_order())
-        {
-            carry.entry(sg.fingerprint()).or_default().push(contrib);
-        }
-
+        let old = self.maintained.decomp().subgraphs.iter().zip(self.fold.values_in_order());
+        let carried = carry_by_fingerprint(
+            old.map(|(sg, contrib)| (sg.fingerprint(), contrib.len(), contrib)),
+            &new_decomp.subgraphs,
+        );
         let total = new_decomp.num_subgraphs();
+        let misses: Vec<usize> =
+            carried.iter().enumerate().filter_map(|(i, c)| c.is_none().then_some(i)).collect();
         let mut spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = new_decomp
             .subgraphs
             .iter()
-            .map(|sg| (Arc::from(&sg.globals[..]), Arc::from(vec![0.0f64; sg.globals.len()])))
+            .zip(carried)
+            .map(|(sg, contrib)| {
+                let zeros = || Arc::from(vec![0.0f64; sg.globals.len()]);
+                (Arc::from(&sg.globals[..]), contrib.unwrap_or_else(zeros))
+            })
             .collect();
-        let mut misses: Vec<usize> = Vec::new();
-        for (i, sg) in new_decomp.subgraphs.iter().enumerate() {
-            match carry.get_mut(&sg.fingerprint()).and_then(Vec::pop) {
-                Some(v) => spans[i].1 = v,
-                None => misses.push(i),
-            }
-        }
         let recomputed = misses.len();
         let jobs = full_jobs(&new_decomp, misses.iter().copied());
-        let runs = run_subgraph_kernels(&new_decomp, &jobs, &self.opts, false);
+        let runs = run_subgraph_kernels(&new_decomp, &jobs, &self.opts);
 
         // Accounting: the re-decomposition's timings and the recomputed
         // kernels' work accumulate; structure fields switch to the new
@@ -645,10 +636,10 @@ pub struct ApproxSnapshot {
     pub estimates: ScoreChunks,
     /// Squared per-vertex standard errors, same span layout as
     /// `estimates`; fold a vertex and take the square root to recover its
-    /// standard error. All-zero in uniform-budget mode.
+    /// standard error. Zero wherever every owning span is exhaustive.
     pub stderr_sq: ScoreChunks,
-    /// The largest per-vertex standard error in this snapshot (0 in
-    /// uniform mode).
+    /// The largest per-vertex standard error in this snapshot (0 when
+    /// every span is exhaustive).
     pub stderr_max: f64,
     /// What the refresh producing this snapshot resampled vs reused.
     pub refresh: SampleRefresh,
@@ -658,7 +649,7 @@ pub struct ApproxSnapshot {
 
 impl ApproxSnapshot {
     /// One vertex's standard error (square root of the folded squared
-    /// errors; 0 in uniform mode).
+    /// errors).
     pub fn stderr(&self, v: usize) -> f64 {
         self.stderr_sq.score(v).sqrt()
     }

@@ -307,8 +307,9 @@ impl Metrics {
             "apgre_serve_approx_refresh_seconds",
             "Incremental sampled-estimator refresh wall clock per publish.",
         );
-        // Adaptive-estimator gauges read off the served snapshot: both are
-        // 0 with the estimator disabled or in uniform-budget mode.
+        // Estimator gauges read off the served snapshot: both are 0 with the
+        // estimator disabled; `budget_utilization` is also 0 under a uniform
+        // cap, while `stderr_max` is set in both regimes.
         let (stderr_max, budget_utilization) = snapshot
             .approx
             .as_ref()

@@ -62,7 +62,7 @@ pub struct ServeConfig {
     /// Global adaptive root budget (`bc-tool serve --approx-budget N`).
     /// When non-zero the estimator runs the variance-guided allocator
     /// (DESIGN.md §3.13) instead of the uniform per-sub-graph cap, and
-    /// `?approx=k` answers carry a `stderr` field.
+    /// `?approx=k` answers carry a `budget` field instead of `samples`.
     pub approx_budget: usize,
     /// Seed for the incremental estimator (deterministic per
     /// (seed, sub-graph fingerprint)).
@@ -424,21 +424,20 @@ fn get_bc_approx(shared: &Shared, v: usize) -> Response {
         return Response::text(404, "vertex out of range\n");
     };
     Metrics::inc(&shared.metrics.approx_requests);
-    // The budget field names the active regime; only the adaptive
-    // estimator carries error accumulators, so only it reports `stderr`.
-    let budget_fields = match ap.options.budget {
-        SampleBudget::Uniform { samples_per_subgraph } => {
-            format!("\"samples\":{samples_per_subgraph}")
-        }
-        SampleBudget::Adaptive { total_roots, .. } => {
-            format!("\"budget\":{total_roots},\"stderr\":{}", ap.stderr(v))
-        }
+    // The `samples` / `budget` field names the active regime; both regimes
+    // report the standard error.
+    let regime = match ap.options.budget {
+        SampleBudget::Uniform { samples_per_subgraph } => ("samples", samples_per_subgraph),
+        SampleBudget::Adaptive { total_roots, .. } => ("budget", total_roots),
     };
     Response::json(
         200,
         format!(
-            "{{\"vertex\":{v},\"score\":{score},\"tier\":\"approx\",{budget_fields},\
+            "{{\"vertex\":{v},\"score\":{score},\"tier\":\"approx\",\"{}\":{},\"stderr\":{},\
              \"resample_fraction\":{:.6},\"seq\":{},\"generation\":{}}}",
+            regime.0,
+            regime.1,
+            ap.stderr(v),
             ap.refresh.resample_fraction(),
             snap.seq,
             snap.generation

@@ -347,9 +347,14 @@ fn approx_tier_answers_fresh_and_is_labelled() {
     // engine seeded the same way produces the bitwise-identical value.
     let mut oracle = apgre_dynamic::DynamicBc::new(&g, seq_opts());
     oracle.enable_approx(apgre_dynamic::SampleOptions::uniform(8, 42));
-    let want = oracle.approx_snapshot().expect("enabled").estimates.score(6);
+    let oracle_snap = oracle.approx_snapshot().expect("enabled");
+    let want = oracle_snap.estimates.score(6);
     let got: f64 = json_field(&body, "score").parse().expect("score");
     assert_eq!(got.to_bits(), want.to_bits(), "served {got:?} != estimator {want:?}");
+    // The uniform tier reports its standard error too, bitwise the oracle's.
+    let want = oracle_snap.stderr(6);
+    let got: f64 = json_field(&body, "stderr").parse().expect("stderr");
+    assert_eq!(got.to_bits(), want.to_bits(), "served stderr {got:?} != estimator {want:?}");
 
     // Exact queries still come from the (stale but consistent) snapshot.
     let (status, body) = http(addr, "GET", "/bc/6", "");

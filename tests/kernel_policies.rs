@@ -7,7 +7,7 @@
 //! weighted serial Brandes (`bc_weighted_serial`) the same way.
 
 use apgre::bc::apgre::kernel::{bc_in_subgraph, SgWorkspace, SubGraphView};
-use apgre::bc::apgre::{full_jobs, run_subgraph_kernels, DEFAULT_GRAIN};
+use apgre::bc::apgre::{run_subgraph_kernels, DEFAULT_GRAIN};
 use apgre::graph::generators;
 use apgre::prelude::*;
 use apgre::workloads::{registry, Scale};
@@ -276,20 +276,27 @@ fn roots_kernel_variants_match_their_full_kernels_and_bc_serial() {
 }
 
 /// The per-root observer is bitwise-neutral on `bc_local` whatever
-/// strategy is requested (it forces the sequential sweep), sees every root
-/// once with that root's own contribution, and the dispatcher's Welford
-/// statistics agree with a two-pass variance over those contributions.
+/// strategy is requested (it forces the sequential sweep) and sees every
+/// root once with that root's own contribution; the dispatcher observes a
+/// strict sample (every root but the last), and its Welford statistics
+/// agree with a two-pass variance over those roots' contributions.
 #[test]
 fn observer_is_bitwise_neutral_and_welford_consistent() {
     let (name, g, d) = table_inputs().swap_remove(0);
     let table = kernel_table(&d, 1);
     let seq = cell(&table, KernelChoice::Seq, Roots::Full, Ws::Fresh);
     let opts = ApgreOptions { grain: 1, ..Default::default() };
-    let jobs = full_jobs(&d, 0..d.num_subgraphs());
-    let stats = run_subgraph_kernels(&d, &jobs, &opts, true);
+    let jobs: Vec<(usize, &[VertexId])> = d
+        .subgraphs
+        .iter()
+        .enumerate()
+        .map(|(i, sg)| (i, sg.roots.split_last().expect("a sub-graph has a root").1))
+        .collect();
+    let stats = run_subgraph_kernels(&d, &jobs, &opts);
     let mut composed = vec![0.0f64; g.num_vertices()];
     for (i, sg) in d.subgraphs.iter().enumerate() {
         let n = sg.num_vertices();
+        let mut last = Vec::new();
         for choice in CHOICES {
             let mut contribs: Vec<Vec<f64>> = Vec::new();
             let mut local = vec![0.0f64; n];
@@ -305,9 +312,6 @@ fn observer_is_bitwise_neutral_and_welford_consistent() {
             assert_eq!(local, seq.runs[i].0, "{name}/{choice:?}: SG{i} observed vs plain");
             assert_eq!(edges, seq.runs[i].1, "{name}/{choice:?}: SG{i} edges");
             assert_eq!(contribs.len(), sg.roots.len(), "{name}: SG{i} one call per root");
-            let k = contribs.len() as f64;
-            let st = stats[i].stats.as_ref().unwrap();
-            assert_eq!(st.roots, contribs.len(), "{name}: SG{i}");
             for v in 0..n {
                 let sum: f64 = contribs.iter().map(|c| c[v]).sum();
                 assert!(
@@ -315,18 +319,52 @@ fn observer_is_bitwise_neutral_and_welford_consistent() {
                     "{name}: SG{i} local {v}: Σ per-root {sum} vs span {}",
                     local[v]
                 );
-                let mean = sum / k;
-                let m2: f64 = contribs.iter().map(|c| (c[v] - mean).powi(2)).sum();
-                assert!(
-                    (m2 - st.vertex_m2[v]).abs() <= 1e-9 * (1.0 + m2.abs()),
-                    "{name}: SG{i} local {v}: two-pass M2 {m2} vs Welford {}",
-                    st.vertex_m2[v]
-                );
             }
+            last = contribs.pop().expect("one call per root");
         }
-        assert_eq!(stats[i].local, seq.runs[i].0, "{name}: SG{i} dispatcher observed span");
-        for (l, &score) in stats[i].local.iter().enumerate() {
-            composed[sg.globals[l] as usize] += score;
+        // The dispatcher's observed strict span against an unobserved `Seq`
+        // sweep over the same roots, and its Welford M2 against a two-pass
+        // variance over those roots' contributions.
+        let strict = jobs[i].1;
+        let (mut plain, mut contribs) = (vec![0.0f64; n], Vec::new());
+        let edges = bc_in_subgraph(
+            sg,
+            strict,
+            KernelChoice::Seq,
+            1,
+            &mut SgWorkspace::default(),
+            &mut plain,
+            None,
+        );
+        let mut observed = vec![0.0f64; n];
+        bc_in_subgraph(
+            sg,
+            strict,
+            KernelChoice::Seq,
+            1,
+            &mut SgWorkspace::default(),
+            &mut observed,
+            Some(&mut |c: &[f64]| contribs.push(c.to_vec())),
+        );
+        let run = &stats[i];
+        assert_eq!(run.local, plain, "{name}: SG{i} dispatcher observed span");
+        assert_eq!(run.edges, edges, "{name}: SG{i} dispatcher edges");
+        assert_eq!(run.choice, KernelChoice::Seq, "{name}: SG{i} dispatcher kernel");
+        let st = run.stats.as_ref().expect("a strict sample is observed");
+        assert_eq!(st.roots, strict.len(), "{name}: SG{i}");
+        let k = contribs.len() as f64;
+        for v in 0..n {
+            let mean = contribs.iter().map(|c| c[v]).sum::<f64>() / k;
+            let m2: f64 = contribs.iter().map(|c| (c[v] - mean).powi(2)).sum();
+            assert!(
+                (m2 - st.vertex_m2[v]).abs() <= 1e-9 * (1.0 + m2.abs()),
+                "{name}: SG{i} local {v}: two-pass M2 {m2} vs Welford {}",
+                st.vertex_m2[v]
+            );
+        }
+        // The strict span plus the last root's contribution is the full span.
+        for (l, (&score, &rest)) in run.local.iter().zip(&last).enumerate() {
+            composed[sg.globals[l] as usize] += score + rest;
         }
     }
     assert_close(&format!("{name}/observed-composed"), &composed, &bc_serial(&g));
