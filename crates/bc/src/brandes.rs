@@ -87,9 +87,9 @@ pub fn bc_serial(g: &Graph) -> Vec<f64> {
     bc_serial_counted(g).0
 }
 
-/// [`bc_serial`] plus the total number of edges examined — used by the
-/// redundancy breakdown (Figure 7) and the MTEPS accounting.
-pub fn bc_serial_counted(g: &Graph) -> (Vec<f64>, u64) {
+/// [`bc_serial`] plus the total number of edges examined; the count is
+/// pinned by this module's tests.
+fn bc_serial_counted(g: &Graph) -> (Vec<f64>, u64) {
     let n = g.num_vertices();
     let mut bc = vec![0.0; n];
     let mut ws = Workspace::new(n);

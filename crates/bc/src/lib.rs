@@ -61,12 +61,6 @@ pub fn normalize_undirected(bc: &mut [f64]) {
     }
 }
 
-/// Maximum absolute difference between two score vectors (test helper).
-pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
-}
-
 /// Relative comparison with the tolerance the property tests use: scores are
 /// sums of `O(V²)` positive terms, so we compare with a mixed
 /// absolute/relative epsilon.
@@ -88,7 +82,6 @@ mod tests {
 
     #[test]
     fn diff_helpers() {
-        assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.5, 2.0]), 0.5);
         assert!(scores_close(&[1.0, 1e9], &[1.0 + 1e-10, 1e9 * (1.0 + 1e-10)], 1e-9));
         assert!(!scores_close(&[1.0], &[1.1], 1e-9));
     }

@@ -11,7 +11,7 @@ use apgre_bc::{full_jobs, run_subgraph_kernels, ApgreOptions};
 use apgre_decomp::{
     carry_by_fingerprint, decompose, Decomposition, EdgeEdit, MaintainedDecomposition,
 };
-use apgre_graph::{Graph, GraphOverlay};
+use apgre_graph::Graph;
 use apgre_store::{CowGraph, FoldStore, GraphView, PublishStats, ScoreChunks};
 
 use crate::mutation::{Mutation, MutationBatch};
@@ -107,8 +107,9 @@ impl DynamicReport {
 
 /// The incremental BC engine.
 ///
-/// Holds a mutable [`GraphOverlay`], a [`MaintainedDecomposition`] (the
-/// block store that lets edge edits re-decompose only the affected region),
+/// Holds the graph as a chunked copy-on-write [`CowGraph`] (its only
+/// mutable copy), a [`MaintainedDecomposition`] (the block store that lets
+/// edge edits re-decompose only the affected region),
 /// one local score vector per sub-graph (a slot-stable [`FoldStore`]), and
 /// the folded global score vector. After every [`apply`](DynamicBc::apply)
 /// the scores equal what a from-scratch APGRE run would produce on the
@@ -123,7 +124,8 @@ impl DynamicReport {
 /// whose block set survives the splice keep their kernel contributions **by
 /// index** — no fingerprint scan. The from-scratch rebuild remains only as
 /// a fallback (directed graphs and batches the maintainer declines), where
-/// carry-forward falls back to fingerprint matching.
+/// carry-forward falls back to fingerprint matching; it materializes the
+/// graph from the same [`CowGraph`].
 ///
 /// The global vector is always folded **from zeros in ascending sub-graph
 /// index order** rather than patched by subtract-then-add, so stored and
@@ -134,17 +136,16 @@ impl DynamicReport {
 /// because every other vertex's fold input sequence is unchanged (splices
 /// preserve survivors' relative order and spans).
 ///
-/// Publishing is copy-on-write: the engine mirrors every effective edit
-/// into a chunked [`CowGraph`] and keeps contributions as `Arc` spans in
-/// the [`FoldStore`], so [`snapshot`](DynamicBc::snapshot) costs O(dirty
-/// chunks) pointer work instead of materializing the graph and cloning the
-/// score vector (DESIGN.md §3.11).
+/// Publishing is copy-on-write: edits land only in the chunks of their
+/// endpoints and contributions are `Arc` spans in the [`FoldStore`], so
+/// [`snapshot`](DynamicBc::snapshot) costs O(dirty chunks) pointer work
+/// instead of materializing the graph and cloning the score vector
+/// (DESIGN.md §3.11).
 pub struct DynamicBc {
     opts: ApgreOptions,
-    overlay: GraphOverlay,
     maintained: MaintainedDecomposition,
-    /// Chunked copy-on-write mirror of the overlay, fed the same effective
-    /// edits; snapshots share every chunk a batch did not touch.
+    /// The current graph; it decides which edits are effective, and
+    /// snapshots share every chunk a batch did not touch.
     cow: CowGraph,
     /// One contribution span per sub-graph, same indexing as
     /// `decomposition().subgraphs`; `scores` is their Equation-8 fold.
@@ -174,14 +175,13 @@ impl DynamicBc {
     /// store, runs every sub-graph kernel once, and stores the
     /// per-sub-graph contributions.
     ///
-    /// The graph is normalized through the overlay first (parallel arcs
-    /// collapsed, self-loops dropped — [`GraphOverlay`]'s invariants), so
-    /// the engine always scores the **simple** graph. For already-simple
-    /// inputs the normalization is the identity.
+    /// The graph is normalized first ([`CowGraph::from_graph`]: parallel
+    /// arcs collapsed, self-loops dropped), so the engine always scores the
+    /// **simple** graph. For already-simple inputs the normalization is the
+    /// identity.
     pub fn new(g: &Graph, opts: ApgreOptions) -> Self {
-        let overlay = GraphOverlay::from_graph(g);
-        let g = &overlay.to_graph();
         let cow = CowGraph::from_graph(g);
+        let g = &cow.view().to_graph();
         let maintained = MaintainedDecomposition::new(g, &opts.partition);
         let decomp = maintained.decomp();
         let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
@@ -196,19 +196,9 @@ impl DynamicBc {
             spans[run.index].1 = Arc::from(run.local);
         }
         let mut fold = FoldStore::default();
-        fold.rebuild(overlay.num_vertices(), spans);
+        fold.rebuild(cow.num_vertices(), spans);
         let scores = fold.to_flat();
-        DynamicBc {
-            opts,
-            overlay,
-            maintained,
-            cow,
-            fold,
-            scores,
-            report,
-            last_batch: None,
-            approx: None,
-        }
+        DynamicBc { opts, maintained, cow, fold, scores, report, last_batch: None, approx: None }
     }
 
     /// Turns on the incremental sampled estimator with the given sampling
@@ -312,15 +302,15 @@ impl DynamicBc {
 
     /// Materializes the current graph as an immutable CSR snapshot.
     pub fn current_graph(&self) -> Graph {
-        self.overlay.to_graph()
+        self.cow.view().to_graph()
     }
 
     /// Number of vertices currently tracked.
     pub fn num_vertices(&self) -> usize {
-        self.overlay.num_vertices()
+        self.cow.num_vertices()
     }
 
-    /// Applies one batch: mutates the overlay, routes the effective edits
+    /// Applies one batch: mutates the graph, routes the effective edits
     /// through the maintained decomposition (or the rebuild fallback),
     /// recomputes exactly the dirty sub-graphs, and refreshes the global
     /// scores. Scores are consistent with the post-batch graph on return.
@@ -331,56 +321,40 @@ impl DynamicBc {
     /// including [`Mutation::AddVertex`] — are visible to later ones).
     pub fn apply(&mut self, batch: &MutationBatch) -> DynamicReport {
         let start = Instant::now();
-        let directed = self.overlay.is_directed();
+        let directed = self.cow.is_directed();
 
-        // Phase 1: push the batch into the overlay, recording which
+        // Phase 1: push the batch into the graph, recording which
         // mutations actually changed state. Vertex removals lower to edge
         // removals (the id stays allocated, isolated), so the maintainer
         // sees a pure edge-edit stream; vertex additions only grow the id
-        // space, which the maintainer tracks via `num_vertices`. Effective
-        // undirected edits are mirrored into the copy-on-write graph as
-        // they happen; directed batches always rebuild, which resets it.
+        // space, which the maintainer tracks via `num_vertices`.
         let mut edits: Vec<EdgeEdit> = Vec::new();
         let mut noops = 0usize;
         for &m in batch.mutations() {
             match m {
                 Mutation::AddEdge(u, v) => {
-                    if self.overlay.add_edge(u, v) {
-                        if !directed {
-                            self.cow.add_edge(u, v);
-                        }
+                    if self.cow.add_edge(u, v) {
                         edits.push(EdgeEdit { add: true, u, v });
                     } else {
                         noops += 1;
                     }
                 }
                 Mutation::RemoveEdge(u, v) => {
-                    if self.overlay.remove_edge(u, v) {
-                        if !directed {
-                            self.cow.remove_edge(u, v);
-                        }
+                    if self.cow.remove_edge(u, v) {
                         edits.push(EdgeEdit { add: false, u, v });
                     } else {
                         noops += 1;
                     }
                 }
                 Mutation::AddVertex => {
-                    self.overlay.add_vertex();
-                    if !directed {
-                        self.cow.add_vertex();
-                    }
+                    self.cow.add_vertex();
                 }
                 Mutation::RemoveVertex(v) => {
-                    let nbrs =
-                        if directed { Vec::new() } else { self.overlay.neighbors(v).to_vec() };
-                    if self.overlay.remove_vertex(v) > 0 {
-                        for w in nbrs {
-                            self.cow.remove_edge(v, w);
-                            edits.push(EdgeEdit { add: false, u: v, v: w });
-                        }
-                    } else {
+                    let stripped = self.cow.remove_vertex(v);
+                    if stripped.is_empty() {
                         noops += 1;
                     }
+                    edits.extend(stripped.into_iter().map(|(u, v)| EdgeEdit { add: false, u, v }));
                 }
             }
         }
@@ -404,7 +378,7 @@ impl DynamicBc {
             // way, so every directed edit rebuilds.
             self.rebuild_structural("directed graph: maintenance not supported", edits.len())
         } else {
-            match self.maintained.apply_edits(self.overlay.num_vertices(), &edits) {
+            match self.maintained.apply_edits(self.cow.num_vertices(), &edits) {
                 Ok(outcome) => self.absorb_maintained(outcome),
                 Err(reason) => self.rebuild_structural(reason, edits.len()),
             }
@@ -419,12 +393,9 @@ impl DynamicBc {
         {
             if !directed {
                 self.maintained
-                    .verify_against_fresh(&self.overlay.to_graph())
+                    .verify_against_fresh(&self.current_graph())
                     .expect("maintained decomposition diverged from fresh decompose");
             }
-            self.cow
-                .verify_against_fresh(&self.overlay.to_graph())
-                .expect("copy-on-write graph diverged from the overlay");
             let spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = self
                 .maintained
                 .decomp()
@@ -434,7 +405,7 @@ impl DynamicBc {
                 .map(|(i, sg)| (Arc::from(&sg.globals[..]), self.fold.values_of(i)))
                 .collect();
             self.fold
-                .verify_against_fresh(self.overlay.num_vertices(), spans)
+                .verify_against_fresh(self.cow.num_vertices(), spans)
                 .expect("fold store diverged from a fresh rebuild");
             let flat = self.fold.to_flat();
             assert_eq!(flat.len(), self.scores.len(), "incremental refold length drift");
@@ -457,7 +428,7 @@ impl DynamicBc {
     /// sub-graphs changed.
     fn absorb_maintained(&mut self, outcome: apgre_decomp::MaintainOutcome) -> DynamicReport {
         let total = self.decomposition().num_subgraphs();
-        let n = self.overlay.num_vertices();
+        let n = self.cow.num_vertices();
         let new_globals: Vec<&[u32]> =
             self.maintained.decomp().subgraphs.iter().map(|sg| &sg.globals[..]).collect();
         let mut touched = self.fold.apply_splice(n, &outcome.old_to_new, &new_globals);
@@ -510,14 +481,8 @@ impl DynamicBc {
     /// unchanged ([`carry_by_fingerprint`]), and recompute the rest.
     fn rebuild_structural(&mut self, reason: &'static str, edit_count: usize) -> DynamicReport {
         let t0 = Instant::now();
-        let g = self.overlay.to_graph();
+        let g = self.current_graph();
         let new_decomp = decompose(&g, &self.opts.partition);
-        if self.overlay.is_directed() {
-            // Directed edits are not mirrored in phase 1 (the cow stores
-            // forward arcs only through undirected edits); rebuild the
-            // chunked graph wholesale — a full rebuild pays O(V+E) anyway.
-            self.cow.reset_from(&g);
-        }
 
         let old = self.maintained.decomp().subgraphs.iter().zip(self.fold.values_in_order());
         let carried = carry_by_fingerprint(
@@ -554,7 +519,7 @@ impl DynamicBc {
 
         self.maintained =
             MaintainedDecomposition::from_decomposition(&g, new_decomp, &self.opts.partition);
-        self.fold.rebuild(self.overlay.num_vertices(), spans);
+        self.fold.rebuild(self.cow.num_vertices(), spans);
         self.scores = self.fold.to_flat();
         if let Some(ap) = &mut self.approx {
             // Rebuild the estimator over the fresh decomposition with the
@@ -587,7 +552,7 @@ impl DynamicBc {
     /// `bc_from_decomposition` on the same decomposition while paying
     /// O(touched) instead of O(V) per batch.
     fn refold_touched(&mut self, touched: &[u32]) {
-        self.scores.resize(self.overlay.num_vertices(), 0.0);
+        self.scores.resize(self.cow.num_vertices(), 0.0);
         for &v in touched {
             self.scores[v as usize] = self.fold.fold_vertex(v);
         }

@@ -13,8 +13,8 @@
 //!
 //! * [`MutationBatch`] — a recorded group of edge/vertex [`Mutation`]s,
 //!   applied atomically per batch,
-//! * [`DynamicBc`] — the engine: a mutable
-//!   [`apgre_graph::GraphOverlay`], the maintained decomposition, one stored
+//! * [`DynamicBc`] — the engine: the graph as one chunked copy-on-write
+//!   [`apgre_store::CowGraph`], the maintained decomposition, one stored
 //!   score contribution per sub-graph, and the classification + recompute
 //!   scheduler ([`DynamicBc::apply`]),
 //! * [`DynamicReport`] — per-batch counters (classification, dirty

@@ -4,7 +4,7 @@ use apgre_graph::VertexId;
 
 /// One elementary change to the graph.
 ///
-/// Semantics match [`apgre_graph::GraphOverlay`]: on undirected graphs an
+/// Semantics match [`apgre_store::CowGraph`]'s edits: on undirected graphs an
 /// edge mutation affects the unordered pair `{u, v}`; on directed graphs it
 /// affects the arc `u -> v`. Self-loops and duplicate adds / absent removes
 /// are no-ops (counted in [`crate::DynamicReport::noop_mutations`], never an

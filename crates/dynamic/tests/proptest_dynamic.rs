@@ -8,11 +8,16 @@
 //! APGRE run on the current graph within 1e-9 relative, and a forced-`Seq`
 //! engine must stay bitwise identical to the batch driver replayed on the
 //! engine's own maintained decomposition.
+//!
+//! The oracles score `engine.current_graph()`, which the engine
+//! materializes from its own copy-on-write graph. So every test also
+//! replays each batch into an independent [`GraphOverlay`] model and
+//! checks that graph against it, CSR for CSR.
 
 use apgre_bc::{bc_from_decomposition, ApgreOptions, KernelPolicy};
 use apgre_decomp::PartitionOptions;
 use apgre_dynamic::{bc_dynamic, DynamicBc, Mutation, MutationBatch};
-use apgre_graph::Graph;
+use apgre_graph::{Graph, GraphOverlay};
 use proptest::prelude::*;
 
 fn assert_close(ctx: &str, got: &[f64], want: &[f64]) {
@@ -48,6 +53,39 @@ fn resolve(raw: &[RawMut], n: usize) -> MutationBatch {
         });
     }
     batch
+}
+
+/// Replays a resolved batch into the test-owned model graph.
+fn replay(model: &mut GraphOverlay, batch: &MutationBatch) {
+    for &m in batch.mutations() {
+        match m {
+            Mutation::AddEdge(u, v) => {
+                model.add_edge(u, v);
+            }
+            Mutation::RemoveEdge(u, v) => {
+                model.remove_edge(u, v);
+            }
+            Mutation::AddVertex => {
+                model.add_vertex();
+            }
+            Mutation::RemoveVertex(v) => {
+                model.remove_vertex(v);
+            }
+        }
+    }
+}
+
+/// The engine's graph must be CSR-identical to the model's (forward and,
+/// when directed, reverse).
+fn assert_same_graph(ctx: &str, engine: &DynamicBc, model: &GraphOverlay) {
+    let (got, want) = (engine.current_graph(), model.to_graph());
+    assert_eq!(got.is_directed(), want.is_directed(), "{ctx}: directedness");
+    assert_eq!(got.csr().offsets(), want.csr().offsets(), "{ctx}: offsets");
+    assert_eq!(got.csr().targets(), want.csr().targets(), "{ctx}: targets");
+    if want.is_directed() {
+        assert_eq!(got.rev_csr().offsets(), want.rev_csr().offsets(), "{ctx}: rev offsets");
+        assert_eq!(got.rev_csr().targets(), want.rev_csr().targets(), "{ctx}: rev targets");
+    }
 }
 
 fn raw_mutation() -> impl Strategy<Value = RawMut> {
@@ -91,9 +129,13 @@ proptest! {
             ..Default::default()
         };
         let mut engine = DynamicBc::new(&g, opts.clone());
+        let mut model = GraphOverlay::from_graph(&g);
+        assert_same_graph(&format!("n={n} seed"), &engine, &model);
         for (k, raw) in stream.iter().enumerate() {
             let batch = resolve(raw, engine.num_vertices());
             engine.apply(&batch);
+            replay(&mut model, &batch);
+            assert_same_graph(&format!("n={n} t={threshold} batch {k}"), &engine, &model);
             let current = engine.current_graph();
             let (scratch, _) = apgre_bc::bc_apgre_with(&current, &opts);
             assert_close(&format!("und n={n} t={threshold} batch {k}"), engine.scores(), &scratch);
@@ -114,9 +156,13 @@ proptest! {
             ..Default::default()
         };
         let mut engine = DynamicBc::new(&g, opts.clone());
+        let mut model = GraphOverlay::from_graph(&g);
+        assert_same_graph(&format!("n={n} seed"), &engine, &model);
         for (k, raw) in stream.iter().enumerate() {
             let batch = resolve(raw, engine.num_vertices());
             engine.apply(&batch);
+            replay(&mut model, &batch);
+            assert_same_graph(&format!("n={n} t={threshold} batch {k}"), &engine, &model);
             let current = engine.current_graph();
             let (scratch, _) = apgre_bc::bc_apgre_with(&current, &opts);
             assert_close(&format!("dir n={n} t={threshold} batch {k}"), engine.scores(), &scratch);
@@ -135,9 +181,13 @@ proptest! {
             ..Default::default()
         };
         let mut engine = DynamicBc::new(&g, opts.clone());
+        let mut model = GraphOverlay::from_graph(&g);
+        assert_same_graph(&format!("n={n} seed"), &engine, &model);
         for (k, raw) in stream.iter().enumerate() {
             let batch = resolve(raw, engine.num_vertices());
             engine.apply(&batch);
+            replay(&mut model, &batch);
+            assert_same_graph(&format!("n={n} t={threshold} batch {k}"), &engine, &model);
             let current = engine.current_graph();
             let (anchor, _) = bc_from_decomposition(&current, engine.decomposition(), &opts);
             prop_assert_eq!(
@@ -164,10 +214,14 @@ proptest! {
         };
         let sopts = SampleOptions::adaptive(budget, 0xAD4B ^ budget as u64);
         let mut engine = DynamicBc::new(&g, opts.clone());
+        let mut model = GraphOverlay::from_graph(&g);
+        assert_same_graph(&format!("n={n} seed"), &engine, &model);
         engine.enable_approx(sopts.clone());
         for (k, raw) in stream.iter().enumerate() {
             let batch = resolve(raw, engine.num_vertices());
             engine.apply(&batch);
+            replay(&mut model, &batch);
+            assert_same_graph(&format!("n={n} t={threshold} batch {k}"), &engine, &model);
             // The incremental refresh re-pilots only dirty sub-graphs and
             // resamples the pending set plus allocation drift; the oracle
             // re-plans everything from scratch. They must agree bitwise —
@@ -201,10 +255,14 @@ proptest! {
         // Replay through the engine to learn the final graph, then check the
         // one-shot entry point against serial Brandes on that graph.
         let mut engine = DynamicBc::new(&g, opts.clone());
+        let mut model = GraphOverlay::from_graph(&g);
+        assert_same_graph(&format!("n={n} seed"), &engine, &model);
         let mut batches = Vec::new();
-        for raw in &stream {
+        for (k, raw) in stream.iter().enumerate() {
             let batch = resolve(raw, engine.num_vertices());
             engine.apply(&batch);
+            replay(&mut model, &batch);
+            assert_same_graph(&format!("one-shot n={n} batch {k}"), &engine, &model);
             batches.push(batch);
         }
         let got = bc_dynamic(&g, &batches, &opts);

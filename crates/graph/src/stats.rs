@@ -52,23 +52,10 @@ pub fn graph_stats(g: &Graph) -> GraphStats {
     }
 }
 
-/// Degree histogram: `hist[d]` = number of vertices with (out-)degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for v in g.vertices() {
-        let d = g.out_degree(v);
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{attach_whiskers, complete, star};
+    use crate::generators::star;
     use crate::Graph;
 
     #[test]
@@ -94,13 +81,5 @@ mod tests {
         let g = Graph::undirected_from_edges(4, &[(0, 1)]);
         let s = graph_stats(&g);
         assert_eq!(s.isolated_vertices, 2);
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let g = attach_whiskers(&complete(6), 4, false, 1);
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), g.num_vertices());
-        assert_eq!(h[1], 4);
     }
 }

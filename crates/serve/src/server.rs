@@ -31,7 +31,7 @@ use apgre_bc::sync::{AtomicU32, Ordering};
 use apgre_bc::ApgreOptions;
 use apgre_dynamic::{DynamicBc, Mutation, MutationBatch, SampleBudget, SampleOptions, TopCache};
 use apgre_graph::io::write_edge_list;
-use apgre_graph::{Graph, GraphOverlay};
+use apgre_graph::Graph;
 
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::metrics::Metrics;
@@ -98,12 +98,13 @@ struct QueuedBatch {
     generation: u64,
 }
 
-/// The enqueue-side state: the front graph (a mirror of every *accepted*
-/// mutation, possibly ahead of the served snapshot) and the queue sender.
-/// One mutex guards both so the channel order always equals the mirror
-/// order.
+/// The enqueue-side state: the vertex count after every *accepted*
+/// mutation (possibly ahead of the served snapshot) and the queue sender.
+/// One mutex guards both so the channel order always equals the order the
+/// count advanced in. A count is all admission needs: vertex ids are
+/// stable, since `remove-vertex` keeps the slot.
 struct FrontState {
-    overlay: GraphOverlay,
+    vertices: usize,
     generation: u64,
     /// `None` once shutdown has begun: dropping the sender disconnects the
     /// channel, which is the writer thread's exit signal.
@@ -183,7 +184,7 @@ fn trigger_shutdown(shared: &Shared) {
 /// queryable when this returns.
 pub fn serve(graph: &Graph, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let mut engine = DynamicBc::new(graph, cfg.opts.clone());
-    let overlay = GraphOverlay::from_graph(&engine.current_graph());
+    let vertices = engine.num_vertices();
     if cfg.approx_budget > 0 {
         engine.enable_approx(SampleOptions::adaptive(cfg.approx_budget, cfg.approx_seed));
     } else if cfg.approx_samples > 0 {
@@ -202,7 +203,7 @@ pub fn serve(graph: &Graph, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         addr,
         metrics: Metrics::default(),
         cell: SnapshotCell::new(seed),
-        front: Mutex::new(FrontState { overlay, generation: 0, sender: Some(batch_tx) }),
+        front: Mutex::new(FrontState { vertices, generation: 0, sender: Some(batch_tx) }),
         top: Mutex::new(TopCache::new()),
         stop: AtomicU32::new(0),
         cfg,
@@ -570,9 +571,10 @@ fn post_mutate(shared: &Shared, req: &Request) -> Response {
         Ok(front) => front,
         Err(_) => return Response::text(503, "service state poisoned\n"),
     };
-    // Bounds-check against the front graph *before* accepting, so the
-    // writer thread can never panic on an out-of-range id.
-    let mut vertices = front.overlay.num_vertices();
+    // Bounds-check against the accepted vertex count *before* accepting,
+    // so the writer thread can never panic on an out-of-range id. The
+    // count advances only once the batch is queued: a 429 leaves it.
+    let mut vertices = front.vertices;
     for m in batch.mutations() {
         let in_range = match *m {
             Mutation::AddEdge(u, v) | Mutation::RemoveEdge(u, v) => {
@@ -595,22 +597,7 @@ fn post_mutate(shared: &Shared, req: &Request) -> Response {
     match sender.try_send(queued) {
         Ok(()) => {
             front.generation += 1;
-            for m in batch.mutations() {
-                match *m {
-                    Mutation::AddEdge(u, v) => {
-                        front.overlay.add_edge(u, v);
-                    }
-                    Mutation::RemoveEdge(u, v) => {
-                        front.overlay.remove_edge(u, v);
-                    }
-                    Mutation::AddVertex => {
-                        front.overlay.add_vertex();
-                    }
-                    Mutation::RemoveVertex(v) => {
-                        front.overlay.remove_vertex(v);
-                    }
-                }
-            }
+            front.vertices = vertices;
             let generation = front.generation;
             drop(front);
             shared.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);

@@ -436,3 +436,75 @@ fn adaptive_tier_reports_stderr_and_budget_metrics() {
     handle.shutdown();
     handle.wait();
 }
+
+/// Posts one mutation body and returns its status.
+fn mutate(addr: SocketAddr, body: &str) -> u16 {
+    http(addr, "POST", "/mutate", body).0
+}
+
+#[test]
+fn admission_checks_ids_against_the_accepted_vertex_count() {
+    let g = test_graph();
+    let cfg = ServeConfig { opts: seq_opts(), workers: 2, ..Default::default() };
+    let handle = serve(&g, cfg).expect("serve");
+    let addr = handle.local_addr();
+
+    // A new vertex (id 18) is addressable from the next request on.
+    assert_eq!(mutate(addr, "add-vertex\n"), 202);
+    assert_eq!(mutate(addr, "add 18 6\n"), 202);
+    // n = 19 now: ids n and n + 1 are unknown.
+    assert_eq!(mutate(addr, "add 0 19\n"), 400);
+    assert_eq!(mutate(addr, "add 0 20\n"), 400);
+    // remove-vertex keeps the slot, so a later edge to it is accepted.
+    assert_eq!(mutate(addr, "remove-vertex 18\n"), 202);
+    let (status, resp) = http(addr, "POST", "/mutate", "add 18 3\n");
+    assert_eq!(status, 202, "{resp}");
+    let generation: u64 = json_field(&resp, "generation").parse().expect("generation");
+    await_generation(addr, generation);
+
+    let (status, body) = http(addr, "GET", "/stats", "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_field(&body, "vertices"), "19", "{body}");
+    assert_eq!(json_field(&body, "edges"), (g.num_edges() + 1).to_string(), "{body}");
+
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
+fn rejected_add_vertex_does_not_advance_the_vertex_count() {
+    let g = test_graph();
+    let cfg = ServeConfig {
+        opts: seq_opts(),
+        queue_depth: 1,
+        max_coalesce: 1,
+        workers: 2,
+        // The writer crawls, so the depth-1 queue saturates immediately.
+        writer_pause_per_batch: Duration::from_millis(150),
+        ..Default::default()
+    };
+    let handle = serve(&g, cfg).expect("serve");
+    let addr = handle.local_addr();
+
+    let mut accepted = 0u32;
+    let mut rejected = 0u32;
+    for _ in 0..8 {
+        match http(addr, "POST", "/mutate", "add-vertex\n") {
+            (202, _) => accepted += 1,
+            (429, _) => rejected += 1,
+            (status, body) => panic!("unexpected response {status}: {body}"),
+        }
+    }
+    assert!(accepted >= 1 && rejected >= 1, "accepted {accepted}, rejected {rejected}");
+
+    // Only the accepted add-vertex requests count. The bounds check runs
+    // before the queue, so an unknown id is a 400 even while the queue is
+    // full, and a known one is never a 400.
+    let n = 18 + accepted;
+    assert_eq!(mutate(addr, &format!("add 0 {n}\n")), 400, "id {n} must be unknown");
+    let status = mutate(addr, &format!("add 0 {}\n", n - 1));
+    assert!(status == 202 || status == 429, "id {} must be known, got {status}", n - 1);
+
+    handle.shutdown();
+    handle.wait();
+}

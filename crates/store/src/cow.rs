@@ -3,6 +3,8 @@
 //! arc delta per chunk.
 //!
 //! Invariants (per chunk):
+//! * base rows are sorted ascending, without duplicates or self-loops
+//!   ([`CowGraph::from_graph`] normalizes, compaction merges in order),
 //! * `added` and `removed` are sorted by `(local, target)` and disjoint,
 //! * `added` arcs are absent from the base CSR, `removed` arcs present,
 //! * undirected graphs store every edge as two arcs (one in each
@@ -39,8 +41,7 @@ struct AdjChunk {
     len: u32,
     /// CSR row offsets into `targets`; `len + 1` entries.
     offsets: Vec<u32>,
-    /// Base arc targets, in the order the source graph stored them
-    /// (ascending for materialized undirected graphs).
+    /// Base arc targets, each row sorted ascending.
     targets: Vec<VertexId>,
     /// Arcs added since the last compaction, sorted by `(local, target)`.
     added: Vec<(u32, VertexId)>,
@@ -79,18 +80,32 @@ impl AdjChunk {
             - delta_row(&self.removed, local).len()
     }
 
-    /// The merged adjacency row: base minus `removed` plus `added`. For a
-    /// base row in ascending target order (every materialized undirected
-    /// CSR) the merge is ascending too; with empty deltas it is the base
-    /// row verbatim in either case.
+    /// Whether the arc `first + local -> v` is present: a pending removal
+    /// wins, then a pending addition, then the (sorted) base row.
+    fn has_arc(&self, local: u32, v: VertexId) -> bool {
+        if self.removed.binary_search(&(local, v)).is_ok() {
+            return false;
+        }
+        self.added.binary_search(&(local, v)).is_ok()
+            || self.base_row(local).binary_search(&v).is_ok()
+    }
+
     fn neighbors(&self, local: u32) -> Vec<VertexId> {
+        let mut out = Vec::with_capacity(self.degree(local));
+        self.merge_row(local, &mut out);
+        out
+    }
+
+    /// Appends the merged adjacency row to `out`: base minus `removed`
+    /// plus `added`, ascending like the base row it merges into.
+    fn merge_row(&self, local: u32, out: &mut Vec<VertexId>) {
         let base = self.base_row(local);
         let add = delta_row(&self.added, local);
         let rem = delta_row(&self.removed, local);
         if add.is_empty() && rem.is_empty() {
-            return base.to_vec();
+            out.extend_from_slice(base);
+            return;
         }
-        let mut out = Vec::with_capacity(base.len() + add.len() - rem.len());
         let mut ai = 0;
         let mut ri = 0;
         for &t in base {
@@ -108,7 +123,6 @@ impl AdjChunk {
             out.push(add[ai].1);
             ai += 1;
         }
-        out
     }
 
     fn arc_count(&self) -> usize {
@@ -124,7 +138,7 @@ impl AdjChunk {
         let mut targets = Vec::with_capacity(self.arc_count());
         offsets.push(0u32);
         for local in 0..self.len {
-            targets.extend_from_slice(&self.neighbors(local));
+            self.merge_row(local, &mut targets);
             offsets.push(targets.len() as u32);
         }
         self.offsets = offsets;
@@ -134,10 +148,11 @@ impl AdjChunk {
     }
 }
 
-/// The mutable, chunked copy-on-write graph owned by the engine. Mirrors
-/// the engine's [`apgre_graph::GraphOverlay`] edge-for-edge; the engine
-/// feeds it the same effective edits it feeds the decomposition
-/// maintainer.
+/// The mutable, chunked copy-on-write graph: the engine's one mutable
+/// graph. It decides for itself whether an edit is effective (the
+/// [`apgre_graph::GraphOverlay`] contract: self-loops, duplicate adds and
+/// missing removes are no-ops that touch no chunk), and keeps vertex id
+/// slots stable when a vertex is stripped.
 #[derive(Clone, Debug)]
 pub struct CowGraph {
     directed: bool,
@@ -150,42 +165,39 @@ pub struct CowGraph {
 }
 
 impl CowGraph {
-    /// Builds the chunked representation from a materialized graph.
+    /// Builds the chunked representation from a materialized graph,
+    /// normalized to the simple graph: parallel arcs collapsed (CSR rows
+    /// are sorted, so they are adjacent) and self-loops dropped. For an
+    /// already-simple graph this is the identity. Every chunk is new, so
+    /// the first snapshot shares nothing.
     pub fn from_graph(g: &Graph) -> Self {
-        let mut cow = CowGraph {
-            directed: g.is_directed(),
-            num_vertices: 0,
-            num_arcs: 0,
-            chunks: Vec::new(),
-            touched: HashSet::new(),
-        };
-        cow.reset_from(g);
-        cow
-    }
-
-    /// Replaces the entire contents from a materialized graph (the engine's
-    /// from-scratch rebuild path). Every chunk is rebuilt, so the next
-    /// snapshot shares nothing — which is exactly what a full rebuild
-    /// costs.
-    pub fn reset_from(&mut self, g: &Graph) {
-        self.directed = g.is_directed();
-        self.num_vertices = g.num_vertices();
-        self.num_arcs = g.num_arcs();
-        self.chunks.clear();
         let n = g.num_vertices();
         let num_chunks = n.div_ceil(GRAPH_CHUNK_SIZE);
+        let mut row: Vec<VertexId> = Vec::new();
+        let mut chunks = Vec::with_capacity(num_chunks);
+        let mut num_arcs = 0;
         for c in 0..num_chunks {
             let first = c * GRAPH_CHUNK_SIZE;
             let len = GRAPH_CHUNK_SIZE.min(n - first);
             let mut chunk = AdjChunk::empty(first as VertexId);
             chunk.len = len as u32;
-            for v in first..first + len {
-                chunk.targets.extend_from_slice(g.out_neighbors(v as VertexId));
+            for v in first as VertexId..(first + len) as VertexId {
+                row.clear();
+                row.extend(g.out_neighbors(v).iter().filter(|&&w| w != v));
+                row.dedup();
+                chunk.targets.extend_from_slice(&row);
                 chunk.offsets.push(chunk.targets.len() as u32);
             }
-            self.chunks.push(Arc::new(chunk));
+            num_arcs += chunk.targets.len();
+            chunks.push(Arc::new(chunk));
         }
-        self.touched = (0..num_chunks as u32).collect();
+        CowGraph {
+            directed: g.is_directed(),
+            num_vertices: n,
+            num_arcs,
+            chunks,
+            touched: (0..num_chunks as u32).collect(),
+        }
     }
 
     /// Whether the graph is directed.
@@ -218,10 +230,21 @@ impl CowGraph {
         self.chunks[c].degree(v - self.chunks[c].first)
     }
 
-    /// Out-neighbours of `v` (merged base + deltas).
+    /// Out-neighbours of `v`, ascending (merged base + deltas).
     pub fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
         let c = (v as usize) >> CHUNK_BITS;
         self.chunks[c].neighbors(v - self.chunks[c].first)
+    }
+
+    /// Whether the arc (directed) or edge (undirected) `u -> v` is present.
+    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
+        let c = (u as usize) >> CHUNK_BITS;
+        self.chunks[c].has_arc(u - self.chunks[c].first, v)
+    }
+
+    fn assert_in_range(&self, u: VertexId, v: VertexId) {
+        let n = self.num_vertices;
+        assert!((u as usize) < n && (v as usize) < n, "edge ({u}, {v}) out of range (n = {n})");
     }
 
     fn chunk_mut(&mut self, c: usize) -> &mut AdjChunk {
@@ -244,62 +267,99 @@ impl CowGraph {
         v
     }
 
-    fn add_arc(&mut self, u: VertexId, v: VertexId) {
+    /// Flips the arc `u -> v`: absent to present when `add`, present to
+    /// absent otherwise. Undoing a pending delta cancels it instead of
+    /// recording the opposite one.
+    fn flip_arc(&mut self, u: VertexId, v: VertexId, add: bool) {
         let c = (u as usize) >> CHUNK_BITS;
-        let local = u - self.chunks[c].first;
+        let key = (u - self.chunks[c].first, v);
         let chunk = self.chunk_mut(c);
-        if let Ok(pos) = chunk.removed.binary_search(&(local, v)) {
-            // Re-adding a base arc: cancel the pending removal.
-            chunk.removed.remove(pos);
-        } else if let Err(pos) = chunk.added.binary_search(&(local, v)) {
-            chunk.added.insert(pos, (local, v));
+        let (pending, record) = if add {
+            (&mut chunk.removed, &mut chunk.added)
         } else {
-            debug_assert!(false, "arc {u}->{v} added twice");
+            (&mut chunk.added, &mut chunk.removed)
+        };
+        match pending.binary_search(&key) {
+            Ok(pos) => {
+                pending.remove(pos);
+            }
+            Err(_) => {
+                let pos = record.partition_point(|&r| r < key);
+                record.insert(pos, key);
+            }
         }
         if chunk.added.len() + chunk.removed.len() > COMPACT_BUDGET {
             chunk.compact();
         }
     }
 
-    fn remove_arc(&mut self, u: VertexId, v: VertexId) {
-        let c = (u as usize) >> CHUNK_BITS;
-        let local = u - self.chunks[c].first;
-        let chunk = self.chunk_mut(c);
-        if let Ok(pos) = chunk.added.binary_search(&(local, v)) {
-            // Removing a not-yet-compacted addition: cancel it.
-            chunk.added.remove(pos);
-        } else if let Err(pos) = chunk.removed.binary_search(&(local, v)) {
-            debug_assert!(chunk.base_row(local).contains(&v), "arc {u}->{v} absent");
-            chunk.removed.insert(pos, (local, v));
+    /// Flips the edge `u - v` (both arcs when undirected) and the arc count.
+    fn flip_edge(&mut self, u: VertexId, v: VertexId, add: bool) {
+        self.flip_arc(u, v, add);
+        if !self.directed {
+            self.flip_arc(v, u, add);
+        }
+        let arcs = if self.directed { 1 } else { 2 };
+        if add {
+            self.num_arcs += arcs;
         } else {
-            debug_assert!(false, "arc {u}->{v} removed twice");
-        }
-        if chunk.added.len() + chunk.removed.len() > COMPACT_BUDGET {
-            chunk.compact();
+            self.num_arcs -= arcs;
         }
     }
 
-    /// Records an *effective* edge insertion (the caller — the engine's
-    /// overlay — has established the edge was absent). Undirected graphs
-    /// store the arc in both endpoint chunks.
-    pub fn add_edge(&mut self, u: VertexId, v: VertexId) {
-        debug_assert_ne!(u, v, "self-loops are not representable");
-        self.add_arc(u, v);
-        self.num_arcs += 1;
-        if !self.directed {
-            self.add_arc(v, u);
-            self.num_arcs += 1;
+    /// Adds the edge `u - v` (arc `u -> v` when directed); undirected
+    /// graphs store the arc in both endpoint chunks. Returns `false`
+    /// without touching any chunk for self-loops and already-present
+    /// edges.
+    ///
+    /// # Panics
+    /// Panics when either endpoint is out of range; grow the graph with
+    /// [`CowGraph::add_vertex`] first.
+    pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        self.assert_in_range(u, v);
+        if u == v || self.has_edge(u, v) {
+            return false;
         }
+        self.flip_edge(u, v, true);
+        true
     }
 
-    /// Records an *effective* edge deletion (the edge was present).
-    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) {
-        self.remove_arc(u, v);
-        self.num_arcs -= 1;
-        if !self.directed {
-            self.remove_arc(v, u);
-            self.num_arcs -= 1;
+    /// Removes the edge `u - v` (arc `u -> v` when directed). Returns
+    /// `false` without touching any chunk when the edge is absent.
+    ///
+    /// # Panics
+    /// Panics when either endpoint is out of range.
+    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        self.assert_in_range(u, v);
+        if !self.has_edge(u, v) {
+            return false;
         }
+        self.flip_edge(u, v, false);
+        true
+    }
+
+    /// Strips every edge incident to `v` and returns them as `(v, w)` for
+    /// out-arcs and undirected edges, `(w, v)` for in-arcs. The id slot
+    /// stays as an isolated vertex (ids are stable). Directed graphs find
+    /// the in-arcs with one scan over every row, O(V + E).
+    ///
+    /// # Panics
+    /// Panics when `v` is out of range.
+    pub fn remove_vertex(&mut self, v: VertexId) -> Vec<(VertexId, VertexId)> {
+        let n = self.num_vertices;
+        assert!((v as usize) < n, "vertex {v} out of range (n = {n})");
+        let mut edges: Vec<(VertexId, VertexId)> =
+            self.neighbors(v).into_iter().map(|w| (v, w)).collect();
+        if self.directed {
+            for chunk in &self.chunks {
+                let sources = (0..chunk.len).filter(|&local| chunk.has_arc(local, v));
+                edges.extend(sources.map(|local| (chunk.first + local, v)));
+            }
+        }
+        for &(a, b) in &edges {
+            self.flip_edge(a, b, false);
+        }
+        edges
     }
 
     /// Folds every chunk's deltas into its base CSR. Touches (and thus
@@ -335,8 +395,8 @@ impl CowGraph {
 
     /// Cross-checks the chunked representation against a freshly
     /// materialized graph: same CSR offsets and targets (and reverse CSR
-    /// for directed graphs). Used by the engine's `invariants` feature and
-    /// the property tests.
+    /// for directed graphs). Used by the property tests, which hold an
+    /// independent [`apgre_graph::GraphOverlay`] model.
     pub fn verify_against_fresh(&self, fresh: &Graph) -> Result<(), String> {
         let mine = self.view().to_graph();
         if mine.is_directed() != fresh.is_directed() {
@@ -368,7 +428,7 @@ impl CowGraph {
 /// chunk with the store (and with other views) by `Arc`. Mirrors the
 /// read-side surface of [`apgre_graph::Graph`] that the query service
 /// needs; [`GraphView::to_graph`] materializes a real CSR when one is
-/// required (checkpointing).
+/// required (rebuilds, checkpoints).
 #[derive(Clone, Debug)]
 pub struct GraphView {
     directed: bool,
@@ -429,37 +489,30 @@ impl GraphView {
         }
     }
 
-    /// Materializes a real CSR [`Graph`]. For undirected graphs the result
-    /// is CSR-identical to `GraphOverlay::to_graph` on the same edge set
-    /// (both normalize through [`Graph::undirected_from_edges`], which
-    /// sorts and symmetrizes); for directed graphs arcs are emitted in
-    /// stored order, so a delta-free view reproduces its source CSR
-    /// verbatim.
+    /// Materializes a real CSR [`Graph`]: the engine's rebuild path,
+    /// `DynamicBc::current_graph` and checkpoints all read the graph
+    /// through here. Rows go through [`Graph::undirected_from_edges`] or
+    /// [`Graph::directed_from_edges`], which sort every row, so the result
+    /// is CSR-identical to any other materialization of the same edge set
+    /// (the property tests compare it with `GraphOverlay::to_graph`).
     pub fn to_graph(&self) -> Graph {
-        if self.directed {
-            let mut arcs: Vec<(VertexId, VertexId)> = Vec::with_capacity(self.num_arcs);
-            for chunk in &self.chunks {
-                for local in 0..chunk.len {
-                    let u = chunk.first + local;
-                    for t in chunk.neighbors(local) {
-                        arcs.push((u, t));
-                    }
-                }
+        let mut arcs: Vec<(VertexId, VertexId)> =
+            Vec::with_capacity(if self.directed { self.num_arcs } else { self.num_arcs / 2 });
+        let mut row: Vec<VertexId> = Vec::new();
+        for chunk in &self.chunks {
+            for local in 0..chunk.len {
+                let u = chunk.first + local;
+                row.clear();
+                chunk.merge_row(local, &mut row);
+                // Undirected rows hold both arcs of an edge; the
+                // symmetrizer wants each edge once.
+                arcs.extend(row.iter().filter(|&&t| self.directed || u < t).map(|&t| (u, t)));
             }
+        }
+        if self.directed {
             Graph::directed_from_edges(self.num_vertices, &arcs)
         } else {
-            let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(self.num_arcs / 2);
-            for chunk in &self.chunks {
-                for local in 0..chunk.len {
-                    let u = chunk.first + local;
-                    for t in chunk.neighbors(local) {
-                        if u < t {
-                            edges.push((u, t));
-                        }
-                    }
-                }
-            }
-            Graph::undirected_from_edges(self.num_vertices, &edges)
+            Graph::undirected_from_edges(self.num_vertices, &arcs)
         }
     }
 }
@@ -575,6 +628,30 @@ mod tests {
         edges.push((v, 0));
         cow.verify_against_fresh(&Graph::undirected_from_edges(GRAPH_CHUNK_SIZE + 1, &edges))
             .expect("grown");
+    }
+
+    #[test]
+    fn ineffective_edits_return_false_and_touch_nothing() {
+        let mut cow = CowGraph::from_graph(&path(4));
+        cow.take_copied();
+        assert!(!cow.add_edge(1, 2), "duplicate add");
+        assert!(!cow.add_edge(2, 1), "mirrored duplicate add");
+        assert!(!cow.add_edge(3, 3), "self-loop");
+        assert!(!cow.remove_edge(0, 3), "missing remove");
+        assert_eq!(cow.take_copied(), (0, 1), "no-ops copy no chunk");
+        assert!(cow.remove_edge(2, 1) && !cow.has_edge(1, 2));
+        assert!(cow.add_edge(1, 2) && cow.has_edge(2, 1));
+        assert!(cow.remove_vertex(3) == vec![(3, 2)] && cow.remove_vertex(3).is_empty());
+        assert_eq!(cow.num_vertices(), 4, "the stripped slot stays");
+    }
+
+    #[test]
+    fn directed_remove_vertex_strips_in_and_out_arcs() {
+        let g = Graph::directed_from_edges(4, &[(0, 1), (1, 2), (2, 1), (3, 1)]);
+        let mut cow = CowGraph::from_graph(&g);
+        assert_eq!(cow.remove_vertex(1), vec![(1, 2), (0, 1), (2, 1), (3, 1)]);
+        assert_eq!(cow.num_edges(), 0);
+        cow.verify_against_fresh(&Graph::directed_from_edges(4, &[])).expect("stripped");
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //!
 //! The incremental engine (`apgre-dynamic`, DESIGN.md §3.8/§3.10) makes
 //! *applying* a batch proportional to the dirty region, but every *publish*
-//! used to pay O(V+E) anyway: `GraphOverlay::to_graph` materializes a fresh
-//! CSR, the score vector is cloned whole, and the global refold restarts
-//! from zeros. This crate removes that last full-size cost with two
-//! chunked, copy-on-write structures that share everything a batch did not
-//! touch (DESIGN.md §3.11):
+//! used to pay O(V+E) anyway: materializing a fresh CSR, cloning the score
+//! vector whole, and refolding from zeros. This crate removes that last
+//! full-size cost with two chunked, copy-on-write structures that share
+//! everything a batch did not touch (DESIGN.md §3.11):
 //!
 //! * [`CowGraph`] — the graph, split into fixed-arity chunks of CSR
-//!   adjacency behind `Arc`s plus a thin per-chunk delta layer fed by the
-//!   same effective edge edits the decomposition maintainer consumes.
-//!   [`CowGraph::view`] yields an immutable [`GraphView`] in O(#chunks)
-//!   pointer clones; only chunks an edit landed in are deep-copied.
+//!   adjacency behind `Arc`s plus a thin per-chunk delta layer. It is the
+//!   engine's only mutable graph: its edits report whether they changed
+//!   anything, and those effective edits are what the decomposition
+//!   maintainer consumes. [`CowGraph::view`] yields an immutable
+//!   [`GraphView`] in O(#chunks) pointer clones; only chunks an edit
+//!   landed in are deep-copied.
 //!   [`CowGraph::compact`] is the escape hatch when deltas accumulate
 //!   (each chunk also auto-compacts past a fixed delta budget).
 //! * [`FoldStore`] / [`ScoreChunks`] — the score vector, stored as one

@@ -1,10 +1,11 @@
 //! Property-based tests for the copy-on-write snapshot store.
 //!
-//! * [`CowGraph`] is driven in lockstep with a [`GraphOverlay`] (the
-//!   engine's source of truth) through random mutation streams — edge
-//!   churn, vertex growth, vertex stripping — and must stay CSR-identical
-//!   to `overlay.to_graph()` after every batch, including immediately
-//!   after an explicit `compact()`.
+//! * [`CowGraph`] is driven in lockstep with a [`GraphOverlay`] (an
+//!   independent model of the same graph) through random mutation streams
+//!   — edge churn, vertex growth, vertex stripping. Both must agree on
+//!   which edits are effective, and the cow must stay CSR-identical to
+//!   `overlay.to_graph()` after every batch, including immediately after
+//!   an explicit `compact()`.
 //! * [`FoldStore`] receives random splice sequences (survivor subsets kept
 //!   in order, fresh groups appended at the tail, dirty spans rewritten)
 //!   and must stay bitwise-identical to a store rebuilt from scratch over
@@ -49,40 +50,27 @@ fn cow_scenario(
     })
 }
 
-/// Applies one raw mutation to the overlay and mirrors the *effective*
-/// outcome into the cow — exactly the engine's phase-1 contract (the cow
-/// only ever sees edits that changed the overlay's state).
+/// Applies one raw mutation to both the overlay and the cow; the cow's
+/// own effective-edit answer must equal the overlay's.
 fn apply_mirrored(overlay: &mut GraphOverlay, cow: &mut CowGraph, m: &RawMut) {
     let n = overlay.num_vertices().max(1) as u32;
     let clamp = |v: u32| v % n;
     match *m {
         RawMut::Add(u, v) => {
             let (u, v) = (clamp(u), clamp(v));
-            if overlay.add_edge(u, v) {
-                cow.add_edge(u, v);
-            }
+            assert_eq!(cow.add_edge(u, v), overlay.add_edge(u, v), "add {u} {v}");
         }
         RawMut::Remove(u, v) => {
             let (u, v) = (clamp(u), clamp(v));
-            if overlay.remove_edge(u, v) {
-                cow.remove_edge(u, v);
-            }
+            assert_eq!(cow.remove_edge(u, v), overlay.remove_edge(u, v), "remove {u} {v}");
         }
         RawMut::AddVertex => {
-            overlay.add_vertex();
-            cow.add_vertex();
+            assert_eq!(cow.add_vertex(), overlay.add_vertex());
         }
         RawMut::StripVertex(v) => {
             let v = clamp(v);
-            if overlay.is_directed() {
-                return; // undirected-only lowering, like the engine
-            }
-            let nbrs = overlay.neighbors(v).to_vec();
-            if overlay.remove_vertex(v) > 0 {
-                for w in nbrs {
-                    cow.remove_edge(v, w);
-                }
-            }
+            let stripped = cow.remove_vertex(v);
+            assert_eq!(stripped.len(), overlay.remove_vertex(v), "strip {v}");
         }
     }
 }
@@ -140,8 +128,7 @@ proptest! {
     ) {
         let g = Graph::undirected_from_edges(n as usize, &edges);
         let mut overlay = GraphOverlay::from_graph(&g);
-        // The engine normalizes through the overlay before seeding the cow.
-        let mut cow = CowGraph::from_graph(&overlay.to_graph());
+        let mut cow = CowGraph::from_graph(&g);
         for (k, batch) in stream.iter().enumerate() {
             for m in batch {
                 apply_mirrored(&mut overlay, &mut cow, m);
@@ -167,7 +154,7 @@ proptest! {
         let arcs: Vec<(u32, u32)> = edges.into_iter().filter(|&(u, v)| u != v).collect();
         let g = Graph::directed_from_edges(n as usize, &arcs);
         let mut overlay = GraphOverlay::from_graph(&g);
-        let mut cow = CowGraph::from_graph(&overlay.to_graph());
+        let mut cow = CowGraph::from_graph(&g);
         for (k, batch) in stream.iter().enumerate() {
             for m in batch {
                 apply_mirrored(&mut overlay, &mut cow, m);
@@ -184,12 +171,25 @@ proptest! {
     }
 
     #[test]
+    fn cow_from_graph_normalizes_like_the_overlay(
+        (n, arcs, _stream) in cow_scenario(900, 160),
+    ) {
+        // Raw arcs: parallel arcs and self-loops both survive
+        // `directed_from_edges`, so the cow must drop them itself.
+        let g = Graph::directed_from_edges(n as usize, &arcs);
+        let want = GraphOverlay::from_graph(&g).to_graph();
+        let cow = CowGraph::from_graph(&g);
+        cow.verify_against_fresh(&want).unwrap_or_else(|e| panic!("dir n={n}: {e}"));
+        prop_assert_eq!(cow.num_edges(), want.num_edges());
+    }
+
+    #[test]
     fn cow_views_survive_later_mutations(
         (n, edges, stream) in cow_scenario(1300, 120),
     ) {
         let g = Graph::undirected_from_edges(n as usize, &edges);
         let mut overlay = GraphOverlay::from_graph(&g);
-        let mut cow = CowGraph::from_graph(&overlay.to_graph());
+        let mut cow = CowGraph::from_graph(&g);
         let frozen = cow.view();
         let want = overlay.to_graph();
         for batch in &stream {
@@ -266,4 +266,13 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn out_of_range_add_edge_panics_instead_of_growing_the_tail_chunk() {
+    // Ten vertices: one partial chunk with room for more ids, so an
+    // unchecked arc to id 10 would land in its delta unnoticed.
+    let mut cow = CowGraph::from_graph(&Graph::undirected_from_edges(10, &[(0, 1)]));
+    cow.add_edge(0, 10);
 }
