@@ -197,8 +197,8 @@ pub(crate) fn plan(
             pilot_roots: 0,
             pilot_edges: 0,
         },
-        SampleBudget::Adaptive { total_roots, pilot } => {
-            plan_adaptive(decomp, opts, sopts.seed, total_roots, pilot, cached_sigma)
+        SampleBudget::Adaptive { total_roots } => {
+            plan_adaptive(decomp, opts, sopts.seed, total_roots, DEFAULT_PILOT, cached_sigma)
         }
     }
 }

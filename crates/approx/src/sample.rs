@@ -42,7 +42,7 @@ use apgre_decomp::{carry_by_fingerprint, decompose, Decomposition, SubGraph};
 use apgre_graph::Graph;
 use apgre_store::FoldStore;
 
-use crate::budget::{plan, stderr_sq_span, SamplePlan, DEFAULT_PILOT};
+use crate::budget::{plan, stderr_sq_span, SamplePlan};
 use crate::rng::{mix_seed, sample_roots};
 
 /// How the per-sub-graph root-sample sizes are chosen.
@@ -58,15 +58,14 @@ pub enum SampleBudget {
     },
     /// A global root budget distributed across sub-graphs proportionally to
     /// `|R_i| · σ_i` by [`crate::budget::allocate_budget`], where `σ_i` is
-    /// the pilot standard deviation of the per-root contribution mass.
-    /// Every span is floored at `min(pilot, |R_i|)` roots (so its variance
+    /// the standard deviation of the per-root contribution mass over a
+    /// pilot sweep of [`DEFAULT_PILOT`](crate::DEFAULT_PILOT) roots. Every
+    /// span is floored at `min(DEFAULT_PILOT, |R_i|)` roots (so its variance
     /// accumulators are defined) and capped at `|R_i|` (exhaustive).
     Adaptive {
         /// The global root budget (Σ `k_i` targets this; floors may
         /// overshoot it, caps may undershoot it).
         total_roots: usize,
-        /// Pilot sweep size per sub-graph (clamped to ≥ 2).
-        pilot: usize,
     },
 }
 
@@ -86,9 +85,9 @@ impl SampleOptions {
         SampleOptions { budget: SampleBudget::Uniform { samples_per_subgraph }, seed }
     }
 
-    /// Variance-guided global budget with the default pilot size.
+    /// Variance-guided global budget.
     pub fn adaptive(total_roots: usize, seed: u64) -> Self {
-        SampleOptions { budget: SampleBudget::Adaptive { total_roots, pilot: DEFAULT_PILOT }, seed }
+        SampleOptions { budget: SampleBudget::Adaptive { total_roots }, seed }
     }
 }
 
@@ -515,12 +514,6 @@ impl SampleStore {
     /// every owning span is exhaustive.
     pub fn stderr(&self, v: u32) -> f64 {
         self.err.fold_vertex(v).sqrt()
-    }
-
-    /// The largest per-vertex standard error currently stored (0 when the
-    /// store is empty or every span is exhaustive).
-    pub fn stderr_max(&self) -> f64 {
-        self.err.to_flat().into_iter().fold(0.0f64, f64::max).sqrt()
     }
 
     /// An immutable snapshot of the estimate spans (O(sub-graphs) `Arc`

@@ -278,28 +278,10 @@ impl ApgreReport {
         }
     }
 
-    /// The per-kernel dispatch counts of [`ApgreReport::kernel_counts`]
-    /// paired with their [`KernelChoice::name`] labels, in the fixed
-    /// `(seq, root_parallel, level_sync)` order — the shape metrics
-    /// exporters want.
-    pub fn kernel_counts_named(&self) -> [(&'static str, usize); 3] {
-        let (seq, rootpar, levelsync) = self.kernel_counts;
-        [
-            (KernelChoice::Seq.name(), seq),
-            (KernelChoice::RootParallel.name(), rootpar),
-            (KernelChoice::LevelSync.name(), levelsync),
-        ]
-    }
-
     /// Partition + α/β counting: everything that happens before the first
     /// kernel runs (the paper's "extra computations").
     pub fn decomposition_time(&self) -> Duration {
         self.partition_time + self.alpha_beta_time
-    }
-
-    /// Decomposition plus all kernel time.
-    pub fn total_time(&self) -> Duration {
-        self.decomposition_time() + self.bc_time
     }
 }
 

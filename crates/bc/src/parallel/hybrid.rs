@@ -14,7 +14,7 @@ use crate::util::{atomic_f64_vec, into_f64_vec};
 use apgre_graph::{Graph, VertexId, UNREACHED};
 use rayon::prelude::*;
 
-/// Direction-switch policy, mirroring `HybridPolicy` of the graph crate.
+/// Direction-switch policy of the forward phase below (Beamer's α/β thresholds).
 #[derive(Clone, Copy, Debug)]
 pub struct BcHybridPolicy {
     /// Switch to bottom-up when `frontier_out_edges · alpha > unexplored`.

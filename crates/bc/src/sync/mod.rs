@@ -9,9 +9,8 @@
 //! in under the same cfg is a drop-in change, tracked in ROADMAP.md).
 //!
 //! `cargo xtask lint` enforces the facade: raw `std::sync::atomic` imports
-//! outside this module and its `apgre_graph::sync` mirror (that crate sits
-//! below this one in the dependency graph, so it carries its own copy of
-//! the facade) are build errors in CI.
+//! outside this module are build errors in CI. It is the workspace's only
+//! facade; the crates below this one hold no atomics.
 //!
 //! # The memory-ordering protocol, in one place
 //!

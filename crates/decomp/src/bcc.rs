@@ -52,11 +52,6 @@ impl BccResult {
         debug_assert_ne!(id, u32::MAX);
         id
     }
-
-    /// Number of edges in BCC `b` (recomputed; used by tests and reports).
-    pub fn bcc_edge_count(&self, b: u32) -> usize {
-        self.bcc_of_arc.iter().filter(|&&x| x == b).count() / 2
-    }
 }
 
 /// Position of arc `u -> v` inside `csr`'s target array.

@@ -230,7 +230,6 @@ impl DynamicBc {
         Some(ApproxSnapshot {
             estimates: ap.store.chunks(),
             stderr_sq: ap.store.stderr_chunks(),
-            stderr_max: ap.store.stderr_max(),
             refresh,
             options: ap.opts.clone(),
         })
@@ -603,9 +602,6 @@ pub struct ApproxSnapshot {
     /// `estimates`; fold a vertex and take the square root to recover its
     /// standard error. Zero wherever every owning span is exhaustive.
     pub stderr_sq: ScoreChunks,
-    /// The largest per-vertex standard error in this snapshot (0 when
-    /// every span is exhaustive).
-    pub stderr_max: f64,
     /// What the refresh producing this snapshot resampled vs reused.
     pub refresh: SampleRefresh,
     /// The sampling parameters the estimates were drawn with.
@@ -617,6 +613,12 @@ impl ApproxSnapshot {
     /// errors).
     pub fn stderr(&self, v: usize) -> f64 {
         self.stderr_sq.score(v).sqrt()
+    }
+
+    /// The largest per-vertex standard error in this snapshot (0 when
+    /// every span is exhaustive), folded from `stderr_sq` on each call.
+    pub fn stderr_max(&self) -> f64 {
+        self.stderr_sq.to_vec().into_iter().fold(0.0f64, f64::max).sqrt()
     }
 }
 

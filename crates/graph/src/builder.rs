@@ -84,11 +84,6 @@ impl GraphBuilder {
         self.edges.push((u, v));
     }
 
-    /// Number of raw edges currently collected (pre-hygiene).
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalize into a [`Graph`].
     pub fn build(mut self) -> Graph {
         let n = self

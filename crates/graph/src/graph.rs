@@ -76,13 +76,6 @@ impl Graph {
         Graph { directed: false, fwd, rev: None }
     }
 
-    /// Wraps pre-built forward/reverse CSRs as a directed graph.
-    pub fn from_directed_csr(fwd: Csr, rev: Csr) -> Self {
-        debug_assert_eq!(fwd.num_vertices(), rev.num_vertices());
-        debug_assert_eq!(fwd.num_edges(), rev.num_edges());
-        Graph { directed: true, fwd, rev: Some(rev) }
-    }
-
     /// Whether the graph is directed.
     #[inline]
     pub fn is_directed(&self) -> bool {

@@ -7,17 +7,19 @@
 //!   graphs, reverse) CSR adjacency,
 //! * [`builder::GraphBuilder`] — edge-list ingestion with de-duplication and
 //!   self-loop hygiene,
-//! * [`traversal`] — sequential, level-synchronous parallel, and
-//!   direction-optimizing breadth-first searches,
+//! * [`traversal`] — sequential breadth-first distances and the blocked
+//!   reachability count behind the α/β computation,
 //! * [`connectivity`] — connected / weakly-connected components,
 //! * [`generators`] — deterministic synthetic graph families (Erdős–Rényi,
 //!   Barabási–Albert, R-MAT, grids, stars, trees, whiskered composites),
 //! * [`io`] — SNAP-style edge lists and DIMACS readers/writers,
 //! * [`overlay`] — a mutable adjacency overlay for incremental updates that
 //!   can re-materialize a CSR [`Graph`] snapshot,
-//! * [`stats`] — degree statistics used by the experiment harness,
-//! * [`sync`] — the crate's atomics facade (mirror of `apgre_bc::sync`),
-//!   the only sanctioned import path for atomics here.
+//! * [`stats`] — degree statistics used by the experiment harness.
+//!
+//! The crate is sequential and holds no atomics. The parallel forward phases
+//! (level-synchronous and direction-optimizing) live with the BC kernels in
+//! `apgre_bc::parallel`, behind the `apgre_bc::sync` facade.
 //!
 //! Vertex ids are [`VertexId`] (`u32`); graphs in this reproduction are far
 //! below the 4-billion-vertex mark and the narrower id type halves the memory
@@ -35,7 +37,6 @@ pub mod io;
 pub mod overlay;
 pub mod reorder;
 pub mod stats;
-pub mod sync;
 pub mod traversal;
 pub mod weighted;
 

@@ -313,7 +313,7 @@ impl Metrics {
         let (stderr_max, budget_utilization) = snapshot
             .approx
             .as_ref()
-            .map(|ap| (ap.stderr_max, ap.refresh.budget_utilization()))
+            .map(|ap| (ap.stderr_max(), ap.refresh.budget_utilization()))
             .unwrap_or((0.0, 0.0));
         family(
             &mut out,

@@ -365,20 +365,7 @@ fn get_bc(shared: &Shared, req: &Request, vertex: &str) -> Response {
         return Response::text(400, "vertex id must be a non-negative integer\n");
     };
     match req.query_param("approx") {
-        None => {
-            let snap = shared.cell.load();
-            let Some(score) = snap.engine.scores.get(v) else {
-                return Response::text(404, "vertex out of range\n");
-            };
-            Metrics::inc(&shared.metrics.bc_requests);
-            Response::json(
-                200,
-                format!(
-                    "{{\"vertex\":{v},\"score\":{score},\"tier\":\"exact\",\"seq\":{},\"generation\":{}}}",
-                    snap.seq, snap.generation
-                ),
-            )
-        }
+        None => get_bc_exact(shared, &shared.cell.load(), v),
         Some(k) => {
             // `k` opts into the sampling tier; the served sample count is
             // the estimator's configured per-sub-graph cap (the estimator
@@ -392,6 +379,21 @@ fn get_bc(shared: &Shared, req: &Request, vertex: &str) -> Response {
             get_bc_approx(shared, v)
         }
     }
+}
+
+/// The exact tier: `v`'s score in `snap`, labelled with its generation.
+fn get_bc_exact(shared: &Shared, snap: &BcSnapshot, v: usize) -> Response {
+    let Some(score) = snap.engine.scores.get(v) else {
+        return Response::text(404, "vertex out of range\n");
+    };
+    Metrics::inc(&shared.metrics.bc_requests);
+    Response::json(
+        200,
+        format!(
+            "{{\"vertex\":{v},\"score\":{score},\"tier\":\"exact\",\"seq\":{},\"generation\":{}}}",
+            snap.seq, snap.generation
+        ),
+    )
 }
 
 /// The sampling tier: serves the exact snapshot when it is within the
@@ -409,17 +411,7 @@ fn get_bc_approx(shared: &Shared, v: usize) -> Response {
     // With the estimator disabled (`approx_samples == 0`) the exact
     // snapshot is the only answer we have; label it honestly.
     let Some(ap) = snap.approx.as_ref().filter(|_| !fresh_enough) else {
-        let Some(score) = snap.engine.scores.get(v) else {
-            return Response::text(404, "vertex out of range\n");
-        };
-        Metrics::inc(&shared.metrics.bc_requests);
-        return Response::json(
-            200,
-            format!(
-                "{{\"vertex\":{v},\"score\":{score},\"tier\":\"exact\",\"seq\":{},\"generation\":{}}}",
-                snap.seq, snap.generation
-            ),
-        );
+        return get_bc_exact(shared, &snap, v);
     };
     let Some(score) = ap.estimates.get(v) else {
         return Response::text(404, "vertex out of range\n");

@@ -427,7 +427,7 @@ fn adaptive_tier_reports_stderr_and_budget_metrics() {
             .expect("numeric")
     };
     let stderr_max = gauge("apgre_serve_approx_stderr_max");
-    assert!((stderr_max - ap.stderr_max).abs() <= 1e-6 * (1.0 + ap.stderr_max));
+    assert!((stderr_max - ap.stderr_max()).abs() <= 1e-6 * (1.0 + ap.stderr_max()));
     let utilization = gauge("apgre_serve_approx_budget_utilization");
     let want_util = ap.refresh.budget_utilization();
     assert!((utilization - want_util).abs() <= 1e-6 * (1.0 + want_util));

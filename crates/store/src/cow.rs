@@ -224,12 +224,6 @@ impl CowGraph {
         self.chunks.iter().map(|c| c.added.len() + c.removed.len()).sum()
     }
 
-    /// Out-degree of `v`.
-    pub fn degree(&self, v: VertexId) -> usize {
-        let c = (v as usize) >> CHUNK_BITS;
-        self.chunks[c].degree(v - self.chunks[c].first)
-    }
-
     /// Out-neighbours of `v`, ascending (merged base + deltas).
     pub fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
         let c = (v as usize) >> CHUNK_BITS;
@@ -457,17 +451,6 @@ impl GraphView {
         }
     }
 
-    /// Directed arcs stored (`2·E` for undirected graphs).
-    pub fn num_arcs(&self) -> usize {
-        self.num_arcs
-    }
-
-    /// Out-degree of `v`.
-    pub fn degree(&self, v: VertexId) -> usize {
-        let c = (v as usize) >> CHUNK_BITS;
-        self.chunks[c].degree(v - self.chunks[c].first)
-    }
-
     /// Out-neighbours of `v`, merged from the chunk's base row and deltas.
     pub fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
         let c = (v as usize) >> CHUNK_BITS;
@@ -545,7 +528,6 @@ mod tests {
         cow.remove_edge(1, 2);
         assert_eq!(cow.neighbors(0), vec![1, 3]);
         assert_eq!(cow.neighbors(1), vec![0]);
-        assert_eq!(cow.degree(3), 3);
         assert_eq!(cow.num_edges(), 5);
         let fresh = Graph::undirected_from_edges(6, &[(0, 1), (0, 3), (2, 3), (3, 4), (4, 5)]);
         cow.verify_against_fresh(&fresh).expect("delta merge");

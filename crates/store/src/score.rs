@@ -425,11 +425,6 @@ impl ScoreChunks {
         self.num_vertices == 0
     }
 
-    /// Number of per-sub-graph score spans.
-    pub fn num_subgraph_chunks(&self) -> usize {
-        self.order.len()
-    }
-
     /// One vertex's score, folded from its owning sub-graphs' spans in
     /// ascending sub-graph index order from `0.0` — bitwise-identical to
     /// `to_vec()[v]`.

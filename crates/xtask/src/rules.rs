@@ -3,7 +3,7 @@
 //!
 //! | rule | slug | what it enforces |
 //! |------|------|------------------|
-//! | R1 | `raw-atomic-import` | `std::sync::atomic` / `core::sync::atomic` only inside the sync facades (`apgre_bc::sync`, `apgre_graph::sync`) |
+//! | R1 | `raw-atomic-import` | `std::sync::atomic` / `core::sync::atomic` only inside the sync facade (`apgre_bc::sync`) |
 //! | R2 | `ordering-creep` | no `SeqCst` / `AcqRel` outside the facade — the kernels' correctness argument is written for `Relaxed` + fork-join edges |
 //! | R3 | `naked-par-accum` | no `slice[i] += …` inside a `par_iter`-family closure (escape: `lint:allow(par_accum)`) |
 //! | R4 | `kernel-missing-serial-test` | every `pub fn bc_*` kernel in `crates/bc` / `crates/dynamic` / `crates/approx`, and the sub-graph dispatcher `run_subgraph_kernels`, has a test pinning it against the serial oracle; the maintenance module's `apply_edits` and the store's snapshot entry points (`CowGraph::view`, `FoldStore::chunks`) must likewise be pinned against their fresh oracle (`verify_against_fresh` / `decomp_equivalent`); the budget allocator's entry points (`plan_adaptive`, `allocate_budget`) must be pinned against the from-scratch sampled oracle (`verify_against_scratch` / `bc_sampled_from_decomposition`) |
@@ -48,10 +48,9 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Files whose raw-atomic use is sanctioned: the two facades themselves
-/// (`apgre-graph` sits below `apgre-bc` in the dependency graph, so it
-/// carries a mirror facade instead of importing the BC one).
-const ATOMIC_ALLOWLIST: &[&str] = &["crates/bc/src/sync/", "crates/graph/src/sync.rs"];
+/// Files whose raw-atomic use is sanctioned: the facade itself. No other
+/// crate holds atomics of its own.
+const ATOMIC_ALLOWLIST: &[&str] = &["crates/bc/src/sync/"];
 
 /// `SeqCst` is additionally allowed only inside the facade: the model
 /// checker's passthrough atomics are deliberately sequentially consistent.

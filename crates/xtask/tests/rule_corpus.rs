@@ -134,3 +134,21 @@ fn r9_reaches_every_kernel_sweep() {
         "{file}: cross-rule noise: {findings:?}"
     );
 }
+
+#[test]
+fn r1_allows_no_graph_side_facade() {
+    // The graph crate holds no atomics, so no path in it is allowlisted:
+    // re-creating its old mirror facade must trip R1 like any other file.
+    let file = "r1_graph_sync_bad.rs";
+    let findings = lint_fixture(file);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "raw-atomic-import" && f.path == "crates/graph/src/sync.rs"),
+        "{file}: expected a `raw-atomic-import` finding, got {findings:?}"
+    );
+    assert!(
+        findings.iter().all(|f| f.rule == "raw-atomic-import"),
+        "{file}: cross-rule noise: {findings:?}"
+    );
+}

@@ -26,7 +26,7 @@
 //!
 //! ## Crate map
 //!
-//! * [`graph`] — CSR graphs, traversals, generators, I/O ([`apgre_graph`]),
+//! * [`graph`] — CSR graphs, sequential BFS, generators, I/O ([`apgre_graph`]),
 //! * [`decomp`] — articulation points, biconnected components, the paper's
 //!   Algorithm 1 partition, α/β/γ ([`apgre_decomp`]),
 //! * [`bc`] — Brandes, the parallel baselines, APGRE, redundancy analysis
