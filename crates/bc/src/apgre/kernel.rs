@@ -2,8 +2,13 @@
 //!
 //! For every root `s ∈ R_sgi` a kernel runs one forward phase (BFS, or
 //! Dijkstra on a weighted sub-graph, see below) over the sub-graph's local
-//! CSR (whisker-free, see below) and one backward sweep that accumulates
-//! the four dependencies of §3.1.1 simultaneously:
+//! CSR (whisker-free, see below) and one backward sweep that yields the
+//! four dependencies of §3.1.1 through **one stored coefficient per
+//! vertex**.
+//!
+//! # Four dependencies, one coefficient
+//!
+//! Algorithm 2 as printed stores three dependencies per vertex:
 //!
 //! * `δ_i2i` — Brandes' classic dependency, restricted to the sub-graph
 //!   (Equation 3),
@@ -12,50 +17,73 @@
 //! * `δ_o2o` — paths crossing the sub-graph between two boundary points,
 //!   weighted by `β(s)·α(t)` (Equation 6; only when `s` is itself a boundary
 //!   point),
-//! * `δ_o2i` — sources beyond `s`; never materialized as an array because
-//!   Equation 5 reduces it to `β(s)·δ_i2i(v)` (the `sizeO2I` factor of
-//!   Algorithm 2).
 //!
-//! The `δ^init` terms of Equations 4/6 are folded into the backward sweep
-//! lazily (when a vertex is popped) rather than pre-initialized as in the
-//! paper's phase 0 — same recursion, but the workspace reset stays
-//! `O(reached)`.
+//! and derives the fourth, `δ_o2i = β(s)·δ_i2i` (Equation 5, the `sizeO2I`
+//! factor). All four are linear in one weighted Brandes recursion:
 //!
-//! Scores merge per Equation 7. One deviation from the paper as printed, with
-//! rationale in DESIGN.md §3.3: for **undirected** whiskers the root's own
-//! score uses `γ(s)·(δ_i2i(s) − 1 + δ_i2o(s) + α(s))` — the `−1` excludes the
-//! whisker itself from its derived target set, and the `+α(s)` restores the
-//! `δ^init_i2o` term at the root that Algorithm 2's `i != s` guard drops.
-//! Both corrections are pinned by the `apgre ≡ brandes` property tests.
+//! * `δ_o2o` obeys `δ_i2o`'s recursion with its `δ^init` scaled by `β(s)`,
+//!   so `δ_o2o = β(s)·δ_i2o`;
+//! * with `D = δ_i2i + δ_i2o`, Equation 7's term for `v ≠ s` is therefore
+//!   `(1 + γ(s))·D(v) + β(s)·δ_i2i(v) + δ_o2o(v) = (1 + γ(s) + β(s))·D(v)`;
+//! * `D` satisfies `D(v) = [folded]γ(v) + [boundary]α(v) + σ(v)·Σ_w
+//!   coef(w)` over the DAG successors `w` of `v`, with `coef(w) = (1 +
+//!   D(w)) / σ(w)`.
+//!
+//! The sweep stores only `coef`: one load per DAG arc and one division per
+//! vertex, where the three arrays cost three loads and a division per arc.
+//! This is a formula deviation from Algorithm 2 as printed, recorded in
+//! DESIGN.md §3.3; `tests/kernel_policies.rs` pins it per root against a
+//! literal three-array Algorithm 2. The `δ^init` terms enter when a vertex
+//! is settled rather than in the paper's phase 0 — same recursion, but the
+//! workspace reset stays `O(reached)`.
+//!
+//! One further deviation, with rationale in DESIGN.md §3.3: for
+//! **undirected** whiskers the root's own score is `γ(s)·(D(s) − 1)`. The
+//! `−1` excludes the whisker itself from its derived target set. `D(s)`
+//! carries `α(s)` through its `δ^init`, which restores the `δ^init_i2o`
+//! term at the root that Algorithm 2's `i != s` guard drops. Both
+//! corrections are pinned by the `apgre ≡ brandes` property tests.
+//!
+//! # The backward sweep without a successor test
+//!
+//! The BFS sweep settles `order` one level at a time, deepest first, and
+//! writes a level's coefficients only after the whole level is summed. A
+//! neighbour of `v` at level `d` sits at level `d + 1` (a successor, already
+//! written), at level `d` (deferred), or — directed arcs back up the DAG —
+//! at a shallower level not yet settled; the last two still hold the
+//! reset-clean `0`. Summing *every* neighbour's coefficient therefore adds
+//! exact zeros to the successor sum, which leaves it bitwise equal to the
+//! filtered one, and the per-arc `dist == d + 1` test is gone. Dijkstra
+//! keeps its filter (a neighbour settled later need not be a successor),
+//! and so does the level-synchronous sweep, whose level runs in parallel
+//! and writes each coefficient at once.
 //!
 //! # The whisker fold (targets)
 //!
 //! γ removes whiskers as *sources*; the sweeps also skip them as *targets*.
 //! An undirected whisker `w` hosted by `v` has `v` as its only neighbour,
 //! so from any root `s ≠ w` it sits one level below `v` with `σ_s(w) =
-//! σ_s(v)` and, having no successor, `δ_s(w) = 0` in all four dependencies
-//! (it is never a boundary point, so it carries no `α`). Its only effect on
-//! the backward sweep is the term `σ(v)/σ(w)·(1 + δ(w)) = 1` it adds to
-//! `δ_i2i(v)`. The sweeps therefore read [`SubGraph::sweep_csr`] — the
-//! local arcs without whisker endpoints, cut by
-//! `SubGraph::recompute_whiskers` — and start `δ_i2i(v)` at `γ(v)`
-//! instead: no whisker is enqueued, counted or popped, and the whisker's own
-//! score term, always `0`, is never added. `δ_i2i(s)` at the root still
-//! includes `γ(s)`, so the root term `γ(s)·((δ_i2i(s) − 1) + δ_i2o(s) +
-//! α(s))` is unchanged. Directed whiskers have in-degree 0 and are never
-//! reached, so directed sub-graphs (and whisker-free or unfolded ones) keep
-//! the full local CSR and start `δ_i2i` at 0. The returned edge counts
-//! count arcs of the swept CSR, so folding drops twice the whisker arcs
-//! each root used to reach.
+//! σ_s(v)` and, having no successor, `D(w) = 0` (it is never a boundary
+//! point, so it carries no `α`). Its only effect on the backward sweep is
+//! the term `σ(v)·coef(w) = 1` it adds to `D(v)`. The sweeps therefore read
+//! [`SubGraph::sweep_csr`] — the local arcs without whisker endpoints, cut
+//! by `SubGraph::recompute_whiskers` — and start `D(v)` at `γ(v)` instead:
+//! no whisker is enqueued, counted or popped, and the whisker's own score
+//! term, always `0`, is never added. `D(s)` at the root still includes
+//! `γ(s)`, so the root term `γ(s)·(D(s) − 1)` is unchanged. Directed
+//! whiskers have in-degree 0 and are never reached, so directed sub-graphs
+//! (and whisker-free or unfolded ones) keep the full local CSR and start
+//! `D` without `γ`. The returned edge counts count arcs of the swept CSR,
+//! so folding drops twice the whisker arcs each root used to reach.
 //!
 //! # One sweep, two forward phases
 //!
 //! A weighted sub-graph changes only the forward phase: Dijkstra settle
-//! order (`apgre_graph::weighted::dijkstra_sssp`) with the successor test
-//! `wdist[w] == wdist[v] + weight(v, w)` instead of BFS levels. The sweep is
-//! generic over the two (the BFS instantiation is the plain unweighted
-//! loop); the backward sweep, the per-vertex rules and the whisker fold are
-//! shared — a weighted whisker still has `σ(w) = σ(v)` and `δ(w) = 0`.
+//! order (`apgre_graph::weighted::dijkstra_sssp`), every settled vertex a
+//! level of its own, with the successor test `wdist[w] == wdist[v] +
+//! weight(v, w)` instead of BFS levels. The sweep is generic over the two;
+//! the backward loop, the per-vertex rules and the whisker fold are shared
+//! — a weighted whisker still has `σ(w) = σ(v)` and `D(w) = 0`.
 //!
 //! # One entry point, three strategies
 //!
@@ -92,7 +120,6 @@ use apgre_decomp::SubGraph;
 use apgre_graph::weighted::dijkstra_sssp;
 use apgre_graph::{Csr, VertexId, UNREACHED};
 use rayon::prelude::*;
-use std::collections::VecDeque;
 
 /// What [`bc_in_subgraph`] sweeps: a sub-graph and, if weighted, its arc
 /// weights. Every `&SubGraph` converts into the unweighted view.
@@ -129,23 +156,24 @@ impl SgWorkspace {
     }
 }
 
-/// Sequential workspace for one sub-graph: the BFS and four-dependency
-/// arrays of Algorithm 2, sized for the sub-graph's vertex count and reset
-/// in `O(reached)` between roots so it can be reused across roots, chunks,
-/// and whole sub-graphs. `wdist` is the current root's Dijkstra distances,
-/// replaced per root. `contrib` is the observer's per-root contribution
-/// vector, grown only by observed sweeps.
+/// Sequential workspace for one sub-graph: distances, σ and the one
+/// coefficient `coef = (1 + D) / σ` per vertex (see the module doc), sized
+/// for the sub-graph's vertex count and reset in `O(reached)` between roots
+/// so it can be reused across roots, chunks, and whole sub-graphs.
+/// `levels` is the current root's settle order cut into the levels the
+/// backward sweep settles at once; `pending` holds one level's coefficients
+/// until the level is done. `wdist` is the current root's Dijkstra
+/// distances, replaced per root. `contrib` is the observer's per-root
+/// contribution vector, grown only by observed sweeps.
 #[derive(Default)]
 struct SeqWs {
     dist: Vec<u32>,
     wdist: Vec<u64>,
     sigma: Vec<f64>,
-    d_i2i: Vec<f64>,
-    d_i2o: Vec<f64>,
-    d_o2o: Vec<f64>,
+    coef: Vec<f64>,
     contrib: Vec<f64>,
-    order: Vec<VertexId>,
-    queue: VecDeque<VertexId>,
+    levels: Levels,
+    pending: Vec<f64>,
 }
 
 impl SeqWs {
@@ -155,21 +183,17 @@ impl SeqWs {
         if self.dist.len() < n {
             self.dist.resize(n, UNREACHED);
             self.sigma.resize(n, 0.0);
-            self.d_i2i.resize(n, 0.0);
-            self.d_i2o.resize(n, 0.0);
-            self.d_o2o.resize(n, 0.0);
+            self.coef.resize(n, 0.0);
         }
     }
 
     fn reset_touched(&mut self) {
-        for &v in &self.order {
+        for &v in &self.levels.order {
             self.dist[v as usize] = UNREACHED;
             self.sigma[v as usize] = 0.0;
-            self.d_i2i[v as usize] = 0.0;
-            self.d_i2o[v as usize] = 0.0;
-            self.d_o2o[v as usize] = 0.0;
+            self.coef[v as usize] = 0.0;
         }
-        self.order.clear();
+        self.levels.clear();
     }
 }
 
@@ -231,17 +255,19 @@ pub fn bc_in_subgraph<'a>(
     }
 }
 
-/// One root's forward phase and its DAG's successor test — halves of
+/// One root's forward phase and its DAG's successor sum — halves of
 /// `sweep_root`, named so xtask R9's hot-loop audit reaches them.
 trait ForwardPhase: Copy + Send + Sync {
     /// Sweeps forward from `s` over `sg.sweep_csr()`: sets σ of every
-    /// reached vertex, pushes the reached vertices onto `ws.order` in
-    /// non-decreasing distance (root first), and returns the arcs scanned.
+    /// reached vertex, fills `ws.levels` with the reached vertices in
+    /// non-decreasing distance (root first), cut into the levels whose
+    /// coefficients the backward sweep may defer, and returns the arcs
+    /// scanned.
     fn sweep_root_forward(self, sg: &SubGraph, s: VertexId, ws: &mut SeqWs) -> u64;
 
-    /// Calls `f(w)` for every DAG successor `w` of the reached vertex `v`,
-    /// in `csr` order.
-    fn sweep_root_successors(self, csr: &Csr, ws: &SeqWs, v: u32, f: impl FnMut(u32));
+    /// `Σ coef(w)` over the DAG successors `w` of the reached vertex `v`, in
+    /// `csr` order, read while `v`'s level is being settled.
+    fn sweep_root_successor_sum(self, csr: &Csr, ws: &SeqWs, v: u32) -> f64;
 }
 
 /// Unit arc lengths: breadth-first levels.
@@ -255,45 +281,62 @@ struct Dijkstra<'a>(&'a [u32]);
 impl ForwardPhase for Bfs {
     fn sweep_root_forward(self, sg: &SubGraph, s: VertexId, ws: &mut SeqWs) -> u64 {
         let csr = sg.sweep_csr();
+        let SeqWs { dist, sigma, levels, .. } = ws;
         let mut edges = 0u64;
-        ws.dist[s as usize] = 0;
-        ws.sigma[s as usize] = 1.0;
-        ws.order.push(s);
-        ws.queue.push_back(s);
+        dist[s as usize] = 0;
+        sigma[s as usize] = 1.0;
+        // `order` is the queue: level `d` is `order[lo..hi]`, and scanning
+        // it appends level `d + 1`.
+        levels.order.push(s);
+        let (mut lo, mut d) = (0usize, 0u32);
         // Audited: every id is a compacted sub-graph id `< sg.n` by
         // construction, and all workspace arrays are sized to sg.n. lint:allow(hot_index)
-        while let Some(u) = ws.queue.pop_front() {
-            #[cfg(feature = "invariants")]
-            debug_assert!(
-                sg.folded_csr.is_none() || !sg.is_whisker[u as usize],
-                "whisker {u} popped from a folded sweep: `folded_csr` is stale"
-            );
-            let du = ws.dist[u as usize];
-            for &v in csr.neighbors(u) {
-                edges += 1;
-                if ws.dist[v as usize] == UNREACHED {
-                    ws.dist[v as usize] = du + 1;
-                    ws.order.push(v);
-                    ws.queue.push_back(v);
-                }
-                if ws.dist[v as usize] == du + 1 {
-                    ws.sigma[v as usize] += ws.sigma[u as usize];
+        while lo < levels.order.len() {
+            let hi = levels.order.len();
+            levels.starts.push(lo);
+            for idx in lo..hi {
+                let u = levels.order[idx];
+                #[cfg(feature = "invariants")]
+                debug_assert!(
+                    sg.folded_csr.is_none() || !sg.is_whisker[u as usize],
+                    "whisker {u} popped from a folded sweep: `folded_csr` is stale"
+                );
+                let su = sigma[u as usize];
+                edges += csr.degree(u) as u64;
+                for &v in csr.neighbors(u) {
+                    let dv = dist[v as usize];
+                    if dv == UNREACHED {
+                        dist[v as usize] = d + 1;
+                        sigma[v as usize] = su;
+                        levels.order.push(v);
+                    } else if dv == d + 1 {
+                        sigma[v as usize] += su;
+                    }
                 }
             }
+            (lo, d) = (hi, d + 1);
         }
+        levels.starts.push(levels.order.len());
         edges
     }
 
+    /// Sums every neighbour: off the DAG's successors the coefficient is
+    /// still the reset-clean `0` (see the module doc).
     #[inline]
-    fn sweep_root_successors(self, csr: &Csr, ws: &SeqWs, v: u32, mut f: impl FnMut(u32)) {
-        let dv = ws.dist[v as usize];
+    fn sweep_root_successor_sum(self, csr: &Csr, ws: &SeqWs, v: u32) -> f64 {
+        let mut sum = 0.0;
         // Audited: neighbours are compacted ids `< sg.n`, the size of
-        // `ws.dist`. lint:allow(hot_index)
+        // `ws.coef`. lint:allow(hot_index)
         for &w in csr.neighbors(v) {
-            if ws.dist[w as usize] == dv + 1 {
-                f(w);
-            }
+            let c = ws.coef[w as usize];
+            #[cfg(feature = "invariants")]
+            debug_assert!(
+                c == 0.0 || ws.dist[w as usize] == ws.dist[v as usize] + 1,
+                "neighbour {w} of {v} carries a coefficient off the next level"
+            );
+            sum += c;
         }
+        sum
     }
 }
 
@@ -314,71 +357,63 @@ impl ForwardPhase for Dijkstra<'_> {
             ws.sigma[v as usize] = dag.sigma[v as usize];
             edges += csr.degree(v) as u64;
         }
-        ws.order.extend_from_slice(&dag.order);
+        // The successor test needs no deferral: every vertex is a level.
+        ws.levels.order.extend_from_slice(&dag.order);
+        ws.levels.starts.extend(0..=dag.order.len());
         ws.wdist = dag.dist;
         edges
     }
 
     #[inline]
-    fn sweep_root_successors(self, csr: &Csr, ws: &SeqWs, v: u32, mut f: impl FnMut(u32)) {
+    fn sweep_root_successor_sum(self, csr: &Csr, ws: &SeqWs, v: u32) -> f64 {
         let dv = ws.wdist[v as usize];
         // The weights are aligned with `csr`'s targets: `v`'s start at its
         // offset.
         let arcs = &self.0[csr.offsets()[v as usize]..];
+        let mut sum = 0.0;
         // Audited: neighbours are compacted ids `< sg.n`, the length of
-        // `ws.wdist`. lint:allow(hot_index)
+        // `ws.wdist` and `ws.coef`. lint:allow(hot_index)
         for (&w, &len) in csr.neighbors(v).iter().zip(arcs) {
             if ws.wdist[w as usize] == dv + len as u64 {
-                f(w);
+                sum += ws.coef[w as usize];
             }
         }
+        sum
     }
 }
 
-/// One vertex's dependencies (`δ_o2i = β(s)·δ_i2i` is never stored).
-struct Deps {
-    i2i: f64,
-    i2o: f64,
-    o2o: f64,
-}
-
 /// Algorithm 2's per-vertex rules under one root `s`, the one copy every
-/// sweep uses: the `δ^init` terms a vertex's dependencies start from, and
-/// the Equation-7 score term it adds, with the §3.3 root correction.
+/// sweep uses: the `δ^init` a vertex's `D` starts from, and the Equation-7
+/// score term it adds, with the §3.3 root correction.
 struct RootRules<'a> {
     sg: &'a SubGraph,
     s: VertexId,
-    s_boundary: bool,
-    beta_s: f64,
+    /// `1 + γ(s) + β(s)`, the Equation-7 factor on `D(v)` for `v ≠ s`
+    /// (`β(s)` is 0 unless `s` is a boundary point).
+    scale: f64,
     gamma_s: f64,
     folded: bool,
 }
 
 impl<'a> RootRules<'a> {
     fn new(sg: &'a SubGraph, s: VertexId) -> Self {
-        let s_boundary = sg.is_boundary[s as usize];
-        RootRules {
-            sg,
-            s,
-            s_boundary,
-            beta_s: if s_boundary { sg.beta[s as usize] as f64 } else { 0.0 },
-            gamma_s: sg.gamma[s as usize] as f64,
-            folded: sg.folded_csr.is_some(),
-        }
+        let beta_s = if sg.is_boundary[s as usize] { sg.beta[s as usize] as f64 } else { 0.0 };
+        let gamma_s = sg.gamma[s as usize] as f64;
+        RootRules { sg, s, scale: 1.0 + gamma_s + beta_s, gamma_s, folded: sg.folded_csr.is_some() }
     }
 
-    /// `δ^init(v)`: `γ(v)` in `δ_i2i` under the whisker fold (each folded
-    /// whisker adds exactly 1), and at a boundary point `v ≠ s` `α(v)` in
-    /// `δ_i2o` (Equation 4) and `β(s)·α(v)` in `δ_o2o` (Equation 6).
+    /// `δ^init(v)` of `D`: `γ(v)` under the whisker fold (each folded
+    /// whisker adds exactly 1) plus `α(v)` at a boundary point (Equation 4;
+    /// Equation 6's `β(s)·α(v)` rides in `scale`). At `v = s` the `α(s)` is
+    /// the §3.3 root correction.
     #[inline]
-    fn init(&self, v: VertexId) -> Deps {
+    fn init(&self, v: VertexId) -> f64 {
         let (sg, vu) = (self.sg, v as usize);
-        let alpha_v = if sg.is_boundary[vu] && v != self.s { sg.alpha[vu] as f64 } else { 0.0 };
-        // `β(s)` is 0 unless `s` is a boundary point.
-        Deps {
-            i2i: if self.folded { sg.gamma[vu] as f64 } else { 0.0 },
-            i2o: alpha_v,
-            o2o: self.beta_s * alpha_v,
+        let gamma_v = if self.folded { sg.gamma[vu] as f64 } else { 0.0 };
+        if sg.is_boundary[vu] {
+            gamma_v + sg.alpha[vu] as f64
+        } else {
+            gamma_v
         }
     }
 
@@ -386,20 +421,19 @@ impl<'a> RootRules<'a> {
     /// nothing (the root itself, unless it hosts whiskers: then the §3.3
     /// term, see the module doc).
     #[inline]
-    fn score(&self, v: VertexId, d: Deps) -> Option<f64> {
+    fn score(&self, v: VertexId, d: f64) -> Option<f64> {
         if v != self.s {
-            Some((1.0 + self.gamma_s) * (d.i2i + d.i2o) + self.beta_s * d.i2i + d.o2o)
+            Some(self.scale * d)
         } else if self.gamma_s > 0.0 {
-            let alpha_s = if self.s_boundary { self.sg.alpha[v as usize] as f64 } else { 0.0 };
             let whisker_self = if self.sg.graph.is_directed() { 0.0 } else { 1.0 };
-            Some(self.gamma_s * ((d.i2i - whisker_self) + d.i2o + alpha_s))
+            Some(self.gamma_s * (d - whisker_self))
         } else {
             None
         }
     }
 }
 
-/// One root's forward phase plus backward four-dependency sweep —
+/// One root's forward phase plus backward one-coefficient sweep —
 /// Algorithm 2's loop body, shared verbatim by the sequential, observed and
 /// root-parallel sweeps and by both forward phases so they cannot drift
 /// apart. Accumulates into `bc_local` and returns the number of edges
@@ -408,7 +442,7 @@ impl<'a> RootRules<'a> {
 /// before the `bc_local[v] += term` add, so the accumulated span stays
 /// bitwise identical to the unrecorded sweep). Does **not** reset the
 /// workspace — the caller decides when, so an observer can still read
-/// `ws.order` / `ws.contrib` after the sweep.
+/// `ws.levels` / `ws.contrib` after the sweep.
 fn sweep_root<F: ForwardPhase, const RECORD: bool>(
     sg: &SubGraph,
     front: F,
@@ -417,35 +451,32 @@ fn sweep_root<F: ForwardPhase, const RECORD: bool>(
     bc_local: &mut [f64],
 ) -> u64 {
     let csr = sg.sweep_csr();
-    // Phase 1: forward (σ and order).
+    // Phase 1: forward (σ and levels).
     let mut edges = front.sweep_root_forward(sg, s, ws);
-    // Phase 2: backward accumulation of the four dependencies and the
-    // score merge (Equation 7).
+    // Phase 2: backward, deepest level first: `D`, the score merge
+    // (Equation 7), and the level's coefficients once it is done.
     let rules = RootRules::new(sg, s);
-    // Audited: compacted ids `< sg.n` as in phase 1; `order` holds only ids
+    // Audited: compacted ids `< sg.n` as in phase 1; `levels` holds only ids
     // the forward phase itself pushed. lint:allow(hot_index)
-    for idx in (0..ws.order.len()).rev() {
-        let v = ws.order[idx];
-        let vu = v as usize;
-        let sv = ws.sigma[vu];
-        let mut d = rules.init(v);
-        edges += csr.degree(v) as u64;
-        front.sweep_root_successors(csr, ws, v, |w| {
-            let c = sv / ws.sigma[w as usize];
-            d.i2i += c * (1.0 + ws.d_i2i[w as usize]);
-            d.i2o += c * ws.d_i2o[w as usize];
-            if rules.s_boundary {
-                d.o2o += c * ws.d_o2o[w as usize];
+    for lvl in (0..ws.levels.num_levels()).rev() {
+        let (lo, hi) = (ws.levels.starts[lvl], ws.levels.starts[lvl + 1]);
+        ws.pending.clear();
+        for idx in lo..hi {
+            let v = ws.levels.order[idx];
+            let vu = v as usize;
+            let sv = ws.sigma[vu];
+            edges += csr.degree(v) as u64;
+            let d = rules.init(v) + sv * front.sweep_root_successor_sum(csr, ws, v);
+            ws.pending.push((1.0 + d) / sv);
+            if let Some(term) = rules.score(v, d) {
+                if RECORD {
+                    ws.contrib[vu] = term;
+                }
+                bc_local[vu] += term;
             }
-        });
-        ws.d_i2i[vu] = d.i2i;
-        ws.d_i2o[vu] = d.i2o;
-        ws.d_o2o[vu] = d.o2o;
-        if let Some(term) = rules.score(v, d) {
-            if RECORD {
-                ws.contrib[vu] = term;
-            }
-            bc_local[vu] += term;
+        }
+        for (&v, &c) in ws.levels.order[lo..hi].iter().zip(&ws.pending) {
+            ws.coef[v as usize] = c;
         }
     }
     edges
@@ -495,7 +526,7 @@ fn sweep_roots_observed<F: ForwardPhase>(
     for &s in roots {
         edges += sweep_root::<F, true>(sg, front, s, ws, bc_local);
         observe(&ws.contrib[..n]);
-        for &v in &ws.order {
+        for &v in &ws.levels.order {
             ws.contrib[v as usize] = 0.0;
         }
         ws.reset_touched();
@@ -581,9 +612,7 @@ fn sweep_roots_par<F: ForwardPhase>(
 struct ParWs {
     dist: Vec<AtomicU32>,
     sigma: Vec<AtomicF64>,
-    d_i2i: Vec<AtomicF64>,
-    d_i2o: Vec<AtomicF64>,
-    d_o2o: Vec<AtomicF64>,
+    coef: Vec<AtomicF64>,
     bc: Vec<AtomicF64>,
     next: Vec<VertexId>,
     levels: Levels,
@@ -594,9 +623,7 @@ impl ParWs {
         ParWs {
             dist: (0..n).map(|_| AtomicU32::new(UNREACHED)).collect(),
             sigma: atomic_f64_vec(n),
-            d_i2i: atomic_f64_vec(n),
-            d_i2o: atomic_f64_vec(n),
-            d_o2o: atomic_f64_vec(n),
+            coef: atomic_f64_vec(n),
             bc: atomic_f64_vec(n),
             next: Vec::new(),
             levels: Levels::default(),
@@ -611,9 +638,7 @@ impl ParWs {
         if len < n {
             self.dist.extend((len..n).map(|_| AtomicU32::new(UNREACHED)));
             self.sigma.extend((len..n).map(|_| AtomicF64::new(0.0)));
-            self.d_i2i.extend((len..n).map(|_| AtomicF64::new(0.0)));
-            self.d_i2o.extend((len..n).map(|_| AtomicF64::new(0.0)));
-            self.d_o2o.extend((len..n).map(|_| AtomicF64::new(0.0)));
+            self.coef.extend((len..n).map(|_| AtomicF64::new(0.0)));
             self.bc.extend((len..n).map(|_| AtomicF64::new(0.0)));
         }
     }
@@ -622,9 +647,7 @@ impl ParWs {
         for &v in &self.levels.order {
             self.dist[v as usize].store(UNREACHED, Ordering::Relaxed);
             self.sigma[v as usize].store(0.0);
-            self.d_i2i[v as usize].store(0.0);
-            self.d_i2o[v as usize].store(0.0);
-            self.d_o2o[v as usize].store(0.0);
+            self.coef[v as usize].store(0.0);
         }
         self.levels.clear();
     }
@@ -632,9 +655,11 @@ impl ParWs {
 
 /// The level-synchronous sweep — the paper's fine-grained inner level of
 /// the two-level parallelization. Forward σ is pulled per level (single
-/// writer per cell), the backward sweep scans successors; no locks
-/// anywhere, exactly as in Algorithm 2's successor method. Levels narrower
-/// than `grain` vertices run sequentially to dodge fork-join overhead.
+/// writer per cell), the backward sweep sums the coefficients of the
+/// successors it filters by level (a level runs in parallel and writes each
+/// coefficient at once); no locks anywhere, exactly as in Algorithm 2's
+/// successor method. Levels narrower than `grain` vertices run sequentially
+/// to dodge fork-join overhead.
 fn sweep_roots_level_sync(
     sg: &SubGraph,
     roots: &[VertexId],
@@ -657,7 +682,7 @@ fn sweep_roots_level_sync(
     for &s in roots {
         // Split borrows: the frontier is a slice of `levels.order`, the back
         // buffer `next` refills in place, the atomic arrays are shared.
-        let ParWs { dist, sigma, d_i2i, d_i2o, d_o2o, bc, next, levels } = &mut *ws;
+        let ParWs { dist, sigma, coef, bc, next, levels } = &mut *ws;
         let (dist, sigma) = (&*dist, &*sigma);
 
         // Phase 1: frontier discovery by CAS; σ pulled per level.
@@ -728,30 +753,24 @@ fn sweep_roots_level_sync(
         crate::util::check_levels(levels, dist, sigma, s);
 
         // Phase 2: backward sweep, one level at a time, single writer per
-        // vertex; δ of deeper levels is final thanks to the fork-join
-        // barrier between levels.
+        // vertex; coefficients of deeper levels are final thanks to the
+        // fork-join barrier between levels.
         let rules = RootRules::new(sg, s);
-        let (d_i2i, d_i2o, d_o2o, bc_ref) = (&*d_i2i, &*d_i2o, &*d_o2o, &*bc);
+        let (coef, bc_ref) = (&*coef, &*bc);
         for dd in (0..levels.num_levels()).rev() {
             let level = levels.level(dd);
             let dv = dd as u32;
             let body = |&v: &VertexId| {
                 let vu = v as usize;
                 let sv = sigma[vu].load();
-                let mut d = rules.init(v);
+                let mut sum = 0.0;
                 for &w in csr.neighbors(v) {
                     if dist[w as usize].load(Ordering::Relaxed) == dv + 1 {
-                        let c = sv / sigma[w as usize].load();
-                        d.i2i += c * (1.0 + d_i2i[w as usize].load());
-                        d.i2o += c * d_i2o[w as usize].load();
-                        if rules.s_boundary {
-                            d.o2o += c * d_o2o[w as usize].load();
-                        }
+                        sum += coef[w as usize].load();
                     }
                 }
-                d_i2i[vu].store(d.i2i);
-                d_i2o[vu].store(d.i2o);
-                d_o2o[vu].store(d.o2o);
+                let d = rules.init(v) + sv * sum;
+                coef[vu].store((1.0 + d) / sv);
                 if let Some(term) = rules.score(v, d) {
                     let cell = &bc_ref[vu];
                     cell.store(cell.load() + term);

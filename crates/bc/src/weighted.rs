@@ -90,14 +90,14 @@ pub fn bc_weighted_apgre(wg: &WeightedGraph) -> Vec<f64> {
 
 /// Weighted APGRE: decompose the structure (weights don't move articulation
 /// points or reachability), then sweep every sub-graph with the shared
-/// four-dependency kernel's Dijkstra forward phase and merge.
+/// Algorithm-2 kernel's Dijkstra forward phase and merge.
 pub fn bc_weighted_apgre_with(wg: &WeightedGraph, popts: &PartitionOptions) -> Vec<f64> {
     let decomp = decompose(wg.structure(), popts);
     bc_weighted_from_decomposition(wg, &decomp)
 }
 
 /// Weighted APGRE on a pre-built decomposition (default [`ApgreOptions`]).
-pub fn bc_weighted_from_decomposition(wg: &WeightedGraph, decomp: &Decomposition) -> Vec<f64> {
+fn bc_weighted_from_decomposition(wg: &WeightedGraph, decomp: &Decomposition) -> Vec<f64> {
     let weights: Vec<Vec<u32>> = decomp.subgraphs.iter().map(|sg| local_weights(wg, sg)).collect();
     let view = DecompositionView { decomp, weights: Some(&weights) };
     let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());

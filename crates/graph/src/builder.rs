@@ -7,8 +7,8 @@ use crate::VertexId;
 ///
 /// Real-world edge lists (and our generators' raw output) contain self-loops
 /// and duplicates; the BC algorithms assume simple graphs, so the builder
-/// normalizes by default. Both normalizations can be disabled for tests that
-/// exercise the algorithms' robustness against dirty inputs.
+/// always drops duplicates, and drops self-loops unless a test that exercises
+/// the algorithms' robustness against dirty inputs keeps them.
 ///
 /// ```
 /// use apgre_graph::GraphBuilder;
@@ -24,7 +24,6 @@ use crate::VertexId;
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     directed: bool,
-    dedup: bool,
     drop_self_loops: bool,
     min_vertices: usize,
     edges: Vec<(VertexId, VertexId)>,
@@ -33,24 +32,12 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// A builder for an undirected graph.
     pub fn undirected() -> Self {
-        GraphBuilder {
-            directed: false,
-            dedup: true,
-            drop_self_loops: true,
-            min_vertices: 0,
-            edges: Vec::new(),
-        }
+        GraphBuilder { directed: false, drop_self_loops: true, min_vertices: 0, edges: Vec::new() }
     }
 
     /// A builder for a directed graph.
     pub fn directed() -> Self {
         GraphBuilder { directed: true, ..GraphBuilder::undirected() }
-    }
-
-    /// Keep duplicate edges instead of de-duplicating.
-    pub fn keep_duplicates(mut self) -> Self {
-        self.dedup = false;
-        self
     }
 
     /// Keep self-loops instead of dropping them. (Undirected graphs always
@@ -97,27 +84,12 @@ impl GraphBuilder {
             self.edges.retain(|&(u, v)| u != v);
         }
         if self.directed {
-            if self.dedup {
-                self.edges.sort_unstable();
-                self.edges.dedup();
-            }
+            self.edges.sort_unstable();
+            self.edges.dedup();
             Graph::directed_from_edges(n, &self.edges)
         } else {
-            // undirected_from_edges always dedups the symmetrized list; when
-            // duplicates are requested we emit them pre-mirrored ourselves.
-            if self.dedup {
-                Graph::undirected_from_edges(n, &self.edges)
-            } else {
-                let mut both = Vec::with_capacity(self.edges.len() * 2);
-                for &(u, v) in &self.edges {
-                    if u == v {
-                        continue;
-                    }
-                    both.push((u, v));
-                    both.push((v, u));
-                }
-                Graph::from_symmetric_csr(crate::Csr::from_edges(n, &both))
-            }
+            // `undirected_from_edges` dedups the symmetrized list.
+            Graph::undirected_from_edges(n, &self.edges)
         }
     }
 }
@@ -157,11 +129,5 @@ mod tests {
         let g = GraphBuilder::undirected().build();
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn keep_duplicates_undirected() {
-        let g = GraphBuilder::undirected().keep_duplicates().add_edge(0, 1).add_edge(0, 1).build();
-        assert_eq!(g.num_arcs(), 4);
     }
 }

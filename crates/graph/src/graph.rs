@@ -57,25 +57,6 @@ impl Graph {
         Graph { directed: false, fwd, rev: None }
     }
 
-    /// Wraps a pre-built symmetric CSR as an undirected graph.
-    ///
-    /// # Panics
-    /// Debug-asserts symmetry on small graphs.
-    pub fn from_symmetric_csr(fwd: Csr) -> Self {
-        #[cfg(debug_assertions)]
-        {
-            if fwd.num_vertices() <= 4096 {
-                for (u, v) in fwd.edges() {
-                    debug_assert!(
-                        fwd.has_edge(v, u),
-                        "CSR not symmetric: {u}->{v} present, {v}->{u} missing"
-                    );
-                }
-            }
-        }
-        Graph { directed: false, fwd, rev: None }
-    }
-
     /// Whether the graph is directed.
     #[inline]
     pub fn is_directed(&self) -> bool {

@@ -27,16 +27,12 @@ pub const WUNREACHED: u64 = u64::MAX;
 /// A graph with positive integer arc weights.
 ///
 /// Wraps the unweighted [`Graph`] (the *structure*, which the decomposition
-/// machinery consumes unchanged) plus per-arc weights for the forward and
-/// reverse CSRs.
+/// machinery consumes unchanged) plus per-arc weights for the forward CSR.
 #[derive(Clone, Debug)]
 pub struct WeightedGraph {
     structure: Graph,
     /// Weight of the arc at each forward-CSR position.
     fwd_weights: Vec<u32>,
-    /// Weight of the arc at each reverse-CSR position (same vector for
-    /// undirected graphs, where the CSRs coincide).
-    rev_weights: Vec<u32>,
 }
 
 impl WeightedGraph {
@@ -57,25 +53,15 @@ impl WeightedGraph {
                 w
             })
             .collect();
-        let rev_weights = if g.is_directed() {
-            g.rev_csr()
-                .edges()
-                .map(|(v, u)| {
-                    // arc v<-u in reverse CSR corresponds to forward u->v
-                    fwd_weights[arc_pos(g.csr(), u, v)]
-                })
-                .collect()
-        } else {
-            // Undirected: rev CSR is the fwd CSR; enforce symmetry.
+        if !g.is_directed() {
             for (u, v) in g.csr().edges() {
                 assert!(
                     fwd_weights[arc_pos(g.csr(), u, v)] == fwd_weights[arc_pos(g.csr(), v, u)],
                     "asymmetric weight on undirected edge {{{u},{v}}}"
                 );
             }
-            fwd_weights.clone()
-        };
-        WeightedGraph { structure: g, fwd_weights, rev_weights }
+        }
+        WeightedGraph { structure: g, fwd_weights }
     }
 
     /// Wraps `g` with unit weights (semantically identical to the unweighted
@@ -134,12 +120,6 @@ impl WeightedGraph {
     #[inline]
     pub fn fwd_weights(&self) -> &[u32] {
         &self.fwd_weights
-    }
-
-    /// Raw reverse weights (aligned with `structure().rev_csr().targets()`).
-    #[inline]
-    pub fn rev_weights(&self) -> &[u32] {
-        &self.rev_weights
     }
 }
 
@@ -265,19 +245,6 @@ mod tests {
         let wg = WeightedGraph::random_weights(g, 7, 11);
         for (u, v) in wg.structure().undirected_edges() {
             assert_eq!(wg.weight(u, v), wg.weight(v, u));
-        }
-    }
-
-    #[test]
-    fn directed_reverse_weights_align() {
-        let g = generators::gnm_directed(30, 90, 5);
-        let wg = WeightedGraph::random_weights(g, 5, 6);
-        let rev = wg.structure().rev_csr();
-        for (v, u) in rev.edges() {
-            // reverse arc (v <- u) weight must equal forward u -> v.
-            let lo = rev.offsets()[v as usize];
-            let i = rev.neighbors(v).partition_point(|&x| x < u);
-            assert_eq!(wg.rev_weights()[lo + i], wg.weight(u, v));
         }
     }
 

@@ -57,7 +57,9 @@ impl IndexChunk {
 
 /// Folds one vertex's score from its owner entries, in ascending
 /// current-index order, starting from `0.0` — the same float-add sequence
-/// as the full refold.
+/// as the full refold. A vertex with one owner (every vertex but the
+/// articulation points) reads its entry in place; only several owners are
+/// copied out to be sorted.
 fn fold_at(
     index: &[Arc<IndexChunk>],
     rank: &[u32],
@@ -69,17 +71,21 @@ fn fold_at(
         Some(c) => c.entries(v & (INDEX_CHUNK_SIZE - 1)),
         None => &[],
     };
-    let mut owners: Vec<(u32, u32)> = entries.to_vec();
-    if owners.len() > 1 {
-        owners.sort_unstable_by_key(|&(slot, _)| rank[slot as usize]);
-    }
-    let mut acc = 0.0f64;
-    for (slot, local) in owners {
-        if let Some(vals) = &values[slot as usize] {
-            acc += vals[local as usize];
+    let fold = |owners: &[(u32, u32)]| {
+        let mut acc = 0.0f64;
+        for &(slot, local) in owners {
+            if let Some(vals) = &values[slot as usize] {
+                acc += vals[local as usize];
+            }
         }
+        acc
+    };
+    if entries.len() <= 1 {
+        return fold(entries);
     }
-    acc
+    let mut owners = entries.to_vec();
+    owners.sort_unstable_by_key(|&(slot, _)| rank[slot as usize]);
+    fold(&owners)
 }
 
 /// The engine-side store: slot-addressed per-sub-graph contribution spans,

@@ -743,3 +743,149 @@ fn weighted_sweep_rejects_a_stale_folded_csr() {
         None,
     );
 }
+
+/// One root's Equation-7 contribution under Algorithm 2 as printed: a
+/// forward phase over the full local graph (`sg.graph`, whiskers included
+/// as targets) — Dijkstra over `weights`, aligned with `sg.graph.csr()`, or
+/// BFS order when `None` — then a backward sweep that stores the three
+/// dependencies `δ_i2i`, `δ_i2o` and `δ_o2o` per vertex (their `δ^init`
+/// set up front, as in the paper's phase 0) and takes `δ_o2i = β(s)·δ_i2i`,
+/// plus the §3.3 root term. Also returns how many arcs from a reached
+/// vertex point to a strictly closer one (out-arcs back up the DAG).
+fn literal_algorithm2(sg: &SubGraph, weights: Option<&[u32]>, s: VertexId) -> (Vec<f64>, usize) {
+    use std::cmp::Reverse;
+    let (csr, n, su) = (sg.graph.csr(), sg.num_vertices(), s as usize);
+    let len = |arc: usize| weights.map_or(1u64, |w| u64::from(w[arc]));
+    let (mut dist, mut sigma) = (vec![u64::MAX; n], vec![0.0f64; n]);
+    let (mut order, mut settled) = (Vec::new(), vec![false; n]);
+    let mut heap = std::collections::BinaryHeap::from([Reverse((0u64, s))]);
+    (dist[su], sigma[su]) = (0, 1.0);
+    while let Some(Reverse((d, u))) = heap.pop() {
+        let uu = u as usize;
+        if settled[uu] {
+            continue;
+        }
+        settled[uu] = true;
+        order.push(u);
+        let lo = csr.offsets()[uu];
+        for (i, &w) in csr.neighbors(u).iter().enumerate() {
+            let (wu, nd) = (w as usize, d + len(lo + i));
+            if nd < dist[wu] {
+                (dist[wu], sigma[wu]) = (nd, sigma[uu]);
+                heap.push(Reverse((nd, w)));
+            } else if nd == dist[wu] {
+                sigma[wu] += sigma[uu];
+            }
+        }
+    }
+    let s_boundary = sg.is_boundary[su];
+    let beta_s = if s_boundary { sg.beta[su] as f64 } else { 0.0 };
+    let gamma_s = sg.gamma[su] as f64;
+    let (mut i2i, mut i2o, mut o2o) = (vec![0.0f64; n], vec![0.0f64; n], vec![0.0f64; n]);
+    for &v in &order {
+        let vu = v as usize;
+        if v != s && sg.is_boundary[vu] {
+            i2o[vu] = sg.alpha[vu] as f64;
+            o2o[vu] = beta_s * sg.alpha[vu] as f64;
+        }
+    }
+    let (mut contrib, mut back) = (vec![0.0f64; n], 0usize);
+    for &v in order.iter().rev() {
+        let vu = v as usize;
+        let lo = csr.offsets()[vu];
+        for (i, &w) in csr.neighbors(v).iter().enumerate() {
+            let wu = w as usize;
+            back += usize::from(dist[wu] < dist[vu]);
+            if dist[wu] == dist[vu] + len(lo + i) {
+                let c = sigma[vu] / sigma[wu];
+                i2i[vu] += c * (1.0 + i2i[wu]);
+                i2o[vu] += c * i2o[wu];
+                o2o[vu] += c * o2o[wu];
+            }
+        }
+        if v != s {
+            let o2i = beta_s * i2i[vu];
+            contrib[vu] = (1.0 + gamma_s) * (i2i[vu] + i2o[vu]) + o2i + o2o[vu];
+        }
+    }
+    if gamma_s > 0.0 {
+        let whisker_self = if sg.graph.is_directed() { 0.0 } else { 1.0 };
+        let alpha_s = if s_boundary { sg.alpha[su] as f64 } else { 0.0 };
+        contrib[su] = gamma_s * ((i2i[su] - whisker_self) + i2o[su] + alpha_s);
+    }
+    (contrib, back)
+}
+
+/// Every sub-graph of `d` through the observed sweep (weighted when
+/// `weights` holds `(sweep_csr, full local CSR)` arc weights per sub-graph)
+/// against [`literal_algorithm2`], root by root, at `1e-12·(1+|x|)`.
+/// Returns the back arcs the literal sweeps met and how many roots were
+/// boundary points.
+fn assert_matches_literal_algorithm2(
+    name: &str,
+    d: &Decomposition,
+    weights: Option<&[(Vec<u32>, Vec<u32>)]>,
+) -> (usize, usize) {
+    let (mut back, mut boundary_roots) = (0usize, 0usize);
+    for (i, sg) in d.subgraphs.iter().enumerate() {
+        let (sweep, full) = match weights {
+            Some(w) => (Some(&w[i].0[..]), Some(&w[i].1[..])),
+            None => (None, None),
+        };
+        let mut contribs: Vec<Vec<f64>> = Vec::new();
+        bc_in_subgraph(
+            SubGraphView { sg, weights: sweep },
+            &sg.roots,
+            KernelChoice::Seq,
+            1,
+            &mut SgWorkspace::default(),
+            &mut vec![0.0f64; sg.num_vertices()],
+            Some(&mut |c: &[f64]| contribs.push(c.to_vec())),
+        );
+        assert_eq!(contribs.len(), sg.roots.len(), "{name}: SG{i} one call per root");
+        for (&s, got) in sg.roots.iter().zip(&contribs) {
+            let (want, b) = literal_algorithm2(sg, full, s);
+            back += b;
+            boundary_roots += usize::from(sg.is_boundary[s as usize]);
+            for (v, (&x, &y)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (x - y).abs() <= 1e-12 * (1.0 + y.abs()),
+                    "{name}: SG{i} root {s} local {v}: sweep {x} vs literal Algorithm 2 {y}"
+                );
+            }
+        }
+    }
+    (back, boundary_roots)
+}
+
+/// The one-coefficient sweep is Algorithm 2: per root, its Equation-7
+/// contribution matches a literal three-dependency Algorithm 2 over the
+/// unfolded local graph on the whisker-heavy inputs, a boundary-rich
+/// community graph, a directed Table-1 stand-in whose out-arcs reach back
+/// to closer levels, and non-unit-weighted graphs.
+#[test]
+fn one_coefficient_sweep_matches_literal_algorithm2() {
+    let (_, _, boundary_rich) = table_inputs().pop().expect("whiskered-t8");
+    let (_, boundary_roots) =
+        assert_matches_literal_algorithm2("whiskered-t8", &boundary_rich, None);
+    assert!(boundary_roots > 0, "whiskered-t8: some root must be a boundary point");
+    let directed = apgre::workloads::get("slashdot-like").expect("a Table-1 stand-in");
+    let g = directed.graph(Scale::Tiny);
+    assert!(g.is_directed());
+    let d = decompose(&g, &PartitionOptions::default());
+    let (back, _) = assert_matches_literal_algorithm2(directed.name, &d, None);
+    assert!(back > 0, "{}: out-arcs must reach back to closer levels", directed.name);
+    for (name, _, d) in whisker_inputs() {
+        assert_matches_literal_algorithm2(&name, &d, None);
+    }
+    for (k, (name, g, d)) in weighted_inputs().into_iter().enumerate() {
+        let wg = WeightedGraph::random_weights(g, 9, 0x7E + k as u64);
+        let full = d.subgraphs.iter().map(|sg| {
+            let global = |l: VertexId| sg.globals[l as usize];
+            sg.graph.csr().edges().map(|(u, v)| wg.weight(global(u), global(v))).collect()
+        });
+        let weights: Vec<(Vec<u32>, Vec<u32>)> =
+            sweep_weights(&wg, &d).into_iter().zip(full).collect();
+        assert_matches_literal_algorithm2(&format!("{name}/weighted"), &d, Some(&weights));
+    }
+}
