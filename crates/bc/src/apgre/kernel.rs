@@ -54,9 +54,7 @@
 //! reset-clean `0`. Summing *every* neighbour's coefficient therefore adds
 //! exact zeros to the successor sum, which leaves it bitwise equal to the
 //! filtered one, and the per-arc `dist == d + 1` test is gone. Dijkstra
-//! keeps its filter (a neighbour settled later need not be a successor),
-//! and so does the level-synchronous sweep, whose level runs in parallel
-//! and writes each coefficient at once.
+//! keeps its filter (a neighbour settled later need not be a successor).
 //!
 //! # The whisker fold (targets)
 //!
@@ -85,7 +83,7 @@
 //! the backward loop, the per-vertex rules and the whisker fold are shared
 //! — a weighted whisker still has `σ(w) = σ(v)` and `D(w) = 0`.
 //!
-//! # One entry point, three strategies
+//! # One entry point, two strategies
 //!
 //! [`bc_in_subgraph`] is the module's only function. It sweeps an explicit
 //! root slice — callers pass `&sg.roots` for the exact kernel, a sample for
@@ -99,23 +97,23 @@
 //!   are split into fixed chunks, each chunk swept with the *same*
 //!   sequential body into a private partial score vector (zero atomics on
 //!   the hot path), and the partials are merged by a fixed-shape tree —
-//!   bitwise deterministic for a given pool size;
-//! * [`KernelChoice::LevelSync`] — fine-grained **level-synchronous**: the
-//!   paper's inner level of the two-level parallelization, for the
-//!   few-roots-but-huge sub-graph regime where root supply cannot feed the
-//!   workers. Dijkstra has no levels to synchronize, so a weighted
-//!   `LevelSync` sweep runs `Seq`.
+//!   bitwise deterministic for a given pool size.
+//!
+//! The paper's fine-grained level-synchronous inner level is not here: a
+//! sweep reaches only roots of the sub-graph (undirected whiskers are cut
+//! from [`SubGraph::sweep_csr`], directed ones have in-degree 0, every other
+//! vertex is a root), so a sub-graph with too few roots to feed the workers
+//! also has too few vertices to fill a level (DESIGN.md §3.7).
 //!
 //! An optional per-root observer receives each root's own Equation-7
 //! contribution vector (the hook of the adaptive sampling estimator); it
 //! forces the sequential sweep, the only one that visits roots in slice
 //! order, and leaves `bc_local` bitwise identical to the unobserved sweep.
-//! The caller-owned [`SgWorkspace`] lets the driver's buffer pool recycle
-//! the `O(n)` scratch arrays across sub-graphs.
+//! The caller-owned [`SgWorkspace`] lets the dispatcher reuse one set of
+//! `O(n)` scratch arrays per worker across sub-graphs.
 
 use super::KernelChoice;
-use crate::sync::{AtomicU32, Ordering};
-use crate::util::{add_assign_scores, atomic_f64_vec, AtomicF64, Levels};
+use crate::util::{add_assign_scores, Levels};
 use apgre_decomp::SubGraph;
 use apgre_graph::weighted::dijkstra_sssp;
 use apgre_graph::{Csr, VertexId, UNREACHED};
@@ -137,36 +135,17 @@ impl<'a> From<&'a SubGraph> for SubGraphView<'a> {
     }
 }
 
-/// Reusable scratch for [`bc_in_subgraph`]: the sequential sweep's arrays,
-/// built and grown on first use, and the level-synchronous sweep's atomic
-/// arrays, built only if that strategy ever runs. Cells keep the
-/// reset-clean invariant between calls, so one pooled workspace can serve
-/// sub-graphs of any size and any strategy.
+/// Reusable scratch for [`bc_in_subgraph`]: distances, σ and the one
+/// coefficient `coef = (1 + D) / σ` per vertex (see the module doc), grown
+/// on first use to the sub-graph's vertex count and reset in `O(reached)`
+/// between roots, so one workspace serves roots, chunks and whole
+/// sub-graphs of any size. `levels` is the current root's settle order cut
+/// into the levels the backward sweep settles at once; `pending` holds one
+/// level's coefficients until the level is done. `wdist` is the current
+/// root's Dijkstra distances, replaced per root. `contrib` is the observer's
+/// per-root contribution vector, grown only by observed sweeps.
 #[derive(Default)]
 pub struct SgWorkspace {
-    seq: SeqWs,
-    par: Option<ParWs>,
-}
-
-impl SgWorkspace {
-    fn par(&mut self, n: usize) -> &mut ParWs {
-        let ws = self.par.get_or_insert_with(|| ParWs::new(n));
-        ws.ensure(n);
-        ws
-    }
-}
-
-/// Sequential workspace for one sub-graph: distances, σ and the one
-/// coefficient `coef = (1 + D) / σ` per vertex (see the module doc), sized
-/// for the sub-graph's vertex count and reset in `O(reached)` between roots
-/// so it can be reused across roots, chunks, and whole sub-graphs.
-/// `levels` is the current root's settle order cut into the levels the
-/// backward sweep settles at once; `pending` holds one level's coefficients
-/// until the level is done. `wdist` is the current root's Dijkstra
-/// distances, replaced per root. `contrib` is the observer's per-root
-/// contribution vector, grown only by observed sweeps.
-#[derive(Default)]
-struct SeqWs {
     dist: Vec<u32>,
     wdist: Vec<u64>,
     sigma: Vec<f64>,
@@ -176,7 +155,7 @@ struct SeqWs {
     pending: Vec<f64>,
 }
 
-impl SeqWs {
+impl SgWorkspace {
     /// Grows the workspace to cover `n` vertices. Cells keep the reset-clean
     /// invariant (`dist = UNREACHED`, everything else zero).
     fn ensure(&mut self, n: usize) {
@@ -213,9 +192,8 @@ impl SeqWs {
 ///   the same `bc_local` sums to the full sweep.
 /// * `choice` — the strategy (normally [`super::KernelPolicy::choose`]'s
 ///   resolution for this sub-graph).
-/// * `grain` — minimum roots per root-parallel chunk and minimum frontier
-///   width before the level-synchronous sweep forks a level.
-/// * `ws` — fresh (`SgWorkspace::default()`) or pooled; the root-parallel
+/// * `grain` — minimum roots per root-parallel chunk.
+/// * `ws` — fresh (`SgWorkspace::default()`) or reused; the root-parallel
 ///   sweep builds one workspace per worker instead.
 /// * `observer` — when given, called once per root, in slice order, with
 ///   that root's own dense contribution vector (`0` for vertices the root
@@ -236,22 +214,17 @@ pub fn bc_in_subgraph<'a>(
     debug_assert_eq!(bc_local.len(), n);
     debug_assert!(weights.is_none_or(|w| w.len() == sg.sweep_csr().num_edges()));
     let grain = grain.max(1);
-    let seq = &mut ws.seq;
     match (weights, observer, choice) {
-        (None, Some(observe), _) => sweep_roots_observed(sg, Bfs, roots, seq, bc_local, observe),
-        (None, None, KernelChoice::Seq) => sweep_roots_seq(sg, Bfs, roots, seq, bc_local),
+        (None, Some(observe), _) => sweep_roots_observed(sg, Bfs, roots, ws, bc_local, observe),
+        (None, None, KernelChoice::Seq) => sweep_roots_seq(sg, Bfs, roots, ws, bc_local),
         (None, None, KernelChoice::RootParallel) => {
             sweep_roots_par(sg, Bfs, roots, bc_local, grain)
         }
-        (None, None, KernelChoice::LevelSync) => {
-            sweep_roots_level_sync(sg, roots, ws.par(n), bc_local, grain)
-        }
-        (Some(w), Some(f), _) => sweep_roots_observed(sg, Dijkstra(w), roots, seq, bc_local, f),
+        (Some(w), Some(f), _) => sweep_roots_observed(sg, Dijkstra(w), roots, ws, bc_local, f),
+        (Some(w), None, KernelChoice::Seq) => sweep_roots_seq(sg, Dijkstra(w), roots, ws, bc_local),
         (Some(w), None, KernelChoice::RootParallel) => {
             sweep_roots_par(sg, Dijkstra(w), roots, bc_local, grain)
         }
-        // Dijkstra has no levels to synchronize: `LevelSync` runs `Seq`.
-        (Some(w), None, _) => sweep_roots_seq(sg, Dijkstra(w), roots, seq, bc_local),
     }
 }
 
@@ -263,11 +236,11 @@ trait ForwardPhase: Copy + Send + Sync {
     /// non-decreasing distance (root first), cut into the levels whose
     /// coefficients the backward sweep may defer, and returns the arcs
     /// scanned.
-    fn sweep_root_forward(self, sg: &SubGraph, s: VertexId, ws: &mut SeqWs) -> u64;
+    fn sweep_root_forward(self, sg: &SubGraph, s: VertexId, ws: &mut SgWorkspace) -> u64;
 
     /// `Σ coef(w)` over the DAG successors `w` of the reached vertex `v`, in
     /// `csr` order, read while `v`'s level is being settled.
-    fn sweep_root_successor_sum(self, csr: &Csr, ws: &SeqWs, v: u32) -> f64;
+    fn sweep_root_successor_sum(self, csr: &Csr, ws: &SgWorkspace, v: u32) -> f64;
 }
 
 /// Unit arc lengths: breadth-first levels.
@@ -279,9 +252,9 @@ struct Bfs;
 struct Dijkstra<'a>(&'a [u32]);
 
 impl ForwardPhase for Bfs {
-    fn sweep_root_forward(self, sg: &SubGraph, s: VertexId, ws: &mut SeqWs) -> u64 {
+    fn sweep_root_forward(self, sg: &SubGraph, s: VertexId, ws: &mut SgWorkspace) -> u64 {
         let csr = sg.sweep_csr();
-        let SeqWs { dist, sigma, levels, .. } = ws;
+        let SgWorkspace { dist, sigma, levels, .. } = ws;
         let mut edges = 0u64;
         dist[s as usize] = 0;
         sigma[s as usize] = 1.0;
@@ -323,7 +296,7 @@ impl ForwardPhase for Bfs {
     /// Sums every neighbour: off the DAG's successors the coefficient is
     /// still the reset-clean `0` (see the module doc).
     #[inline]
-    fn sweep_root_successor_sum(self, csr: &Csr, ws: &SeqWs, v: u32) -> f64 {
+    fn sweep_root_successor_sum(self, csr: &Csr, ws: &SgWorkspace, v: u32) -> f64 {
         let mut sum = 0.0;
         // Audited: neighbours are compacted ids `< sg.n`, the size of
         // `ws.coef`. lint:allow(hot_index)
@@ -341,7 +314,7 @@ impl ForwardPhase for Bfs {
 }
 
 impl ForwardPhase for Dijkstra<'_> {
-    fn sweep_root_forward(self, sg: &SubGraph, s: VertexId, ws: &mut SeqWs) -> u64 {
+    fn sweep_root_forward(self, sg: &SubGraph, s: VertexId, ws: &mut SgWorkspace) -> u64 {
         let csr = sg.sweep_csr();
         let dag = dijkstra_sssp(csr, self.0, s);
         #[cfg(feature = "invariants")]
@@ -365,7 +338,7 @@ impl ForwardPhase for Dijkstra<'_> {
     }
 
     #[inline]
-    fn sweep_root_successor_sum(self, csr: &Csr, ws: &SeqWs, v: u32) -> f64 {
+    fn sweep_root_successor_sum(self, csr: &Csr, ws: &SgWorkspace, v: u32) -> f64 {
         let dv = ws.wdist[v as usize];
         // The weights are aligned with `csr`'s targets: `v`'s start at its
         // offset.
@@ -447,7 +420,7 @@ fn sweep_root<F: ForwardPhase, const RECORD: bool>(
     sg: &SubGraph,
     front: F,
     s: VertexId,
-    ws: &mut SeqWs,
+    ws: &mut SgWorkspace,
     bc_local: &mut [f64],
 ) -> u64 {
     let csr = sg.sweep_csr();
@@ -487,7 +460,7 @@ fn sweep_roots_seq<F: ForwardPhase>(
     sg: &SubGraph,
     front: F,
     roots: &[VertexId],
-    ws: &mut SeqWs,
+    ws: &mut SgWorkspace,
     bc_local: &mut [f64],
 ) -> u64 {
     ws.ensure(sg.num_vertices());
@@ -510,7 +483,7 @@ fn sweep_roots_observed<F: ForwardPhase>(
     sg: &SubGraph,
     front: F,
     roots: &[VertexId],
-    ws: &mut SeqWs,
+    ws: &mut SgWorkspace,
     bc_local: &mut [f64],
     observe: &mut dyn FnMut(&[f64]),
 ) -> u64 {
@@ -569,7 +542,7 @@ fn sweep_roots_par<F: ForwardPhase>(
     let chunk = roots.len().div_ceil(4 * threads).max(grain);
     let mut partials: Vec<(Vec<f64>, u64)> = roots
         .par_chunks(chunk)
-        .map_init(SeqWs::default, |ws, roots| {
+        .map_init(SgWorkspace::default, |ws, roots| {
             let mut part = vec![0.0f64; n];
             let edges = sweep_roots_seq(sg, front, roots, ws, &mut part);
             (part, edges)
@@ -600,195 +573,5 @@ fn sweep_roots_par<F: ForwardPhase>(
     }
     let (part, edges) = partials.pop().expect("roots non-empty implies at least one chunk");
     add_assign_scores(bc_local, &part);
-    edges
-}
-
-/// Level-synchronous workspace: the atomic mirror of [`SeqWs`], plus the
-/// shared `bc` accumulation mirror (reused across every root of a call
-/// instead of being rebuilt per call) and the back frontier buffer (`next`)
-/// of the double-buffered frontier — `levels.order` holds the settled front,
-/// `next` is refilled in place each level, so frontier expansion allocates
-/// nothing after warm-up.
-struct ParWs {
-    dist: Vec<AtomicU32>,
-    sigma: Vec<AtomicF64>,
-    coef: Vec<AtomicF64>,
-    bc: Vec<AtomicF64>,
-    next: Vec<VertexId>,
-    levels: Levels,
-}
-
-impl ParWs {
-    fn new(n: usize) -> Self {
-        ParWs {
-            dist: (0..n).map(|_| AtomicU32::new(UNREACHED)).collect(),
-            sigma: atomic_f64_vec(n),
-            coef: atomic_f64_vec(n),
-            bc: atomic_f64_vec(n),
-            next: Vec::new(),
-            levels: Levels::default(),
-        }
-    }
-
-    /// Grows the workspace to cover `n` vertices (pool reuse across
-    /// sub-graphs of different sizes); existing cells keep the reset-clean
-    /// invariant.
-    fn ensure(&mut self, n: usize) {
-        let len = self.dist.len();
-        if len < n {
-            self.dist.extend((len..n).map(|_| AtomicU32::new(UNREACHED)));
-            self.sigma.extend((len..n).map(|_| AtomicF64::new(0.0)));
-            self.coef.extend((len..n).map(|_| AtomicF64::new(0.0)));
-            self.bc.extend((len..n).map(|_| AtomicF64::new(0.0)));
-        }
-    }
-
-    fn reset_touched(&mut self) {
-        for &v in &self.levels.order {
-            self.dist[v as usize].store(UNREACHED, Ordering::Relaxed);
-            self.sigma[v as usize].store(0.0);
-            self.coef[v as usize].store(0.0);
-        }
-        self.levels.clear();
-    }
-}
-
-/// The level-synchronous sweep — the paper's fine-grained inner level of
-/// the two-level parallelization. Forward σ is pulled per level (single
-/// writer per cell), the backward sweep sums the coefficients of the
-/// successors it filters by level (a level runs in parallel and writes each
-/// coefficient at once); no locks anywhere, exactly as in Algorithm 2's
-/// successor method. Levels narrower than `grain` vertices run sequentially
-/// to dodge fork-join overhead.
-fn sweep_roots_level_sync(
-    sg: &SubGraph,
-    roots: &[VertexId],
-    ws: &mut ParWs,
-    bc_local: &mut [f64],
-    grain: usize,
-) -> u64 {
-    let csr = sg.sweep_csr();
-    let rev = if sg.graph.is_directed() { sg.graph.rev_csr() } else { csr };
-    let mut edges = 0u64;
-
-    // Seed the shared bc mirror once per call; it then accumulates across
-    // every root (cells ≥ n are stale pool leftovers and never read).
-    for (cell, &x) in ws.bc.iter().zip(bc_local.iter()) {
-        cell.store(x);
-    }
-
-    // Audited: roots and neighbors are compacted sub-graph ids `< sg.n`;
-    // `ensure(n)` above sizes every shared array. lint:allow(hot_index)
-    for &s in roots {
-        // Split borrows: the frontier is a slice of `levels.order`, the back
-        // buffer `next` refills in place, the atomic arrays are shared.
-        let ParWs { dist, sigma, coef, bc, next, levels } = &mut *ws;
-        let (dist, sigma) = (&*dist, &*sigma);
-
-        // Phase 1: frontier discovery by CAS; σ pulled per level.
-        dist[s as usize].store(0, Ordering::Relaxed);
-        sigma[s as usize].store(1.0);
-        levels.order.push(s);
-        levels.starts.push(0);
-        let mut level_start = 0usize;
-        let mut d = 0u32;
-        loop {
-            let frontier = &levels.order[level_start..];
-            if frontier.is_empty() {
-                levels.starts.pop();
-                break;
-            }
-            next.clear();
-            if frontier.len() < grain {
-                for &u in frontier {
-                    for &v in csr.neighbors(u) {
-                        if dist[v as usize]
-                            .compare_exchange(
-                                UNREACHED,
-                                d + 1,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                        {
-                            next.push(v);
-                        }
-                    }
-                }
-            } else {
-                next.par_extend(frontier.par_iter().flat_map_iter(|&u| {
-                    csr.neighbors(u).iter().copied().filter(|&v| {
-                        dist[v as usize]
-                            .compare_exchange(
-                                UNREACHED,
-                                d + 1,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                    })
-                }));
-            }
-            let pull = |&w: &VertexId| {
-                let mut acc = 0.0;
-                for &u in rev.neighbors(w) {
-                    if dist[u as usize].load(Ordering::Relaxed) == d {
-                        acc += sigma[u as usize].load();
-                    }
-                }
-                sigma[w as usize].store(acc);
-            };
-            if next.len() < grain {
-                next.iter().for_each(pull);
-            } else {
-                next.par_iter().for_each(pull);
-            }
-            level_start = levels.order.len();
-            levels.starts.push(level_start);
-            levels.order.extend_from_slice(next);
-            d += 1;
-        }
-        levels.starts.push(levels.order.len());
-        #[cfg(feature = "invariants")]
-        crate::util::check_levels(levels, dist, sigma, s);
-
-        // Phase 2: backward sweep, one level at a time, single writer per
-        // vertex; coefficients of deeper levels are final thanks to the
-        // fork-join barrier between levels.
-        let rules = RootRules::new(sg, s);
-        let (coef, bc_ref) = (&*coef, &*bc);
-        for dd in (0..levels.num_levels()).rev() {
-            let level = levels.level(dd);
-            let dv = dd as u32;
-            let body = |&v: &VertexId| {
-                let vu = v as usize;
-                let sv = sigma[vu].load();
-                let mut sum = 0.0;
-                for &w in csr.neighbors(v) {
-                    if dist[w as usize].load(Ordering::Relaxed) == dv + 1 {
-                        sum += coef[w as usize].load();
-                    }
-                }
-                let d = rules.init(v) + sv * sum;
-                coef[vu].store((1.0 + d) / sv);
-                if let Some(term) = rules.score(v, d) {
-                    let cell = &bc_ref[vu];
-                    cell.store(cell.load() + term);
-                }
-            };
-            if level.len() < grain {
-                level.iter().for_each(body);
-            } else {
-                level.par_iter().for_each(body);
-            }
-        }
-        // Forward and backward both scan the out-edges of every reached
-        // vertex once.
-        edges += 2 * ws.levels.order.iter().map(|&v| csr.degree(v) as u64).sum::<u64>();
-        ws.reset_touched();
-    }
-    for (dst, cell) in bc_local.iter_mut().zip(ws.bc.iter()) {
-        *dst = cell.load();
-    }
     edges
 }

@@ -13,22 +13,20 @@
 //! Parallelism is two-level: **coarse-grained asynchronous across
 //! sub-graphs** (a rayon parallel iterator, largest sub-graph first so the
 //! dominant task starts immediately) and, within a sub-graph, one of the
-//! [`kernel`] module's implementations, selected per sub-graph by
-//! [`KernelPolicy`] from its root count and size (DESIGN.md §3.7). All
-//! levels share one rayon pool, so inner parallelism of the top sub-graph
-//! soaks up workers once the small sub-graphs drain — the behaviour §5.4
-//! describes.
+//! [`kernel`] module's strategies, selected per sub-graph by
+//! [`KernelPolicy`] from its root count and size (DESIGN.md §3.7). Both
+//! levels share one rayon pool, so the root-parallel chunks of the top
+//! sub-graph soak up workers once the small sub-graphs drain — the
+//! behaviour §5.4 describes.
 //!
 //! One scheduler, [`run_subgraph_kernels`], dispatches every sub-graph job
 //! for the batch driver, the weighted driver, the incremental engine and
-//! the sampled estimator. It checks kernel workspaces out of a pool
-//! (`BufferPool`), grows them in place when a larger sub-graph draws them,
-//! and returns them, so the long tail of small sub-graphs performs no
-//! workspace allocations. Runs come back in **ascending sub-graph index
-//! order** regardless of completion order, and the Equation-8 merge folds
-//! them in that order — the floating-point fold order is fixed, keeping
-//! whole-run results bitwise deterministic (and the golden checksums
-//! stable).
+//! the sampled estimator. Each worker builds one kernel workspace and
+//! reuses it, grown in place, for every job it runs. Runs come back in
+//! **ascending sub-graph index order** regardless of completion order, and
+//! the Equation-8 merge folds them in that order — the floating-point fold
+//! order is fixed, keeping whole-run results bitwise deterministic (and the
+//! golden checksums stable).
 
 pub mod kernel;
 
@@ -36,20 +34,16 @@ use apgre_decomp::{decompose, Decomposition, PartitionOptions};
 use apgre_graph::{Graph, VertexId};
 use kernel::{bc_in_subgraph, SubGraphView};
 use rayon::prelude::*;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Default scheduling grain: minimum roots per root-parallel chunk and
-/// minimum frontier width before the level-synchronous kernel forks a level.
+/// Default scheduling grain: minimum roots per root-parallel chunk, and the
+/// unit of the `Auto` size thresholds.
 pub const DEFAULT_GRAIN: usize = 256;
 
 /// Per-sub-graph kernel scheduling policy (DESIGN.md §3.7).
 ///
-/// The three forced variants pin every sub-graph to one kernel; [`Auto`]
-/// picks per sub-graph from the decomposition statistics. Replaces the old
-/// single `inner_parallel_min_vertices` threshold, which could only express
-/// "level-sync above N vertices" and always paid atomic-traffic overhead on
-/// sub-graphs whose abundant roots made coarse parallelism free.
+/// The two forced variants pin every sub-graph to one kernel; [`Auto`]
+/// picks per sub-graph from the decomposition statistics.
 ///
 /// [`Auto`]: KernelPolicy::Auto
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,8 +52,6 @@ pub enum KernelPolicy {
     Seq,
     /// Always the root-parallel sweep ([`KernelChoice::RootParallel`]).
     RootParallel,
-    /// Always the level-synchronous sweep ([`KernelChoice::LevelSync`]).
-    LevelSync,
     /// Choose per sub-graph — see [`KernelPolicy::choose`].
     Auto,
 }
@@ -73,29 +65,23 @@ pub enum KernelChoice {
     Seq,
     /// Coarse-grained root-parallel sweep.
     RootParallel,
-    /// Fine-grained level-synchronous sweep.
-    LevelSync,
 }
 
 impl KernelPolicy {
     /// Resolves the policy for one sub-graph.
     ///
-    /// The `Auto` heuristic, in order:
+    /// `Auto` takes the atomic-free coarse kernel
+    /// ([`RootParallel`](KernelChoice::RootParallel)) when all of these
+    /// hold, and [`Seq`](KernelChoice::Seq) otherwise:
     ///
-    /// 1. **Too small to parallelize at all** — one worker available, fewer
-    ///    vertices than one grain, or total sweep work (`roots · edges`)
-    ///    under ~8 grain² edge visits: the fork overhead cannot amortize, run
-    ///    [`Seq`](KernelChoice::Seq).
-    /// 2. **Root-rich** — at least two roots per worker: chunked roots feed
-    ///    every worker with whole sequential sweeps, so take the
-    ///    atomic-free coarse kernel
-    ///    ([`RootParallel`](KernelChoice::RootParallel)).
-    /// 3. **Root-starved but big** — few roots over a big vertex set (the
-    ///    paper's top-sub-graph regime): only intra-sweep parallelism can
-    ///    use the machine, take [`LevelSync`](KernelChoice::LevelSync) when
-    ///    there are at least `16 · grain` vertices (with the default grain
-    ///    that is 4096, the old `inner_parallel_min_vertices` default).
-    /// 4. Otherwise sequential.
+    /// * more than one worker;
+    /// * **big enough** — at least one grain of vertices and total sweep
+    ///   work (`roots · edges`) of at least ~8 grain² edge visits, so the
+    ///   fork overhead amortizes;
+    /// * **root-rich** — at least two roots per worker, so chunked roots
+    ///   feed every worker with whole sequential sweeps. A root-starved
+    ///   sub-graph has no wide level to split either: a sweep reaches only
+    ///   roots (DESIGN.md §3.7).
     pub fn choose(
         self,
         roots: usize,
@@ -108,16 +94,12 @@ impl KernelPolicy {
         match self {
             KernelPolicy::Seq => KernelChoice::Seq,
             KernelPolicy::RootParallel => KernelChoice::RootParallel,
-            KernelPolicy::LevelSync => KernelChoice::LevelSync,
             KernelPolicy::Auto => {
                 let work = roots.saturating_mul(edges.max(1));
                 let min_work = grain.saturating_mul(grain).saturating_mul(8);
-                if threads <= 1 || vertices < grain || work < min_work {
-                    KernelChoice::Seq
-                } else if roots >= threads.saturating_mul(2) {
+                let big = vertices >= grain && work >= min_work;
+                if threads > 1 && big && roots >= threads.saturating_mul(2) {
                     KernelChoice::RootParallel
-                } else if vertices >= grain.saturating_mul(16) {
-                    KernelChoice::LevelSync
                 } else {
                     KernelChoice::Seq
                 }
@@ -129,16 +111,13 @@ impl KernelPolicy {
 impl std::str::FromStr for KernelPolicy {
     type Err = String;
 
-    /// Parses the CLI spellings `auto`, `seq`, `rootpar`, `levelsync`.
+    /// Parses the CLI spellings `auto`, `seq`, `rootpar`.
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "auto" => Ok(KernelPolicy::Auto),
             "seq" => Ok(KernelPolicy::Seq),
             "rootpar" | "root-parallel" => Ok(KernelPolicy::RootParallel),
-            "levelsync" | "level-sync" => Ok(KernelPolicy::LevelSync),
-            other => {
-                Err(format!("unknown kernel policy `{other}` (want auto|seq|rootpar|levelsync)"))
-            }
+            other => Err(format!("unknown kernel policy `{other}` (want auto|seq|rootpar)")),
         }
     }
 }
@@ -148,13 +127,10 @@ impl std::str::FromStr for KernelPolicy {
 pub struct ApgreOptions {
     /// Decomposition options (merge threshold, α/β method).
     pub partition: PartitionOptions,
-    /// Process sub-graphs in parallel (the coarse level).
-    pub outer_parallel: bool,
     /// Per-sub-graph kernel selection.
     pub kernel: KernelPolicy,
-    /// Scheduling grain: minimum roots per root-parallel chunk, minimum
-    /// frontier/level width before the level-synchronous kernel goes
-    /// parallel, and the unit of the `Auto` size thresholds.
+    /// Scheduling grain: minimum roots per root-parallel chunk, and the
+    /// unit of the `Auto` size thresholds.
     pub grain: usize,
 }
 
@@ -162,7 +138,6 @@ impl Default for ApgreOptions {
     fn default() -> Self {
         ApgreOptions {
             partition: PartitionOptions::default(),
-            outer_parallel: true,
             kernel: KernelPolicy::Auto,
             grain: DEFAULT_GRAIN,
         }
@@ -205,19 +180,17 @@ pub struct ApgreReport {
     /// Kernel dispatched for the largest sub-graph (`None` when the graph is
     /// empty).
     pub top_subgraph_kernel: Option<KernelChoice>,
-    /// How many sub-graphs ran each kernel: `(seq, root_parallel,
-    /// level_sync)`.
-    pub kernel_counts: (usize, usize, usize),
+    /// How many sub-graphs ran each kernel: `(seq, root_parallel)`.
+    pub kernel_counts: (usize, usize),
 }
 
 impl KernelChoice {
     /// Stable lower-case label for logs and metrics exporters
-    /// (`seq` / `root_parallel` / `level_sync`).
+    /// (`seq` / `root_parallel`).
     pub fn name(self) -> &'static str {
         match self {
             KernelChoice::Seq => "seq",
             KernelChoice::RootParallel => "root_parallel",
-            KernelChoice::LevelSync => "level_sync",
         }
     }
 }
@@ -242,7 +215,7 @@ impl ApgreReport {
             kernel_policy: opts.kernel,
             grain: opts.grain.max(1),
             top_subgraph_kernel: None,
-            kernel_counts: (0, 0, 0),
+            kernel_counts: (0, 0),
         };
         report.absorb(decomp, runs);
         report
@@ -269,7 +242,6 @@ impl ApgreReport {
             match run.choice {
                 KernelChoice::Seq => self.kernel_counts.0 += 1,
                 KernelChoice::RootParallel => self.kernel_counts.1 += 1,
-                KernelChoice::LevelSync => self.kernel_counts.2 += 1,
             }
             if run.index == decomp.top_subgraph {
                 self.top_subgraph_kernel = Some(run.choice);
@@ -282,28 +254,6 @@ impl ApgreReport {
     /// kernel runs (the paper's "extra computations").
     pub fn decomposition_time(&self) -> Duration {
         self.partition_time + self.alpha_beta_time
-    }
-}
-
-/// Reusable kernel workspaces, shared by all workers of the outer parallel
-/// loop. Workers check a workspace out under a short lock, run a whole
-/// kernel on it lock-free, and return it; a recycled workspace grows in
-/// place when a larger sub-graph draws it.
-#[derive(Default)]
-struct BufferPool {
-    workspaces: Mutex<Vec<kernel::SgWorkspace>>,
-}
-
-impl BufferPool {
-    // Pool locks recover from poisoning: the pooled buffers are overwritten
-    // before reuse, so a worker that panicked mid-kernel cannot corrupt a
-    // later checkout — and a second panic here would abort the process.
-    fn take_ws(&self) -> kernel::SgWorkspace {
-        self.workspaces.lock().unwrap_or_else(|p| p.into_inner()).pop().unwrap_or_default()
-    }
-
-    fn put_ws(&self, ws: kernel::SgWorkspace) {
-        self.workspaces.lock().unwrap_or_else(|p| p.into_inner()).push(ws);
     }
 }
 
@@ -409,11 +359,12 @@ impl<'a> From<&'a Decomposition> for DecompositionView<'a> {
 /// dirty ones; the sampled estimator passes root samples and applies the
 /// sampling scale itself.
 ///
-/// Scheduling: largest-first dispatch, one shared workspace pool (score
-/// vectors are not pooled — they are the return value), `opts.kernel`
-/// resolved per job on the job's root count, and the outer rayon loop when
-/// `opts.outer_parallel`. Every job is one [`kernel::bc_in_subgraph`] call,
-/// weighted when `decomp` carries weights.
+/// Scheduling: largest-first dispatch on the outer rayon loop — the top
+/// sub-graph dominates (Table 4), so it must start immediately — one kernel
+/// workspace per worker (`map_init`; score vectors are the return value),
+/// and `opts.kernel` resolved per job on the job's root count. Every job is
+/// one [`kernel::bc_in_subgraph`] call, weighted when `decomp` carries
+/// weights.
 ///
 /// A strict sample (fewer roots than the sub-graph's root set) runs the
 /// observed sequential sweep and carries [`RootStats`]; its `local` span is
@@ -429,17 +380,17 @@ pub fn run_subgraph_kernels<'a>(
     opts: &ApgreOptions,
 ) -> Vec<SubgraphKernelRun> {
     let DecompositionView { decomp, weights } = decomp.into();
-    let pool = BufferPool::default();
-    let out: Mutex<Vec<SubgraphKernelRun>> = Mutex::new(Vec::with_capacity(jobs.len()));
-    for_each_largest_first(decomp, jobs, opts.outer_parallel, |(i, roots)| {
-        let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — callers pass ids of this decomposition
-        let weights = weights.map(|w| &w[i][..]); // lint:allow(panic_path) — one slice per sub-graph
-        let run = run_job(SubGraphView { sg, weights }, i, roots, opts, &pool);
-        // Recover from poisoning: a panicking sibling kernel must not turn
-        // into a second panic here — completed runs are still valid.
-        out.lock().unwrap_or_else(|p| p.into_inner()).push(run);
-    });
-    let mut runs = out.into_inner().unwrap_or_else(|p| p.into_inner());
+    let mut order = jobs.to_vec();
+    // Callers pass sub-graph ids taken from this same decomposition.
+    order.sort_by_key(|&(i, _)| std::cmp::Reverse(decomp.subgraphs[i].num_vertices())); // lint:allow(panic_path)
+    let mut runs: Vec<SubgraphKernelRun> = order
+        .into_par_iter()
+        .map_init(kernel::SgWorkspace::default, |ws, (i, roots)| {
+            let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — callers pass ids of this decomposition
+            let weights = weights.map(|w| &w[i][..]); // lint:allow(panic_path) — one slice per sub-graph
+            run_job(SubGraphView { sg, weights }, i, roots, opts, ws)
+        })
+        .collect();
     runs.sort_by_key(|r| r.index);
     runs
 }
@@ -454,27 +405,8 @@ pub fn full_jobs(
     indices.into_iter().map(|i| (i, &decomp.subgraphs[i].roots[..])).collect() // lint:allow(panic_path)
 }
 
-/// Calls `run` on every job, largest sub-graph first — the top sub-graph
-/// dominates (Table 4), so it must start immediately — on the outer rayon
-/// loop when `outer_parallel`.
-fn for_each_largest_first<'a>(
-    decomp: &Decomposition,
-    jobs: &[(usize, &'a [VertexId])],
-    outer_parallel: bool,
-    run: impl Fn((usize, &'a [VertexId])) + Sync + Send,
-) {
-    let mut order: Vec<(usize, &[VertexId])> = jobs.to_vec();
-    // Callers pass sub-graph ids taken from this same decomposition.
-    order.sort_by_key(|&(i, _)| std::cmp::Reverse(decomp.subgraphs[i].num_vertices())); // lint:allow(panic_path)
-    if outer_parallel {
-        order.into_par_iter().for_each(run);
-    } else {
-        order.into_iter().for_each(run);
-    }
-}
-
 /// One job — sub-graph `index`, seen through `view` — through
-/// [`kernel::bc_in_subgraph`] on a pooled workspace: resolves the policy
+/// [`kernel::bc_in_subgraph`] on the worker's workspace: resolves the policy
 /// for a full job, forces the observed sequential sweep and folds the
 /// per-root Welford statistics for a strict sample, and times the kernel.
 fn run_job(
@@ -482,14 +414,13 @@ fn run_job(
     index: usize,
     roots: &[VertexId],
     opts: &ApgreOptions,
-    pool: &BufferPool,
+    ws: &mut kernel::SgWorkspace,
 ) -> SubgraphKernelRun {
     let sg = view.sg;
     let n = sg.num_vertices();
     let mut local = vec![0.0f64; n];
     let t = Instant::now();
     let grain = opts.grain.max(1);
-    let mut ws = pool.take_ws();
     let (choice, edges, stats) = if roots.len() < sg.roots.len() {
         let mut stats = RootStats { vertex_m2: vec![0.0; n], ..RootStats::default() };
         let mut mean = vec![0.0f64; n];
@@ -512,15 +443,13 @@ fn run_job(
             }
         };
         let choice = KernelChoice::Seq;
-        let edges =
-            bc_in_subgraph(view, roots, choice, grain, &mut ws, &mut local, Some(&mut fold));
+        let edges = bc_in_subgraph(view, roots, choice, grain, ws, &mut local, Some(&mut fold));
         (choice, edges, Some(stats))
     } else {
         let threads = rayon::current_num_threads().max(1);
         let choice = opts.kernel.choose(roots.len(), n, sg.num_edges(), threads, grain);
-        (choice, bc_in_subgraph(view, roots, choice, grain, &mut ws, &mut local, None), None)
+        (choice, bc_in_subgraph(view, roots, choice, grain, ws, &mut local, None), None)
     };
-    pool.put_ws(ws);
     SubgraphKernelRun { index, local, edges, choice, time: t.elapsed(), stats }
 }
 
@@ -587,18 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_level_sync_matches() {
-        for (name, g) in zoo() {
-            let want = bc_serial(&g);
-            let opts =
-                ApgreOptions { kernel: KernelPolicy::LevelSync, grain: 1, ..Default::default() };
-            let (got, report) = bc_apgre_with(&g, &opts);
-            assert_close(&format!("{name}+levelsync"), &got, &want);
-            assert_eq!(report.kernel_counts.2, report.num_subgraphs, "{name}");
-        }
-    }
-
-    #[test]
     fn forced_root_parallel_matches() {
         for (name, g) in zoo() {
             let want = bc_serial(&g);
@@ -622,16 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_outer_matches() {
-        for (name, g) in zoo() {
-            let want = bc_serial(&g);
-            let opts = ApgreOptions { outer_parallel: false, ..Default::default() };
-            let (got, _) = bc_apgre_with(&g, &opts);
-            assert_close(&format!("{name}+seqouter"), &got, &want);
-        }
-    }
-
-    #[test]
     fn auto_policy_heuristic() {
         let p = KernelPolicy::Auto;
         let g = DEFAULT_GRAIN;
@@ -641,14 +548,14 @@ mod tests {
         assert_eq!(p.choose(10, 12, 30, 8, g), KernelChoice::Seq);
         // Root-rich and big: root-parallel.
         assert_eq!(p.choose(10_000, 100_000, 500_000, 8, g), KernelChoice::RootParallel);
-        // Root-starved top sub-graph: level-sync.
-        assert_eq!(p.choose(4, 100_000, 500_000, 8, g), KernelChoice::LevelSync);
+        // Root-starved top sub-graph: a sweep reaches only roots, so there
+        // is no wide level to split either.
+        assert_eq!(p.choose(4, 100_000, 500_000, 8, g), KernelChoice::Seq);
         // Root-starved and mid-sized: not worth forking.
         assert_eq!(p.choose(4, 2 * g, 500_000, 8, g), KernelChoice::Seq);
         // Forced policies ignore the statistics.
         assert_eq!(KernelPolicy::Seq.choose(0, 0, 0, 64, g), KernelChoice::Seq);
         assert_eq!(KernelPolicy::RootParallel.choose(0, 0, 0, 1, g), KernelChoice::RootParallel);
-        assert_eq!(KernelPolicy::LevelSync.choose(0, 0, 0, 1, g), KernelChoice::LevelSync);
     }
 
     #[test]
@@ -658,9 +565,9 @@ mod tests {
         // multiply saturates, so the policy degrades to Seq instead of
         // panicking in debug builds.
         assert_eq!(p.choose(10_000, 100_000, 500_000, 8, usize::MAX), KernelChoice::Seq);
-        // usize::MAX thread count: `threads * 2` saturates, the root-rich
-        // branch can no longer trigger, and the size branch decides.
-        assert_eq!(p.choose(4, 100_000, 500_000, usize::MAX, 64), KernelChoice::LevelSync);
+        // usize::MAX thread count: `threads * 2` saturates and the
+        // root-rich branch can no longer trigger.
+        assert_eq!(p.choose(4, 100_000, 500_000, usize::MAX, 64), KernelChoice::Seq);
         // usize::MAX roots and edges: `roots * edges` saturates instead of
         // wrapping to something below `min_work`.
         assert_eq!(p.choose(usize::MAX, 100_000, usize::MAX, 8, 64), KernelChoice::RootParallel);
@@ -672,7 +579,6 @@ mod tests {
             ("auto", KernelPolicy::Auto),
             ("seq", KernelPolicy::Seq),
             ("rootpar", KernelPolicy::RootParallel),
-            ("levelsync", KernelPolicy::LevelSync),
         ] {
             assert_eq!(s.parse::<KernelPolicy>().unwrap(), want);
         }
@@ -696,8 +602,8 @@ mod tests {
         assert!(report.total_whiskers >= 40, "whiskers folded: {}", report.total_whiskers);
         assert!(report.total_roots < g.num_vertices());
         assert!(report.edges_traversed > 0);
-        let (s, r, l) = report.kernel_counts;
-        assert_eq!(s + r + l, report.num_subgraphs, "every sub-graph dispatched exactly once");
+        let (s, r) = report.kernel_counts;
+        assert_eq!(s + r, report.num_subgraphs, "every sub-graph dispatched exactly once");
         assert!(report.top_subgraph_kernel.is_some());
         assert_eq!(report.kernel_policy, KernelPolicy::Auto);
         assert_eq!(report.grain, DEFAULT_GRAIN);

@@ -8,7 +8,7 @@
 //! saving relative to top-down comes from skipping already-visited vertices.
 //! The backward phase is the successor scan shared with `succs`.
 
-use super::{backward_succ, ParWs, PAR_GRAIN};
+use super::{backward_succ, LevelWs, PAR_GRAIN};
 use crate::sync::{protocol, Ordering};
 use crate::util::{atomic_f64_vec, into_f64_vec};
 use apgre_graph::{Graph, VertexId, UNREACHED};
@@ -38,7 +38,7 @@ pub fn bc_hybrid(g: &Graph) -> Vec<f64> {
 pub fn bc_hybrid_with(g: &Graph, policy: BcHybridPolicy) -> Vec<f64> {
     let n = g.num_vertices();
     let bc = atomic_f64_vec(n);
-    let mut ws = ParWs::new(n);
+    let mut ws = LevelWs::new(n);
     let fwd = g.csr();
     let rev = g.rev_csr();
     let total_edges = fwd.num_edges();

@@ -4,7 +4,7 @@
 //! expansion and δ is pushed from each vertex to its predecessors — so the
 //! kernel trades the `succs` pull passes for contended atomics.
 
-use super::{ParWs, PAR_GRAIN};
+use super::{LevelWs, PAR_GRAIN};
 use crate::sync::{protocol, Ordering};
 use crate::util::{atomic_f64_vec, into_f64_vec};
 use apgre_graph::{Graph, VertexId, UNREACHED};
@@ -14,7 +14,7 @@ use rayon::prelude::*;
 pub fn bc_lock_free(g: &Graph) -> Vec<f64> {
     let n = g.num_vertices();
     let bc = atomic_f64_vec(n);
-    let mut ws = ParWs::new(n);
+    let mut ws = LevelWs::new(n);
     let fwd = g.csr();
     let rev = g.rev_csr();
     for s in 0..n as VertexId {

@@ -42,16 +42,16 @@ use rayon::prelude::*;
 pub(crate) const PAR_GRAIN: usize = 256;
 
 /// Shared per-source state for the level-synchronous kernels.
-pub(crate) struct ParWs {
+pub(crate) struct LevelWs {
     pub dist: Vec<AtomicU32>,
     pub sigma: Vec<AtomicF64>,
     pub delta: Vec<AtomicF64>,
     pub levels: Levels,
 }
 
-impl ParWs {
+impl LevelWs {
     pub fn new(n: usize) -> Self {
-        ParWs {
+        LevelWs {
             dist: (0..n).map(|_| AtomicU32::new(UNREACHED)).collect(),
             sigma: atomic_f64_vec(n),
             delta: atomic_f64_vec(n),
@@ -74,7 +74,7 @@ impl ParWs {
 /// is discovered by compare-exchange on the distance array, then each newly
 /// discovered vertex pulls σ from its in-neighbours one level up — single
 /// writer per cell, no contended adds. Fills `ws.levels`.
-pub(crate) fn forward_pull(fwd: &Csr, rev: &Csr, s: VertexId, ws: &mut ParWs) {
+pub(crate) fn forward_pull(fwd: &Csr, rev: &Csr, s: VertexId, ws: &mut LevelWs) {
     ws.dist[s as usize].store(0, Ordering::Relaxed);
     ws.sigma[s as usize].store(1.0);
     ws.levels.order.push(s);
@@ -154,7 +154,7 @@ fn dedup_trailing_start(levels: &mut Levels) {
 
 /// Successor-scan backward sweep (single-writer δ): shared by `succs` and
 /// `hybrid`. Adds dependencies of source `s` into `bc`.
-pub(crate) fn backward_succ(fwd: &Csr, s: VertexId, ws: &ParWs, bc: &[AtomicF64]) {
+pub(crate) fn backward_succ(fwd: &Csr, s: VertexId, ws: &LevelWs, bc: &[AtomicF64]) {
     let dist = &ws.dist;
     let sigma = &ws.sigma;
     let delta = &ws.delta;

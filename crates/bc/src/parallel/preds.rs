@@ -6,7 +6,7 @@
 //! per-edge lock traffic is the cost the later baselines remove — and the
 //! paper's Table 2 shows the same ordering.
 
-use super::{ParWs, PAR_GRAIN};
+use super::{LevelWs, PAR_GRAIN};
 use crate::sync::Ordering;
 use crate::util::{atomic_f64_vec, into_f64_vec};
 use apgre_graph::{Graph, VertexId, UNREACHED};
@@ -17,7 +17,7 @@ use rayon::prelude::*;
 pub fn bc_preds(g: &Graph) -> Vec<f64> {
     let n = g.num_vertices();
     let bc = atomic_f64_vec(n);
-    let mut ws = ParWs::new(n);
+    let mut ws = LevelWs::new(n);
     let preds: Vec<Mutex<Vec<VertexId>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
     let fwd = g.csr();
     for s in 0..n as VertexId {

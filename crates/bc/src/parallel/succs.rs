@@ -5,7 +5,7 @@
 //! and the second phase needs no locks — the same structure as the paper's
 //! Algorithm 2.
 
-use super::{backward_succ, forward_pull, ParWs};
+use super::{backward_succ, forward_pull, LevelWs};
 use crate::util::{atomic_f64_vec, into_f64_vec};
 use apgre_graph::{Graph, VertexId};
 
@@ -13,7 +13,7 @@ use apgre_graph::{Graph, VertexId};
 pub fn bc_succs(g: &Graph) -> Vec<f64> {
     let n = g.num_vertices();
     let bc = atomic_f64_vec(n);
-    let mut ws = ParWs::new(n);
+    let mut ws = LevelWs::new(n);
     let fwd = g.csr();
     let rev = g.rev_csr();
     for s in 0..n as VertexId {

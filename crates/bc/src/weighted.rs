@@ -15,9 +15,9 @@
 //! every sub-graph's weights to the one dispatcher
 //! (`crate::apgre::run_subgraph_kernels`), which runs the one sub-graph
 //! kernel (`crate::apgre::kernel::bc_in_subgraph`), so weighted graphs share
-//! its pooled workspaces, whisker fold, parallelism and Equation-8 fold —
-//! except the level-synchronous sweep: Dijkstra has no levels (parallel
-//! Δ-stepping is out of scope).
+//! its per-worker workspaces, whisker fold, both sweeps (sequential and
+//! root-parallel) and Equation-8 fold. Parallel Δ-stepping inside one
+//! Dijkstra is out of scope.
 
 use crate::apgre::{fold_runs, full_jobs, run_subgraph_kernels, ApgreOptions, DecompositionView};
 use apgre_decomp::{decompose, Decomposition, PartitionOptions, SubGraph};

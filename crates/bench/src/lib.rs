@@ -17,7 +17,7 @@ pub const ALGORITHMS: &[&str] =
 /// APGRE variants with a pinned inner-kernel policy, for per-kernel
 /// comparisons through [`run_algorithm`]; `APGRE` itself runs
 /// `KernelPolicy::Auto`.
-pub const APGRE_KERNEL_VARIANTS: &[&str] = &["APGRE-seq", "APGRE-rootpar", "APGRE-levelsync"];
+pub const APGRE_KERNEL_VARIANTS: &[&str] = &["APGRE-seq", "APGRE-rootpar"];
 
 /// Runs one named algorithm.
 ///
@@ -32,7 +32,6 @@ pub fn run_algorithm(name: &str, g: &Graph) -> Vec<f64> {
         "APGRE" => bc_apgre_with(g, &ApgreOptions::default()).0,
         "APGRE-seq" => apgre_forced(KernelPolicy::Seq),
         "APGRE-rootpar" => apgre_forced(KernelPolicy::RootParallel),
-        "APGRE-levelsync" => apgre_forced(KernelPolicy::LevelSync),
         "preds" => bc_preds(g),
         "succs" => bc_succs(g),
         "lockSyncFree" => bc_lock_free(g),

@@ -33,10 +33,10 @@
 //!   --top <k>               print the k highest-BC vertices (default 10)
 //!   --threshold <n>         APGRE merge threshold (default 32)
 //!   --kernel <p>            APGRE per-sub-graph kernel policy:
-//!                           auto|seq|rootpar|levelsync (default auto)
+//!                           auto|seq|rootpar (default auto)
 //!   --grain <n>             APGRE scheduling grain: min roots per
-//!                           root-parallel chunk / min level width before
-//!                           the level-sync kernel forks (default 256)
+//!                           root-parallel chunk, and the unit of the auto
+//!                           policy's size thresholds (default 256)
 //!   --threads <t>           rayon thread count (default: all cores)
 //!   --samples <k>           pivot count for --algo approx (default n/10)
 //!   --dynamic <n>           incremental mode: seed a [`DynamicBc`] engine,
@@ -78,7 +78,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: bc-tool <edge-list|file.gr|workload:<name>[:scale]> \
          [--algo serial|preds|succs|lockfree|coarse|hybrid|apgre] [--directed] \
-         [--top K] [--threshold N] [--kernel auto|seq|rootpar|levelsync] [--grain N] \
+         [--top K] [--threshold N] [--kernel auto|seq|rootpar] [--grain N] \
          [--threads T] [--dynamic N] [--seed S] [--stats] [--normalize]\n\
          or:    bc-tool serve --graph <input> [--addr A] [--queue-depth N] [--workers N] \
          [--staleness-ms N] [--approx-samples K] [--approx-budget N] [--approx-seed S] \
@@ -253,7 +253,6 @@ fn serve_main() -> ! {
         partition: PartitionOptions { merge_threshold: threshold, ..Default::default() },
         kernel,
         grain,
-        ..Default::default()
     };
     let t = Instant::now();
     let handle = apgre_serve::serve(&g, cfg).unwrap_or_else(|e| {
@@ -291,10 +290,14 @@ fn main() {
         g.is_directed()
     );
 
-    let partition = PartitionOptions { merge_threshold: args.threshold, ..Default::default() };
+    let opts = ApgreOptions {
+        partition: PartitionOptions { merge_threshold: args.threshold, ..Default::default() },
+        kernel: args.kernel,
+        grain: args.grain,
+    };
     if args.stats {
         let t = Instant::now();
-        let d = decompose(&g, &partition);
+        let d = decompose(&g, &opts.partition);
         let dt = t.elapsed();
         let arts = d.is_articulation.iter().filter(|&&a| a).count();
         let whiskers: usize =
@@ -327,12 +330,6 @@ fn main() {
     }
 
     if let Some(n_batches) = args.dynamic {
-        let opts = ApgreOptions {
-            partition,
-            kernel: args.kernel,
-            grain: args.grain,
-            ..Default::default()
-        };
         run_dynamic(&g, n_batches, args.seed, &opts, args.top);
         return;
     }
@@ -355,12 +352,6 @@ fn main() {
         "coarse" | "async" => bc_coarse(&g),
         "hybrid" => bc_hybrid(&g),
         "apgre" => {
-            let opts = ApgreOptions {
-                partition: partition.clone(),
-                kernel: args.kernel,
-                grain: args.grain,
-                ..Default::default()
-            };
             let (scores, report) = bc_apgre_with(&g, &opts);
             println!(
                 "apgre: partition {:.2?}, α/β {:.2?}, bc {:.2?} ({} sub-graphs, {} roots)",
@@ -370,10 +361,10 @@ fn main() {
                 report.num_subgraphs,
                 report.total_roots
             );
-            let (seq, rootpar, levelsync) = report.kernel_counts;
+            let (seq, rootpar) = report.kernel_counts;
             println!(
-                "apgre kernels ({:?}, grain {}): {seq} seq, {rootpar} root-parallel, \
-                 {levelsync} level-sync; top sub-graph ran {} in {:.2?}",
+                "apgre kernels ({:?}, grain {}): {seq} seq, {rootpar} root-parallel; \
+                 top sub-graph ran {} in {:.2?}",
                 report.kernel_policy,
                 report.grain,
                 report.top_subgraph_kernel.map_or("n/a".to_string(), |k| format!("{k:?}")),

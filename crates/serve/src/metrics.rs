@@ -417,7 +417,7 @@ impl Metrics {
             "Edges examined by BC kernels since the engine was seeded.",
             &[("", report.edges_traversed.to_string())],
         );
-        let (seq, rootpar, levelsync) = report.kernel_counts;
+        let (seq, rootpar) = report.kernel_counts;
         family(
             &mut out,
             "apgre_engine_kernel_runs_total",
@@ -426,7 +426,6 @@ impl Metrics {
             &[
                 ("{kernel=\"seq\"}", seq.to_string()),
                 ("{kernel=\"root_parallel\"}", rootpar.to_string()),
-                ("{kernel=\"level_sync\"}", levelsync.to_string()),
             ],
         );
         family(

@@ -483,7 +483,7 @@ fn get_top(shared: &Shared, req: &Request) -> Response {
 fn get_stats(shared: &Shared) -> Response {
     let snap = shared.cell.load();
     let report = &snap.engine.report;
-    let (kseq, krootpar, klevel) = report.kernel_counts;
+    let (kseq, krootpar) = report.kernel_counts;
     let last = match &snap.engine.last_batch {
         None => "null".to_owned(),
         Some(b) => format!(
@@ -512,7 +512,7 @@ fn get_stats(shared: &Shared) -> Response {
         format!(
             "{{\"vertices\":{},\"edges\":{},\"subgraphs\":{},\"articulation_points\":{},\
              \"seq\":{},\"generation\":{},\"snapshot_age_seconds\":{:.6},\
-             \"kernel_runs\":{{\"seq\":{kseq},\"root_parallel\":{krootpar},\"level_sync\":{klevel}}},\
+             \"kernel_runs\":{{\"seq\":{kseq},\"root_parallel\":{krootpar}}},\
              \"edges_traversed\":{},\"last_batch\":{last}}}",
             snap.engine.graph.num_vertices(),
             snap.engine.graph.num_edges(),

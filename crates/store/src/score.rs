@@ -88,6 +88,26 @@ fn fold_at(
     fold(&owners)
 }
 
+/// Folds every live span into a `num_vertices`-long vector from zeros, in
+/// ascending sub-graph index order (`order` maps index to slot) — the full
+/// refold that every [`fold_at`] is bitwise-equal to.
+fn fold_all(
+    num_vertices: usize,
+    order: &[u32],
+    globals: &[Option<Arc<[u32]>>],
+    values: &[Option<Arc<[f64]>>],
+) -> Vec<f64> {
+    let mut out = vec![0.0f64; num_vertices];
+    for &slot in order {
+        if let (Some(globals), Some(values)) = (&globals[slot as usize], &values[slot as usize]) {
+            for (local, &v) in globals.iter().enumerate() {
+                out[v as usize] += values[local];
+            }
+        }
+    }
+    out
+}
+
 /// The engine-side store: slot-addressed per-sub-graph contribution spans,
 /// the `index <-> slot` maps, and the chunked per-vertex owner index.
 ///
@@ -341,17 +361,7 @@ impl FoldStore {
     /// index order — bitwise-identical to the engine's historical
     /// `refold`.
     pub fn to_flat(&self) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.num_vertices];
-        for &slot in &self.order {
-            if let (Some(globals), Some(values)) =
-                (&self.globals[slot as usize], &self.values[slot as usize])
-            {
-                for (local, &v) in globals.iter().enumerate() {
-                    out[v as usize] += values[local];
-                }
-            }
-        }
-        out
+        fold_all(self.num_vertices, &self.order, &self.globals, &self.values)
     }
 
     /// An immutable snapshot of the store: O(sub-graphs +
@@ -455,17 +465,7 @@ impl ScoreChunks {
     /// The flat score vector, folded from zeros in ascending sub-graph
     /// index order (bitwise-identical to the engine's flat scores).
     pub fn to_vec(&self) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.num_vertices];
-        for &slot in &self.order {
-            if let (Some(globals), Some(values)) =
-                (&self.globals[slot as usize], &self.values[slot as usize])
-            {
-                for (local, &v) in globals.iter().enumerate() {
-                    out[v as usize] += values[local];
-                }
-            }
-        }
-        out
+        fold_all(self.num_vertices, &self.order, &self.globals, &self.values)
     }
 
     /// Whether this snapshot and `other` share the backing span of

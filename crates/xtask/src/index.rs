@@ -405,11 +405,11 @@ mod tests {
     fn impl_owner_resolution() {
         let f = idx("impl<T: Clone> Widget<T> { fn a(&self) {} }\n\
              impl fmt::Display for Gauge { fn fmt(&self) { b() } }\n\
-             impl crate::pool::BufferPool { pub fn checkout(&self) {} }\n");
+             impl crate::pool::ScratchPool { pub fn checkout(&self) {} }\n");
         let owners: Vec<_> = f.fns.iter().map(|x| (x.name.as_str(), x.owner.as_deref())).collect();
         assert_eq!(
             owners,
-            [("a", Some("Widget")), ("fmt", Some("Gauge")), ("checkout", Some("BufferPool"))]
+            [("a", Some("Widget")), ("fmt", Some("Gauge")), ("checkout", Some("ScratchPool"))]
         );
     }
 

@@ -11,7 +11,7 @@
 //! | R6 | `guard-across-blocking` | no lock guard in `crates/serve` live across socket I/O or a snapshot publish (escape: `lint:allow(guard_blocking)`) |
 //! | R7 | `ordering-protocol` | facade atomic call sites outside the facade conform to the claim-Relaxed / publish-Release / read-Acquire state machine, annotated with the call chain from the kernel entry points |
 //! | R8 | `panic-reachability` | no `unwrap` / `expect` / `panic!`-family / unguarded `[]` reachable from serve's spawned threads, `DynamicBc::apply`/`snapshot`/`approx_snapshot`, `MaintainedDecomposition::apply_edits`, the approx refresh path (`SampleStore::refresh`), the allocator path (`plan_adaptive`), or the store publish path (`CowGraph::view`, `FoldStore::chunks`), intraprocedurally plus bounded call expansion (escape: `lint:allow(panic_path)`) |
-//! | R9 | `hot-loop-index` | bounds-checked `[]` inside the sub-graph kernel loop nests (`bc_in_subgraph*` / `sweep_root*` in `crates/bc/src/apgre`: the sequential, observed, root-parallel and level-sync sweeps) is audited explicitly (escape: `lint:allow(hot_index)` on or above the loop header) |
+//! | R9 | `hot-loop-index` | bounds-checked `[]` inside the sub-graph kernel loop nests (`bc_in_subgraph*` / `sweep_root*` in `crates/bc/src/apgre`: the sequential, observed and root-parallel sweeps) is audited explicitly (escape: `lint:allow(hot_index)` on or above the loop header) |
 //!
 //! R1–R5 are re-expressions of the old line-lexer rules with the textual
 //! false-positive/negative classes removed (brace counting in `par_regions`,

@@ -33,7 +33,3 @@ fn sweep_roots_observed(contrib: &mut [f64], order: &[u32]) {
 fn sweep_roots_par(parts: &[Vec<f64>], roots: &[u32]) -> Vec<f64> {
     roots.par_iter().map(|&s| parts[s as usize][0]).collect() // r9-target
 }
-
-fn sweep_roots_level_sync(sigma: &[f64], level: &[u32]) -> Vec<f64> {
-    level.par_iter().map(|&v| sigma[v as usize]).collect() // r9-target
-}

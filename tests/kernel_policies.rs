@@ -23,8 +23,7 @@ fn assert_close(name: &str, got: &[f64], want: &[f64]) {
     }
 }
 
-const CHOICES: [KernelChoice; 3] =
-    [KernelChoice::Seq, KernelChoice::RootParallel, KernelChoice::LevelSync];
+const CHOICES: [KernelChoice; 2] = [KernelChoice::Seq, KernelChoice::RootParallel];
 
 /// The root set one table cell sweeps.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -162,17 +161,15 @@ fn all_policies_match_bc_serial_on_workloads() {
             ("auto", KernelPolicy::Auto, 256),
             ("seq", KernelPolicy::Seq, 256),
             ("rootpar", KernelPolicy::RootParallel, 1),
-            ("levelsync", KernelPolicy::LevelSync, 1),
         ] {
             let opts = ApgreOptions { kernel, grain, ..Default::default() };
             let (got, report) = bc_apgre_with(&g, &opts);
             assert_close(&format!("{}/{name}", spec.name), &got, &want);
-            let (s, r, l) = report.kernel_counts;
-            assert_eq!(s + r + l, report.num_subgraphs, "{}/{name}", spec.name);
+            let (s, r) = report.kernel_counts;
+            assert_eq!(s + r, report.num_subgraphs, "{}/{name}", spec.name);
             match kernel {
                 KernelPolicy::Seq => assert_eq!(s, report.num_subgraphs),
                 KernelPolicy::RootParallel => assert_eq!(r, report.num_subgraphs),
-                KernelPolicy::LevelSync => assert_eq!(l, report.num_subgraphs),
                 KernelPolicy::Auto => {}
             }
         }
@@ -213,19 +210,18 @@ fn subgraph_kernels_agree_with_each_other_and_bc_serial() {
     }
 }
 
-/// The parallel kernels must also be exact inside a single-worker pool (the
-/// degenerate scheduling case: every chunk and level runs on one thread).
+/// The parallel kernel must also be exact inside a single-worker pool (the
+/// degenerate scheduling case: every chunk runs on one thread).
 #[test]
 fn forced_parallel_kernels_match_bc_serial_on_one_thread() {
     let spec = &registry()[1];
     let g = spec.graph(Scale::Tiny);
     let want = bc_serial(&g);
     let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    for kernel in [KernelPolicy::RootParallel, KernelPolicy::LevelSync] {
-        let opts = ApgreOptions { kernel, grain: 1, ..Default::default() };
-        let got = pool.install(|| bc_apgre_with(&g, &opts).0);
-        assert_close(&format!("{}/{kernel:?}@1thread", spec.name), &got, &want);
-    }
+    let kernel = KernelPolicy::RootParallel;
+    let opts = ApgreOptions { kernel, grain: 1, ..Default::default() };
+    let got = pool.install(|| bc_apgre_with(&g, &opts).0);
+    assert_close(&format!("{}/{kernel:?}@1thread", spec.name), &got, &want);
 }
 
 /// Exactness must not depend on the scheduling grain.
@@ -235,7 +231,7 @@ fn grain_sweep_matches_bc_serial() {
     let g = spec.graph(Scale::Tiny);
     let want = bc_serial(&g);
     for grain in [1, 3, 64, 1_000_000] {
-        for kernel in [KernelPolicy::Auto, KernelPolicy::RootParallel, KernelPolicy::LevelSync] {
+        for kernel in [KernelPolicy::Auto, KernelPolicy::RootParallel] {
             let opts = ApgreOptions { kernel, grain, ..Default::default() };
             let (got, report) = bc_apgre_with(&g, &opts);
             assert_close(&format!("{}/{kernel:?}@g{grain}", spec.name), &got, &want);
@@ -246,8 +242,8 @@ fn grain_sweep_matches_bc_serial() {
 
 /// Root additivity: sweeping the two halves of a sub-graph's roots in turn
 /// into one `bc_local` sums to the full sweep under every strategy —
-/// bitwise for the sequential and level-synchronous sweeps, which add in
-/// the same root order either way — and so composes to serial Brandes.
+/// bitwise for the sequential sweep, which adds in the same root order
+/// either way — and so composes to serial Brandes.
 #[test]
 fn roots_kernel_variants_match_their_full_kernels_and_bc_serial() {
     for (name, g, d) in table_inputs() {
@@ -380,11 +376,8 @@ fn sampled_estimator_full_draw_is_exact_under_every_policy() {
         let g = spec.graph(Scale::Tiny);
         let want = bc_serial(&g);
         let full = SampleOptions::uniform(usize::MAX, 0xA99);
-        for (name, kernel) in [
-            ("seq", KernelPolicy::Seq),
-            ("rootpar", KernelPolicy::RootParallel),
-            ("levelsync", KernelPolicy::LevelSync),
-        ] {
+        for (name, kernel) in [("seq", KernelPolicy::Seq), ("rootpar", KernelPolicy::RootParallel)]
+        {
             let opts = ApgreOptions { kernel, grain: 2, ..Default::default() };
             let (exact, _) = bc_apgre_with(&g, &opts);
             let est = bc_sampled(&g, &opts, &full);
@@ -413,7 +406,7 @@ fn sampled_estimator_is_bitwise_stable_in_a_one_thread_pool() {
     let g = spec.graph(Scale::Tiny);
     let sopts = SampleOptions::uniform(4, 0x5EED);
     let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    for kernel in [KernelPolicy::Seq, KernelPolicy::RootParallel, KernelPolicy::LevelSync] {
+    for kernel in [KernelPolicy::Seq, KernelPolicy::RootParallel] {
         let opts = ApgreOptions { kernel, grain: 1, ..Default::default() };
         let ambient = bc_sampled(&g, &opts, &sopts);
         let pooled = pool.install(|| bc_sampled(&g, &opts, &sopts));
@@ -617,6 +610,44 @@ fn whisker_fold_matches_bc_serial_and_skips_whisker_arcs() {
     }
 }
 
+/// A sweep reaches only roots: undirected whiskers are cut from
+/// `sweep_csr`, directed whiskers have in-degree 0, and every other vertex
+/// is a root. So from every root, a BFS over `sg.sweep_csr()` stays inside
+/// `sg.roots`, and a sub-graph with few roots has no wide level to split
+/// (why the kernel has no level-synchronous strategy, DESIGN.md §3.7).
+#[test]
+fn every_sweep_reaches_only_roots() {
+    let (mut directed, mut with_non_roots) = (0usize, 0usize);
+    for (name, g, d) in table_inputs().into_iter().chain(weighted_inputs()) {
+        directed += usize::from(g.is_directed());
+        for (i, sg) in d.subgraphs.iter().enumerate() {
+            let n = sg.num_vertices();
+            with_non_roots += usize::from(sg.roots.len() < n);
+            let mut is_root = vec![false; n];
+            for &r in &sg.roots {
+                is_root[r as usize] = true;
+            }
+            let csr = sg.sweep_csr();
+            for &s in &sg.roots {
+                let mut seen = vec![false; n];
+                seen[s as usize] = true;
+                let mut queue = std::collections::VecDeque::from([s]);
+                while let Some(u) = queue.pop_front() {
+                    for &v in csr.neighbors(u) {
+                        if !seen[v as usize] {
+                            assert!(is_root[v as usize], "{name}: SG{i} root {s} reaches {v}");
+                            seen[v as usize] = true;
+                            queue.push_back(v);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(directed > 0, "a directed input must be covered");
+    assert!(with_non_roots > 0, "some sub-graph must hold non-root vertices");
+}
+
 /// Each sub-graph's arc weights in `wg`, aligned with `sweep_csr`.
 fn sweep_weights(wg: &WeightedGraph, d: &Decomposition) -> Vec<Vec<u32>> {
     let global = |sg: &SubGraph, l: VertexId| sg.globals[l as usize];
@@ -679,7 +710,7 @@ fn weighted_kernel_table_matches_bc_weighted_serial() {
                 let edges = bc_in_subgraph(
                     view,
                     &sg.roots,
-                    KernelChoice::LevelSync,
+                    KernelChoice::RootParallel,
                     grain,
                     &mut SgWorkspace::default(),
                     &mut local,
@@ -699,8 +730,7 @@ fn weighted_kernel_table_matches_bc_weighted_serial() {
 
 /// Under unit weights the Dijkstra sweep is the BFS sweep: every cell of
 /// the weighted kernel table is bitwise equal to the unweighted cell that
-/// runs the same strategy (`Seq` for `LevelSync`, which a weighted view
-/// runs sequentially) and examines the same edges, on the whisker-heavy
+/// runs the same strategy and examines the same edges, on the whisker-heavy
 /// graphs and the Table-1 stand-ins.
 #[test]
 fn unit_weighted_sweep_is_bitwise_the_bfs_sweep() {
@@ -708,11 +738,7 @@ fn unit_weighted_sweep_is_bitwise_the_bfs_sweep() {
         let weights = sweep_weights(&WeightedGraph::unit(g), &d);
         let (bfs, dijkstra) = (kernel_table(&d, 2), weighted_kernel_table(&d, Some(&weights), 2));
         for c in &dijkstra {
-            let runs = match c.choice {
-                KernelChoice::LevelSync => KernelChoice::Seq,
-                choice => choice,
-            };
-            let want = cell(&bfs, runs, c.roots, c.ws);
+            let want = cell(&bfs, c.choice, c.roots, c.ws);
             for (i, (got, want)) in c.runs.iter().zip(&want.runs).enumerate() {
                 assert_eq!(got, want, "{name}/{}: SG{i} unit-weighted vs BFS", c.name());
             }
