@@ -27,11 +27,12 @@
 //! variances that are themselves content-pure — an estimate span never has
 //! to be recomputed unless the sub-graph itself changed or its *allocation*
 //! moved. [`SampleStore`] exploits that: it mirrors `FoldStore`'s
-//! slot-stable span design (indeed it *is* a `FoldStore` of scaled sample
-//! spans, plus a second `FoldStore` of squared-standard-error spans and
-//! sampling metadata), carries unaffected sub-graphs' spans across
-//! generations verbatim, and resamples only the dirty set — so refresh cost
-//! tracks the dirty set the way PR 8 made publish cost do.
+//! slot-stable span design (indeed it *is* one two-layer `FoldStore` —
+//! scaled sample spans and their squared standard errors over the same
+//! slots and owner index — plus sampling metadata), carries unaffected
+//! sub-graphs' spans across generations verbatim, and resamples only the
+//! dirty set — so refresh cost tracks the dirty set the way publish cost
+//! does.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -293,9 +294,11 @@ struct SampleMeta {
     k: usize,
 }
 
-/// The incremental estimator state: a slot-stable [`FoldStore`] of *scaled*
-/// sample spans, a parallel `FoldStore` of squared-standard-error spans,
-/// per-sub-graph sampling metadata, and the pending dirty set.
+/// The incremental estimator state: a slot-stable two-layer [`FoldStore`]
+/// (layer [`ESTIMATE`]: *scaled* sample spans; layer [`ERR_SQ`]: their
+/// squared standard errors, all-zero for exhaustive spans), per-sub-graph
+/// sampling metadata, and the pending dirty set. Both layers share one
+/// slot map and one owner index, so a splice runs once for both.
 ///
 /// Lifecycle (driven by `DynamicBc`): [`SampleStore::seed`] over the
 /// initial decomposition (everything pending), then per batch either
@@ -305,18 +308,32 @@ struct SampleMeta {
 /// [`SampleStore::refresh`] when estimates are demanded — resampling the
 /// accumulated dirty set (plus, in adaptive mode, any span whose budget
 /// allocation moved).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SampleStore {
     fold: FoldStore,
-    /// Squared-standard-error spans, maintained in lockstep with `fold`
-    /// (same slots, same splices). All-zero for exhaustive spans.
-    err: FoldStore,
     meta: Vec<Option<SampleMeta>>,
     pending: BTreeSet<usize>,
     num_vertices: usize,
     /// Parameters the live spans were drawn with; a refresh under different
     /// parameters invalidates everything.
     params: Option<SampleOptions>,
+}
+
+/// The [`SampleStore`] layer holding the scaled estimate spans.
+const ESTIMATE: usize = 0;
+/// The [`SampleStore`] layer holding the squared-standard-error spans.
+const ERR_SQ: usize = 1;
+
+impl Default for SampleStore {
+    fn default() -> Self {
+        SampleStore {
+            fold: FoldStore::with_layers(2),
+            meta: Vec::new(),
+            pending: BTreeSet::new(),
+            num_vertices: 0,
+            params: None,
+        }
+    }
 }
 
 impl SampleStore {
@@ -351,7 +368,6 @@ impl SampleStore {
         let new_globals: Vec<&[u32]> =
             decomp.subgraphs.iter().map(|sg| sg.globals.as_slice()).collect();
         self.fold.apply_splice(num_vertices, old_to_new, &new_globals);
-        self.err.apply_splice(num_vertices, old_to_new, &new_globals);
         let count = decomp.num_subgraphs();
         let mut meta: Vec<Option<SampleMeta>> = vec![None; count];
         let mut pending = BTreeSet::new();
@@ -385,7 +401,11 @@ impl SampleStore {
     /// treats a wrong-length candidate as a miss. Misses join the pending
     /// set.
     pub fn rebuild(&mut self, decomp: &Decomposition) {
-        let old = self.meta.iter().zip(self.fold.values_in_order()).zip(self.err.values_in_order());
+        let old = self
+            .meta
+            .iter()
+            .zip(self.fold.layer_in_order(ESTIMATE))
+            .zip(self.fold.layer_in_order(ERR_SQ));
         let carried = carry_by_fingerprint(
             old.filter_map(|((m, span), err)| {
                 let meta = m.clone()?;
@@ -396,22 +416,22 @@ impl SampleStore {
         let count = decomp.num_subgraphs();
         let mut meta = Vec::with_capacity(count);
         let mut pending = BTreeSet::new();
-        let mut pairs: Vec<(Arc<[u32]>, Arc<[f64]>)> = Vec::with_capacity(count);
-        let mut err_pairs: Vec<(Arc<[u32]>, Arc<[f64]>)> = Vec::with_capacity(count);
+        let mut globals: Vec<Arc<[u32]>> = Vec::with_capacity(count);
+        let mut spans: Vec<Arc<[f64]>> = Vec::with_capacity(count);
+        let mut errs: Vec<Arc<[f64]>> = Vec::with_capacity(count);
         for (i, (sg, candidate)) in decomp.subgraphs.iter().zip(carried).enumerate() {
-            let globals: Arc<[u32]> = Arc::from(sg.globals.as_slice());
             let zeros = || Arc::from(vec![0.0f64; sg.num_vertices()]);
             let (span, err, m) =
                 candidate.map_or_else(|| (zeros(), zeros(), None), |(s, e, m)| (s, e, Some(m)));
             if m.is_none() {
                 pending.insert(i);
             }
-            pairs.push((Arc::clone(&globals), span));
-            err_pairs.push((globals, err));
+            globals.push(Arc::from(sg.globals.as_slice()));
+            spans.push(span);
+            errs.push(err);
             meta.push(m);
         }
-        self.fold.rebuild(decomp.num_vertices, pairs);
-        self.err.rebuild(decomp.num_vertices, err_pairs);
+        self.fold.rebuild_layers(decomp.num_vertices, globals, vec![spans, errs]);
         self.meta = meta;
         self.pending = pending;
         self.num_vertices = decomp.num_vertices;
@@ -480,8 +500,8 @@ impl SampleStore {
                 report.drifted += 1;
                 report.drift_roots += s.roots as u64;
             }
-            self.fold.set_values(i, Arc::from(s.span));
-            self.err.set_values(i, Arc::from(s.err));
+            self.fold.set_layer_values(ESTIMATE, i, Arc::from(s.span));
+            self.fold.set_layer_values(ERR_SQ, i, Arc::from(s.err));
             self.meta[i] = Some(SampleMeta {
                 fingerprint: decomp.subgraphs[i].fingerprint(),
                 sigma: plan.sigma[i],
@@ -506,26 +526,27 @@ impl SampleStore {
 
     /// One vertex's estimate (same fold order as [`SampleStore::estimates`]).
     pub fn estimate(&self, v: u32) -> f64 {
-        self.fold.fold_vertex(v)
+        self.fold.fold_layer_vertex(ESTIMATE, v)
     }
 
     /// One vertex's standard error: the square root of the ascending-index
     /// fold of its squared-standard-error contributions. Zero wherever
     /// every owning span is exhaustive.
     pub fn stderr(&self, v: u32) -> f64 {
-        self.err.fold_vertex(v).sqrt()
+        self.fold.fold_layer_vertex(ERR_SQ, v).sqrt()
     }
 
     /// An immutable snapshot of the estimate spans (O(sub-graphs) `Arc`
     /// clones), for publication next to the exact `ScoreChunks`.
     pub fn chunks(&self) -> apgre_store::ScoreChunks {
-        self.fold.chunks()
+        self.fold.layer_chunks(ESTIMATE)
     }
 
     /// An immutable snapshot of the squared-standard-error spans; fold a
-    /// vertex and take the square root to recover its standard error.
+    /// vertex and take the square root to recover its standard error. It
+    /// shares every owner-index chunk with [`SampleStore::chunks`].
     pub fn stderr_chunks(&self) -> apgre_store::ScoreChunks {
-        self.err.chunks()
+        self.fold.layer_chunks(ERR_SQ)
     }
 
     /// Bitwise cross-check against

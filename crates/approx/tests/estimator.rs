@@ -15,6 +15,7 @@ use apgre_bc::brandes::bc_serial;
 use apgre_decomp::{decompose, EdgeEdit, MaintainedDecomposition};
 use apgre_graph::generators::{whiskered_community, WhiskeredCommunityParams};
 use apgre_graph::Graph;
+use apgre_store::INDEX_CHUNK_SIZE;
 use apgre_workloads::{registry, Scale};
 
 /// Normalized L1 error: Σ|est − exact| / Σ exact (0 when the graph has no
@@ -411,6 +412,57 @@ fn chord_reports_allocation_drift_on_clean_spans() {
         }
     }
     assert!(drifted > 0, "no chord moved a clean span's allocation");
+}
+
+/// The estimate and squared-standard-error snapshots of one store are two
+/// layers of one fold store, so they share every owner-index chunk — after
+/// the seeding refresh and after a structural splice.
+#[test]
+fn estimate_and_stderr_snapshots_share_their_index() {
+    let g = whiskered_community(&WhiskeredCommunityParams {
+        core_vertices: 300,
+        core_attach: 3,
+        community_count: 12,
+        community_size: 30,
+        community_density: 1.8,
+        whiskers: 1_000,
+        seed: 77,
+    });
+    let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
+    let sopts = SampleOptions::uniform(4, 0x1DE7);
+    let n = g.num_vertices();
+    let chunks = n.div_ceil(INDEX_CHUNK_SIZE);
+    assert!(chunks >= 2, "the graph spans several index chunks");
+    let shared = |store: &SampleStore| {
+        let (est, err) = (store.chunks(), store.stderr_chunks());
+        (0..chunks).all(|c| est.shares_index_chunk(&err, c))
+    };
+    let mut m = MaintainedDecomposition::new(&g, &opts.partition);
+    let mut store = SampleStore::seed(m.decomp());
+    store.refresh(m.decomp(), &opts, &sopts);
+    assert!(shared(&store), "seeded store");
+
+    // Join two whiskers of different sub-graphs: a new cycle through the
+    // block-cut tree, so the decomposition splices.
+    let whiskers: Vec<(usize, u32)> = m
+        .decomp()
+        .subgraphs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, sg)| {
+            let l = sg.is_whisker.iter().position(|&w| w)?;
+            Some((i, sg.global_of(l as u32)))
+        })
+        .collect();
+    assert!(whiskers.len() >= 2, "two sub-graphs with whiskers");
+    let (u, v) = (whiskers[0].1, whiskers[1].1);
+    let out = m.apply_edits(n, &[EdgeEdit { add: true, u, v }]).expect("maintainable");
+    assert!(out.stats.spliced, "joining two sub-graphs splices");
+    store.apply_splice(n, &out.old_to_new, m.decomp());
+    store.mark_dirty(&out.dirty);
+    store.refresh(m.decomp(), &opts, &sopts);
+    store.verify_against_scratch(m.decomp(), &opts, &sopts).unwrap();
+    assert!(shared(&store), "spliced store");
 }
 
 /// A uniform cap reports real standard errors: every strict span

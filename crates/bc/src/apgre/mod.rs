@@ -222,20 +222,25 @@ impl ApgreReport {
     }
 
     /// Switches the structure fields (sub-graph and articulation counts,
-    /// top sub-graph size, roots, whiskers) to describe `decomp`, and adds
-    /// the work of `runs` over it: kernel time, edges and per-kernel counts,
-    /// plus the kernel and time of a run of the top sub-graph. A top
-    /// sub-graph that did not run keeps its last known kernel. The
-    /// decomposition timings are left to the caller.
+    /// top sub-graph size, roots, whiskers) to describe `decomp` in
+    /// O(sub-graphs), and adds the work of `runs` over it: kernel time,
+    /// edges and per-kernel counts, plus the kernel and time of a run of
+    /// the top sub-graph. A top sub-graph that did not run keeps its last
+    /// known kernel. The decomposition timings are left to the caller.
     pub fn absorb(&mut self, decomp: &Decomposition, runs: &[SubgraphKernelRun]) {
         let top = decomp.subgraphs.get(decomp.top_subgraph);
         self.num_subgraphs = decomp.num_subgraphs();
-        self.num_articulation_points = decomp.is_articulation.iter().filter(|&&a| a).count();
+        self.num_articulation_points = decomp.num_articulation_points();
         self.top_subgraph_vertices = top.map_or(0, |sg| sg.num_vertices());
         self.top_subgraph_edges = top.map_or(0, |sg| sg.num_edges());
-        self.total_roots = decomp.subgraphs.iter().map(|sg| sg.roots.len()).sum();
-        self.total_whiskers =
-            decomp.subgraphs.iter().map(|sg| sg.is_whisker.iter().filter(|&&w| w).count()).sum();
+        // Roots are exactly the non-whiskers, so both totals come from
+        // per-sub-graph lengths.
+        let (vertices, roots) = decomp
+            .subgraphs
+            .iter()
+            .fold((0, 0), |(n, r), sg| (n + sg.num_vertices(), r + sg.roots.len()));
+        self.total_roots = roots;
+        self.total_whiskers = vertices - roots;
         for run in runs {
             self.bc_time += run.time;
             self.edges_traversed += run.edges;

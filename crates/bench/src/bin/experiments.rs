@@ -347,7 +347,7 @@ fn fig2(json: &mut serde_json::Map<String, serde_json::Value>) {
     let g = paper_examples::disease_like();
     let s = graph_stats(&g);
     let d = decompose(&g, &PartitionOptions::default());
-    let arts = d.is_articulation.iter().filter(|&&a| a).count();
+    let arts = d.num_articulation_points();
     println!("vertices: {} (paper: 1419), edges: {} (paper: 3926)", s.vertices, s.edges);
     println!(
         "articulation points: {arts} ({:.0}%), degree-1 vertices: {} ({:.0}%)",

@@ -299,7 +299,7 @@ fn main() {
         let t = Instant::now();
         let d = decompose(&g, &opts.partition);
         let dt = t.elapsed();
-        let arts = d.is_articulation.iter().filter(|&&a| a).count();
+        let arts = d.num_articulation_points();
         let whiskers: usize =
             d.subgraphs.iter().map(|sg| sg.is_whisker.iter().filter(|&&w| w).count()).sum();
         println!("decomposition ({dt:.2?}):");

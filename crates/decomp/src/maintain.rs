@@ -849,7 +849,16 @@ impl MaintainedDecomposition {
         // ---- Articulation refresh: only region vertices can change block
         // membership counts.
         for &v in &idx {
-            self.decomp.is_articulation[v as usize] = self.blocks_of_vertex[v as usize].len() >= 2;
+            let art = self.blocks_of_vertex[v as usize].len() >= 2;
+            let flag = &mut self.decomp.is_articulation[v as usize];
+            if *flag != art {
+                *flag = art;
+                if art {
+                    self.decomp.articulation_count += 1;
+                } else {
+                    self.decomp.articulation_count -= 1;
+                }
+            }
         }
 
         // ---- Affected components. The common splice leaves the component
@@ -1619,6 +1628,13 @@ impl MaintainedDecomposition {
             if self.decomp.is_articulation[v] != want_art {
                 return Err(format!("articulation flag of vertex {v} out of sync"));
             }
+        }
+        let arts = self.decomp.is_articulation.iter().filter(|&&a| a).count();
+        if self.decomp.num_articulation_points() != arts {
+            return Err(format!(
+                "articulation count {} out of sync with {arts} flags",
+                self.decomp.num_articulation_points()
+            ));
         }
         for b in 0..self.alive.len() {
             if !self.alive[b] {

@@ -67,6 +67,9 @@ pub struct Decomposition {
     pub num_vertices: usize,
     /// Global articulation flags (of the undirected structure).
     pub is_articulation: Vec<bool>,
+    /// Number of `true` flags in `is_articulation`, kept wherever a flag
+    /// flips so reports need not rescan them.
+    pub(crate) articulation_count: usize,
     /// The sub-graphs, in creation order.
     pub subgraphs: Vec<SubGraph>,
     /// Index of the largest sub-graph (the paper's "top sub-graph").
@@ -83,6 +86,12 @@ impl Decomposition {
     /// Total number of sub-graphs (`#SG` in Table 4).
     pub fn num_subgraphs(&self) -> usize {
         self.subgraphs.len()
+    }
+
+    /// Number of articulation points (`true` entries of
+    /// [`Decomposition::is_articulation`]).
+    pub fn num_articulation_points(&self) -> usize {
+        self.articulation_count
     }
 
     /// Sub-graphs sorted by vertex count, descending (Table 4 reports the
@@ -122,6 +131,10 @@ impl Decomposition {
                 "edge partition: {total} local vs {global} global (excluding {self_loops} \
                  self-loops)"
             ));
+        }
+        let arts = self.is_articulation.iter().filter(|&&a| a).count();
+        if arts != self.articulation_count {
+            return Err(format!("articulation count {} vs {arts} flags", self.articulation_count));
         }
         // 2. Vertex coverage: non-isolated vertices in >= 1 sub-graph;
         //    non-articulation vertices in exactly one.
@@ -209,6 +222,7 @@ pub fn decompose(g: &Graph, opts: &PartitionOptions) -> Decomposition {
     let mut decomp = Decomposition {
         num_vertices: g.num_vertices(),
         is_articulation: bcc.is_articulation.clone(),
+        articulation_count: bcc.is_articulation.iter().filter(|&&a| a).count(),
         subgraphs,
         top_subgraph,
         subgraph_of_bcc,

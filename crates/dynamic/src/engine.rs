@@ -846,6 +846,23 @@ mod tests {
 
     #[test]
     fn report_accumulates_and_tracks_structure() {
+        // The structure fields `absorb` keeps incrementally must equal a
+        // report built from scratch over the same decomposition.
+        let structure = |r: &ApgreReport| {
+            (
+                (r.num_subgraphs, r.num_articulation_points),
+                (r.top_subgraph_vertices, r.top_subgraph_edges),
+                (r.total_roots, r.total_whiskers),
+            )
+        };
+        let fresh = |engine: &DynamicBc| {
+            let d = engine.decomposition();
+            let mut report = ApgreReport::new(d, engine.options(), &[]);
+            // Recount the flags: the decomposition's own counter is under
+            // test too.
+            report.num_articulation_points = d.is_articulation.iter().filter(|&&a| a).count();
+            structure(&report)
+        };
         let g = clique_and_triangle();
         let mut engine = DynamicBc::new(&g, fine_opts());
         let seed = engine.report().clone();
@@ -862,6 +879,7 @@ mod tests {
         assert_eq!(after_kernels, seed_kernels + 1);
         assert!(after.edges_traversed >= seed.edges_traversed);
         assert_eq!(engine.last_batch().unwrap().class, BatchClass::Local);
+        assert_eq!(structure(after), fresh(&engine), "structure after a Local batch");
 
         // A structural batch splices: structure mirrors the updated
         // decomposition, counters keep accumulating.
@@ -869,6 +887,7 @@ mod tests {
         let after = engine.report();
         assert_eq!(after.num_subgraphs, engine.decomposition().num_subgraphs());
         assert_eq!(engine.last_batch().unwrap().class, BatchClass::Structural);
+        assert_eq!(structure(after), fresh(&engine), "structure after a Structural batch");
     }
 
     #[test]

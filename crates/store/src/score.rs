@@ -13,9 +13,17 @@
 //!   splice then rewrites only the O(S) `order`/`rank` maps, never the
 //!   owner entries of untouched vertices.
 //! * **Owner index.** `vertex -> [(slot, local)]` lists, chunked
-//!   [`INDEX_CHUNK_SIZE`] vertices per `Arc` so a splice deep-copies only
-//!   the chunks containing touched vertices. Entries are unordered; folds
-//!   sort the (tiny — one per owning sub-graph) list by current rank.
+//!   [`INDEX_CHUNK_SIZE`] vertices per `Arc` so a splice replaces only the
+//!   chunks containing touched vertices. A replaced chunk recomputes the
+//!   touched vertices' lists and copies each run of untouched vertices
+//!   between them as one slice: per touched chunk, a slice copy plus work
+//!   per touched vertex, not per vertex of the chunk. Entries are
+//!   unordered; folds sort the (tiny — one per owning sub-graph) list by
+//!   current rank.
+//! * **Layers.** A slot may carry several value spans over one slot map
+//!   and one owner index (the sampled estimator keeps its estimates and
+//!   squared standard errors this way), so one splice serves every layer
+//!   and every layer's snapshot shares the index chunks.
 //! * **Fold order.** [`FoldStore::fold_vertex`] and
 //!   [`ScoreChunks::score`] start from `0.0` and add owner contributions
 //!   in ascending current-index order — the exact float-add sequence of
@@ -52,6 +60,20 @@ impl IndexChunk {
             return &[];
         }
         &self.pairs[self.offsets[local] as usize..self.offsets[local + 1] as usize]
+    }
+
+    /// Appends `old`'s entries for its locals `from..to` verbatim: one
+    /// `pairs` slice plus its offsets shifted to this chunk's pair count.
+    /// Locals past `old`'s covered prefix get no entries.
+    fn copy_run(&mut self, old: &IndexChunk, from: usize, to: usize) {
+        let end = to.min(old.offsets.len() - 1).max(from);
+        if from < end {
+            let (lo, hi) = (old.offsets[from], old.offsets[end]);
+            let base = self.pairs.len() as u32;
+            self.pairs.extend_from_slice(&old.pairs[lo as usize..hi as usize]);
+            self.offsets.extend(old.offsets[from + 1..=end].iter().map(|&o| o - lo + base));
+        }
+        self.offsets.resize(self.offsets.len() + (to - end), self.pairs.len() as u32);
     }
 }
 
@@ -111,51 +133,95 @@ fn fold_all(
 /// The engine-side store: slot-addressed per-sub-graph contribution spans,
 /// the `index <-> slot` maps, and the chunked per-vertex owner index.
 ///
-/// The engine is the only mutator; [`FoldStore::chunks`] snapshots the
-/// whole store in O(sub-graphs + vertices/[`INDEX_CHUNK_SIZE`]) `Arc`
-/// clones.
-#[derive(Debug, Default)]
+/// Every slot carries one span per value *layer*, all aligned with the
+/// slot's vertex list. The engine's exact store has one layer; the sampled
+/// estimator's has two (estimates and squared standard errors), so one
+/// splice and one owner index serve both of its folds.
+///
+/// The engine is the only mutator; [`FoldStore::layer_chunks`] snapshots
+/// one layer in O(sub-graphs + vertices/[`INDEX_CHUNK_SIZE`]) `Arc`
+/// clones, and every layer's snapshot shares the same index chunks.
+#[derive(Debug)]
 pub struct FoldStore {
     num_vertices: usize,
     /// Per-slot sub-graph vertex lists (`None` = free slot). Retained for
     /// dead slots' vertices at splice time, so the engine never needs the
     /// pre-splice decomposition.
     globals: Vec<Option<Arc<[u32]>>>,
-    /// Per-slot contribution spans, aligned with `globals`.
-    values: Vec<Option<Arc<[f64]>>>,
+    /// Per-layer contribution spans, each aligned with `globals`.
+    layers: Vec<Vec<Option<Arc<[f64]>>>>,
     free: Vec<u32>,
     /// Current sub-graph index -> slot (ascending fold order).
     order: Vec<u32>,
     /// Slot -> current sub-graph index (`u32::MAX` when dead).
     rank: Vec<u32>,
     index: Vec<Arc<IndexChunk>>,
-    /// Slots whose value span was replaced since the last
+    /// Slots with a value span replaced since the last
     /// [`FoldStore::take_copied`] window.
     copied: HashSet<u32>,
 }
 
+impl Default for FoldStore {
+    /// An empty one-layer store.
+    fn default() -> Self {
+        FoldStore::with_layers(1)
+    }
+}
+
 impl FoldStore {
-    /// Replaces the whole store from a full set of `(vertex list,
-    /// contribution)` pairs in sub-graph index order (seed and rebuild
-    /// paths — O(V) by nature there).
+    /// An empty store whose slots each carry `layers` (at least one)
+    /// value spans.
+    pub fn with_layers(layers: usize) -> Self {
+        assert!(layers >= 1, "a fold store needs a value layer");
+        FoldStore {
+            num_vertices: 0,
+            globals: Vec::new(),
+            layers: vec![Vec::new(); layers],
+            free: Vec::new(),
+            order: Vec::new(),
+            rank: Vec::new(),
+            index: Vec::new(),
+            copied: HashSet::new(),
+        }
+    }
+
+    /// Replaces the whole one-layer store from a full set of `(vertex
+    /// list, contribution)` pairs in sub-graph index order (seed and
+    /// rebuild paths — O(V) by nature there).
     pub fn rebuild(&mut self, num_vertices: usize, subgraphs: Vec<(Arc<[u32]>, Arc<[f64]>)>) {
-        let count = subgraphs.len();
+        let (globals, values) = subgraphs.into_iter().unzip();
+        self.rebuild_layers(num_vertices, globals, vec![values]);
+    }
+
+    /// Replaces the whole store from every sub-graph's vertex list in
+    /// sub-graph index order and, per layer, the spans aligned with them.
+    pub fn rebuild_layers(
+        &mut self,
+        num_vertices: usize,
+        globals: Vec<Arc<[u32]>>,
+        layers: Vec<Vec<Arc<[f64]>>>,
+    ) {
+        assert_eq!(layers.len(), self.layers.len(), "layer count");
+        for layer in &layers {
+            assert_eq!(layer.len(), globals.len(), "one span per sub-graph");
+            for (g, values) in globals.iter().zip(layer) {
+                assert_eq!(g.len(), values.len(), "contribution span mismatch");
+            }
+        }
+        let count = globals.len();
         self.num_vertices = num_vertices;
         self.free.clear();
-        self.globals = Vec::with_capacity(count);
-        self.values = Vec::with_capacity(count);
         self.order = (0..count as u32).collect();
         self.rank = (0..count as u32).collect();
         self.copied = (0..count as u32).collect();
         let mut entries: Vec<(u32, (u32, u32))> = Vec::new();
-        for (slot, (globals, values)) in subgraphs.into_iter().enumerate() {
-            assert_eq!(globals.len(), values.len(), "contribution span mismatch");
-            for (local, &v) in globals.iter().enumerate() {
+        for (slot, g) in globals.iter().enumerate() {
+            for (local, &v) in g.iter().enumerate() {
                 entries.push((v, (slot as u32, local as u32)));
             }
-            self.globals.push(Some(globals));
-            self.values.push(Some(values));
         }
+        self.globals = globals.into_iter().map(Some).collect();
+        self.layers = layers.into_iter().map(|l| l.into_iter().map(Some).collect()).collect();
         entries.sort_unstable_by_key(|&(v, _)| v);
         let num_chunks = num_vertices.div_ceil(INDEX_CHUNK_SIZE);
         self.index = Vec::with_capacity(num_chunks);
@@ -181,45 +247,67 @@ impl FoldStore {
         self.order.len()
     }
 
-    /// The contribution span of sub-graph `index` (current indexing).
+    /// The layer-0 contribution span of sub-graph `index` (current
+    /// indexing).
     pub fn values_of(&self, index: usize) -> Arc<[f64]> {
+        self.layer_values_of(0, index)
+    }
+
+    /// The `layer` contribution span of sub-graph `index` (current
+    /// indexing).
+    fn layer_values_of(&self, layer: usize, index: usize) -> Arc<[f64]> {
         let slot = self.order[index] as usize;
-        match &self.values[slot] {
+        match &self.layers[layer][slot] {
             Some(v) => Arc::clone(v),
             None => Arc::from(Vec::new()),
         }
     }
 
-    /// All contribution spans in current sub-graph index order (`Arc`
-    /// clones; used by the rebuild path's fingerprint carry-forward).
+    /// All layer-0 contribution spans in current sub-graph index order
+    /// (`Arc` clones; used by the rebuild path's fingerprint carry-forward).
     pub fn values_in_order(&self) -> Vec<Arc<[f64]>> {
-        (0..self.order.len()).map(|i| self.values_of(i)).collect()
+        self.layer_in_order(0)
     }
 
-    /// Replaces the contribution span of sub-graph `index` (current
+    /// All `layer` contribution spans in current sub-graph index order.
+    pub fn layer_in_order(&self, layer: usize) -> Vec<Arc<[f64]>> {
+        (0..self.order.len()).map(|i| self.layer_values_of(layer, i)).collect()
+    }
+
+    /// Replaces the layer-0 contribution span of sub-graph `index` (current
     /// indexing) after its kernel re-ran.
     pub fn set_values(&mut self, index: usize, values: Arc<[f64]>) {
+        self.set_layer_values(0, index, values);
+    }
+
+    /// Replaces the `layer` contribution span of sub-graph `index` (current
+    /// indexing).
+    pub fn set_layer_values(&mut self, layer: usize, index: usize, values: Arc<[f64]>) {
         let slot = self.order[index] as usize;
         match &self.globals[slot] {
             Some(g) => assert_eq!(g.len(), values.len(), "contribution span mismatch"),
             None => panic!("set_values on a free slot"),
         }
-        self.values[slot] = Some(values);
+        self.layers[layer][slot] = Some(values);
         self.copied.insert(slot as u32);
     }
 
     /// Applies a structural splice: `old_to_new` maps pre-splice sub-graph
     /// indices to post-splice ones (`None` = dissolved), `new_globals`
     /// lists every post-splice sub-graph's vertex list (only consulted for
-    /// fresh ones). Fresh sub-graphs get zeroed placeholder spans — the
-    /// engine overwrites them via [`FoldStore::set_values`], since every
-    /// fresh sub-graph is dirty by construction.
+    /// fresh ones). Fresh sub-graphs get zeroed placeholder spans in every
+    /// layer — the caller overwrites them via [`FoldStore::set_values`],
+    /// since every fresh sub-graph is dirty by construction.
     ///
     /// Returns the sorted, deduplicated vertices whose owner set changed
     /// (members of dissolved and fresh sub-graphs); the engine refolds
     /// exactly these into its flat score vector. Every other vertex's fold
     /// input sequence is unchanged: survivors keep their relative order
     /// and unchanged spans, so its folded score is bitwise-stable.
+    ///
+    /// Cost: O(sub-graphs + touched vertices) plus one rebuild per index
+    /// chunk holding a touched vertex, which copies each run of untouched
+    /// vertices between two touched ones as a single slice.
     pub fn apply_splice(
         &mut self,
         num_vertices: usize,
@@ -248,14 +336,17 @@ impl FoldStore {
                         touched.extend_from_slice(g);
                     }
                     self.globals[slot as usize] = None;
-                    self.values[slot as usize] = None;
+                    for layer in &mut self.layers {
+                        layer[slot as usize] = None;
+                    }
                     self.free.push(slot);
                     self.copied.remove(&slot);
                 }
             }
         }
 
-        let mut fresh: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
+        // Fresh owner entries `(vertex, (slot, local))`.
+        let mut fresh: Vec<(u32, (u32, u32))> = Vec::new();
         for (n, slot) in new_order.iter_mut().enumerate() {
             if *slot != u32::MAX {
                 continue;
@@ -264,17 +355,22 @@ impl FoldStore {
                 Some(s) => s,
                 None => {
                     self.globals.push(None);
-                    self.values.push(None);
+                    for layer in &mut self.layers {
+                        layer.push(None);
+                    }
                     dead.push(false);
                     (self.globals.len() - 1) as u32
                 }
             };
             let g: Arc<[u32]> = Arc::from(new_globals[n]);
             for (local, &v) in g.iter().enumerate() {
-                fresh.entry(v).or_default().push((s, local as u32));
+                fresh.push((v, (s, local as u32)));
                 touched.push(v);
             }
-            self.values[s as usize] = Some(Arc::from(vec![0.0f64; g.len()]));
+            let zeros: Arc<[f64]> = Arc::from(vec![0.0f64; g.len()]);
+            for layer in &mut self.layers {
+                layer[s as usize] = Some(Arc::clone(&zeros));
+            }
             self.globals[s as usize] = Some(g);
             self.copied.insert(s);
             *slot = s;
@@ -295,32 +391,36 @@ impl FoldStore {
 
         touched.sort_unstable();
         touched.dedup();
+        // A stable sort keeps each vertex's fresh entries in creation order.
+        fresh.sort_by_key(|&(v, _)| v);
         // Rebuild the owner lists of touched vertices, one affected chunk
-        // at a time; untouched chunks stay shared.
-        let mut i = 0;
+        // at a time; untouched chunks stay shared. Every fresh vertex is
+        // touched, so each chunk's fresh entries start at cursor `f`.
+        let (mut i, mut f) = (0, 0);
         while i < touched.len() {
             let c = (touched[i] as usize) >> INDEX_CHUNK_BITS;
-            let mut j = i + 1;
-            while j < touched.len() && (touched[j] as usize) >> INDEX_CHUNK_BITS == c {
-                j += 1;
-            }
-            self.rebuild_index_chunk(c, &touched[i..j], &dead, &fresh);
-            i = j;
+            let in_chunk = |v: u32| (v as usize) >> INDEX_CHUNK_BITS == c;
+            let j = i + touched[i..].partition_point(|&v| in_chunk(v));
+            let g = f + fresh[f..].partition_point(|&(v, _)| in_chunk(v));
+            self.rebuild_index_chunk(c, &touched[i..j], &dead, &fresh[f..g]);
+            (i, f) = (j, g);
         }
         touched
     }
 
     /// Replaces owner-index chunk `c`, recomputing the entries of
-    /// `touched` vertices (all within the chunk) and carrying everything
-    /// else over verbatim.
+    /// `touched` vertices (ascending, all within the chunk) and copying
+    /// each run of other vertices over as one slice. A touched vertex
+    /// keeps its live-slot entries and gains its `fresh` ones (`(vertex,
+    /// (slot, local))` sorted by vertex, all of touched vertices).
     fn rebuild_index_chunk(
         &mut self,
         c: usize,
         touched: &[u32],
         dead: &[bool],
-        fresh: &HashMap<u32, Vec<(u32, u32)>>,
+        fresh: &[(u32, (u32, u32))],
     ) {
-        let old = Arc::clone(&self.index[c]);
+        let old = &self.index[c];
         let first = c * INDEX_CHUNK_SIZE;
         let len = INDEX_CHUNK_SIZE.min(self.num_vertices - first);
         let mut chunk = IndexChunk {
@@ -328,67 +428,78 @@ impl FoldStore {
             pairs: Vec::with_capacity(old.pairs.len()),
         };
         chunk.offsets.push(0);
-        let mut ti = 0;
-        for local in 0..len {
-            let v = (first + local) as u32;
-            let is_touched = ti < touched.len() && touched[ti] == v;
-            if is_touched {
-                ti += 1;
-                for &(slot, sl) in old.entries(local) {
-                    if !dead[slot as usize] {
-                        chunk.pairs.push((slot, sl));
-                    }
+        let (mut next, mut f) = (0, 0);
+        for &v in touched {
+            let local = v as usize - first;
+            debug_assert!((next..len).contains(&local), "touched vertex {v} outside chunk {c}");
+            chunk.copy_run(old, next, local);
+            for &(slot, sl) in old.entries(local) {
+                if !dead[slot as usize] {
+                    chunk.pairs.push((slot, sl));
                 }
-                if let Some(extra) = fresh.get(&v) {
-                    chunk.pairs.extend_from_slice(extra);
-                }
-            } else {
-                chunk.pairs.extend_from_slice(old.entries(local));
+            }
+            while let Some(&(_, pair)) = fresh.get(f).filter(|&&(w, _)| w == v) {
+                chunk.pairs.push(pair);
+                f += 1;
             }
             chunk.offsets.push(chunk.pairs.len() as u32);
+            next = local + 1;
         }
-        debug_assert_eq!(ti, touched.len(), "touched vertex outside chunk {c}");
+        debug_assert_eq!(f, fresh.len(), "fresh entry of an untouched vertex in chunk {c}");
+        chunk.copy_run(old, next, len);
         self.index[c] = Arc::new(chunk);
     }
 
-    /// Folds one vertex's score (ascending sub-graph index order, from
-    /// `0.0`).
+    /// Folds one vertex's layer-0 score (ascending sub-graph index order,
+    /// from `0.0`).
     pub fn fold_vertex(&self, v: VertexId) -> f64 {
-        fold_at(&self.index, &self.rank, &self.values, v as usize)
+        self.fold_layer_vertex(0, v)
     }
 
-    /// The full score vector, folded from zeros in ascending sub-graph
-    /// index order — bitwise-identical to the engine's historical
-    /// `refold`.
+    /// Folds one vertex's `layer` score (ascending sub-graph index order,
+    /// from `0.0`).
+    pub fn fold_layer_vertex(&self, layer: usize, v: VertexId) -> f64 {
+        fold_at(&self.index, &self.rank, &self.layers[layer], v as usize)
+    }
+
+    /// The full layer-0 score vector, folded from zeros in ascending
+    /// sub-graph index order — bitwise-identical to the engine's
+    /// historical `refold`.
     pub fn to_flat(&self) -> Vec<f64> {
-        fold_all(self.num_vertices, &self.order, &self.globals, &self.values)
+        fold_all(self.num_vertices, &self.order, &self.globals, &self.layers[0])
     }
 
-    /// An immutable snapshot of the store: O(sub-graphs +
-    /// vertices/[`INDEX_CHUNK_SIZE`]) `Arc` clones.
+    /// An immutable snapshot of layer 0 (see [`FoldStore::layer_chunks`]).
     pub fn chunks(&self) -> ScoreChunks {
+        self.layer_chunks(0)
+    }
+
+    /// An immutable snapshot of one layer: O(sub-graphs +
+    /// vertices/[`INDEX_CHUNK_SIZE`]) `Arc` clones. Snapshots of different
+    /// layers share every owner-index chunk.
+    pub fn layer_chunks(&self, layer: usize) -> ScoreChunks {
         ScoreChunks {
             num_vertices: self.num_vertices,
             order: self.order.clone(),
             rank: self.rank.clone(),
             globals: self.globals.clone(),
-            values: self.values.clone(),
+            values: self.layers[layer].clone(),
             index: self.index.clone(),
         }
     }
 
-    /// Publish accounting: `(value spans replaced since the last call,
-    /// live sub-graphs)`; resets the window.
+    /// Publish accounting: `(slots with a value span replaced since the
+    /// last call, live sub-graphs)`; resets the window.
     pub fn take_copied(&mut self) -> (usize, usize) {
         let copied = self.copied.len().min(self.order.len());
         self.copied.clear();
         (copied, self.order.len())
     }
 
-    /// Cross-checks internal consistency against a freshly-built store
-    /// over the same `(vertex list, contribution)` pairs: identical flat
-    /// fold (bitwise) and identical per-vertex folds. Used by the engine's
-    /// `invariants` feature and the property tests.
+    /// Cross-checks the layer-0 folds against a freshly-built one-layer
+    /// store over the same `(vertex list, contribution)` pairs: identical
+    /// flat fold (bitwise) and identical per-vertex folds. Used by the
+    /// engine's `invariants` feature and the property tests.
     pub fn verify_against_fresh(
         &self,
         num_vertices: usize,
@@ -477,6 +588,16 @@ impl ScoreChunks {
                 (Some(x), Some(y)) => Arc::ptr_eq(x, y),
                 _ => false,
             },
+            _ => false,
+        }
+    }
+
+    /// Whether this snapshot and `other` hold the same owner-index chunk
+    /// `c` (the one covering vertices from `c · INDEX_CHUNK_SIZE`); test
+    /// introspection like [`ScoreChunks::shares_span`].
+    pub fn shares_index_chunk(&self, other: &ScoreChunks, c: usize) -> bool {
+        match (self.index.get(c), other.index.get(c)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -760,6 +881,85 @@ mod tests {
         assert!(!Arc::ptr_eq(&before.index[1], &after.index[1]), "chunk 1 rebuilt");
         assert_eq!(after.score(far as usize), 6.0);
         assert_eq!(before.score(far as usize), 4.0);
+    }
+
+    /// The per-vertex chunk rebuild that [`FoldStore::rebuild_index_chunk`]
+    /// must reproduce exactly: every vertex's entries copied one at a time.
+    fn rebuild_per_vertex(
+        old: &IndexChunk,
+        first: usize,
+        len: usize,
+        touched: &[u32],
+        dead: &[bool],
+        fresh: &[(u32, (u32, u32))],
+    ) -> IndexChunk {
+        let mut chunk = IndexChunk::empty();
+        for local in 0..len {
+            let v = (first + local) as u32;
+            if touched.binary_search(&v).is_ok() {
+                let live = old.entries(local).iter().filter(|&&(slot, _)| !dead[slot as usize]);
+                chunk.pairs.extend(live);
+                chunk.pairs.extend(fresh.iter().filter(|&&(w, _)| w == v).map(|&(_, p)| p));
+            } else {
+                chunk.pairs.extend_from_slice(old.entries(local));
+            }
+            chunk.offsets.push(chunk.pairs.len() as u32);
+        }
+        chunk
+    }
+
+    #[test]
+    fn run_copied_chunk_rebuild_matches_the_per_vertex_rebuild() {
+        // xorshift64: deterministic stores, growths and touched sets.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for _ in 0..48 {
+            let n = INDEX_CHUNK_SIZE + 1 + draw(2 * INDEX_CHUNK_SIZE);
+            let groups: Vec<(Arc<[u32]>, Arc<[f64]>)> = (0..1 + draw(8))
+                .map(|_| {
+                    let mut g: Vec<u32> = (0..1 + draw(300)).map(|_| draw(n) as u32).collect();
+                    g.sort_unstable();
+                    g.dedup();
+                    let values = vec![1.0; g.len()];
+                    (Arc::from(g), Arc::from(values))
+                })
+                .collect();
+            let slots = groups.len();
+            let mut store = FoldStore::default();
+            store.rebuild(n, groups);
+            // Grow without touching the index: the old tail chunk now
+            // covers a prefix shorter than its length.
+            store.num_vertices = n + draw(INDEX_CHUNK_SIZE);
+            while store.index.len() < store.num_vertices.div_ceil(INDEX_CHUNK_SIZE) {
+                store.index.push(Arc::new(IndexChunk::empty()));
+            }
+            let dead: Vec<bool> = (0..slots + 2).map(|_| draw(3) == 0).collect();
+            for c in 0..store.index.len() {
+                let first = c * INDEX_CHUNK_SIZE;
+                let len = INDEX_CHUNK_SIZE.min(store.num_vertices - first);
+                let mut touched: Vec<u32> =
+                    (0..1 + draw(40)).map(|_| (first + draw(len)) as u32).collect();
+                if draw(4) == 0 {
+                    touched.extend([first as u32, (first + len - 1) as u32]);
+                }
+                touched.sort_unstable();
+                touched.dedup();
+                let fresh: Vec<(u32, (u32, u32))> = touched
+                    .iter()
+                    .filter(|_| draw(2) == 0)
+                    .flat_map(|&v| [(v, (slots as u32, v)), (v, (slots as u32 + 1, 7))])
+                    .collect();
+                let want = rebuild_per_vertex(&store.index[c], first, len, &touched, &dead, &fresh);
+                store.rebuild_index_chunk(c, &touched, &dead, &fresh);
+                assert_eq!(store.index[c].offsets, want.offsets, "chunk {c} offsets");
+                assert_eq!(store.index[c].pairs, want.pairs, "chunk {c} pairs");
+            }
+        }
     }
 
     /// Reference ranking: full fold, sorted `(value desc, id asc)`.

@@ -9,12 +9,15 @@
 //! * [`FoldStore`] receives random splice sequences (survivor subsets kept
 //!   in order, fresh groups appended at the tail, dirty spans rewritten)
 //!   and must stay bitwise-identical to a store rebuilt from scratch over
-//!   the same spans, for both the flat fold and every per-vertex fold.
+//!   the same spans, for both the flat fold and every per-vertex fold. A
+//!   second property spreads its fresh groups over several owner-index
+//!   chunks and grows the vertex count at every step, and checks that the
+//!   chunks no splice touched stay shared with the pre-splice snapshot.
 
 use std::sync::Arc;
 
 use apgre_graph::{Graph, GraphOverlay};
-use apgre_store::{CowGraph, FoldStore};
+use apgre_store::{CowGraph, FoldStore, INDEX_CHUNK_SIZE};
 use proptest::prelude::*;
 
 /// Raw mutation descriptor, clamped against the live vertex count at apply
@@ -117,6 +120,52 @@ fn spans_of(groups: &[Vec<(u32, u32)>]) -> Vec<(Arc<[u32]>, Arc<[f64]>)> {
             (Arc::from(globals), Arc::from(values))
         })
         .collect()
+}
+
+/// A group for the wide-splice property, as raw `(id, value)` draws that
+/// [`place`] resolves against the vertex count of the step it joins.
+fn raw_group() -> impl Strategy<Value = Vec<(u32, u32)>> {
+    proptest::collection::vec((0u32..1 << 20, 0u32..1000), 3..16)
+}
+
+/// Resolves a raw group at `n` vertices (`n > 2 · INDEX_CHUNK_SIZE`): its
+/// first three draws land in index chunks 0, 1 and 2, the rest anywhere
+/// below `n`; ids are then sorted and deduplicated.
+fn place(raw: &[(u32, u32)], n: u32) -> Vec<(u32, u32)> {
+    let chunk = INDEX_CHUNK_SIZE as u32;
+    let mut pairs: Vec<(u32, u32)> = raw
+        .iter()
+        .enumerate()
+        .map(|(i, &(id, x))| match i {
+            0 | 1 => (i as u32 * chunk + id % chunk, x),
+            2 => (2 * chunk + id % (n - 2 * chunk).min(chunk), x),
+            _ => (id % n, x),
+        })
+        .collect();
+    pairs.sort_by_key(|&(v, _)| v);
+    pairs.dedup_by_key(|pair| pair.0);
+    pairs
+}
+
+/// One wide-splice step: keep/dissolve coins, fresh raw groups, a seed for
+/// rewriting a dirty span, and the vertex growth applied first.
+type WideStep = (Vec<u32>, Vec<Vec<(u32, u32)>>, u32, u32);
+
+fn wide_fold_scenario() -> impl Strategy<Value = (u32, Vec<Vec<(u32, u32)>>, Vec<WideStep>)> {
+    let chunk = INDEX_CHUNK_SIZE as u32;
+    (
+        2 * chunk + 1..3 * chunk,
+        proptest::collection::vec(raw_group(), 1..6),
+        proptest::collection::vec(
+            (
+                proptest::collection::vec(0u32..2, 1..10),
+                proptest::collection::vec(raw_group(), 1..4),
+                0u32..1000,
+                1u32..1500,
+            ),
+            2..6,
+        ),
+    )
 }
 
 proptest! {
@@ -262,6 +311,66 @@ proptest! {
                 prop_assert_eq!(
                     snap.score(v as usize).to_bits(),
                     flat[v as usize].to_bits()
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn fold_store_wide_splices_share_untouched_chunks(
+        (n0, raw_seed, steps) in wide_fold_scenario(),
+    ) {
+        let mut n = n0;
+        let mut shadow: Vec<Vec<(u32, u32)>> = raw_seed.iter().map(|r| place(r, n)).collect();
+        let mut store = FoldStore::default();
+        store.rebuild(n as usize, spans_of(&shadow));
+        store
+            .verify_against_fresh(n as usize, spans_of(&shadow))
+            .unwrap_or_else(|e| panic!("seed: {e}"));
+
+        for (k, (keep, raw_fresh, dirty_seed, grow)) in steps.iter().enumerate() {
+            // Growth first: the tail chunk's covered prefix now ends short
+            // of its length until a splice touches it.
+            let old_chunks = (n as usize).div_ceil(INDEX_CHUNK_SIZE);
+            n += grow;
+            let before = store.chunks();
+            let mut old_to_new: Vec<Option<u32>> = Vec::with_capacity(shadow.len());
+            let mut next: Vec<Vec<(u32, u32)>> = Vec::new();
+            for (i, grp) in shadow.iter().enumerate() {
+                if keep[i % keep.len()] == 1 {
+                    old_to_new.push(Some(next.len() as u32));
+                    next.push(grp.clone());
+                } else {
+                    old_to_new.push(None);
+                }
+            }
+            let first_fresh = next.len();
+            next.extend(raw_fresh.iter().map(|r| place(r, n)));
+            let spans = spans_of(&next);
+            let new_globals: Vec<&[u32]> = spans.iter().map(|(g, _)| &g[..]).collect();
+            let touched = store.apply_splice(n as usize, &old_to_new, &new_globals);
+            for (i, (_, values)) in spans.iter().enumerate().skip(first_fresh) {
+                store.set_values(i, Arc::clone(values));
+            }
+            if first_fresh > 0 {
+                let i = (*dirty_seed as usize) % first_fresh;
+                next[i] = next[i].iter().map(|&(v, x)| (v, x + dirty_seed)).collect();
+                store.set_values(i, Arc::clone(&spans_of(&next[i..=i])[0].1));
+            }
+            shadow = next;
+            store
+                .verify_against_fresh(n as usize, spans_of(&shadow))
+                .unwrap_or_else(|e| panic!("step {k}: {e}"));
+            let after = store.chunks();
+            for c in 0..old_chunks {
+                let hit = touched.iter().any(|&v| v as usize / INDEX_CHUNK_SIZE == c);
+                prop_assert!(
+                    hit || after.shares_index_chunk(&before, c),
+                    "step {}: untouched chunk {} was copied", k, c
                 );
             }
         }

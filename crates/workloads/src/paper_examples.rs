@@ -153,7 +153,7 @@ mod tests {
     fn disease_like_has_many_articulation_points() {
         let g = disease_like();
         let d = decompose(&g, &PartitionOptions::default());
-        let arts = d.is_articulation.iter().filter(|&&a| a).count();
+        let arts = d.num_articulation_points();
         assert!(arts > 100, "{arts} articulation points");
     }
 }

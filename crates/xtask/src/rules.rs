@@ -6,7 +6,7 @@
 //! | R1 | `raw-atomic-import` | `std::sync::atomic` / `core::sync::atomic` only inside the sync facade (`apgre_bc::sync`) |
 //! | R2 | `ordering-creep` | no `SeqCst` / `AcqRel` outside the facade — the kernels' correctness argument is written for `Relaxed` + fork-join edges |
 //! | R3 | `naked-par-accum` | no `slice[i] += …` inside a `par_iter`-family closure (escape: `lint:allow(par_accum)`) |
-//! | R4 | `kernel-missing-serial-test` | every `pub fn bc_*` kernel in `crates/bc` / `crates/dynamic` / `crates/approx`, and the sub-graph dispatcher `run_subgraph_kernels`, has a test pinning it against the serial oracle; the maintenance module's `apply_edits` and the store's snapshot entry points (`CowGraph::view`, `FoldStore::chunks`) must likewise be pinned against their fresh oracle (`verify_against_fresh` / `decomp_equivalent`); the budget allocator's entry points (`plan_adaptive`, `allocate_budget`) must be pinned against the from-scratch sampled oracle (`verify_against_scratch` / `bc_sampled_from_decomposition`) |
+//! | R4 | `kernel-missing-serial-test` | every `pub fn bc_*` kernel in `crates/bc` / `crates/dynamic` / `crates/approx`, and the sub-graph dispatcher `run_subgraph_kernels`, has a test pinning it against the serial oracle; the maintenance module's `apply_edits` and the store's snapshot and splice entry points (`CowGraph::view`, `FoldStore::chunks`, `FoldStore::apply_splice`) must likewise be pinned against their fresh oracle (`verify_against_fresh` / `decomp_equivalent`), and `SampleStore::apply_splice` against `verify_against_scratch`; the budget allocator's entry points (`plan_adaptive`, `allocate_budget`) must be pinned against the from-scratch sampled oracle (`verify_against_scratch` / `bc_sampled_from_decomposition`) |
 //! | R5 | `serve-socket-unwrap` | no `.unwrap()` / `.expect(…)` in `crates/serve/src` outside `#[cfg(test)]` (escape: `lint:allow(serve_unwrap)`) |
 //! | R6 | `guard-across-blocking` | no lock guard in `crates/serve` live across socket I/O or a snapshot publish (escape: `lint:allow(guard_blocking)`) |
 //! | R7 | `ordering-protocol` | facade atomic call sites outside the facade conform to the claim-Relaxed / publish-Release / read-Acquire state machine, annotated with the call chain from the kernel entry points |
@@ -252,12 +252,24 @@ fn find_indexed_accum(
 
 // --------------------------------------------------------------------- R4
 
+/// The oracles pinning the maintenance module's `apply_edits`.
+const MAINTAIN_ORACLES: &[&str] = &["verify_against_fresh", "decomp_equivalent"];
+
+/// Store entry points R4 pins: `(path fragment, impl owner, fn name,
+/// oracles a pinning test must call)`.
+const STORE_PINS: &[(&str, &str, &str, &[&str])] = &[
+    ("crates/store/src", "CowGraph", "view", &["verify_against_fresh"]),
+    ("crates/store/src", "FoldStore", "chunks", &["verify_against_fresh"]),
+    ("crates/store/src", "FoldStore", "apply_splice", &["verify_against_fresh"]),
+    ("crates/approx/src", "SampleStore", "apply_splice", &["verify_against_scratch"]),
+];
+
 /// R4: every public `bc_*` kernel must be pinned against the serial oracle,
-/// and the incremental maintenance entry point must be pinned against the
-/// fresh-decomposition oracle.
+/// and the incremental maintenance and store entry points must be pinned
+/// against their from-scratch oracles.
 fn r4_kernel_serial_tests(ws: &Workspace, flat: &[Vec<Tok>], out: &mut Vec<Finding>) {
     let mut kernels: Vec<(usize, usize, String)> = Vec::new();
-    let mut maint: Vec<(usize, usize, String)> = Vec::new();
+    let mut maint: Vec<(usize, usize, String, &[&str])> = Vec::new();
     let mut alloc: Vec<(usize, usize, String)> = Vec::new();
     for (fi, f) in ws.files.iter().enumerate() {
         // The maintenance module's splice entry points promise structural
@@ -266,24 +278,26 @@ fn r4_kernel_serial_tests(ws: &Workspace, flat: &[Vec<Tok>], out: &mut Vec<Findi
         if f.path.contains("crates/decomp/src/maintain") {
             for fun in &f.fns {
                 if fun.is_pub && !fun.in_test && fun.name == "apply_edits" {
-                    maint.push((fi, fun.line, fun.name.clone()));
+                    maint.push((fi, fun.line, fun.name.clone(), MAINTAIN_ORACLES));
                 }
             }
             continue;
         }
-        // The store's snapshot entry points (`CowGraph::view`,
-        // `FoldStore::chunks`) promise CSR/bitwise equivalence with a fresh
-        // materialization; their oracle is `verify_against_fresh` too.
-        if f.path.contains("crates/store/src") {
+        // The stores' snapshot and splice entry points promise CSR/bitwise
+        // equivalence with a store rebuilt from scratch; each is pinned
+        // against that store's own oracle.
+        for &(_, owner, name, oracles) in STORE_PINS.iter().filter(|pin| f.path.contains(pin.0)) {
             for fun in &f.fns {
                 if fun.is_pub
                     && !fun.in_test
-                    && (fun.name == "view" || fun.name == "chunks")
-                    && matches!(fun.owner.as_deref(), Some("CowGraph") | Some("FoldStore"))
+                    && fun.name == name
+                    && fun.owner.as_deref() == Some(owner)
                 {
-                    maint.push((fi, fun.line, fun.name.clone()));
+                    maint.push((fi, fun.line, fun.name.clone(), oracles));
                 }
             }
+        }
+        if f.path.contains("crates/store/src") {
             continue;
         }
         // The incremental engine's `bc_*` entry points promise the same
@@ -344,28 +358,26 @@ fn r4_kernel_serial_tests(ws: &Workspace, flat: &[Vec<Tok>], out: &mut Vec<Findi
             );
         }
     }
-    for (fi, line, name) in maint {
+    for (fi, line, name, oracles) in maint {
         let covered = ws.files.iter().zip(flat).any(|(f2, toks)| {
             let test_bearing = f2.path.contains("/tests/")
                 || !f2.test_ranges.is_empty()
                 || f2.fns.iter().any(|x| x.in_test);
             test_bearing
                 && toks.iter().any(|t| t.is_ident(&name))
-                && toks
-                    .iter()
-                    .any(|t| t.is_ident("verify_against_fresh") || t.is_ident("decomp_equivalent"))
+                && toks.iter().any(|t| oracles.iter().any(|o| t.is_ident(o)))
         });
         if !covered {
             let f = &ws.files[fi];
+            let oracles = oracles.iter().map(|o| format!("`{o}`")).collect::<Vec<_>>().join(" / ");
             push(
                 out,
                 f,
                 line,
                 "kernel-missing-serial-test",
                 format!(
-                    "maintenance entry `{name}` has no test pinning it against \
-                     a fresh decomposition (`verify_against_fresh` / \
-                     `decomp_equivalent`)"
+                    "incremental entry `{name}` has no test pinning it against \
+                     its from-scratch oracle ({oracles})"
                 ),
             );
         }

@@ -136,6 +136,44 @@ fn r9_reaches_every_kernel_sweep() {
 }
 
 #[test]
+fn r4_pins_every_store_entry_point() {
+    // Each store entry point listed in R4 fires when no test pins it, and a
+    // test file calling it next to its from-scratch oracle silences it.
+    let cases = [
+        ("r4_store_pins_bad.rs", "verify_against_fresh"),
+        ("r4_sample_store_pins_bad.rs", "verify_against_scratch"),
+    ];
+    for (file, oracle) in cases {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(file);
+        let src = std::fs::read_to_string(&path).expect("fixture exists");
+        let targets: Vec<usize> = src
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| l.ends_with("// r4-target"))
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert!(!targets.is_empty(), "{file}: no r4-target lines");
+        let findings = lint_fixture(file);
+        for &line in &targets {
+            assert!(
+                findings.iter().any(|f| f.rule == "kernel-missing-serial-test" && f.line == line),
+                "{file}:{line}: R4 did not flag this unpinned entry point: {findings:?}"
+            );
+        }
+        assert_eq!(findings.len(), targets.len(), "{file}: unexpected findings: {findings:?}");
+
+        let synthetic = src.lines().next().and_then(|l| l.strip_prefix("//!path ")).unwrap();
+        let pin =
+            format!("#[test]\nfn pinned() {{ view(); chunks(); apply_splice(); {oracle}(); }}\n");
+        let pinned = rules::lint_sources(&[
+            (synthetic.trim().to_string(), src.clone()),
+            ("crates/store/tests/pin.rs".to_string(), pin),
+        ]);
+        assert!(pinned.is_empty(), "{file}: a pinning test did not silence R4: {pinned:?}");
+    }
+}
+
+#[test]
 fn r1_allows_no_graph_side_facade() {
     // The graph crate holds no atomics, so no path in it is allowlisted:
     // re-creating its old mirror facade must trip R1 like any other file.
