@@ -15,8 +15,10 @@
 //! errors from the same accumulators.
 //!
 //! Layering: `graph`/`decomp`/`bc` below (kernels and decomposition),
-//! `store` for the slot-stable span store, `dynamic` above (drives the
-//! dirty set and owns [`SampleStore`] behind `DynamicBc::approx_snapshot`),
+//! `store` for the slot-stable span store (whose estimate layers the
+//! [`SampleStore`] writes), `dynamic` above (drives the dirty set and owns
+//! the span store and the [`SampleStore`] behind
+//! `DynamicBc::approx_snapshot`),
 //! `serve` at the top (the `?approx=k` tier).
 //!
 //! Determinism contract: same seed + same decomposition ⇒

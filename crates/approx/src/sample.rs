@@ -26,22 +26,21 @@
 //! sub-graph's content fingerprint — and, in the adaptive regime, on pilot
 //! variances that are themselves content-pure — an estimate span never has
 //! to be recomputed unless the sub-graph itself changed or its *allocation*
-//! moved. [`SampleStore`] exploits that: it mirrors `FoldStore`'s
-//! slot-stable span design (indeed it *is* one two-layer `FoldStore` —
-//! scaled sample spans and their squared standard errors over the same
-//! slots and owner index — plus sampling metadata), carries unaffected
-//! sub-graphs' spans across generations verbatim, and resamples only the
-//! dirty set — so refresh cost tracks the dirty set the way publish cost
-//! does.
+//! moved. [`SampleStore`] exploits that. The spans live in the engine's
+//! one `FoldStore`, as its [`Layer::Estimate`] and [`Layer::ErrSq`] layers
+//! beside the exact contributions, so every splice and every rebuild carry
+//! moves them with the exact spans. The store itself keeps only the
+//! sampling metadata and the pending set, and resamples only that dirty
+//! set — so refresh cost tracks the dirty set the way publish cost does.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use apgre_bc::apgre::{run_subgraph_kernels, ApgreOptions};
-use apgre_decomp::{carry_by_fingerprint, decompose, Decomposition, SubGraph};
+use apgre_decomp::{decompose, Decomposition, SubGraph};
 use apgre_graph::Graph;
-use apgre_store::FoldStore;
+use apgre_store::{FoldStore, Layer};
 
 use crate::budget::{plan, stderr_sq_span, SamplePlan};
 use crate::rng::{mix_seed, sample_roots};
@@ -282,10 +281,10 @@ pub fn bc_sampled_with_stderr(
 
 /// Per-sub-graph sampling metadata, aligned with the current sub-graph
 /// indexing. `fingerprint` is the content hash the span was drawn against;
-/// it keys the rebuild path's carry-forward. `sigma` caches the pilot
-/// standard deviation (content-pure, so it carries with the fingerprint)
-/// and `k` records the sample size the span was drawn at — a later
-/// allocation that disagrees with `k` forces a resample even when the
+/// a rebuild keeps the span only where it still matches. `sigma` caches
+/// the pilot standard deviation (content-pure, so it carries with the
+/// fingerprint) and `k` records the sample size the span was drawn at — a
+/// later allocation that disagrees with `k` forces a resample even when the
 /// content itself is clean.
 #[derive(Clone, Debug)]
 struct SampleMeta {
@@ -294,60 +293,36 @@ struct SampleMeta {
     k: usize,
 }
 
-/// The incremental estimator state: a slot-stable two-layer [`FoldStore`]
-/// (layer [`ESTIMATE`]: *scaled* sample spans; layer [`ERR_SQ`]: their
-/// squared standard errors, all-zero for exhaustive spans), per-sub-graph
-/// sampling metadata, and the pending dirty set. Both layers share one
-/// slot map and one owner index, so a splice runs once for both.
+/// The incremental estimator's bookkeeping: per-sub-graph sampling
+/// metadata and the pending dirty set. The spans themselves live in the
+/// engine's [`FoldStore`] — *scaled* sample spans in [`Layer::Estimate`],
+/// their squared standard errors (all-zero for exhaustive spans) in
+/// [`Layer::ErrSq`] — so the exact and sampled tiers share one slot map,
+/// one owner index and one splice.
 ///
 /// Lifecycle (driven by `DynamicBc`): [`SampleStore::seed`] over the
 /// initial decomposition (everything pending), then per batch either
 /// [`SampleStore::apply_splice`] + [`SampleStore::mark_dirty`] (absorbed
-/// batches) or [`SampleStore::rebuild`] (from-scratch re-decompositions,
-/// with fingerprint-keyed span carry), and finally
-/// [`SampleStore::refresh`] when estimates are demanded — resampling the
-/// accumulated dirty set (plus, in adaptive mode, any span whose budget
-/// allocation moved).
+/// batches, after the fold store's own splice) or [`SampleStore::rebuild`]
+/// (from-scratch re-decompositions, after the fold store's fingerprint
+/// carry), and finally [`SampleStore::refresh`] when estimates are
+/// demanded — resampling the accumulated dirty set (plus, in adaptive
+/// mode, any span whose budget allocation moved) into the fold store.
 #[derive(Debug)]
 pub struct SampleStore {
-    fold: FoldStore,
     meta: Vec<Option<SampleMeta>>,
     pending: BTreeSet<usize>,
-    num_vertices: usize,
     /// Parameters the live spans were drawn with; a refresh under different
     /// parameters invalidates everything.
     params: Option<SampleOptions>,
 }
 
-/// The [`SampleStore`] layer holding the scaled estimate spans.
-const ESTIMATE: usize = 0;
-/// The [`SampleStore`] layer holding the squared-standard-error spans.
-const ERR_SQ: usize = 1;
-
-impl Default for SampleStore {
-    fn default() -> Self {
-        SampleStore {
-            fold: FoldStore::with_layers(2),
-            meta: Vec::new(),
-            pending: BTreeSet::new(),
-            num_vertices: 0,
-            params: None,
-        }
-    }
-}
-
 impl SampleStore {
-    /// Seeds the store over `decomp`: zeroed placeholder spans, every
-    /// sub-graph pending.
+    /// Seeds the store over `decomp`: no spans drawn yet, every sub-graph
+    /// pending.
     pub fn seed(decomp: &Decomposition) -> Self {
-        let mut store = SampleStore::default();
-        store.rebuild(decomp);
-        store
-    }
-
-    /// Number of sub-graphs currently tracked.
-    pub fn num_subgraphs(&self) -> usize {
-        self.meta.len()
+        let count = decomp.num_subgraphs();
+        SampleStore { meta: vec![None; count], pending: (0..count).collect(), params: None }
     }
 
     /// Sub-graphs awaiting a resample.
@@ -357,19 +332,10 @@ impl SampleStore {
 
     /// Mirrors a structural splice of the decomposition (same `old_to_new`
     /// contract as `FoldStore::apply_splice`; `decomp` is the post-splice
-    /// decomposition). Survivor spans and metadata carry over; fresh
-    /// sub-graphs join the pending set with zeroed placeholders.
-    pub fn apply_splice(
-        &mut self,
-        num_vertices: usize,
-        old_to_new: &[Option<u32>],
-        decomp: &Decomposition,
-    ) {
-        let new_globals: Vec<&[u32]> =
-            decomp.subgraphs.iter().map(|sg| sg.globals.as_slice()).collect();
-        self.fold.apply_splice(num_vertices, old_to_new, &new_globals);
-        let count = decomp.num_subgraphs();
-        let mut meta: Vec<Option<SampleMeta>> = vec![None; count];
+    /// decomposition). Survivor metadata carries over; fresh sub-graphs
+    /// join the pending set.
+    pub fn apply_splice(&mut self, old_to_new: &[Option<u32>], decomp: &Decomposition) {
+        let mut meta: Vec<Option<SampleMeta>> = vec![None; decomp.num_subgraphs()];
         let mut pending = BTreeSet::new();
         for (old, &dst) in old_to_new.iter().enumerate() {
             if let Some(n) = dst {
@@ -386,7 +352,6 @@ impl SampleStore {
         }
         self.meta = meta;
         self.pending = pending;
-        self.num_vertices = num_vertices;
     }
 
     /// Marks sub-graphs (current indexing) whose content changed in place.
@@ -394,58 +359,49 @@ impl SampleStore {
         self.pending.extend(dirty.iter().copied());
     }
 
-    /// Replaces the store after a from-scratch re-decomposition, carrying
-    /// spans whose sub-graph content fingerprint reappears (same
-    /// fingerprint ⇒ same seed ⇒ same sample ⇒ same span, so the carry is
-    /// bitwise-equivalent to resampling) by [`carry_by_fingerprint`], which
-    /// treats a wrong-length candidate as a miss. Misses join the pending
-    /// set.
-    pub fn rebuild(&mut self, decomp: &Decomposition) {
-        let old = self
-            .meta
-            .iter()
-            .zip(self.fold.layer_in_order(ESTIMATE))
-            .zip(self.fold.layer_in_order(ERR_SQ));
-        let carried = carry_by_fingerprint(
-            old.filter_map(|((m, span), err)| {
-                let meta = m.clone()?;
-                Some((meta.fingerprint, span.len(), (span, err, meta)))
-            }),
-            &decomp.subgraphs,
-        );
-        let count = decomp.num_subgraphs();
-        let mut meta = Vec::with_capacity(count);
-        let mut pending = BTreeSet::new();
-        let mut globals: Vec<Arc<[u32]>> = Vec::with_capacity(count);
-        let mut spans: Vec<Arc<[f64]>> = Vec::with_capacity(count);
-        let mut errs: Vec<Arc<[f64]>> = Vec::with_capacity(count);
-        for (i, (sg, candidate)) in decomp.subgraphs.iter().zip(carried).enumerate() {
-            let zeros = || Arc::from(vec![0.0f64; sg.num_vertices()]);
-            let (span, err, m) =
-                candidate.map_or_else(|| (zeros(), zeros(), None), |(s, e, m)| (s, e, Some(m)));
-            if m.is_none() {
-                pending.insert(i);
+    /// Remaps the metadata after a from-scratch re-decomposition.
+    /// `carried[i]` is the pre-rebuild index whose spans sub-graph `i` of
+    /// `decomp` inherits by content fingerprint (the fold store's carry).
+    /// The estimator keeps a carried span only when it was drawn against
+    /// that same content: same fingerprint ⇒ same seed ⇒ same sample ⇒
+    /// same span, so the carry is bitwise-equivalent to resampling. A span
+    /// that was still pending, and every miss, joins the pending set.
+    ///
+    /// Returns the `(new, old)` index pairs whose estimator spans carry.
+    pub fn rebuild(
+        &mut self,
+        decomp: &Decomposition,
+        carried: &[Option<usize>],
+    ) -> Vec<(usize, usize)> {
+        let mut old = std::mem::take(&mut self.meta);
+        self.pending.clear();
+        let mut kept = Vec::new();
+        for (i, (sg, &from)) in decomp.subgraphs.iter().zip(carried).enumerate() {
+            let meta = from
+                .and_then(|o| old.get_mut(o)?.take())
+                .filter(|m| m.fingerprint == sg.fingerprint());
+            match (from, &meta) {
+                (Some(o), Some(_)) => kept.push((i, o)),
+                _ => {
+                    self.pending.insert(i);
+                }
             }
-            globals.push(Arc::from(sg.globals.as_slice()));
-            spans.push(span);
-            errs.push(err);
-            meta.push(m);
+            self.meta.push(meta);
         }
-        self.fold.rebuild_layers(decomp.num_vertices, globals, vec![spans, errs]);
-        self.meta = meta;
-        self.pending = pending;
-        self.num_vertices = decomp.num_vertices;
+        kept
     }
 
     /// Resamples the pending sub-graphs — plus, in adaptive mode, any span
     /// whose budget allocation moved (and *all* of them when the sampling
-    /// parameters changed since the last refresh) — and clears the pending
-    /// set. After a refresh, [`SampleStore::estimates`] is
-    /// bitwise-identical to [`bc_sampled_from_decomposition`] over the same
-    /// decomposition and parameters — the determinism contract, asserted
-    /// here under `--features invariants`.
+    /// parameters changed since the last refresh) — into `fold`'s estimate
+    /// layers, and clears the pending set. After a refresh,
+    /// [`SampleStore::estimates`] is bitwise-identical to
+    /// [`bc_sampled_from_decomposition`] over the same decomposition and
+    /// parameters — the determinism contract, asserted here under
+    /// `--features invariants`.
     pub fn refresh(
         &mut self,
+        fold: &mut FoldStore,
         decomp: &Decomposition,
         opts: &ApgreOptions,
         sopts: &SampleOptions,
@@ -500,8 +456,8 @@ impl SampleStore {
                 report.drifted += 1;
                 report.drift_roots += s.roots as u64;
             }
-            self.fold.set_layer_values(ESTIMATE, i, Arc::from(s.span));
-            self.fold.set_layer_values(ERR_SQ, i, Arc::from(s.err));
+            fold.set_layer_values(Layer::Estimate, i, Arc::from(s.span));
+            fold.set_layer_values(Layer::ErrSq, i, Arc::from(s.err));
             self.meta[i] = Some(SampleMeta {
                 fingerprint: decomp.subgraphs[i].fingerprint(),
                 sigma: plan.sigma[i],
@@ -512,49 +468,37 @@ impl SampleStore {
         self.pending.clear();
         report.wall = t.elapsed();
         #[cfg(feature = "invariants")]
-        self.verify_against_scratch(decomp, opts, sopts)
+        self.verify_against_scratch(fold, decomp, opts, sopts)
             .expect("incremental sampled estimates diverged from the from-scratch oracle");
         report
     }
 
-    /// The flat estimate vector (ascending-index fold from zeros).
-    /// Meaningful once the pending set is empty — call
+    /// The flat estimate vector of `fold` (ascending-index fold from
+    /// zeros). Meaningful once the pending set is empty — call
     /// [`SampleStore::refresh`] first.
-    pub fn estimates(&self) -> Vec<f64> {
-        self.fold.to_flat()
+    pub fn estimates(&self, fold: &FoldStore) -> Vec<f64> {
+        fold.layer_chunks(Layer::Estimate).to_vec()
     }
 
     /// One vertex's estimate (same fold order as [`SampleStore::estimates`]).
-    pub fn estimate(&self, v: u32) -> f64 {
-        self.fold.fold_layer_vertex(ESTIMATE, v)
+    pub fn estimate(&self, fold: &FoldStore, v: u32) -> f64 {
+        fold.fold_layer_vertex(Layer::Estimate, v)
     }
 
     /// One vertex's standard error: the square root of the ascending-index
     /// fold of its squared-standard-error contributions. Zero wherever
     /// every owning span is exhaustive.
-    pub fn stderr(&self, v: u32) -> f64 {
-        self.fold.fold_layer_vertex(ERR_SQ, v).sqrt()
+    pub fn stderr(&self, fold: &FoldStore, v: u32) -> f64 {
+        fold.fold_layer_vertex(Layer::ErrSq, v).sqrt()
     }
 
-    /// An immutable snapshot of the estimate spans (O(sub-graphs) `Arc`
-    /// clones), for publication next to the exact `ScoreChunks`.
-    pub fn chunks(&self) -> apgre_store::ScoreChunks {
-        self.fold.layer_chunks(ESTIMATE)
-    }
-
-    /// An immutable snapshot of the squared-standard-error spans; fold a
-    /// vertex and take the square root to recover its standard error. It
-    /// shares every owner-index chunk with [`SampleStore::chunks`].
-    pub fn stderr_chunks(&self) -> apgre_store::ScoreChunks {
-        self.fold.layer_chunks(ERR_SQ)
-    }
-
-    /// Bitwise cross-check against
+    /// Bitwise cross-check of `fold`'s estimate layers against
     /// [`bc_sampled_with_stderr_from_decomposition`] — estimates *and*
     /// standard errors. Errors when the store still has pending sub-graphs
     /// or anything diverges.
     pub fn verify_against_scratch(
         &self,
+        fold: &FoldStore,
         decomp: &Decomposition,
         opts: &ApgreOptions,
         sopts: &SampleOptions,
@@ -563,7 +507,7 @@ impl SampleStore {
             return Err(format!("{} sub-graphs still pending", self.pending.len()));
         }
         let (want, want_err) = bc_sampled_with_stderr_from_decomposition(decomp, opts, sopts);
-        let got = self.estimates();
+        let got = self.estimates(fold);
         if got.len() != want.len() {
             return Err(format!("length mismatch: {} vs {}", got.len(), want.len()));
         }
@@ -573,75 +517,11 @@ impl SampleStore {
             }
         }
         for (v, w) in want_err.iter().enumerate() {
-            let g = self.stderr(v as u32);
+            let g = self.stderr(fold, v as u32);
             if g.to_bits() != w.to_bits() {
                 return Err(format!("stderr diverged at vertex {v}: {g} vs {w}"));
             }
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use apgre_graph::generators;
-
-    /// Two structurally different graphs whose decompositions yield
-    /// sub-graphs of different sizes; the test forges a fingerprint match
-    /// to simulate an FNV collision across a rebuild.
-    #[test]
-    fn rebuild_rejects_forged_fingerprint_collisions() {
-        let opts = ApgreOptions::default();
-        let sopts = SampleOptions::uniform(4, 0xFEED);
-        // Seed + refresh a store over a lollipop: clique sub-graph + path.
-        let a = generators::lollipop(6, 8);
-        let da = decompose(&a, &opts.partition);
-        let mut store = SampleStore::seed(&da);
-        store.refresh(&da, &opts, &sopts);
-        assert_eq!(store.pending_len(), 0);
-
-        // A different graph whose sub-graphs have different vertex counts.
-        let b = generators::lollipop(9, 3);
-        let db = decompose(&b, &opts.partition);
-        // Forge: overwrite every carried fingerprint with the new
-        // decomposition's fingerprints, misaligned with the span sizes.
-        let forged: Vec<u64> = db.subgraphs.iter().map(|sg| sg.fingerprint()).collect();
-        for (slot, m) in store.meta.iter_mut().enumerate() {
-            if let Some(meta) = m.as_mut() {
-                meta.fingerprint = forged[slot % forged.len()];
-            }
-        }
-        store.rebuild(&db);
-        // Every slot whose forged carry candidate had the wrong length must
-        // have fallen back to the pending set instead of installing it.
-        for (i, sg) in db.subgraphs.iter().enumerate() {
-            let span = store.fold.values_of(i);
-            assert_eq!(
-                span.len(),
-                sg.num_vertices(),
-                "sub-graph {i}: collision carry installed a wrong-length span"
-            );
-        }
-        // And a refresh lands back on the oracle.
-        let r = store.refresh(&db, &opts, &sopts);
-        assert!(r.resampled > 0);
-        store.verify_against_scratch(&db, &opts, &sopts).unwrap();
-    }
-
-    /// Same-length collisions are indistinguishable from true carries by
-    /// construction (same fingerprint, same size); the guard only needs to
-    /// reject the length mismatch, and a legitimate carry must survive.
-    #[test]
-    fn rebuild_still_carries_matching_spans() {
-        let opts = ApgreOptions::default();
-        let sopts = SampleOptions::uniform(3, 7);
-        let g = generators::lollipop(7, 5);
-        let d = decompose(&g, &opts.partition);
-        let mut store = SampleStore::seed(&d);
-        store.refresh(&d, &opts, &sopts);
-        store.rebuild(&d);
-        assert_eq!(store.pending_len(), 0, "identical rebuild must carry every span");
-        store.verify_against_scratch(&d, &opts, &sopts).unwrap();
     }
 }

@@ -4,6 +4,8 @@
 //! pipeline, the `SampleStore` incremental contract, and a fixed-seed
 //! golden checksum guarding the sampling stream itself.
 
+use std::sync::Arc;
+
 use apgre_approx::{
     allocate_budget, bc_sampled, bc_sampled_from_decomposition, bc_sampled_with_stderr,
     bc_sampled_with_stderr_from_decomposition, draw_roots, plan_adaptive, SampleOptions,
@@ -12,11 +14,38 @@ use apgre_approx::{
 use apgre_bc::apgre::{ApgreOptions, KernelPolicy};
 use apgre_bc::bc_apgre_with;
 use apgre_bc::brandes::bc_serial;
-use apgre_decomp::{decompose, EdgeEdit, MaintainedDecomposition};
+use apgre_decomp::{decompose, Decomposition, EdgeEdit, MaintainOutcome, MaintainedDecomposition};
 use apgre_graph::generators::{whiskered_community, WhiskeredCommunityParams};
 use apgre_graph::Graph;
-use apgre_store::INDEX_CHUNK_SIZE;
+use apgre_store::{FoldStore, Layer, INDEX_CHUNK_SIZE};
 use apgre_workloads::{registry, Scale};
+
+/// The span store a `SampleStore` writes its layers into, over `d`'s
+/// sub-graphs with zeroed exact spans (the engine's exact layer is not
+/// under test here).
+fn fold_over(d: &Decomposition) -> FoldStore {
+    let spans = d
+        .subgraphs
+        .iter()
+        .map(|sg| (Arc::from(&sg.globals[..]), Arc::from(vec![0.0f64; sg.num_vertices()])));
+    let mut fold = FoldStore::default();
+    fold.rebuild(d.num_vertices, spans.collect());
+    fold
+}
+
+/// Mirrors a maintained splice into the span store and the estimator's
+/// metadata, as `DynamicBc` does (`d` is the post-splice decomposition).
+fn splice(
+    fold: &mut FoldStore,
+    store: &mut SampleStore,
+    n: usize,
+    out: &MaintainOutcome,
+    d: &Decomposition,
+) {
+    let globals: Vec<&[u32]> = d.subgraphs.iter().map(|sg| &sg.globals[..]).collect();
+    fold.apply_splice(n, &out.old_to_new, &globals);
+    store.apply_splice(&out.old_to_new, d);
+}
 
 /// Normalized L1 error: Σ|est − exact| / Σ exact (0 when the graph has no
 /// betweenness mass at all).
@@ -107,11 +136,12 @@ fn sample_store_refresh_matches_scratch_oracle_bitwise() {
         let want = bc_sampled_from_decomposition(&decomp, &opts, &sopts);
 
         let mut store = SampleStore::seed(&decomp);
+        let mut fold = fold_over(&decomp);
         assert_eq!(store.pending_len(), decomp.num_subgraphs(), "{}", spec.name);
-        let first = store.refresh(&decomp, &opts, &sopts);
+        let first = store.refresh(&mut fold, &decomp, &opts, &sopts);
         assert_eq!(first.resampled, decomp.num_subgraphs(), "{}", spec.name);
         assert_eq!(first.reused, 0, "{}", spec.name);
-        let got = store.estimates();
+        let got = store.estimates(&fold);
         assert_eq!(got.len(), want.len(), "{}", spec.name);
         for v in 0..want.len() {
             assert!(
@@ -124,16 +154,21 @@ fn sample_store_refresh_matches_scratch_oracle_bitwise() {
         // Partial re-dirtying: only the marked slot is resampled, and since
         // the content is unchanged the resample reproduces the same span.
         store.mark_dirty(&[0]);
-        let second = store.refresh(&decomp, &opts, &sopts);
+        let second = store.refresh(&mut fold, &decomp, &opts, &sopts);
         assert_eq!(second.resampled, 1, "{}", spec.name);
         assert_eq!(second.reused, decomp.num_subgraphs() - 1, "{}", spec.name);
         assert!((second.resample_fraction() - 1.0 / decomp.num_subgraphs() as f64).abs() < 1e-12);
         store
-            .verify_against_scratch(&decomp, &opts, &sopts)
+            .verify_against_scratch(&fold, &decomp, &opts, &sopts)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         // Per-vertex accessor folds the same bits as the flat vector.
         for v in 0..want.len() {
-            assert_eq!(store.estimate(v as u32).to_bits(), want[v].to_bits(), "{}", spec.name);
+            assert_eq!(
+                store.estimate(&fold, v as u32).to_bits(),
+                want[v].to_bits(),
+                "{}",
+                spec.name
+            );
         }
     }
 }
@@ -154,27 +189,28 @@ fn adaptive_store_refresh_matches_scratch_oracle_bitwise() {
         let sopts = SampleOptions::adaptive(budget, 0xADA7);
 
         let mut store = SampleStore::seed(&decomp);
-        let first = store.refresh(&decomp, &opts, &sopts);
+        let mut fold = fold_over(&decomp);
+        let first = store.refresh(&mut fold, &decomp, &opts, &sopts);
         assert_eq!(first.resampled, decomp.num_subgraphs(), "{}", spec.name);
         assert_eq!(first.budget, budget, "{}", spec.name);
         assert!(first.allocated > 0, "{}", spec.name);
         store
-            .verify_against_scratch(&decomp, &opts, &sopts)
+            .verify_against_scratch(&fold, &decomp, &opts, &sopts)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
 
         // Re-dirty one sub-graph: its σ is re-piloted, the global plan is
         // recomputed, and whatever the plan moved gets resampled — the
         // store must still land on the oracle's exact bits.
         store.mark_dirty(&[0]);
-        let second = store.refresh(&decomp, &opts, &sopts);
+        let second = store.refresh(&mut fold, &decomp, &opts, &sopts);
         assert!(second.resampled >= 1, "{}", spec.name);
         store
-            .verify_against_scratch(&decomp, &opts, &sopts)
+            .verify_against_scratch(&fold, &decomp, &opts, &sopts)
             .unwrap_or_else(|e| panic!("{}: after mark_dirty: {e}", spec.name));
 
         // Clean repeat refresh: content and allocation are unchanged, so
         // nothing is resampled at all.
-        let third = store.refresh(&decomp, &opts, &sopts);
+        let third = store.refresh(&mut fold, &decomp, &opts, &sopts);
         assert_eq!(third.resampled, 0, "{}: clean refresh resampled spans", spec.name);
         assert_eq!(third.pilot_roots, 0, "{}: clean refresh re-piloted", spec.name);
     }
@@ -217,11 +253,12 @@ fn adaptive_plan_drives_the_store_and_matches_the_oracle() {
         }
 
         let mut store = SampleStore::seed(&decomp);
-        let refresh = store.refresh(&decomp, &opts, &sopts);
+        let mut fold = fold_over(&decomp);
+        let refresh = store.refresh(&mut fold, &decomp, &opts, &sopts);
         assert_eq!(refresh.allocated, plan.allocated(), "{}", spec.name);
         assert_eq!(refresh.budget, budget, "{}", spec.name);
         store
-            .verify_against_scratch(&decomp, &opts, &sopts)
+            .verify_against_scratch(&fold, &decomp, &opts, &sopts)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
     }
 }
@@ -370,7 +407,8 @@ fn chord_reports_allocation_drift_on_clean_spans() {
     let budget: usize = m.decomp().subgraphs.iter().map(|sg| sg.roots.len().min(8)).sum();
     let sopts = SampleOptions::adaptive(budget, 0xD21F7);
     let mut store = SampleStore::seed(m.decomp());
-    let first = store.refresh(m.decomp(), &opts, &sopts);
+    let mut fold = fold_over(m.decomp());
+    let first = store.refresh(&mut fold, m.decomp(), &opts, &sopts);
     assert_eq!(first.drifted, 0, "a seeding refresh has no clean spans");
 
     // One non-adjacent interior pair per non-top community sub-graph.
@@ -399,14 +437,14 @@ fn chord_reports_allocation_drift_on_clean_spans() {
     for &(u, v) in &chords {
         for add in [true, false] {
             let out = m.apply_edits(n, &[EdgeEdit { add, u, v }]).expect("chord is maintainable");
-            store.apply_splice(n, &out.old_to_new, m.decomp());
+            splice(&mut fold, &mut store, n, &out, m.decomp());
             store.mark_dirty(&out.dirty);
-            let r = store.refresh(m.decomp(), &opts, &sopts);
+            let r = store.refresh(&mut fold, m.decomp(), &opts, &sopts);
             assert_eq!(r.resampled, out.dirty.len() + r.drifted, "chord ({u},{v}) add={add}");
             assert!(r.drift_roots <= r.sampled_roots);
             assert_eq!(r.drifted > 0, r.drift_roots > 0, "a drifted span sweeps >= 1 root");
             store
-                .verify_against_scratch(m.decomp(), &opts, &sopts)
+                .verify_against_scratch(&fold, m.decomp(), &opts, &sopts)
                 .unwrap_or_else(|e| panic!("chord ({u},{v}) add={add}: {e}"));
             drifted += r.drifted;
         }
@@ -433,14 +471,15 @@ fn estimate_and_stderr_snapshots_share_their_index() {
     let n = g.num_vertices();
     let chunks = n.div_ceil(INDEX_CHUNK_SIZE);
     assert!(chunks >= 2, "the graph spans several index chunks");
-    let shared = |store: &SampleStore| {
-        let (est, err) = (store.chunks(), store.stderr_chunks());
+    let shared = |fold: &FoldStore| {
+        let (est, err) = (fold.layer_chunks(Layer::Estimate), fold.layer_chunks(Layer::ErrSq));
         (0..chunks).all(|c| est.shares_index_chunk(&err, c))
     };
     let mut m = MaintainedDecomposition::new(&g, &opts.partition);
     let mut store = SampleStore::seed(m.decomp());
-    store.refresh(m.decomp(), &opts, &sopts);
-    assert!(shared(&store), "seeded store");
+    let mut fold = fold_over(m.decomp());
+    store.refresh(&mut fold, m.decomp(), &opts, &sopts);
+    assert!(shared(&fold), "seeded store");
 
     // Join two whiskers of different sub-graphs: a new cycle through the
     // block-cut tree, so the decomposition splices.
@@ -458,11 +497,11 @@ fn estimate_and_stderr_snapshots_share_their_index() {
     let (u, v) = (whiskers[0].1, whiskers[1].1);
     let out = m.apply_edits(n, &[EdgeEdit { add: true, u, v }]).expect("maintainable");
     assert!(out.stats.spliced, "joining two sub-graphs splices");
-    store.apply_splice(n, &out.old_to_new, m.decomp());
+    splice(&mut fold, &mut store, n, &out, m.decomp());
     store.mark_dirty(&out.dirty);
-    store.refresh(m.decomp(), &opts, &sopts);
-    store.verify_against_scratch(m.decomp(), &opts, &sopts).unwrap();
-    assert!(shared(&store), "spliced store");
+    store.refresh(&mut fold, m.decomp(), &opts, &sopts);
+    store.verify_against_scratch(&fold, m.decomp(), &opts, &sopts).unwrap();
+    assert!(shared(&fold), "spliced store");
 }
 
 /// A uniform cap reports real standard errors: every strict span
@@ -487,7 +526,8 @@ fn uniform_cap_reports_stderr_on_strict_spans() {
     let n = g.num_vertices();
     let mut m = MaintainedDecomposition::new(&g, &opts.partition);
     let mut store = SampleStore::seed(m.decomp());
-    store.refresh(m.decomp(), &opts, &sopts);
+    let mut fold = fold_over(m.decomp());
+    store.refresh(&mut fold, m.decomp(), &opts, &sopts);
 
     // A chord between two non-adjacent interior vertices of a community.
     let top = m.decomp().top_subgraph;
@@ -510,9 +550,9 @@ fn uniform_cap_reports_stderr_on_strict_spans() {
         })
         .expect("a chord site");
     let out = m.apply_edits(n, &[EdgeEdit { add: true, u, v }]).expect("chord is maintainable");
-    store.apply_splice(n, &out.old_to_new, m.decomp());
+    splice(&mut fold, &mut store, n, &out, m.decomp());
     store.mark_dirty(&out.dirty);
-    store.refresh(m.decomp(), &opts, &sopts);
+    store.refresh(&mut fold, m.decomp(), &opts, &sopts);
 
     let d = m.decomp();
     let (est, se) = bc_sampled_with_stderr_from_decomposition(d, &opts, &sopts);
@@ -534,8 +574,12 @@ fn uniform_cap_reports_stderr_on_strict_spans() {
         );
     }
     for x in 0..n {
-        assert_eq!(store.estimate(x as u32).to_bits(), est[x].to_bits(), "vertex {x} estimate");
-        assert_eq!(store.stderr(x as u32).to_bits(), se[x].to_bits(), "vertex {x} stderr");
+        assert_eq!(
+            store.estimate(&fold, x as u32).to_bits(),
+            est[x].to_bits(),
+            "vertex {x} estimate"
+        );
+        assert_eq!(store.stderr(&fold, x as u32).to_bits(), se[x].to_bits(), "vertex {x} stderr");
     }
 }
 
@@ -549,11 +593,12 @@ fn parameter_change_invalidates_all_spans() {
     let a = SampleOptions::uniform(3, 1);
     let b = SampleOptions::uniform(5, 2);
     let mut store = SampleStore::seed(&decomp);
-    store.refresh(&decomp, &opts, &a);
-    let r = store.refresh(&decomp, &opts, &b);
+    let mut fold = fold_over(&decomp);
+    store.refresh(&mut fold, &decomp, &opts, &a);
+    let r = store.refresh(&mut fold, &decomp, &opts, &b);
     assert_eq!(r.resampled, decomp.num_subgraphs(), "parameter change must resample all");
     let want = bc_sampled_from_decomposition(&decomp, &opts, &b);
-    let got = store.estimates();
+    let got = store.estimates(&fold);
     for v in 0..want.len() {
         assert_eq!(got[v].to_bits(), want[v].to_bits(), "vertex {v}");
     }

@@ -12,7 +12,7 @@ use apgre_decomp::{
     carry_by_fingerprint, decompose, Decomposition, EdgeEdit, MaintainedDecomposition,
 };
 use apgre_graph::Graph;
-use apgre_store::{CowGraph, FoldStore, GraphView, PublishStats, ScoreChunks};
+use apgre_store::{CowGraph, FoldStore, GraphView, Layer, PublishStats, ScoreChunks};
 
 use crate::mutation::{Mutation, MutationBatch};
 
@@ -111,7 +111,11 @@ impl DynamicReport {
 /// mutable copy), a [`MaintainedDecomposition`] (the block store that lets
 /// edge edits re-decompose only the affected region),
 /// one local score vector per sub-graph (a slot-stable [`FoldStore`]), and
-/// the folded global score vector. After every [`apply`](DynamicBc::apply)
+/// the folded global score vector. The same [`FoldStore`] also holds the
+/// sampled estimator's estimate and squared-error spans once
+/// [`enable_approx`](DynamicBc::enable_approx) ran, so both tiers share one
+/// owner index, one splice per batch and one fingerprint carry per
+/// rebuild. After every [`apply`](DynamicBc::apply)
 /// the scores equal what a from-scratch APGRE run would produce on the
 /// current graph (to 1e-9 relative; bitwise for the forced-`Seq` kernel
 /// against the engine's own decomposition).
@@ -147,8 +151,9 @@ pub struct DynamicBc {
     /// The current graph; it decides which edits are effective, and
     /// snapshots share every chunk a batch did not touch.
     cow: CowGraph,
-    /// One contribution span per sub-graph, same indexing as
-    /// `decomposition().subgraphs`; `scores` is their Equation-8 fold.
+    /// One span per sub-graph and [`Layer`], same indexing as
+    /// `decomposition().subgraphs`; `scores` is the Equation-8 fold of the
+    /// exact layer.
     fold: FoldStore,
     scores: Vec<f64>,
     /// Lifetime accounting: structure fields mirror the *current*
@@ -157,10 +162,11 @@ pub struct DynamicBc {
     report: ApgreReport,
     /// The report of the most recent [`DynamicBc::apply`] call.
     last_batch: Option<DynamicReport>,
-    /// The incremental sampled estimator, when enabled
+    /// The incremental sampled estimator's metadata, when enabled
     /// ([`DynamicBc::enable_approx`]). The engine mirrors every splice and
     /// dirty set into it per batch (cheap bookkeeping, no kernels);
-    /// resampling is deferred to [`DynamicBc::approx_snapshot`].
+    /// resampling into `fold`'s estimate layers is deferred to
+    /// [`DynamicBc::approx_snapshot`].
     approx: Option<ApproxState>,
 }
 
@@ -226,10 +232,11 @@ impl DynamicBc {
     /// after every refresh under `--features invariants`).
     pub fn approx_snapshot(&mut self) -> Option<ApproxSnapshot> {
         let ap = self.approx.as_mut()?;
-        let refresh = ap.store.refresh(self.maintained.decomp(), &self.opts, &ap.opts);
+        let refresh =
+            ap.store.refresh(&mut self.fold, self.maintained.decomp(), &self.opts, &ap.opts);
         Some(ApproxSnapshot {
-            estimates: ap.store.chunks(),
-            stderr_sq: ap.store.stderr_chunks(),
+            estimates: self.fold.layer_chunks(Layer::Estimate),
+            stderr_sq: self.fold.layer_chunks(Layer::ErrSq),
             refresh,
             options: ap.opts.clone(),
         })
@@ -421,10 +428,10 @@ impl DynamicBc {
         report
     }
 
-    /// Commits a successful maintenance outcome: splices the contribution
-    /// store (survivors keep their spans by slot), re-runs exactly the
-    /// dirty kernels, and refolds exactly the vertices whose owning
-    /// sub-graphs changed.
+    /// Commits a successful maintenance outcome: splices the span store
+    /// once for both tiers (survivors keep their spans by slot), re-runs
+    /// exactly the dirty kernels, and refolds exactly the vertices whose
+    /// owning sub-graphs changed.
     fn absorb_maintained(&mut self, outcome: apgre_decomp::MaintainOutcome) -> DynamicReport {
         let total = self.decomposition().num_subgraphs();
         let n = self.cow.num_vertices();
@@ -433,10 +440,10 @@ impl DynamicBc {
         let mut touched = self.fold.apply_splice(n, &outcome.old_to_new, &new_globals);
         if let Some(ap) = &mut self.approx {
             // Mirror the splice and the dirty set into the sampled
-            // estimator; resampling itself is deferred to
+            // estimator's metadata; resampling itself is deferred to
             // `approx_snapshot`, so an unqueried estimator costs only this
             // bookkeeping.
-            ap.store.apply_splice(n, &outcome.old_to_new, self.maintained.decomp());
+            ap.store.apply_splice(&outcome.old_to_new, self.maintained.decomp());
             ap.store.mark_dirty(&outcome.dirty);
         }
 
@@ -476,16 +483,17 @@ impl DynamicBc {
     }
 
     /// The fallback path: re-decompose the current graph from scratch,
-    /// carry forward contributions of sub-graphs whose kernel input is
-    /// unchanged ([`carry_by_fingerprint`]), and recompute the rest.
+    /// carry forward the spans of sub-graphs whose kernel input is
+    /// unchanged ([`carry_by_fingerprint`], once for every layer), and
+    /// recompute the rest.
     fn rebuild_structural(&mut self, reason: &'static str, edit_count: usize) -> DynamicReport {
         let t0 = Instant::now();
         let g = self.current_graph();
         let new_decomp = decompose(&g, &self.opts.partition);
 
-        let old = self.maintained.decomp().subgraphs.iter().zip(self.fold.values_in_order());
+        let old = self.maintained.decomp().subgraphs.iter().enumerate();
         let carried = carry_by_fingerprint(
-            old.map(|(sg, contrib)| (sg.fingerprint(), contrib.len(), contrib)),
+            old.map(|(i, sg)| (sg.fingerprint(), sg.num_vertices(), i)),
             &new_decomp.subgraphs,
         );
         let total = new_decomp.num_subgraphs();
@@ -494,12 +502,25 @@ impl DynamicBc {
         let mut spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = new_decomp
             .subgraphs
             .iter()
-            .zip(carried)
-            .map(|(sg, contrib)| {
+            .zip(&carried)
+            .map(|(sg, from)| {
                 let zeros = || Arc::from(vec![0.0f64; sg.globals.len()]);
-                (Arc::from(&sg.globals[..]), contrib.unwrap_or_else(zeros))
+                (Arc::from(&sg.globals[..]), from.map_or_else(zeros, |o| self.fold.values_of(o)))
             })
             .collect();
+        // Equal fingerprints mean equal kernel input *and* equal sample
+        // draw, so the estimator's carried spans are bitwise what
+        // resampling would produce; it keeps only those it drew against
+        // the carried content.
+        let mut sampled: Vec<(Layer, usize, Arc<[f64]>)> = Vec::new();
+        if let Some(ap) = &mut self.approx {
+            for (i, o) in ap.store.rebuild(&new_decomp, &carried) {
+                for layer in [Layer::Estimate, Layer::ErrSq] {
+                    sampled
+                        .extend(self.fold.layer_values_of(layer, o).map(|span| (layer, i, span)));
+                }
+            }
+        }
         let recomputed = misses.len();
         let jobs = full_jobs(&new_decomp, misses.iter().copied());
         let runs = run_subgraph_kernels(&new_decomp, &jobs, &self.opts);
@@ -519,15 +540,10 @@ impl DynamicBc {
         self.maintained =
             MaintainedDecomposition::from_decomposition(&g, new_decomp, &self.opts.partition);
         self.fold.rebuild(self.cow.num_vertices(), spans);
-        self.scores = self.fold.to_flat();
-        if let Some(ap) = &mut self.approx {
-            // Rebuild the estimator over the fresh decomposition with the
-            // same fingerprint carry the exact store uses: equal
-            // fingerprints mean equal kernel input *and* equal sample draw,
-            // so carried sample spans are bitwise what resampling would
-            // produce.
-            ap.store.rebuild(self.maintained.decomp());
+        for (layer, i, span) in sampled {
+            self.fold.set_layer_values(layer, i, span);
         }
+        self.scores = self.fold.to_flat();
 
         let mut report = DynamicReport::empty(BatchClass::Structural, reason);
         report.dirty_subgraphs = recomputed;
@@ -592,7 +608,9 @@ pub struct EngineSnapshot {
 
 /// An immutable publication of the incremental sampled estimator
 /// ([`DynamicBc::approx_snapshot`]): `Arc`-shared estimate spans plus the
-/// refresh accounting, `Send + Sync` like [`EngineSnapshot`].
+/// refresh accounting, `Send + Sync` like [`EngineSnapshot`]. Both layers
+/// are snapshots of the engine's one span store, so they share every
+/// owner-index chunk with each other and with [`EngineSnapshot::scores`].
 #[derive(Clone, Debug)]
 pub struct ApproxSnapshot {
     /// Sampled BC estimates, indexed by vertex id ([`ScoreChunks::score`]
@@ -993,6 +1011,147 @@ mod tests {
                     "batch {i} vertex {v} single-vertex fold"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn exact_and_estimate_snapshots_share_one_index() {
+        use apgre_approx::bc_sampled_with_stderr_from_decomposition;
+        use apgre_bc::KernelPolicy;
+        use apgre_graph::generators::{whiskered_community, WhiskeredCommunityParams};
+        use apgre_store::INDEX_CHUNK_SIZE;
+
+        let g = whiskered_community(&WhiskeredCommunityParams {
+            core_vertices: 300,
+            core_attach: 3,
+            community_count: 12,
+            community_size: 30,
+            community_density: 1.8,
+            whiskers: 1_000,
+            seed: 77,
+        });
+        let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
+        let sopts = SampleOptions::uniform(4, 0x1DE7);
+        let mut engine = DynamicBc::new(&g, opts.clone());
+        engine.enable_approx(sopts.clone());
+        let chunks = engine.num_vertices().div_ceil(INDEX_CHUNK_SIZE);
+        assert!(chunks >= 2, "the graph spans several index chunks");
+        // All three layers are snapshots of one store: one owner index.
+        let shared = |snap: &EngineSnapshot, ap: &ApproxSnapshot| {
+            (0..chunks).all(|c| {
+                snap.scores.shares_index_chunk(&ap.estimates, c)
+                    && ap.estimates.shares_index_chunk(&ap.stderr_sq, c)
+            })
+        };
+
+        // The seeding refresh writes every estimate span, yet the publish
+        // after it copies no exact span.
+        engine.snapshot();
+        let ap = engine.approx_snapshot().expect("estimator enabled");
+        assert_eq!(ap.refresh.resampled, engine.decomposition().num_subgraphs());
+        let snap = engine.snapshot();
+        assert_eq!(snap.publish.score_chunks_copied, 0, "estimate writes are not exact copies");
+        assert!(shared(&snap, &ap), "seeded engine");
+
+        // Join two whiskers of different sub-graphs: a new cycle through the
+        // block-cut tree, so the decomposition splices.
+        let whiskers: Vec<u32> = engine
+            .decomposition()
+            .subgraphs
+            .iter()
+            .filter_map(|sg| Some(sg.global_of(sg.is_whisker.iter().position(|&w| w)? as u32)))
+            .collect();
+        assert!(whiskers.len() >= 2, "two sub-graphs with whiskers");
+        let rep = engine.apply(&MutationBatch::new().add_edge(whiskers[0], whiskers[1]));
+        assert_eq!(rep.class, BatchClass::Structural, "{}", rep.reason);
+        assert!(!rep.rebuilt && rep.subgraphs_spliced > 0);
+        let ap = engine.approx_snapshot().expect("estimator enabled");
+        assert!(ap.refresh.resampled > 0);
+        let snap = engine.snapshot();
+        assert!(shared(&snap, &ap), "spliced engine");
+        // Exactly the exact spans the batch replaced were copied: every
+        // dirty sub-graph's (fresh ones included), none of the estimator's.
+        assert_eq!(snap.publish.score_chunks_copied, rep.dirty_subgraphs);
+        let (want, _) = bc_sampled_with_stderr_from_decomposition(
+            engine.decomposition(),
+            engine.options(),
+            &sopts,
+        );
+        for (v, (got, want)) in ap.estimates.to_vec().iter().zip(&want).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "vertex {v} estimate");
+        }
+    }
+
+    #[test]
+    fn directed_rebuild_carries_every_matching_estimate() {
+        // Two directed cycles sharing vertex 3, plus a tail: several
+        // sub-graphs at threshold 0, the first with more roots than the
+        // sample cap.
+        let g = Graph::directed_from_edges(
+            9,
+            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (3, 5), (5, 6), (6, 3), (6, 7), (7, 8)],
+        );
+        let sopts = SampleOptions::uniform(3, 7);
+        let mut engine = DynamicBc::new(&g, fine_opts());
+        engine.enable_approx(sopts.clone());
+        let first = engine.approx_snapshot().expect("estimator enabled");
+        assert_eq!(first.refresh.resampled, engine.decomposition().num_subgraphs());
+
+        // Adding and then removing the same arc rebuilds an identical
+        // decomposition: every span carries, none resamples.
+        let rep = engine.apply(&MutationBatch::new().add_edge(0, 2).remove_edge(0, 2));
+        assert!(rep.rebuilt, "a directed batch rebuilds");
+        assert_eq!(rep.dirty_subgraphs, 0, "every exact span carries");
+        let ap = engine.approx_snapshot().expect("estimator enabled");
+        assert_eq!(ap.refresh.resampled, 0, "identical rebuild must carry every estimate span");
+        assert_eq!(ap.estimates.to_vec(), first.estimates.to_vec());
+        assert_eq!(ap.stderr_sq.to_vec(), first.stderr_sq.to_vec());
+    }
+
+    #[test]
+    fn rebuild_resamples_a_carried_span_that_was_pending() {
+        use apgre_approx::bc_sampled_with_stderr_from_decomposition;
+
+        // `clique_and_triangle` plus three isolated vertices.
+        let g = Graph::undirected_from_edges(
+            11,
+            &[
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 2),
+                (1, 3),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 3),
+                (0, 6),
+                (4, 7),
+            ],
+        );
+        let sopts = SampleOptions::uniform(2, 5);
+        let mut engine = DynamicBc::new(&g, fine_opts());
+        engine.enable_approx(sopts.clone());
+        engine.approx_snapshot().expect("estimator enabled");
+
+        // A chord patch dirties the K4 span; no refresh follows.
+        let rep = engine.apply(&MutationBatch::new().remove_edge(1, 2));
+        assert_eq!(rep.class, BatchClass::Local, "{}", rep.reason);
+        // Two component-bridging additions: the maintainer declines and the
+        // engine rebuilds. The K4's content is unchanged by this batch, so
+        // its spans carry by fingerprint — but its estimate was drawn
+        // against the content before the chord and must resample.
+        let rep = engine.apply(&MutationBatch::new().add_edge(8, 9).add_edge(9, 10));
+        assert!(rep.rebuilt, "{}", rep.reason);
+        let ap = engine.approx_snapshot().expect("estimator enabled");
+        let (want, want_err) = bc_sampled_with_stderr_from_decomposition(
+            engine.decomposition(),
+            engine.options(),
+            &sopts,
+        );
+        for v in 0..want.len() {
+            assert_eq!(ap.estimates.score(v).to_bits(), want[v].to_bits(), "vertex {v} estimate");
+            assert_eq!(ap.stderr(v).to_bits(), want_err[v].to_bits(), "vertex {v} stderr");
         }
     }
 

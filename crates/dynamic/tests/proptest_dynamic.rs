@@ -203,10 +203,18 @@ proptest! {
         (n, edges, stream) in scenario(34, 80),
         threshold in 0usize..12,
         budget in 4usize..40,
+        directed in proptest::bool::ANY,
     ) {
         use apgre_approx::{bc_sampled_with_stderr_from_decomposition, SampleOptions};
 
-        let g = Graph::undirected_from_edges(n as usize, &edges);
+        // Directed batches all take the rebuild path, whose one
+        // fingerprint carry moves the estimator's spans too.
+        let g = if directed {
+            let arcs: Vec<(u32, u32)> = edges.iter().copied().filter(|&(u, v)| u != v).collect();
+            Graph::directed_from_edges(n as usize, &arcs)
+        } else {
+            Graph::undirected_from_edges(n as usize, &edges)
+        };
         let opts = ApgreOptions {
             kernel: KernelPolicy::Seq,
             partition: PartitionOptions { merge_threshold: threshold, ..Default::default() },
@@ -234,13 +242,13 @@ proptest! {
             for v in 0..want.len() {
                 prop_assert_eq!(
                     got[v].to_bits(), want[v].to_bits(),
-                    "n={} t={} B={} batch {}: estimate bits diverge at vertex {}",
-                    n, threshold, budget, k, v
+                    "n={} t={} B={} dir={} batch {}: estimate bits diverge at vertex {}",
+                    n, threshold, budget, directed, k, v
                 );
                 prop_assert_eq!(
                     ap.stderr(v).to_bits(), want_err[v].to_bits(),
-                    "n={} t={} B={} batch {}: stderr bits diverge at vertex {}",
-                    n, threshold, budget, k, v
+                    "n={} t={} B={} dir={} batch {}: stderr bits diverge at vertex {}",
+                    n, threshold, budget, directed, k, v
                 );
             }
         }

@@ -22,7 +22,9 @@
 //!   index), folded on demand in ascending sub-graph index order — the
 //!   exact fold order of the batch pipeline, so served scores stay
 //!   **bitwise** equal to a from-scratch run. A snapshot clones only the
-//!   spans of dirty sub-graphs; everything else is shared.
+//!   spans of dirty sub-graphs; everything else is shared. Each sub-graph
+//!   carries one span per [`Layer`] (exact, estimate, squared standard
+//!   error), so both score tiers share one owner index.
 //!
 //! Both sides report [`PublishStats`] (chunks copied vs reused since the
 //! previous snapshot), which `apgre-serve` exposes on `/metrics`.
@@ -34,7 +36,7 @@ mod cow;
 mod score;
 
 pub use cow::{CowGraph, GraphView, GRAPH_CHUNK_SIZE};
-pub use score::{FoldStore, ScoreChunks, TopCache, INDEX_CHUNK_SIZE};
+pub use score::{FoldStore, Layer, ScoreChunks, TopCache, INDEX_CHUNK_SIZE};
 
 /// Chunk-reuse accounting for one published snapshot: how many chunks the
 /// publish had to deep-copy (because a batch since the previous publish

@@ -20,10 +20,13 @@
 //!   per touched vertex, not per vertex of the chunk. Entries are
 //!   unordered; folds sort the (tiny — one per owning sub-graph) list by
 //!   current rank.
-//! * **Layers.** A slot may carry several value spans over one slot map
-//!   and one owner index (the sampled estimator keeps its estimates and
-//!   squared standard errors this way), so one splice serves every layer
-//!   and every layer's snapshot shares the index chunks.
+//! * **Layers.** Every slot carries one span per [`Layer`] over one slot
+//!   map and one owner index: the exact contributions, the sampled
+//!   estimates and their squared standard errors. One splice serves both
+//!   tiers, and every layer's snapshot shares the index chunks. A splice
+//!   allocates placeholders only in the exact layer; the estimator writes
+//!   its own layers, so a store whose estimator never ran holds no
+//!   estimate spans.
 //! * **Fold order.** [`FoldStore::fold_vertex`] and
 //!   [`ScoreChunks::score`] start from `0.0` and add owner contributions
 //!   in ascending current-index order — the exact float-add sequence of
@@ -130,85 +133,60 @@ fn fold_all(
     out
 }
 
-/// The engine-side store: slot-addressed per-sub-graph contribution spans,
-/// the `index <-> slot` maps, and the chunked per-vertex owner index.
-///
-/// Every slot carries one span per value *layer*, all aligned with the
-/// slot's vertex list. The engine's exact store has one layer; the sampled
-/// estimator's has two (estimates and squared standard errors), so one
-/// splice and one owner index serve both of its folds.
+/// The value layers of a [`FoldStore`] slot. Each layer's span is aligned
+/// with the slot's vertex list and folds through the same owner index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layer {
+    /// The exact Equation-8 contributions. Only this layer's replaced spans
+    /// count toward [`FoldStore::take_copied`].
+    Exact,
+    /// The sampled estimator's scaled sample spans.
+    Estimate,
+    /// The squared standard errors of the estimate spans (all zero for an
+    /// exhaustive draw).
+    ErrSq,
+}
+
+/// Number of [`Layer`]s.
+const LAYERS: usize = 3;
+
+/// The engine-side store: slot-addressed per-sub-graph spans in every
+/// [`Layer`], the `index <-> slot` maps, and the chunked per-vertex owner
+/// index.
 ///
 /// The engine is the only mutator; [`FoldStore::layer_chunks`] snapshots
 /// one layer in O(sub-graphs + vertices/[`INDEX_CHUNK_SIZE`]) `Arc`
 /// clones, and every layer's snapshot shares the same index chunks.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FoldStore {
     num_vertices: usize,
     /// Per-slot sub-graph vertex lists (`None` = free slot). Retained for
     /// dead slots' vertices at splice time, so the engine never needs the
     /// pre-splice decomposition.
     globals: Vec<Option<Arc<[u32]>>>,
-    /// Per-layer contribution spans, each aligned with `globals`.
-    layers: Vec<Vec<Option<Arc<[f64]>>>>,
+    /// Per-layer spans, indexed by [`Layer`], each aligned with `globals`.
+    layers: [Vec<Option<Arc<[f64]>>>; LAYERS],
     free: Vec<u32>,
     /// Current sub-graph index -> slot (ascending fold order).
     order: Vec<u32>,
     /// Slot -> current sub-graph index (`u32::MAX` when dead).
     rank: Vec<u32>,
     index: Vec<Arc<IndexChunk>>,
-    /// Slots with a value span replaced since the last
-    /// [`FoldStore::take_copied`] window.
+    /// Slots with an exact span replaced since the last
+    /// [`FoldStore::take_copied`] window; only ever live slots.
     copied: HashSet<u32>,
 }
 
-impl Default for FoldStore {
-    /// An empty one-layer store.
-    fn default() -> Self {
-        FoldStore::with_layers(1)
-    }
-}
-
 impl FoldStore {
-    /// An empty store whose slots each carry `layers` (at least one)
-    /// value spans.
-    pub fn with_layers(layers: usize) -> Self {
-        assert!(layers >= 1, "a fold store needs a value layer");
-        FoldStore {
-            num_vertices: 0,
-            globals: Vec::new(),
-            layers: vec![Vec::new(); layers],
-            free: Vec::new(),
-            order: Vec::new(),
-            rank: Vec::new(),
-            index: Vec::new(),
-            copied: HashSet::new(),
-        }
-    }
-
-    /// Replaces the whole one-layer store from a full set of `(vertex
-    /// list, contribution)` pairs in sub-graph index order (seed and
-    /// rebuild paths — O(V) by nature there).
+    /// Replaces the whole store from a full set of `(vertex list, exact
+    /// contribution)` pairs in sub-graph index order (seed and rebuild
+    /// paths — O(V) by nature there). The estimate layers start empty.
     pub fn rebuild(&mut self, num_vertices: usize, subgraphs: Vec<(Arc<[u32]>, Arc<[f64]>)>) {
-        let (globals, values) = subgraphs.into_iter().unzip();
-        self.rebuild_layers(num_vertices, globals, vec![values]);
-    }
-
-    /// Replaces the whole store from every sub-graph's vertex list in
-    /// sub-graph index order and, per layer, the spans aligned with them.
-    pub fn rebuild_layers(
-        &mut self,
-        num_vertices: usize,
-        globals: Vec<Arc<[u32]>>,
-        layers: Vec<Vec<Arc<[f64]>>>,
-    ) {
-        assert_eq!(layers.len(), self.layers.len(), "layer count");
-        for layer in &layers {
-            assert_eq!(layer.len(), globals.len(), "one span per sub-graph");
-            for (g, values) in globals.iter().zip(layer) {
-                assert_eq!(g.len(), values.len(), "contribution span mismatch");
-            }
+        let count = subgraphs.len();
+        let (globals, values): (Vec<Arc<[u32]>>, Vec<Arc<[f64]>>) = subgraphs.into_iter().unzip();
+        for (g, v) in globals.iter().zip(&values) {
+            assert_eq!(g.len(), v.len(), "contribution span mismatch");
         }
-        let count = globals.len();
         self.num_vertices = num_vertices;
         self.free.clear();
         self.order = (0..count as u32).collect();
@@ -221,7 +199,8 @@ impl FoldStore {
             }
         }
         self.globals = globals.into_iter().map(Some).collect();
-        self.layers = layers.into_iter().map(|l| l.into_iter().map(Some).collect()).collect();
+        self.layers =
+            [values.into_iter().map(Some).collect(), vec![None; count], vec![None; count]];
         entries.sort_unstable_by_key(|&(v, _)| v);
         let num_chunks = num_vertices.div_ceil(INDEX_CHUNK_SIZE);
         self.index = Vec::with_capacity(num_chunks);
@@ -247,57 +226,44 @@ impl FoldStore {
         self.order.len()
     }
 
-    /// The layer-0 contribution span of sub-graph `index` (current
+    /// The exact contribution span of sub-graph `index` (current
     /// indexing).
     pub fn values_of(&self, index: usize) -> Arc<[f64]> {
-        self.layer_values_of(0, index)
+        self.layer_values_of(Layer::Exact, index).unwrap_or_else(|| Arc::from(Vec::new()))
     }
 
-    /// The `layer` contribution span of sub-graph `index` (current
-    /// indexing).
-    fn layer_values_of(&self, layer: usize, index: usize) -> Arc<[f64]> {
-        let slot = self.order[index] as usize;
-        match &self.layers[layer][slot] {
-            Some(v) => Arc::clone(v),
-            None => Arc::from(Vec::new()),
-        }
+    /// The `layer` span of sub-graph `index` (current indexing), if that
+    /// layer holds one.
+    pub fn layer_values_of(&self, layer: Layer, index: usize) -> Option<Arc<[f64]>> {
+        self.layers[layer as usize][self.order[index] as usize].clone()
     }
 
-    /// All layer-0 contribution spans in current sub-graph index order
-    /// (`Arc` clones; used by the rebuild path's fingerprint carry-forward).
-    pub fn values_in_order(&self) -> Vec<Arc<[f64]>> {
-        self.layer_in_order(0)
-    }
-
-    /// All `layer` contribution spans in current sub-graph index order.
-    pub fn layer_in_order(&self, layer: usize) -> Vec<Arc<[f64]>> {
-        (0..self.order.len()).map(|i| self.layer_values_of(layer, i)).collect()
-    }
-
-    /// Replaces the layer-0 contribution span of sub-graph `index` (current
+    /// Replaces the exact contribution span of sub-graph `index` (current
     /// indexing) after its kernel re-ran.
     pub fn set_values(&mut self, index: usize, values: Arc<[f64]>) {
-        self.set_layer_values(0, index, values);
+        self.set_layer_values(Layer::Exact, index, values);
     }
 
-    /// Replaces the `layer` contribution span of sub-graph `index` (current
-    /// indexing).
-    pub fn set_layer_values(&mut self, layer: usize, index: usize, values: Arc<[f64]>) {
+    /// Replaces the `layer` span of sub-graph `index` (current indexing).
+    pub fn set_layer_values(&mut self, layer: Layer, index: usize, values: Arc<[f64]>) {
         let slot = self.order[index] as usize;
         match &self.globals[slot] {
             Some(g) => assert_eq!(g.len(), values.len(), "contribution span mismatch"),
             None => panic!("set_values on a free slot"),
         }
-        self.layers[layer][slot] = Some(values);
-        self.copied.insert(slot as u32);
+        self.layers[layer as usize][slot] = Some(values);
+        if layer == Layer::Exact {
+            self.copied.insert(slot as u32);
+        }
     }
 
     /// Applies a structural splice: `old_to_new` maps pre-splice sub-graph
     /// indices to post-splice ones (`None` = dissolved), `new_globals`
     /// lists every post-splice sub-graph's vertex list (only consulted for
-    /// fresh ones). Fresh sub-graphs get zeroed placeholder spans in every
-    /// layer — the caller overwrites them via [`FoldStore::set_values`],
-    /// since every fresh sub-graph is dirty by construction.
+    /// fresh ones). Fresh sub-graphs get a zeroed placeholder exact span —
+    /// the caller overwrites it via [`FoldStore::set_values`], since every
+    /// fresh sub-graph is dirty by construction — and no estimate spans
+    /// until the estimator samples them.
     ///
     /// Returns the sorted, deduplicated vertices whose owner set changed
     /// (members of dissolved and fresh sub-graphs); the engine refolds
@@ -367,10 +333,7 @@ impl FoldStore {
                 fresh.push((v, (s, local as u32)));
                 touched.push(v);
             }
-            let zeros: Arc<[f64]> = Arc::from(vec![0.0f64; g.len()]);
-            for layer in &mut self.layers {
-                layer[s as usize] = Some(Arc::clone(&zeros));
-            }
+            self.layers[Layer::Exact as usize][s as usize] = Some(Arc::from(vec![0.0f64; g.len()]));
             self.globals[s as usize] = Some(g);
             self.copied.insert(s);
             *slot = s;
@@ -450,54 +413,54 @@ impl FoldStore {
         self.index[c] = Arc::new(chunk);
     }
 
-    /// Folds one vertex's layer-0 score (ascending sub-graph index order,
+    /// Folds one vertex's exact score (ascending sub-graph index order,
     /// from `0.0`).
     pub fn fold_vertex(&self, v: VertexId) -> f64 {
-        self.fold_layer_vertex(0, v)
+        self.fold_layer_vertex(Layer::Exact, v)
     }
 
     /// Folds one vertex's `layer` score (ascending sub-graph index order,
     /// from `0.0`).
-    pub fn fold_layer_vertex(&self, layer: usize, v: VertexId) -> f64 {
-        fold_at(&self.index, &self.rank, &self.layers[layer], v as usize)
+    pub fn fold_layer_vertex(&self, layer: Layer, v: VertexId) -> f64 {
+        fold_at(&self.index, &self.rank, &self.layers[layer as usize], v as usize)
     }
 
-    /// The full layer-0 score vector, folded from zeros in ascending
+    /// The full exact score vector, folded from zeros in ascending
     /// sub-graph index order — bitwise-identical to the engine's
     /// historical `refold`.
     pub fn to_flat(&self) -> Vec<f64> {
-        fold_all(self.num_vertices, &self.order, &self.globals, &self.layers[0])
+        fold_all(self.num_vertices, &self.order, &self.globals, &self.layers[Layer::Exact as usize])
     }
 
-    /// An immutable snapshot of layer 0 (see [`FoldStore::layer_chunks`]).
+    /// An immutable snapshot of the exact layer (see
+    /// [`FoldStore::layer_chunks`]).
     pub fn chunks(&self) -> ScoreChunks {
-        self.layer_chunks(0)
+        self.layer_chunks(Layer::Exact)
     }
 
     /// An immutable snapshot of one layer: O(sub-graphs +
     /// vertices/[`INDEX_CHUNK_SIZE`]) `Arc` clones. Snapshots of different
     /// layers share every owner-index chunk.
-    pub fn layer_chunks(&self, layer: usize) -> ScoreChunks {
+    pub fn layer_chunks(&self, layer: Layer) -> ScoreChunks {
         ScoreChunks {
             num_vertices: self.num_vertices,
             order: self.order.clone(),
             rank: self.rank.clone(),
             globals: self.globals.clone(),
-            values: self.layers[layer].clone(),
+            values: self.layers[layer as usize].clone(),
             index: self.index.clone(),
         }
     }
 
-    /// Publish accounting: `(slots with a value span replaced since the
+    /// Publish accounting: `(slots with an exact span replaced since the
     /// last call, live sub-graphs)`; resets the window.
     pub fn take_copied(&mut self) -> (usize, usize) {
-        let copied = self.copied.len().min(self.order.len());
+        let copied = self.copied.len();
         self.copied.clear();
         (copied, self.order.len())
     }
 
-    /// Cross-checks the layer-0 folds against a freshly-built one-layer
-    /// store over the same `(vertex list, contribution)` pairs: identical
+    /// Cross-checks the exact folds against a freshly-built store over the same `(vertex list, contribution)` pairs: identical
     /// flat fold (bitwise) and identical per-vertex folds. Used by the
     /// engine's `invariants` feature and the property tests.
     pub fn verify_against_fresh(

@@ -32,8 +32,9 @@
 //! * [`bc`] — Brandes, the parallel baselines, APGRE, redundancy analysis
 //!   ([`apgre_bc`]),
 //! * [`approx`] — the decomposition-composed sampled estimator: seeded
-//!   generation-stable per-sub-graph root samples, carried incrementally by
-//!   a slot-stable `SampleStore` ([`apgre_approx`]),
+//!   generation-stable per-sub-graph root samples, tracked incrementally by
+//!   a `SampleStore` whose spans are layers of the engine's one score store
+//!   ([`apgre_approx`]),
 //! * [`dynamic`] — the incremental engine: mutation batches, dirty-sub-graph
 //!   tracking, contribution carry-forward ([`apgre_dynamic`]),
 //! * [`store`] — the persistent copy-on-write snapshot store: chunked CoW
