@@ -111,8 +111,9 @@ impl Ord for FillSlot {
 ///
 /// With weight `w_i = |R_i|·σ_i`, sub-graph `i`'s predicted summed squared
 /// error at sample size `k` is `w_i²·(R_i−k)/(k(R_i−1))` — the
-/// finite-population-corrected `Σ_v se²(v)` of [`stderr_sq_span`] with the
-/// pilot variance standing in for the sample variance. The marginal gain of
+/// finite-population-corrected `Σ_v se²(v)` that `stderr_sq_span` computes
+/// for a drawn span, with the pilot variance standing in for the sample
+/// variance. The marginal gain of
 /// the `k→k+1` root collapses to the closed form
 ///
 /// ```text

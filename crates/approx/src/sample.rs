@@ -28,10 +28,11 @@
 //! to be recomputed unless the sub-graph itself changed or its *allocation*
 //! moved. [`SampleStore`] exploits that. The spans live in the engine's
 //! one `FoldStore`, as its [`Layer::Estimate`] and [`Layer::ErrSq`] layers
-//! beside the exact contributions, so every splice and every rebuild carry
-//! moves them with the exact spans. The store itself keeps only the
-//! sampling metadata and the pending set, and resamples only that dirty
-//! set — so refresh cost tracks the dirty set the way publish cost does.
+//! beside the exact contributions, so every splice — a maintained one or a
+//! from-scratch rebuild matched by content — moves them with the exact
+//! spans. The store itself keeps only the sampling metadata and the pending
+//! set, and resamples only that dirty set — so refresh cost tracks the
+//! dirty set the way publish cost does.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -280,15 +281,12 @@ pub fn bc_sampled_with_stderr(
 }
 
 /// Per-sub-graph sampling metadata, aligned with the current sub-graph
-/// indexing. `fingerprint` is the content hash the span was drawn against;
-/// a rebuild keeps the span only where it still matches. `sigma` caches
-/// the pilot standard deviation (content-pure, so it carries with the
-/// fingerprint) and `k` records the sample size the span was drawn at — a
-/// later allocation that disagrees with `k` forces a resample even when the
-/// content itself is clean.
+/// indexing. `sigma` caches the pilot standard deviation (content-pure, so
+/// it is reused while the sub-graph stays clean) and `k` records the sample
+/// size the span was drawn at — a later allocation that disagrees with `k`
+/// forces a resample even when the content itself is clean.
 #[derive(Clone, Debug)]
 struct SampleMeta {
-    fingerprint: u64,
     sigma: f64,
     k: usize,
 }
@@ -301,13 +299,13 @@ struct SampleMeta {
 /// one owner index and one splice.
 ///
 /// Lifecycle (driven by `DynamicBc`): [`SampleStore::seed`] over the
-/// initial decomposition (everything pending), then per batch either
-/// [`SampleStore::apply_splice`] + [`SampleStore::mark_dirty`] (absorbed
-/// batches, after the fold store's own splice) or [`SampleStore::rebuild`]
-/// (from-scratch re-decompositions, after the fold store's fingerprint
-/// carry), and finally [`SampleStore::refresh`] when estimates are
-/// demanded — resampling the accumulated dirty set (plus, in adaptive
-/// mode, any span whose budget allocation moved) into the fold store.
+/// initial decomposition (everything pending), then per batch
+/// [`SampleStore::apply_splice`] + [`SampleStore::mark_dirty`] after the
+/// fold store's own splice — maintained batches and from-scratch rebuilds
+/// alike, since a rebuild's survivors keep their content and their slot —
+/// and finally [`SampleStore::refresh`] when estimates are demanded —
+/// resampling the accumulated dirty set (plus, in adaptive mode, any span
+/// whose budget allocation moved) into the fold store.
 #[derive(Debug)]
 pub struct SampleStore {
     meta: Vec<Option<SampleMeta>>,
@@ -357,38 +355,6 @@ impl SampleStore {
     /// Marks sub-graphs (current indexing) whose content changed in place.
     pub fn mark_dirty(&mut self, dirty: &[usize]) {
         self.pending.extend(dirty.iter().copied());
-    }
-
-    /// Remaps the metadata after a from-scratch re-decomposition.
-    /// `carried[i]` is the pre-rebuild index whose spans sub-graph `i` of
-    /// `decomp` inherits by content fingerprint (the fold store's carry).
-    /// The estimator keeps a carried span only when it was drawn against
-    /// that same content: same fingerprint ⇒ same seed ⇒ same sample ⇒
-    /// same span, so the carry is bitwise-equivalent to resampling. A span
-    /// that was still pending, and every miss, joins the pending set.
-    ///
-    /// Returns the `(new, old)` index pairs whose estimator spans carry.
-    pub fn rebuild(
-        &mut self,
-        decomp: &Decomposition,
-        carried: &[Option<usize>],
-    ) -> Vec<(usize, usize)> {
-        let mut old = std::mem::take(&mut self.meta);
-        self.pending.clear();
-        let mut kept = Vec::new();
-        for (i, (sg, &from)) in decomp.subgraphs.iter().zip(carried).enumerate() {
-            let meta = from
-                .and_then(|o| old.get_mut(o)?.take())
-                .filter(|m| m.fingerprint == sg.fingerprint());
-            match (from, &meta) {
-                (Some(o), Some(_)) => kept.push((i, o)),
-                _ => {
-                    self.pending.insert(i);
-                }
-            }
-            self.meta.push(meta);
-        }
-        kept
     }
 
     /// Resamples the pending sub-graphs — plus, in adaptive mode, any span
@@ -458,11 +424,7 @@ impl SampleStore {
             }
             fold.set_layer_values(Layer::Estimate, i, Arc::from(s.span));
             fold.set_layer_values(Layer::ErrSq, i, Arc::from(s.err));
-            self.meta[i] = Some(SampleMeta {
-                fingerprint: decomp.subgraphs[i].fingerprint(),
-                sigma: plan.sigma[i],
-                k: plan.k[i],
-            });
+            self.meta[i] = Some(SampleMeta { sigma: plan.sigma[i], k: plan.k[i] });
             report.sampled_roots += s.roots as u64;
         }
         self.pending.clear();

@@ -48,7 +48,9 @@
 //! per-edit argument does not cover is **two or more additions bridging
 //! distinct components** in one batch (their cycle, if any, exists only at
 //! the component level); [`MaintainedDecomposition::apply_edits`] detects
-//! that and declines, signalling the caller to fall back to a full rebuild.
+//! that and declines, and the caller falls back to
+//! [`MaintainedDecomposition::rebuild`]: a fresh [`decompose`] whose
+//! survivors are matched by content instead of by block set.
 //!
 //! Under `--features invariants` the dynamic engine cross-checks the
 //! maintained decomposition against a fresh [`decompose`] after every batch
@@ -81,7 +83,8 @@ pub struct EdgeEdit {
 }
 
 /// Counters describing what one [`MaintainedDecomposition::apply_edits`]
-/// call did.
+/// or [`MaintainedDecomposition::rebuild`] call did. A rebuild fills only
+/// the sub-graph counters and `spliced`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MaintainStats {
     /// Net edits applied through the in-place block patch path.
@@ -98,18 +101,20 @@ pub struct MaintainStats {
     pub blocks_added: usize,
     /// Sub-graphs the regroup examined and kept verbatim (the whole
     /// affected components on a full re-merge, the owners of the region and
-    /// of the walked ancestors on a local one).
+    /// of the walked ancestors on a local one; every survivor of a
+    /// rebuild).
     pub subgraphs_kept: usize,
-    /// Sub-graphs dissolved by the splice.
+    /// Sub-graphs dissolved by the splice or the rebuild.
     pub subgraphs_removed: usize,
-    /// Sub-graphs newly assembled by the splice.
+    /// Sub-graphs newly assembled by the splice or the rebuild.
     pub subgraphs_added: usize,
     /// Dissolved sub-graphs whose surviving blocks landed in ≥ 2 new
     /// groups — in-place sub-graph splits.
     pub subgraph_splits: usize,
     /// Block-cut-tree components the splice regrouped.
     pub affected_components: usize,
-    /// Whether the splice path ran at all (`false` = patch/no-op only).
+    /// Whether the sub-graph list was spliced, by the region splice or by
+    /// a rebuild (`false` = patch/no-op only).
     pub spliced: bool,
     /// Whether the splice regrouped locally (region plus ancestor chain)
     /// rather than re-merging the whole affected components.
@@ -124,14 +129,18 @@ pub struct MaintainStats {
     pub maintain_time: Duration,
 }
 
-/// The result of a successful [`MaintainedDecomposition::apply_edits`] call.
+/// The result of a successful [`MaintainedDecomposition::apply_edits`] call
+/// or of a [`MaintainedDecomposition::rebuild`]: the one shape in which a
+/// new decomposition reaches a caller's per-sub-graph state.
 #[derive(Clone, Debug)]
 pub struct MaintainOutcome {
     /// What the call did, for reporting.
     pub stats: MaintainStats,
-    /// Old sub-graph index → new index (`None` = dissolved by the splice).
-    /// A caller holding per-sub-graph state (kernel contributions) moves it
-    /// by index — every sub-graph whose block set survived keeps its state.
+    /// Old sub-graph index → new index (`None` = dissolved). A caller
+    /// holding per-sub-graph state (kernel contributions) moves it by index
+    /// — every sub-graph whose block set (after a rebuild: whose content and
+    /// vertex list) survived keeps its state. Survivors keep their relative
+    /// order, and every new index no survivor takes is in `dirty`.
     pub old_to_new: Vec<Option<u32>>,
     /// New-index sub-graphs whose kernel input changed (patched, rebuilt,
     /// or boundary/α/β refreshed): their contributions must be recomputed.
@@ -149,6 +158,7 @@ pub struct MaintainOutcome {
 /// slot** (with `u32::MAX` on dead slots) rather than by Tarjan discovery
 /// order; `num_bccs` is the live block count. Fresh and maintained
 /// decompositions agree on both up to that re-indexing.
+#[derive(Default)]
 pub struct MaintainedDecomposition {
     opts: PartitionOptions,
     directed: bool,
@@ -188,6 +198,11 @@ pub struct MaintainedDecomposition {
     /// top — an articulation point's parent block, any other vertex's only
     /// block (stale for isolated vertices).
     up: Vec<u32>,
+    /// Set while an [`apply_edits`](Self::apply_edits) call rewrites
+    /// sub-graphs (patched CSRs, a renumbered list): the number of
+    /// sub-graphs last committed. A decline leaves it set, and
+    /// [`rebuild`](Self::rebuild) then lets none survive.
+    rewritten: Option<usize>,
 }
 
 /// One block of the rooted block-cut forest: what Algorithm 1's merge and
@@ -241,30 +256,21 @@ impl MaintainedDecomposition {
         Self::from_decomposition(g, decomp, opts)
     }
 
+    /// The decomposition of the empty graph: no vertex, no sub-graph. Its
+    /// first [`rebuild`](Self::rebuild) is a caller's seed outcome — no old
+    /// sub-graph, every new one dirty.
+    pub fn empty(opts: &PartitionOptions) -> Self {
+        MaintainedDecomposition { opts: opts.clone(), ..Default::default() }
+    }
+
     /// Wraps an existing fresh decomposition of `g`, seeding the block
     /// store with one extra Tarjan pass. Directed graphs are accepted but
-    /// `apply_edits` always declines on them.
+    /// keep no block store, and `apply_edits` always declines on them.
     pub fn from_decomposition(g: &Graph, decomp: Decomposition, opts: &PartitionOptions) -> Self {
-        let directed = g.is_directed();
-        let mut m = MaintainedDecomposition {
-            opts: opts.clone(),
-            directed,
-            decomp,
-            block_verts: Vec::new(),
-            block_edges: Vec::new(),
-            alive: Vec::new(),
-            free: Vec::new(),
-            live_blocks: 0,
-            blocks_of_vertex: Vec::new(),
-            subgraph_blocks: Vec::new(),
-            comp_id: Vec::new(),
-            comp_blocks: Vec::new(),
-            comp_pos: Vec::new(),
-            comp_top: Vec::new(),
-            forest: Vec::new(),
-            up: Vec::new(),
-        };
-        if !directed {
+        let mut m = Self::empty(opts);
+        m.directed = g.is_directed();
+        m.decomp = decomp;
+        if !m.directed {
             m.reseed_store(g);
         }
         m
@@ -606,10 +612,11 @@ impl MaintainedDecomposition {
     /// additions only grow index space; vertex removals arrive as the edge
     /// edits stripping the vertex).
     ///
-    /// On `Err` the store may be partially mutated and **must not** be used
-    /// further: the caller falls back to a fresh [`decompose`] and reseeds
-    /// (which the error paths are priced for — they are the cases a region
-    /// bound cannot cover, plus internal-inconsistency bails).
+    /// On `Err` the store may be partially mutated and **must not** be
+    /// maintained further: the caller falls back to
+    /// [`rebuild`](Self::rebuild) (which the error paths are priced for —
+    /// they are the cases a region bound cannot cover, plus
+    /// internal-inconsistency bails).
     pub fn apply_edits(
         &mut self,
         num_vertices: usize,
@@ -712,13 +719,17 @@ impl MaintainedDecomposition {
             }
             patched_sgs.insert(s as usize);
         }
-        for &s in patched_sgs.clone().iter() {
+        if !patched_sgs.is_empty() {
+            self.rewritten = Some(old_num_subgraphs);
+        }
+        for &s in &patched_sgs {
             if !self.rebuild_subgraph_csr(s) {
                 return Err("block store out of sync with sub-graph vertex sets");
             }
         }
 
         if structural.is_empty() {
+            self.rewritten = None;
             return Ok(MaintainOutcome {
                 stats: MaintainStats {
                     patched_edits,
@@ -739,6 +750,70 @@ impl MaintainedDecomposition {
             pathless_adds > 0,
             t0,
         )
+    }
+
+    /// Re-decomposes `g` from scratch and reseeds the block store (none
+    /// for a directed graph), committing the result the way a splice
+    /// does. A new sub-graph survives when the last committed decomposition
+    /// had one with the same [`SubGraph::fingerprint`] *and* the same
+    /// vertex list, so it keeps both its kernel input and its place in
+    /// every span store. Survivors come first, in their old relative order;
+    /// the unmatched sub-graphs follow in [`decompose`]'s order and are
+    /// exactly the outcome's `dirty` set. None survives a declined
+    /// [`apply_edits`](Self::apply_edits) that had begun rewriting
+    /// sub-graphs: the caller's spans no longer match what the list holds.
+    pub fn rebuild(&mut self, g: &Graph) -> MaintainOutcome {
+        let mut fresh = decompose(g, &self.opts);
+        let all = self.decomp.subgraphs.as_slice();
+        let committed = self.rewritten.unwrap_or(all.len());
+        let old = if self.rewritten.is_some() { &all[..0] } else { all };
+        // No two sub-graphs of one decomposition share a vertex list (their
+        // blocks would close a cycle across two blocks), so the vertex list
+        // keys at most one candidate, and only candidates get fingerprinted.
+        let by_globals: HashMap<&[VertexId], usize> =
+            old.iter().enumerate().map(|(o, sg)| (&*sg.globals, o)).collect();
+        let twin = |sg: &SubGraph| {
+            let o = *by_globals.get(&*sg.globals)?;
+            old.get(o).filter(|x| x.fingerprint() == sg.fingerprint()).map(|_| o)
+        };
+        // (matched old slot, index in `decompose`'s order, sub-graph)
+        let mut ranked: Vec<_> =
+            fresh.subgraphs.drain(..).enumerate().map(|(j, sg)| (twin(&sg), j, sg)).collect();
+        ranked.sort_by_key(|&(twin, j, _)| twin.map_or((true, j), |o| (false, o)));
+        let mut old_to_new: Vec<Option<u32>> = vec![None; committed];
+        let mut dirty: Vec<usize> = Vec::new();
+        let mut position = vec![NIL; ranked.len()];
+        for (p, (twin, j, sg)) in ranked.iter_mut().enumerate() {
+            sg.id = p;
+            if let Some(at) = position.get_mut(*j) {
+                *at = p as u32;
+            }
+            match twin.and_then(|o| old_to_new.get_mut(o)) {
+                Some(dst) => *dst = Some(p as u32),
+                None => dirty.push(p),
+            }
+        }
+        fresh.subgraphs = ranked.into_iter().map(|(_, _, sg)| sg).collect();
+        for s in &mut fresh.subgraph_of_bcc {
+            if let Some(&p) = position.get(*s as usize) {
+                *s = p;
+            }
+        }
+        fresh.top_subgraph = position.get(fresh.top_subgraph).map_or(0, |&p| p as usize);
+
+        // Survivors come first in their old order, so the map is the
+        // identity exactly when every old slot survives and nothing is new.
+        let kept = old_to_new.iter().flatten().count();
+        let indices_changed = kept != committed || !dirty.is_empty();
+        let stats = MaintainStats {
+            subgraphs_kept: kept,
+            subgraphs_removed: committed - kept,
+            subgraphs_added: dirty.len(),
+            spliced: true,
+            ..Default::default()
+        };
+        *self = Self::from_decomposition(g, fresh, &self.opts);
+        MaintainOutcome { stats, old_to_new, dirty, indices_changed }
     }
 
     /// The splice path: region Tarjan, store update, regroup (local or
@@ -1030,6 +1105,7 @@ impl MaintainedDecomposition {
             old_to_new.push((!gone).then_some(next));
             next += u32::from(!gone);
         }
+        self.rewritten = Some(old_num_subgraphs);
         let mut i = 0;
         self.decomp.subgraphs.retain(|_| {
             i += 1;
@@ -1149,6 +1225,7 @@ impl MaintainedDecomposition {
             }
         }
 
+        self.rewritten = None;
         Ok(MaintainOutcome {
             stats: MaintainStats {
                 patched_edits,
@@ -1670,10 +1747,11 @@ impl MaintainedDecomposition {
 
 /// Content equivalence of two decompositions of the same graph: identical
 /// vertex counts, block counts, articulation flags, and an identical
-/// *multiset* of sub-graphs (vertex sets, edge multisets, boundary, α/β/γ,
-/// whisker flags, root sets). Sub-graph order and id assignment are allowed
-/// to differ — an incrementally maintained decomposition keeps survivors'
-/// indices while a fresh run numbers by Tarjan discovery order.
+/// *multiset* of sub-graphs (vertex sets, edge multisets — arc multisets
+/// when directed — boundary, α/β/γ, whisker flags, root sets). Sub-graph
+/// order and id assignment are allowed to differ — an incrementally
+/// maintained decomposition keeps survivors' indices, and a rebuild puts
+/// them first, while a fresh run numbers by Tarjan discovery order.
 pub fn decomp_equivalent(a: &Decomposition, b: &Decomposition) -> Result<(), String> {
     if a.num_vertices != b.num_vertices {
         return Err(format!("vertex counts differ: {} vs {}", a.num_vertices, b.num_vertices));
@@ -1703,8 +1781,11 @@ pub fn decomp_equivalent(a: &Decomposition, b: &Decomposition) -> Result<(), Str
         Option<(Vec<usize>, Vec<u32>)>,
     );
     let key = |sg: &SubGraph| -> Key {
-        let mut edges: Vec<(u32, u32)> =
-            sg.graph.undirected_edges().map(|(u, v)| (u.min(v), u.max(v))).collect();
+        let mut edges: Vec<(u32, u32)> = if sg.graph.is_directed() {
+            sg.graph.csr().edges().collect()
+        } else {
+            sg.graph.undirected_edges().map(|(u, v)| (u.min(v), u.max(v))).collect()
+        };
         edges.sort_unstable();
         (
             sg.globals.clone(),
@@ -1913,6 +1994,190 @@ mod tests {
         let n = g.num_vertices();
         let mut m = MaintainedDecomposition::new(&g, &PartitionOptions::default());
         assert!(m.apply_edits(n, &[add(0, 1)]).is_err());
+    }
+
+    /// Rebuilds `m` over `g` and checks the outcome against the
+    /// decomposition it replaced: survivors first in their old order with
+    /// their content and vertex list, `dirty` exactly the rest, and the
+    /// result equivalent to a fresh `decompose`.
+    fn rebuild_checked(m: &mut MaintainedDecomposition, g: &Graph) -> MaintainOutcome {
+        let old: Vec<(u64, Vec<VertexId>)> =
+            m.decomp().subgraphs.iter().map(|sg| (sg.fingerprint(), sg.globals.clone())).collect();
+        let out = m.rebuild(g);
+        let d = m.decomp();
+        assert_eq!(out.old_to_new.len(), old.len());
+        let targets: Vec<usize> = out.old_to_new.iter().flatten().map(|&n| n as usize).collect();
+        assert!(targets.windows(2).all(|w| w[0] < w[1]), "survivors reordered: {targets:?}");
+        assert_eq!(targets, (0..targets.len()).collect::<Vec<_>>(), "survivors come first");
+        for (o, n) in out.old_to_new.iter().enumerate() {
+            if let Some(n) = n {
+                let sg = &d.subgraphs[*n as usize];
+                assert_eq!((sg.fingerprint(), &sg.globals), (old[o].0, &old[o].1), "SG{o}->{n}");
+            }
+        }
+        let unmatched: Vec<usize> = (targets.len()..d.num_subgraphs()).collect();
+        assert_eq!(out.dirty, unmatched, "dirty is exactly the unmatched sub-graphs");
+        for (i, sg) in d.subgraphs.iter().enumerate() {
+            assert_eq!(sg.id, i, "ids follow the commit order");
+        }
+        // Blocks keep `decompose`'s Tarjan numbering; only the sub-graph
+        // indices they and the top point at moved.
+        let fresh = decompose(g, m.options());
+        let globals = |d: &Decomposition, s: usize| d.subgraphs[s].globals.clone();
+        for (b, (&s, &f)) in d.subgraph_of_bcc.iter().zip(&fresh.subgraph_of_bcc).enumerate() {
+            assert_eq!(globals(d, s as usize), globals(&fresh, f as usize), "block {b}");
+        }
+        assert_eq!(globals(d, d.top_subgraph), globals(&fresh, fresh.top_subgraph));
+        decomp_equivalent(d, &fresh).expect("rebuild == fresh decompose");
+        out
+    }
+
+    #[test]
+    fn declined_batch_rebuilds_survivors_first() {
+        // `double_clique` plus three isolated vertices, unmerged.
+        let mut edges: Vec<(VertexId, VertexId)> = double_clique().undirected_edges().collect();
+        let g = Graph::undirected_from_edges(12, &edges);
+        let mut m = MaintainedDecomposition::new(
+            &g,
+            &PartitionOptions { merge_threshold: 0, ..Default::default() },
+        );
+        let out = m.apply_edits(12, &[rem(1, 2)]).expect("a chord removal patches in place");
+        assert_eq!(out.dirty.len(), 1);
+        let spans = spans_of(&m);
+        // Two component-bridging additions: the maintainer declines.
+        let err = m.apply_edits(12, &[add(9, 10), add(10, 11)]).unwrap_err();
+        assert!(err.contains("component-bridging"), "{err}");
+        edges.retain(|&(u, v)| (u.min(v), u.max(v)) != (1, 2));
+        edges.extend([(9, 10), (10, 11)]);
+        let g2 = Graph::undirected_from_edges(12, &edges);
+        let out = rebuild_checked(&mut m, &g2);
+        commit_spans(&spans, &out, &m);
+        assert!(out.stats.spliced && out.indices_changed);
+        assert_eq!(out.stats.subgraphs_added, out.dirty.len());
+        assert!(out.stats.subgraphs_kept > 0, "both cliques and the whiskers survive");
+        assert!(!out.dirty.is_empty(), "the new component is fresh");
+        // The reseeded block store maintains again.
+        m.verify_against_fresh(&g2).expect("reseeded store == fresh");
+        edges.push((7, 8));
+        let out = m.apply_edits(12, &[add(7, 8)]).expect("maintainable after a rebuild");
+        assert!(out.stats.spliced);
+        m.verify_against_fresh(&Graph::undirected_from_edges(12, &edges)).expect("maintained");
+    }
+
+    #[test]
+    fn directed_graph_rebuilds_survivors_first() {
+        // Two directed cycles sharing vertex 3, plus a tail.
+        let mut arcs =
+            vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (3, 5), (5, 6), (6, 3), (6, 7), (7, 8)];
+        let opts = PartitionOptions { merge_threshold: 0, ..Default::default() };
+        let mut m = MaintainedDecomposition::new(&Graph::directed_from_edges(9, &arcs), &opts);
+        assert!(m.apply_edits(9, &[add(8, 7)]).is_err(), "a directed store declines");
+        arcs.push((8, 7));
+        let out = rebuild_checked(&mut m, &Graph::directed_from_edges(9, &arcs));
+        assert!(out.stats.subgraphs_kept > 0, "the sub-graphs off the tail survive");
+        assert!(!out.dirty.is_empty(), "the tail's content changed");
+        // An identical rebuild keeps everything in place.
+        let out = rebuild_checked(&mut m, &Graph::directed_from_edges(9, &arcs));
+        assert!(out.dirty.is_empty() && !out.indices_changed);
+    }
+
+    /// What a caller's span store holds per committed slot: a stand-in
+    /// for the kernel output, the content the kernel ran on.
+    fn spans_of(m: &MaintainedDecomposition) -> Vec<u64> {
+        m.decomp().subgraphs.iter().map(SubGraph::fingerprint).collect()
+    }
+
+    /// Commits `out` to `spans` the way the engine does — survivors move
+    /// by `old_to_new`, dirty slots recompute — and checks that every
+    /// slot then holds its current sub-graph's content.
+    fn commit_spans(spans: &[u64], out: &MaintainOutcome, m: &MaintainedDecomposition) {
+        assert_eq!(out.old_to_new.len(), spans.len(), "one entry per committed slot");
+        let d = m.decomp();
+        let mut next = vec![None; d.num_subgraphs()];
+        for (&span, &n) in spans.iter().zip(&out.old_to_new) {
+            if let Some(n) = n {
+                next[n as usize] = Some(span);
+            }
+        }
+        for &s in &out.dirty {
+            next[s] = Some(d.subgraphs[s].fingerprint());
+        }
+        for (s, sg) in d.subgraphs.iter().enumerate() {
+            assert_eq!(next[s], Some(sg.fingerprint()), "slot {s} keeps a stale span");
+        }
+    }
+
+    /// K5 `{0..4}` (the top), K4 `{4,5,6,7}`, K4 `{7,8,9,10}` and the
+    /// whisker `(10,11)` in a chain; unmerged, one sub-graph each.
+    fn clique_chain(extra: &[(VertexId, VertexId)]) -> Graph {
+        let mut edges = Vec::new();
+        for clique in [&[0, 1, 2, 3, 4][..], &[4, 5, 6, 7], &[7, 8, 9, 10]] {
+            for (i, &u) in clique.iter().enumerate() {
+                edges.extend(clique[i + 1..].iter().map(|&v| (u, v)));
+            }
+        }
+        edges.push((10, 11));
+        edges.extend_from_slice(extra);
+        Graph::undirected_from_edges(12, &edges)
+    }
+
+    /// The batch the bail tests decline: chord (5,6) leaves the middle
+    /// clique, and (9,11) folds the whisker into the last one.
+    const BAILED_BATCH: [EdgeEdit; 2] =
+        [EdgeEdit { add: false, u: 5, v: 6 }, EdgeEdit { add: true, u: 9, v: 11 }];
+
+    fn after_bailed_batch() -> Graph {
+        let g = clique_chain(&[(9, 11)]);
+        let edges: Vec<(VertexId, VertexId)> =
+            g.undirected_edges().filter(|&(u, v)| (u.min(v), u.max(v)) != (5, 6)).collect();
+        Graph::undirected_from_edges(12, &edges)
+    }
+
+    /// Rebuilds after a batch that declined once it had begun rewriting
+    /// sub-graphs: no committed slot may survive, every new one is dirty,
+    /// and committing the outcome leaves no stale span.
+    fn rebuild_after_rewriting_bail(m: &mut MaintainedDecomposition, spans: &[u64]) {
+        assert_eq!(m.rewritten, Some(spans.len()));
+        let g = after_bailed_batch();
+        let out = m.rebuild(&g);
+        assert!(out.old_to_new.iter().all(Option::is_none), "a committed slot survived");
+        assert_eq!(out.dirty, (0..m.decomp().num_subgraphs()).collect::<Vec<_>>());
+        commit_spans(spans, &out, m);
+        decomp_equivalent(m.decomp(), &decompose(&g, m.options())).expect("rebuild == fresh");
+    }
+
+    #[test]
+    fn bail_after_a_patch_keeps_no_span() {
+        let opts = PartitionOptions { merge_threshold: 0, ..Default::default() };
+        let mut m = MaintainedDecomposition::new(&clique_chain(&[]), &opts);
+        assert_eq!(m.decomp().num_subgraphs(), 4);
+        let spans = spans_of(&m);
+        // The chord removal patches the middle clique in place. A store
+        // that already lists (9,11) in the whisker's block then makes the
+        // splice for the structural addition bail before renumbering. The
+        // patched clique matches its fresh twin by content and vertex list,
+        // yet its span was computed with the chord.
+        let whisker = m.common_block(10, 11).expect("whisker block");
+        m.block_edges[whisker as usize].push((9, 11));
+        let err = m.apply_edits(12, &BAILED_BATCH).unwrap_err();
+        assert!(err.contains("already present"), "{err}");
+        assert_eq!(m.decomp().num_subgraphs(), 4, "the splice did not renumber");
+        rebuild_after_rewriting_bail(&mut m, &spans);
+    }
+
+    #[test]
+    fn bail_after_renumbering_keeps_no_span() {
+        let opts = PartitionOptions { merge_threshold: 0, ..Default::default() };
+        let mut m = MaintainedDecomposition::new(&clique_chain(&[]), &opts);
+        let spans = spans_of(&m);
+        // Forgetting articulation 4's parent block makes the boundary
+        // refresh of the middle clique bail, after the splice renumbered
+        // the sub-graphs.
+        m.up[4] = NIL;
+        let err = m.apply_edits(12, &BAILED_BATCH).unwrap_err();
+        assert!(err.contains("forest parent"), "{err}");
+        assert_ne!(m.decomp().num_subgraphs(), spans.len(), "the splice renumbered");
+        rebuild_after_rewriting_bail(&mut m, &spans);
     }
 
     #[test]

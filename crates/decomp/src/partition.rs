@@ -61,7 +61,8 @@ pub struct DecompTimings {
 }
 
 /// The decomposed graph: sub-graphs connected through articulation points.
-#[derive(Clone, Debug)]
+/// The default is the decomposition of the empty graph.
+#[derive(Clone, Debug, Default)]
 pub struct Decomposition {
     /// Vertex count of the parent graph.
     pub num_vertices: usize,

@@ -1,7 +1,5 @@
 //! The per-sub-graph state the APGRE kernel consumes.
 
-use std::collections::HashMap;
-
 use apgre_graph::{Csr, Graph, VertexId};
 
 /// One sub-graph of the paper's decomposed graph `SGi(V, E, A)`
@@ -144,14 +142,17 @@ impl SubGraph {
     /// FNV-1a over the kernel's exact input stream: directedness, vertex
     /// count, local edges, per-vertex boundary/α/β/γ/whisker state, and the
     /// root set. Two sub-graphs with equal fingerprints feed the BC kernel
-    /// identical inputs, so their local score vectors are interchangeable —
-    /// the basis for the incremental engine's carry-forward of unchanged
-    /// contributions across re-decompositions, and the seed of the sampled
-    /// estimator's generation-stable root draws.
+    /// identical inputs, so their local score vectors are interchangeable.
+    /// [`MaintainedDecomposition::rebuild`] keeps a sub-graph, and with it
+    /// a caller's stored contributions, when an old one has the same
+    /// fingerprint and vertex list; the sampled estimator seeds its
+    /// generation-stable root draws with it.
     /// Deliberately excludes `id` and `globals`: the local computation does
     /// not depend on where the sub-graph sits in the parent graph. The
     /// `folded_csr` is a function of the edges and the whisker flags, so it
     /// needs no bytes of its own.
+    ///
+    /// [`MaintainedDecomposition::rebuild`]: crate::MaintainedDecomposition::rebuild
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -178,56 +179,5 @@ impl SubGraph {
             eat(r as u64);
         }
         h
-    }
-}
-
-/// Carries values across a from-scratch re-decomposition by content: `old`
-/// yields `(fingerprint, len, value)` per old span, and sub-graph `i` of
-/// `new` gets the value of an old span with its [`SubGraph::fingerprint`],
-/// or `None` on a miss. The match is a multiset (duplicate fingerprints,
-/// e.g. many identical whisker stars, each carry at most once) and the
-/// spans are interchangeable, because equal fingerprints mean bitwise-equal
-/// kernel inputs — indices are lost across a rebuild, so identity by
-/// content is all there is. A candidate whose `len` is not the new
-/// sub-graph's vertex count — an FNV collision between sub-graphs of
-/// different sizes — is a miss too, never a wrong-length span.
-pub fn carry_by_fingerprint<T>(
-    old: impl IntoIterator<Item = (u64, usize, T)>,
-    new: &[SubGraph],
-) -> Vec<Option<T>> {
-    let mut carry: HashMap<u64, Vec<(usize, T)>> = HashMap::new();
-    for (fingerprint, len, value) in old {
-        carry.entry(fingerprint).or_default().push((len, value));
-    }
-    new.iter()
-        .map(|sg| {
-            let (len, value) = carry.get_mut(&sg.fingerprint())?.pop()?;
-            (len == sg.num_vertices()).then_some(value)
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{decompose, PartitionOptions};
-    use apgre_graph::generators;
-
-    #[test]
-    fn carry_matches_fingerprints_and_rejects_wrong_lengths() {
-        let opts = PartitionOptions { merge_threshold: 0, ..Default::default() };
-        let d = decompose(&generators::lollipop(6, 8), &opts);
-        let fp = |i: usize| d.subgraphs[i].fingerprint();
-        let genuine = d.subgraphs.iter().enumerate().map(|(i, sg)| (fp(i), sg.num_vertices(), i));
-        // A forged candidate for sub-graph 0: its fingerprint, one vertex
-        // too many. Pushed last, it is the first one sub-graph 0 pops.
-        let forged = (fp(0), d.subgraphs[0].num_vertices() + 1, usize::MAX);
-        let carried = carry_by_fingerprint(genuine.chain([forged]), &d.subgraphs);
-        assert_eq!(carried.len(), d.num_subgraphs());
-        assert_eq!(carried[0], None, "the wrong-length candidate must be a miss");
-        for (i, c) in carried.iter().enumerate().skip(1) {
-            let j = c.expect("every other sub-graph carries");
-            assert_eq!(fp(j), fp(i), "SG{i} carried a span of another content");
-        }
     }
 }

@@ -8,19 +8,18 @@ use std::time::{Duration, Instant};
 use apgre_approx::{SampleOptions, SampleRefresh, SampleStore};
 use apgre_bc::apgre::ApgreReport;
 use apgre_bc::{full_jobs, run_subgraph_kernels, ApgreOptions};
-use apgre_decomp::{
-    carry_by_fingerprint, decompose, Decomposition, EdgeEdit, MaintainedDecomposition,
-};
+use apgre_decomp::{Decomposition, EdgeEdit, MaintainOutcome, MaintainedDecomposition};
 use apgre_graph::Graph;
 use apgre_store::{CowGraph, FoldStore, GraphView, Layer, PublishStats, ScoreChunks};
 
 use crate::mutation::{Mutation, MutationBatch};
 
 /// How a batch was handled (the cheap-to-expensive ladder).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BatchClass {
     /// Every mutation was a no-op (duplicate add, absent remove, self-loop,
     /// removal of an already-isolated vertex): nothing recomputed.
+    #[default]
     Noop,
     /// Every effective edit was confined to existing blocks (in-place block
     /// patches): only the owning sub-graphs' kernels re-ran, indices and
@@ -28,13 +27,14 @@ pub enum BatchClass {
     Local,
     /// The block-cut tree changed shape. Either the affected region was
     /// re-decomposed and spliced in place (`rebuilt == false`) or the whole
-    /// decomposition was rebuilt from scratch (`rebuilt == true`); in both
-    /// cases contributions of surviving sub-graphs were carried forward.
+    /// decomposition was rebuilt from scratch (`rebuilt == true`). Both
+    /// commit the same way: surviving sub-graphs keep their slots and
+    /// contributions, and only the rest re-run.
     Structural,
 }
 
 /// Per-batch accounting returned by [`DynamicBc::apply`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DynamicReport {
     /// How the batch was classified and executed.
     pub class: BatchClass,
@@ -56,8 +56,8 @@ pub struct DynamicReport {
     /// Effective edge edits that restructured the block-cut tree (on a full
     /// rebuild: every effective edge edit).
     pub structural_edits: usize,
-    /// Sub-graphs dissolved plus created by the region splice (zero for
-    /// patch-only batches and full rebuilds).
+    /// Sub-graphs dissolved plus created by the region splice or the
+    /// rebuild (zero for patch-only batches).
     pub subgraphs_spliced: usize,
     /// Surviving sub-graphs the splice split in place (their blocks landed
     /// in two or more new merge groups).
@@ -74,7 +74,11 @@ pub struct DynamicReport {
     /// Whether the splice regrouped locally (region plus ancestor chain)
     /// instead of re-merging the whole affected components.
     pub local_regroup: bool,
-    /// Time spent re-decomposing from scratch (zero unless `rebuilt`).
+    /// Wall clock of the from-scratch re-decomposition call
+    /// ([`MaintainedDecomposition::rebuild`]: decompose, content match and
+    /// block-store reseed; zero unless `rebuilt`). The counterpart of
+    /// `maintain_time`: the kernel re-runs and the store splice are outside
+    /// both.
     pub rebuild_time: Duration,
     /// Wall clock of the whole `apply` call.
     pub wall_clock: Duration,
@@ -82,26 +86,7 @@ pub struct DynamicReport {
 
 impl DynamicReport {
     fn empty(class: BatchClass, reason: &'static str) -> Self {
-        DynamicReport {
-            class,
-            reason,
-            dirty_subgraphs: 0,
-            reused_contributions: 0,
-            applied_mutations: 0,
-            noop_mutations: 0,
-            total_subgraphs: 0,
-            local_edits: 0,
-            structural_edits: 0,
-            subgraphs_spliced: 0,
-            subgraphs_split: 0,
-            region_blocks: 0,
-            rebuilt: false,
-            maintain_time: Duration::ZERO,
-            regroup_time: Duration::ZERO,
-            local_regroup: false,
-            rebuild_time: Duration::ZERO,
-            wall_clock: Duration::ZERO,
-        }
+        DynamicReport { class, reason, ..Default::default() }
     }
 }
 
@@ -114,22 +99,27 @@ impl DynamicReport {
 /// the folded global score vector. The same [`FoldStore`] also holds the
 /// sampled estimator's estimate and squared-error spans once
 /// [`enable_approx`](DynamicBc::enable_approx) ran, so both tiers share one
-/// owner index, one splice per batch and one fingerprint carry per
-/// rebuild. After every [`apply`](DynamicBc::apply)
-/// the scores equal what a from-scratch APGRE run would produce on the
-/// current graph (to 1e-9 relative; bitwise for the forced-`Seq` kernel
-/// against the engine's own decomposition).
+/// owner index and one splice per batch. After every
+/// [`apply`](DynamicBc::apply) the scores equal what a from-scratch APGRE
+/// run would produce on the current graph (to 1e-9 relative; bitwise for
+/// the forced-`Seq` kernel against the engine's own decomposition).
 ///
-/// Every undirected batch — including vertex additions and removals, which
-/// lower to edge edits — goes through the maintainer: edits interior to one
-/// block patch it in place (class [`BatchClass::Local`]), everything else
-/// re-runs Tarjan on the affected blocks only and splices the result back
-/// (class [`BatchClass::Structural`] with `rebuilt == false`). Sub-graphs
-/// whose block set survives the splice keep their kernel contributions **by
-/// index** — no fingerprint scan. The from-scratch rebuild remains only as
-/// a fallback (directed graphs and batches the maintainer declines), where
-/// carry-forward falls back to fingerprint matching; it materializes the
-/// graph from the same [`CowGraph`].
+/// Every decomposition reaches the stores as a [`MaintainOutcome`] through
+/// one commit: splice both tiers by `old_to_new`, re-run the dirty kernels,
+/// refold the touched vertices. Every batch — including vertex additions
+/// and removals, which lower to edge edits — goes through the maintainer:
+/// edits interior to one block patch it in place (class
+/// [`BatchClass::Local`]), everything else re-runs Tarjan on the affected
+/// blocks only and splices the result back (class
+/// [`BatchClass::Structural`] with `rebuilt == false`). Sub-graphs whose
+/// block set survives the splice keep their kernel contributions **by
+/// index**. When the maintainer declines (directed graphs, several
+/// component-bridging additions in one batch) the engine falls back to
+/// [`MaintainedDecomposition::rebuild`] over the graph materialized from
+/// the same [`CowGraph`]: a fresh decomposition whose survivors are
+/// matched by content and vertex list, committed like any splice. The seed
+/// is such a rebuild from the empty decomposition — every sub-graph
+/// fresh.
 ///
 /// The global vector is always folded **from zeros in ascending sub-graph
 /// index order** rather than patched by subtract-then-add, so stored and
@@ -177,9 +167,9 @@ struct ApproxState {
 }
 
 impl DynamicBc {
-    /// Builds the engine from an initial graph: decomposes, seeds the block
-    /// store, runs every sub-graph kernel once, and stores the
-    /// per-sub-graph contributions.
+    /// Builds the engine from an initial graph: decomposes it (a rebuild
+    /// from the empty decomposition, which seeds the block store), then
+    /// commits that outcome — every sub-graph kernel runs once.
     ///
     /// The graph is normalized first ([`CowGraph::from_graph`]: parallel
     /// arcs collapsed, self-loops dropped), so the engine always scores the
@@ -187,24 +177,21 @@ impl DynamicBc {
     /// identity.
     pub fn new(g: &Graph, opts: ApgreOptions) -> Self {
         let cow = CowGraph::from_graph(g);
-        let g = &cow.view().to_graph();
-        let maintained = MaintainedDecomposition::new(g, &opts.partition);
-        let decomp = maintained.decomp();
-        let jobs = full_jobs(decomp, 0..decomp.num_subgraphs());
-        let runs = run_subgraph_kernels(decomp, &jobs, &opts);
-        let report = ApgreReport::new(decomp, &opts, &runs);
-        let mut spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = decomp
-            .subgraphs
-            .iter()
-            .map(|sg| (Arc::from(&sg.globals[..]), Arc::from(vec![0.0f64; sg.globals.len()])))
-            .collect();
-        for run in runs {
-            spans[run.index].1 = Arc::from(run.local);
-        }
-        let mut fold = FoldStore::default();
-        fold.rebuild(cow.num_vertices(), spans);
-        let scores = fold.to_flat();
-        DynamicBc { opts, maintained, cow, fold, scores, report, last_batch: None, approx: None }
+        let mut maintained = MaintainedDecomposition::empty(&opts.partition);
+        let seed = maintained.rebuild(&cow.view().to_graph());
+        let report = ApgreReport::new(maintained.decomp(), &opts, &[]);
+        let mut engine = DynamicBc {
+            opts,
+            maintained,
+            cow,
+            fold: FoldStore::default(),
+            scores: Vec::new(),
+            report,
+            last_batch: None,
+            approx: None,
+        };
+        engine.commit(seed);
+        engine
     }
 
     /// Turns on the incremental sampled estimator with the given sampling
@@ -327,7 +314,6 @@ impl DynamicBc {
     /// including [`Mutation::AddVertex`] — are visible to later ones).
     pub fn apply(&mut self, batch: &MutationBatch) -> DynamicReport {
         let start = Instant::now();
-        let directed = self.cow.is_directed();
 
         // Phase 1: push the batch into the graph, recording which
         // mutations actually changed state. Vertex removals lower to edge
@@ -378,15 +364,27 @@ impl DynamicBc {
             return report;
         }
 
-        let mut report = if directed {
-            // The maintenance soundness argument is undirected: directed
-            // reachability is not separated by articulation points the same
-            // way, so every directed edit rebuilds.
-            self.rebuild_structural("directed graph: maintenance not supported", edits.len())
-        } else {
-            match self.maintained.apply_edits(self.cow.num_vertices(), &edits) {
-                Ok(outcome) => self.absorb_maintained(outcome),
-                Err(reason) => self.rebuild_structural(reason, edits.len()),
+        // The maintainer declines what its region bound cannot cover —
+        // every directed batch among them, since directed reachability is
+        // not separated by articulation points the same way — and the
+        // engine re-decomposes from scratch instead.
+        let mut report = match self.maintained.apply_edits(self.cow.num_vertices(), &edits) {
+            Ok(outcome) => self.commit(outcome),
+            Err(reason) => {
+                let t0 = Instant::now();
+                let outcome = self.maintained.rebuild(&self.cow.view().to_graph());
+                let rebuild_time = t0.elapsed();
+                // The lifetime report accumulates the fresh decomposition's
+                // timings; `commit` switches its structure fields over.
+                let timings = self.maintained.decomp().timings;
+                self.report.partition_time += timings.partition;
+                self.report.alpha_beta_time += timings.alpha_beta;
+                let mut report = self.commit(outcome);
+                report.reason = reason;
+                report.structural_edits = edits.len();
+                report.rebuilt = true;
+                report.rebuild_time = rebuild_time;
+                report
             }
         };
 
@@ -397,7 +395,7 @@ impl DynamicBc {
 
         #[cfg(feature = "invariants")]
         {
-            if !directed {
+            if !self.cow.is_directed() {
                 self.maintained
                     .verify_against_fresh(&self.current_graph())
                     .expect("maintained decomposition diverged from fresh decompose");
@@ -428,15 +426,24 @@ impl DynamicBc {
         report
     }
 
-    /// Commits a successful maintenance outcome: splices the span store
-    /// once for both tiers (survivors keep their spans by slot), re-runs
-    /// exactly the dirty kernels, and refolds exactly the vertices whose
-    /// owning sub-graphs changed.
-    fn absorb_maintained(&mut self, outcome: apgre_decomp::MaintainOutcome) -> DynamicReport {
-        let total = self.decomposition().num_subgraphs();
+    /// Commits a maintenance or rebuild outcome — the only way a
+    /// decomposition reaches the stores: re-runs exactly the dirty kernels,
+    /// splices the span store once for both tiers (survivors keep their
+    /// spans by slot), and refolds exactly the vertices whose owning
+    /// sub-graphs changed.
+    fn commit(&mut self, outcome: MaintainOutcome) -> DynamicReport {
+        // The kernels read only the decomposition, so they run before the
+        // splice: a seed's kernel workspaces are freed before its store is
+        // built, and the store reuses their memory instead of adding to
+        // the peak.
+        let decomp = self.maintained.decomp();
+        let total = decomp.num_subgraphs();
+        let jobs = full_jobs(decomp, outcome.dirty.iter().copied());
+        let runs = run_subgraph_kernels(decomp, &jobs, &self.opts);
+        self.report.absorb(decomp, &runs);
+
+        let new_globals: Vec<&[u32]> = decomp.subgraphs.iter().map(|sg| &sg.globals[..]).collect();
         let n = self.cow.num_vertices();
-        let new_globals: Vec<&[u32]> =
-            self.maintained.decomp().subgraphs.iter().map(|sg| &sg.globals[..]).collect();
         let mut touched = self.fold.apply_splice(n, &outcome.old_to_new, &new_globals);
         if let Some(ap) = &mut self.approx {
             // Mirror the splice and the dirty set into the sampled
@@ -446,11 +453,6 @@ impl DynamicBc {
             ap.store.apply_splice(&outcome.old_to_new, self.maintained.decomp());
             ap.store.mark_dirty(&outcome.dirty);
         }
-
-        let decomp = self.maintained.decomp();
-        let jobs = full_jobs(decomp, outcome.dirty.iter().copied());
-        let runs = run_subgraph_kernels(decomp, &jobs, &self.opts);
-        self.report.absorb(decomp, &runs);
         for run in runs {
             touched.extend_from_slice(&self.maintained.decomp().subgraphs[run.index].globals);
             self.fold.set_values(run.index, Arc::from(run.local));
@@ -479,78 +481,6 @@ impl DynamicBc {
         report.maintain_time = stats.maintain_time;
         report.regroup_time = stats.regroup_time;
         report.local_regroup = stats.local_regroup;
-        report
-    }
-
-    /// The fallback path: re-decompose the current graph from scratch,
-    /// carry forward the spans of sub-graphs whose kernel input is
-    /// unchanged ([`carry_by_fingerprint`], once for every layer), and
-    /// recompute the rest.
-    fn rebuild_structural(&mut self, reason: &'static str, edit_count: usize) -> DynamicReport {
-        let t0 = Instant::now();
-        let g = self.current_graph();
-        let new_decomp = decompose(&g, &self.opts.partition);
-
-        let old = self.maintained.decomp().subgraphs.iter().enumerate();
-        let carried = carry_by_fingerprint(
-            old.map(|(i, sg)| (sg.fingerprint(), sg.num_vertices(), i)),
-            &new_decomp.subgraphs,
-        );
-        let total = new_decomp.num_subgraphs();
-        let misses: Vec<usize> =
-            carried.iter().enumerate().filter_map(|(i, c)| c.is_none().then_some(i)).collect();
-        let mut spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = new_decomp
-            .subgraphs
-            .iter()
-            .zip(&carried)
-            .map(|(sg, from)| {
-                let zeros = || Arc::from(vec![0.0f64; sg.globals.len()]);
-                (Arc::from(&sg.globals[..]), from.map_or_else(zeros, |o| self.fold.values_of(o)))
-            })
-            .collect();
-        // Equal fingerprints mean equal kernel input *and* equal sample
-        // draw, so the estimator's carried spans are bitwise what
-        // resampling would produce; it keeps only those it drew against
-        // the carried content.
-        let mut sampled: Vec<(Layer, usize, Arc<[f64]>)> = Vec::new();
-        if let Some(ap) = &mut self.approx {
-            for (i, o) in ap.store.rebuild(&new_decomp, &carried) {
-                for layer in [Layer::Estimate, Layer::ErrSq] {
-                    sampled
-                        .extend(self.fold.layer_values_of(layer, o).map(|span| (layer, i, span)));
-                }
-            }
-        }
-        let recomputed = misses.len();
-        let jobs = full_jobs(&new_decomp, misses.iter().copied());
-        let runs = run_subgraph_kernels(&new_decomp, &jobs, &self.opts);
-
-        // Accounting: the re-decomposition's timings and the recomputed
-        // kernels' work accumulate; structure fields switch to the new
-        // decomposition. A carried-forward top sub-graph keeps its last
-        // known kernel choice (no run happened this batch to observe one).
-        self.report.partition_time += new_decomp.timings.partition;
-        self.report.alpha_beta_time += new_decomp.timings.alpha_beta;
-        self.report.absorb(&new_decomp, &runs);
-
-        for run in runs {
-            spans[run.index].1 = Arc::from(run.local);
-        }
-
-        self.maintained =
-            MaintainedDecomposition::from_decomposition(&g, new_decomp, &self.opts.partition);
-        self.fold.rebuild(self.cow.num_vertices(), spans);
-        for (layer, i, span) in sampled {
-            self.fold.set_layer_values(layer, i, span);
-        }
-        self.scores = self.fold.to_flat();
-
-        let mut report = DynamicReport::empty(BatchClass::Structural, reason);
-        report.dirty_subgraphs = recomputed;
-        report.reused_contributions = total - recomputed;
-        report.structural_edits = edit_count;
-        report.rebuilt = true;
-        report.rebuild_time = t0.elapsed();
         report
     }
 
@@ -1152,6 +1082,39 @@ mod tests {
         for v in 0..want.len() {
             assert_eq!(ap.estimates.score(v).to_bits(), want[v].to_bits(), "vertex {v} estimate");
             assert_eq!(ap.stderr(v).to_bits(), want_err[v].to_bits(), "vertex {v} stderr");
+        }
+    }
+
+    #[test]
+    fn rebuild_keeps_the_survivors_fold_order() {
+        use apgre_bc::KernelPolicy;
+
+        // Hub 0 is one of the k middle vertices of three K_{2,k} blocks
+        // (k = 5, 3, 7), so it carries 1/k of its corners' shortest paths
+        // and folds three non-dyadic survivor contributions, whose sum
+        // rounds differently when the survivors commit in reverse order.
+        // Vertices 19..=21 start isolated.
+        let mut edges = Vec::new();
+        let mut next = 1u32;
+        for k in [5u32, 3, 7] {
+            let (p, q) = (next, next + 1);
+            edges.extend([(p, 0), (0, q)]);
+            for mid in next + 2..next + k + 1 {
+                edges.extend([(p, mid), (mid, q)]);
+            }
+            next += k + 1;
+        }
+        assert_eq!(next, 19);
+        let g = Graph::undirected_from_edges(22, &edges);
+        let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..fine_opts() };
+        let mut engine = DynamicBc::new(&g, opts.clone());
+        let rep = engine.apply(&MutationBatch::new().add_edge(19, 20).add_edge(20, 21));
+        assert!(rep.rebuilt, "{}", rep.reason);
+        assert_eq!(rep.reused_contributions, 3, "the three blocks survive");
+        let (anchor, _) =
+            apgre_bc::bc_from_decomposition(&engine.current_graph(), engine.decomposition(), &opts);
+        for (v, (got, want)) in engine.scores().iter().zip(&anchor).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "vertex {v}");
         }
     }
 

@@ -173,8 +173,16 @@ proptest! {
     fn forced_seq_is_bitwise_vs_own_decomposition(
         (n, edges, stream) in scenario(36, 80),
         threshold in 0usize..12,
+        directed in proptest::bool::ANY,
     ) {
-        let g = Graph::undirected_from_edges(n as usize, &edges);
+        // Directed batches all rebuild, so this pins a rebuilt engine's
+        // commit order bitwise too.
+        let g = if directed {
+            let arcs: Vec<(u32, u32)> = edges.iter().copied().filter(|&(u, v)| u != v).collect();
+            Graph::directed_from_edges(n as usize, &arcs)
+        } else {
+            Graph::undirected_from_edges(n as usize, &edges)
+        };
         let opts = ApgreOptions {
             kernel: KernelPolicy::Seq,
             partition: PartitionOptions { merge_threshold: threshold, ..Default::default() },
@@ -193,7 +201,7 @@ proptest! {
             prop_assert_eq!(
                 engine.scores(),
                 &anchor[..],
-                "n={} t={} batch {}: bitwise divergence", n, threshold, k
+                "n={} t={} dir={} batch {}: bitwise divergence", n, threshold, directed, k
             );
         }
     }
@@ -207,8 +215,8 @@ proptest! {
     ) {
         use apgre_approx::{bc_sampled_with_stderr_from_decomposition, SampleOptions};
 
-        // Directed batches all take the rebuild path, whose one
-        // fingerprint carry moves the estimator's spans too.
+        // Directed batches all take the rebuild path, whose splice moves
+        // the estimator's spans with the exact ones.
         let g = if directed {
             let arcs: Vec<(u32, u32)> = edges.iter().copied().filter(|&(u, v)| u != v).collect();
             Graph::directed_from_edges(n as usize, &arcs)

@@ -81,7 +81,8 @@ const LATENCY_BUCKETS: [f64; 10] = [0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0
 
 /// A fixed-bucket latency histogram on relaxed atomics, rendered in the
 /// Prometheus histogram exposition shape (`_bucket{le=...}` cumulative
-/// counts, `_sum` in seconds, `_count`). Buckets are [`LATENCY_BUCKETS`].
+/// counts, `_sum` in seconds, `_count`). Bucket upper bounds run from
+/// 0.5 ms to 2.5 s (`LATENCY_BUCKETS`), plus the `+Inf` overflow.
 #[derive(Default)]
 pub struct LatencyHistogram {
     /// Non-cumulative per-bucket counts; index `LATENCY_BUCKETS.len()` is

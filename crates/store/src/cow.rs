@@ -472,8 +472,8 @@ impl GraphView {
         }
     }
 
-    /// Materializes a real CSR [`Graph`]: the engine's rebuild path,
-    /// `DynamicBc::current_graph` and checkpoints all read the graph
+    /// Materializes a real CSR [`Graph`]: the engine's seed and rebuild
+    /// path, `DynamicBc::current_graph` and checkpoints all read the graph
     /// through here. Rows go through [`Graph::undirected_from_edges`] or
     /// [`Graph::directed_from_edges`], which sort every row, so the result
     /// is CSR-identical to any other materialization of the same edge set

@@ -179,8 +179,11 @@ pub struct FoldStore {
 
 impl FoldStore {
     /// Replaces the whole store from a full set of `(vertex list, exact
-    /// contribution)` pairs in sub-graph index order (seed and rebuild
-    /// paths — O(V) by nature there). The estimate layers start empty.
+    /// contribution)` pairs in sub-graph index order, in O(V). The estimate
+    /// layers start empty. This is the from-scratch store
+    /// [`FoldStore::verify_against_fresh`] compares against; the engine
+    /// itself only ever splices, its seed included (a splice of an empty
+    /// store).
     pub fn rebuild(&mut self, num_vertices: usize, subgraphs: Vec<(Arc<[u32]>, Arc<[f64]>)>) {
         let count = subgraphs.len();
         let (globals, values): (Vec<Arc<[u32]>>, Vec<Arc<[f64]>>) = subgraphs.into_iter().unzip();
@@ -229,13 +232,8 @@ impl FoldStore {
     /// The exact contribution span of sub-graph `index` (current
     /// indexing).
     pub fn values_of(&self, index: usize) -> Arc<[f64]> {
-        self.layer_values_of(Layer::Exact, index).unwrap_or_else(|| Arc::from(Vec::new()))
-    }
-
-    /// The `layer` span of sub-graph `index` (current indexing), if that
-    /// layer holds one.
-    pub fn layer_values_of(&self, layer: Layer, index: usize) -> Option<Arc<[f64]>> {
-        self.layers[layer as usize][self.order[index] as usize].clone()
+        let span = &self.layers[Layer::Exact as usize][self.order[index] as usize];
+        span.clone().unwrap_or_else(|| Arc::from(Vec::new()))
     }
 
     /// Replaces the exact contribution span of sub-graph `index` (current

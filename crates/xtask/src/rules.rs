@@ -6,7 +6,7 @@
 //! | R1 | `raw-atomic-import` | `std::sync::atomic` / `core::sync::atomic` only inside the sync facade (`apgre_bc::sync`) |
 //! | R2 | `ordering-creep` | no `SeqCst` / `AcqRel` outside the facade — the kernels' correctness argument is written for `Relaxed` + fork-join edges |
 //! | R3 | `naked-par-accum` | no `slice[i] += …` inside a `par_iter`-family closure (escape: `lint:allow(par_accum)`) |
-//! | R4 | `kernel-missing-serial-test` | every `pub fn bc_*` kernel in `crates/bc` / `crates/dynamic` / `crates/approx`, and the sub-graph dispatcher `run_subgraph_kernels`, has a test pinning it against the serial oracle; the maintenance module's `apply_edits` and the store's snapshot and splice entry points (`CowGraph::view`, `FoldStore::chunks`, `FoldStore::apply_splice`) must likewise be pinned against their fresh oracle (`verify_against_fresh` / `decomp_equivalent`), and `SampleStore::apply_splice` against `verify_against_scratch`; the budget allocator's entry points (`plan_adaptive`, `allocate_budget`) must be pinned against the from-scratch sampled oracle (`verify_against_scratch` / `bc_sampled_from_decomposition`) |
+//! | R4 | `kernel-missing-serial-test` | every `pub fn bc_*` kernel in `crates/bc` / `crates/dynamic` / `crates/approx`, and the sub-graph dispatcher `run_subgraph_kernels`, has a test pinning it against the serial oracle; the maintenance module's `apply_edits` and `rebuild` and the store's snapshot and splice entry points (`CowGraph::view`, `FoldStore::chunks`, `FoldStore::apply_splice`) must likewise be pinned against their fresh oracle (`verify_against_fresh` / `decomp_equivalent`), and `SampleStore::apply_splice` against `verify_against_scratch`; the budget allocator's entry points (`plan_adaptive`, `allocate_budget`) must be pinned against the from-scratch sampled oracle (`verify_against_scratch` / `bc_sampled_from_decomposition`) |
 //! | R5 | `serve-socket-unwrap` | no `.unwrap()` / `.expect(…)` in `crates/serve/src` outside `#[cfg(test)]` (escape: `lint:allow(serve_unwrap)`) |
 //! | R6 | `guard-across-blocking` | no lock guard in `crates/serve` live across socket I/O or a snapshot publish (escape: `lint:allow(guard_blocking)`) |
 //! | R7 | `ordering-protocol` | facade atomic call sites outside the facade conform to the claim-Relaxed / publish-Release / read-Acquire state machine, annotated with the call chain from the kernel entry points |
@@ -252,7 +252,7 @@ fn find_indexed_accum(
 
 // --------------------------------------------------------------------- R4
 
-/// The oracles pinning the maintenance module's `apply_edits`.
+/// The oracles pinning the maintenance module's `apply_edits` and `rebuild`.
 const MAINTAIN_ORACLES: &[&str] = &["verify_against_fresh", "decomp_equivalent"];
 
 /// Store entry points R4 pins: `(path fragment, impl owner, fn name,
@@ -272,12 +272,14 @@ fn r4_kernel_serial_tests(ws: &Workspace, flat: &[Vec<Tok>], out: &mut Vec<Findi
     let mut maint: Vec<(usize, usize, String, &[&str])> = Vec::new();
     let mut alloc: Vec<(usize, usize, String)> = Vec::new();
     for (fi, f) in ws.files.iter().enumerate() {
-        // The maintenance module's splice entry points promise structural
-        // equivalence with fresh `decompose()`; their oracle is the fresh
-        // decomposition rather than serial Brandes.
+        // The maintenance module's entry points — the splice and the
+        // from-scratch rebuild — promise structural equivalence with fresh
+        // `decompose()`; their oracle is the fresh decomposition rather
+        // than serial Brandes.
         if f.path.contains("crates/decomp/src/maintain") {
             for fun in &f.fns {
-                if fun.is_pub && !fun.in_test && fun.name == "apply_edits" {
+                let entry = fun.name == "apply_edits" || fun.name == "rebuild";
+                if fun.is_pub && !fun.in_test && entry {
                     maint.push((fi, fun.line, fun.name.clone(), MAINTAIN_ORACLES));
                 }
             }
@@ -723,7 +725,7 @@ fn ordering_args(g: &Group) -> Vec<String> {
 
 /// Call-expansion depth for panic reachability: the root body plus two hops,
 /// enough to cross the engine → sub-graph-scheduler boundary
-/// (`DynamicBc::apply` → `rebuild_structural` → `run_subgraph_kernels`)
+/// (`DynamicBc::apply` → `commit` → `run_subgraph_kernels`)
 /// without degenerating into a whole-program scan.
 const R8_DEPTH: usize = 2;
 
@@ -866,19 +868,22 @@ fn r8_panic_reachability(ws: &Workspace, out: &mut Vec<Finding>) {
     roots.sort();
     roots.dedup();
 
-    // Bounded call expansion: (crate, fn-name) → (root label, via-chain).
-    let mut targets: Vec<((String, String), String, Vec<String>)> = Vec::new();
-    let mut seen: HashSet<(String, String)> = HashSet::new();
+    // Bounded call expansion: (crate, fn-name, receiver types) → (root
+    // label, via-chain). Receiver types are recorded only for a name
+    // `resolve_fn` cannot settle alone.
+    type Key = (String, String, Vec<String>);
+    let mut targets: Vec<(Key, String, Vec<String>)> = Vec::new();
+    let mut seen: HashSet<Key> = HashSet::new();
     for (krate, name, label) in &roots {
-        let mut frontier = vec![((krate.clone(), name.clone()), Vec::<String>::new())];
+        let mut frontier = vec![((krate.clone(), name.clone(), vec![]), Vec::<String>::new())];
         for _hop in 0..=R8_DEPTH {
             let mut next = Vec::new();
             for (key, via) in frontier {
                 if !seen.insert(key.clone()) {
                     continue;
                 }
-                let defs = resolve_fn(ws, &key.0, &key.1);
-                for (_f, fun) in &defs {
+                let defs = resolve_fn(ws, &key.0, &key.1, &key.2);
+                for (f, fun) in &defs {
                     let mut callee_via = via.clone();
                     callee_via.push(fun.name.clone());
                     for callee in &fun.calls {
@@ -888,7 +893,12 @@ fn r8_panic_reachability(ws: &Workspace, out: &mut Vec<Finding>) {
                         {
                             continue;
                         }
-                        next.push(((key.0.clone(), callee.clone()), callee_via.clone()));
+                        let receivers = if resolve_fn(ws, &key.0, callee, &[]).is_empty() {
+                            receiver_types(f, fun, callee)
+                        } else {
+                            Vec::new()
+                        };
+                        next.push(((key.0.clone(), callee.clone(), receivers), callee_via.clone()));
                     }
                 }
                 targets.push((key, label.clone(), via));
@@ -898,7 +908,7 @@ fn r8_panic_reachability(ws: &Workspace, out: &mut Vec<Finding>) {
     }
 
     for (key, label, via) in targets {
-        for (f, fun) in resolve_fn(ws, &key.0, &key.1) {
+        for (f, fun) in resolve_fn(ws, &key.0, &key.1, &key.2) {
             let reach = if via.is_empty() {
                 format!("reachable from {label}")
             } else {
@@ -909,31 +919,55 @@ fn r8_panic_reachability(ws: &Workspace, out: &mut Vec<Finding>) {
     }
 }
 
-/// Definitions of `name`: same crate first, any-crate unique-name fallback
-/// (the engine calls the BC scheduler cross-crate by bare name).
-/// Integration-test and bench files never participate.
-fn resolve_fn<'a>(ws: &'a Workspace, krate: &str, name: &str) -> Vec<(&'a FileIndex, &'a FnItem)> {
+/// Definitions of `name`: same crate first, then the one definition in any
+/// crate — the engine calls the BC scheduler cross-crate by bare name — or,
+/// when several crates define it, those whose impl owner is one of the
+/// call's `receivers` (`FoldStore::rebuild` and
+/// `MaintainedDecomposition::rebuild` share a name). Integration-test and
+/// bench files never participate.
+fn resolve_fn<'a>(
+    ws: &'a Workspace,
+    krate: &str,
+    name: &str,
+    receivers: &[String],
+) -> Vec<(&'a FileIndex, &'a FnItem)> {
     let local: Vec<_> =
         ws.fns_named(krate, name).into_iter().filter(|(f, _)| !is_test_scaffolding(f)).collect();
     if !local.is_empty() {
         return local;
     }
-    let mut all = Vec::new();
-    for f in &ws.files {
-        if is_test_scaffolding(f) {
-            continue;
-        }
-        for fun in &f.fns {
-            if fun.name == name && !fun.in_test {
-                all.push((f, fun));
-            }
-        }
+    let mut all: Vec<_> = ws
+        .files
+        .iter()
+        .filter(|f| !is_test_scaffolding(f))
+        .flat_map(|f| f.fns.iter().filter(|x| x.name == name && !x.in_test).map(move |x| (f, x)))
+        .collect();
+    if all.len() > 1 {
+        all.retain(|(_, fun)| fun.owner.as_ref().is_some_and(|o| receivers.contains(o)));
     }
-    if all.len() == 1 {
-        all
-    } else {
-        Vec::new()
-    }
+    all
+}
+
+/// The declared types of the fields `fun` calls `callee` on, read off the
+/// caller's file: `self.maintained.rebuild(…)` next to a
+/// `maintained: MaintainedDecomposition` field gives
+/// `MaintainedDecomposition`. Receivers that are no plain field add nothing.
+fn receiver_types(f: &FileIndex, fun: &FnItem, callee: &str) -> Vec<String> {
+    let file = flatten(&f.trees);
+    let declared = |field: &str| {
+        file.windows(3).find_map(|w| {
+            (w[0].is_ident(field) && w[1].is_punct(":") && w[2].kind == Kind::Ident)
+                .then(|| w[2].text.clone())
+        })
+    };
+    let mut types: Vec<String> = flatten(&fun.body)
+        .windows(4)
+        .filter(|w| w[1].is_punct(".") && w[2].is_ident(callee) && w[3].is_punct("("))
+        .filter_map(|w| declared(&w[0].text))
+        .collect();
+    types.sort();
+    types.dedup();
+    types
 }
 
 /// Idents inside any `spawn(…)` argument group that name a known fn.

@@ -174,6 +174,116 @@ fn r4_pins_every_store_entry_point() {
 }
 
 #[test]
+fn r4_pins_both_maintenance_entry_points() {
+    // `apply_edits` and `rebuild` each fire when no test pins them; a test
+    // calling both next to either fresh-decomposition oracle silences them,
+    // and pinning one leaves the other flagged.
+    let file = "r4_maintain_pins_bad.rs";
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(file);
+    let src = std::fs::read_to_string(&path).expect("fixture exists");
+    let targets: Vec<usize> = src
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.ends_with("// r4-target"))
+        .map(|(i, _)| i + 1)
+        .collect();
+    assert_eq!(targets.len(), 2, "{file}: one target per entry point");
+    let lines = |findings: &[Finding]| {
+        assert!(findings.iter().all(|f| f.rule == "kernel-missing-serial-test"), "{findings:?}");
+        findings.iter().map(|f| f.line).collect::<Vec<_>>()
+    };
+    assert_eq!(lines(&lint_fixture(file)), targets, "{file}: both entry points flagged");
+
+    let synthetic = src.lines().next().and_then(|l| l.strip_prefix("//!path ")).unwrap();
+    let with_pin = |calls: &str| {
+        let pin = format!("#[test]\nfn pinned() {{ {calls} }}\n");
+        rules::lint_sources(&[
+            (synthetic.trim().to_string(), src.clone()),
+            ("crates/decomp/tests/pin.rs".to_string(), pin),
+        ])
+    };
+    for oracle in ["verify_against_fresh", "decomp_equivalent"] {
+        let pinned = with_pin(&format!("apply_edits(); rebuild(); {oracle}();"));
+        assert!(pinned.is_empty(), "{file}: pinning with `{oracle}` did not silence R4");
+    }
+    let half = with_pin("apply_edits(); decomp_equivalent();");
+    assert_eq!(lines(&half), targets[1..], "{file}: an unpinned `rebuild` must stay flagged");
+}
+
+#[test]
+fn r8_follows_a_shared_method_name_by_its_receiver_field() {
+    // Two crates define `rebuild`. The engine's call goes through a field
+    // typed `MaintainedDecomposition`, so the walk must continue into that
+    // `rebuild` and on to `decompose` — and never into `FoldStore::rebuild`.
+    let engine = r#"
+pub struct DynamicBc {
+    maintained: MaintainedDecomposition,
+    fold: FoldStore,
+}
+
+impl DynamicBc {
+    pub fn apply(&mut self, n: usize) -> usize {
+        self.maintained.rebuild(n)
+    }
+}
+"#;
+    let maintain = r#"
+pub struct MaintainedDecomposition;
+
+impl MaintainedDecomposition {
+    pub fn rebuild(&mut self, n: usize) -> usize {
+        decompose(n)
+    }
+}
+"#;
+    let partition = r#"
+pub fn decompose(n: usize) -> usize {
+    let ids = vec![0usize; n];
+    ids[n / 2]
+}
+"#;
+    let score = r#"
+pub struct FoldStore;
+
+impl FoldStore {
+    pub fn rebuild(&mut self, spans: Vec<usize>) -> usize {
+        spans[0]
+    }
+}
+"#;
+    let target = 1 + partition.lines().position(|l| l.contains("ids[n / 2]")).unwrap();
+    let r8_of = |engine: &str| {
+        let findings = rules::lint_sources(&[
+            ("crates/dynamic/src/engine.rs".to_string(), engine.to_string()),
+            ("crates/decomp/src/maintain.rs".to_string(), maintain.to_string()),
+            ("crates/decomp/src/partition.rs".to_string(), partition.to_string()),
+            ("crates/store/src/score.rs".to_string(), score.to_string()),
+        ]);
+        findings.into_iter().filter(|f| f.rule == "panic-reachability").collect::<Vec<_>>()
+    };
+    let r8 = r8_of(engine);
+    assert!(
+        r8.iter().any(|f| f.path == "crates/decomp/src/partition.rs"
+            && f.line == target
+            && f.message.contains("apply -> rebuild")),
+        "R8 did not reach `decompose` through `MaintainedDecomposition::rebuild`: {r8:?}"
+    );
+    assert!(
+        r8.iter().all(|f| f.path != "crates/store/src/score.rs"),
+        "R8 followed `rebuild` into the wrong impl: {r8:?}"
+    );
+    // Called on both fields, the name reaches both impls.
+    let both = engine.replace(
+        "self.maintained.rebuild(n)",
+        "self.fold.rebuild(vec![n]);\n        self.maintained.rebuild(n)",
+    );
+    let r8 = r8_of(&both);
+    for path in ["crates/decomp/src/partition.rs", "crates/store/src/score.rs"] {
+        assert!(r8.iter().any(|f| f.path == path), "R8 did not reach {path}: {r8:?}");
+    }
+}
+
+#[test]
 fn r1_allows_no_graph_side_facade() {
     // The graph crate holds no atomics, so no path in it is allowlisted:
     // re-creating its old mirror facade must trip R1 like any other file.
